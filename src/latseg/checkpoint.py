@@ -18,7 +18,7 @@ from .data import SENTINEL, UNK, EmbeddingTable, Vocab
 from .encoder import DirectionParams
 from .errors import CheckpointError, UsageError
 from .model import SegmenterModel, prepare_lexicon
-from .tensor import Tensor, param
+from .tensor import Tensor, const, param
 
 FORMAT = "latseg-ckpt-v1"
 MANIFEST = "manifest.txt"
@@ -88,37 +88,51 @@ def _manifest_lines(model: SegmenterModel, dtype_name: str) -> list[str]:
     return lines
 
 
+def _probe_hex(model: SegmenterModel, chars: str) -> str:
+    """The probe's float32 emission bytes, as stored in the manifest."""
+    return model.emission_matrix(tuple(chars)).astype("<f4").tobytes().hex()
+
+
 def save_checkpoint(model: SegmenterModel, out_dir, probe_chars: str) -> None:
     """Write vocabularies, tensors, and a manifest with a verification probe."""
     if not probe_chars:
         raise UsageError("checkpoint probe sentence must be non-empty")
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     dtype_name = np.dtype(model.unigram_table.rows.data.dtype).name
+    lines = _manifest_lines(model, dtype_name)
 
+    # The probe runs on the model a future load will reconstruct: the same
+    # manifest values and vocabularies, and float32-rounded parameters.
+    values, _ = _parse_manifest(lines)
+    rounded = {
+        p.name: const(p.data.astype("<f4").astype(dtype_name), p.name) for p in model.parameters()
+    }
+    lexicon_vocab = model.lexicon_table.vocab if model.lexicon_table else None
+    stored = _assemble(
+        values, rounded, model.unigram_table.vocab, model.bigram_table.vocab, lexicon_vocab, out
+    )
+    lines.append(f"probe_chars={probe_chars}")
+    lines.append(f"probe_emissions={_probe_hex(stored, probe_chars)}")
+
+    # Load requires the manifest to list every tensor file in the directory.
+    names = {f"{p.name}{TENSOR_SUFFIX}" for p in model.parameters()}
+    stale = sorted(f.name for f in out.glob(f"*{TENSOR_SUFFIX}") if f.name not in names)
+    if stale:
+        raise CheckpointError(f"{out}: holds tensor files this model does not have: {stale}")
+    out.mkdir(parents=True, exist_ok=True)
     _write_vocab(out / "unigram.vocab", model.unigram_table.vocab)
     _write_vocab(out / "bigram.vocab", model.bigram_table.vocab)
-    if model.lexicon_table is not None:
-        _write_vocab(out / "lexicon.vocab", model.lexicon_table.vocab)
+    if lexicon_vocab is not None:
+        _write_vocab(out / "lexicon.vocab", lexicon_vocab)
     for p in model.parameters():
         _write_tensor(out / f"{p.name}{TENSOR_SUFFIX}", p.data)
-
-    lines = _manifest_lines(model, dtype_name)
-    (out / MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    # The probe is computed from the reloaded (float32-rounded) parameters:
-    # exactly what any future load will reconstruct.
-    reloaded = load_checkpoint(out, verify=False)
-    probe = reloaded.emission_matrix(tuple(probe_chars)).astype("<f4")
-    lines.append(f"probe_chars={probe_chars}")
-    lines.append(f"probe_emissions={probe.tobytes().hex()}")
     (out / MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_manifest(path: Path) -> tuple[dict[str, str], list[tuple[str, tuple[int, ...]]]]:
+def _parse_manifest(lines: list[str]) -> tuple[dict[str, str], list[tuple[str, tuple[int, ...]]]]:
     values: dict[str, str] = {}
     tensors: list[tuple[str, tuple[int, ...]]] = []
-    for raw in path.read_text(encoding="utf-8").splitlines():
+    for raw in lines:
         if not raw:
             continue
         key, _, val = raw.partition("=")
@@ -130,13 +144,65 @@ def _parse_manifest(path: Path) -> tuple[dict[str, str], list[tuple[str, tuple[i
     return values, tensors
 
 
-def load_checkpoint(ckpt_dir, verify: bool = True) -> SegmenterModel:
-    """Rebuild a model from disk; optionally verify the manifest probe."""
+def _assemble(
+    values: dict[str, str],
+    arrays: dict[str, Tensor],
+    uvocab: Vocab,
+    bvocab: Vocab,
+    lvocab: Vocab | None,
+    ckpt: Path,
+) -> SegmenterModel:
+    """The model that manifest values, vocabularies and named tensors describe."""
+    mode = values["mode"]
+    hidden = int(values["hidden"])
+    u_dim, b_dim, l_dim = (int(values[k]) for k in ("unigram_dim", "bigram_dim", "lexicon_dim"))
+    unigram_table = EmbeddingTable(uvocab, arrays["unigram_embeddings"], u_dim)
+    bigram_table = EmbeddingTable(bvocab, arrays["bigram_embeddings"], b_dim)
+
+    lexicon_table = trie = None
+    if mode != "baseline":
+        trie, rebuilt = prepare_lexicon(lvocab.symbols()[2:])
+        if rebuilt.symbols() != lvocab.symbols():
+            raise CheckpointError(f"{ckpt}: lexicon vocabulary is not trie-consistent")
+        lexicon_table = EmbeddingTable(lvocab, arrays["lexicon_embeddings"], l_dim)
+
+    fields = ["gates_w", "gates_b"]
+    if mode != "baseline":
+        fields += ["shortcut_w", "shortcut_b", "match_gate_w", "match_gate_b"]
+
+    def direction(name: str) -> DirectionParams:
+        return DirectionParams(hidden=hidden, **{f: arrays[f"{name}_{f}"] for f in fields})
+
+    crf_params = CrfParams(**{f: arrays[f"crf_{f}"] for f in ("emit_w", "emit_b", "transitions")})
+    if crf_params.emit_w.shape != (N_LABELS, 2 * hidden) or crf_params.transitions.shape != (
+        N_STATES, N_STATES
+    ):
+        raise CheckpointError(f"{ckpt}: CRF tensor shapes do not match hidden={hidden}")
+
+    return SegmenterModel(
+        mode,
+        unigram_table,
+        bigram_table,
+        direction("fwd"),
+        direction("bwd"),
+        crf_params,
+        lexicon_table=lexicon_table,
+        trie=trie,
+        char_dropout=float(values["char_dropout"]),
+        lattice_dropout=float(values["lattice_dropout"]),
+        max_word_len=int(values.get("max_word_len", "0")) or None,
+    )
+
+
+def load_checkpoint(ckpt_dir) -> SegmenterModel:
+    """Rebuild a model from disk and verify the manifest probe."""
     ckpt = Path(ckpt_dir)
     manifest = ckpt / MANIFEST
     if not manifest.is_file():
         raise CheckpointError(f"{ckpt}: no {MANIFEST}")
-    values, tensor_list = _parse_manifest(manifest)
+    # Split on "\n" only: str.splitlines() would also split a probe sentence
+    # at characters such as U+2028.
+    values, tensor_list = _parse_manifest(manifest.read_text(encoding="utf-8").split("\n"))
     if values.get("format") != FORMAT:
         raise CheckpointError(f"{ckpt}: unsupported format {values.get('format')!r}")
 
@@ -152,64 +218,15 @@ def load_checkpoint(ckpt_dir, verify: bool = True) -> SegmenterModel:
     for name, shape in tensor_list:
         arrays[name] = param(_read_tensor(ckpt / f"{name}{TENSOR_SUFFIX}", shape, dtype), name)
 
-    mode = values["mode"]
-    hidden = int(values["hidden"])
-    u_dim, b_dim, l_dim = (int(values[k]) for k in ("unigram_dim", "bigram_dim", "lexicon_dim"))
     uvocab = _read_vocab(ckpt / "unigram.vocab", int(values["unigram_vocab_size"]))
     bvocab = _read_vocab(ckpt / "bigram.vocab", int(values["bigram_vocab_size"]))
-    unigram_table = EmbeddingTable(uvocab, arrays["unigram_embeddings"], u_dim)
-    bigram_table = EmbeddingTable(bvocab, arrays["bigram_embeddings"], b_dim)
-
-    lexicon_table = trie = None
-    if mode != "baseline":
+    lvocab = None
+    if values["mode"] != "baseline":
         lvocab = _read_vocab(ckpt / "lexicon.vocab", int(values["lexicon_vocab_size"]))
-        trie, rebuilt = prepare_lexicon(lvocab.symbols()[2:])
-        if rebuilt.symbols() != lvocab.symbols():
-            raise CheckpointError(f"{ckpt}: lexicon vocabulary is not trie-consistent")
-        lexicon_table = EmbeddingTable(lvocab, arrays["lexicon_embeddings"], l_dim)
+    model = _assemble(values, arrays, uvocab, bvocab, lvocab, ckpt)
 
-    def direction(name: str) -> DirectionParams:
-        p = DirectionParams(
-            hidden=hidden,
-            gates_w=arrays[f"{name}_gates_w"],
-            gates_b=arrays[f"{name}_gates_b"],
-        )
-        if mode != "baseline":
-            p.shortcut_w = arrays[f"{name}_shortcut_w"]
-            p.shortcut_b = arrays[f"{name}_shortcut_b"]
-            p.match_gate_w = arrays[f"{name}_match_gate_w"]
-            p.match_gate_b = arrays[f"{name}_match_gate_b"]
-        return p
-
-    crf_params = CrfParams(
-        emit_w=arrays["crf_emit_w"],
-        emit_b=arrays["crf_emit_b"],
-        transitions=arrays["crf_transitions"],
-    )
-    if crf_params.emit_w.data.shape != (N_LABELS, 2 * hidden) or crf_params.transitions.data.shape != (
-        N_STATES,
-        N_STATES,
-    ):
-        raise CheckpointError(f"{ckpt}: CRF tensor shapes do not match hidden={hidden}")
-
-    max_len = int(values.get("max_word_len", "0")) or None
-    model = SegmenterModel(
-        mode,
-        unigram_table,
-        bigram_table,
-        direction("fwd"),
-        direction("bwd"),
-        crf_params,
-        lexicon_table=lexicon_table,
-        trie=trie,
-        char_dropout=float(values["char_dropout"]),
-        lattice_dropout=float(values["lattice_dropout"]),
-        max_word_len=max_len,
-    )
-
-    if verify and "probe_emissions" in values:
-        probe = model.emission_matrix(tuple(values.get("probe_chars", ""))).astype("<f4")
-        if probe.tobytes().hex() != values["probe_emissions"]:
+    if "probe_emissions" in values:
+        if _probe_hex(model, values.get("probe_chars", "")) != values["probe_emissions"]:
             raise CheckpointError(f"{ckpt}: probe forward pass does not match manifest")
     return model
 

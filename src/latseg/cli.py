@@ -23,9 +23,9 @@ from .data import (
     read_raw_sentences,
     word_set,
 )
-from .errors import LatsegError, UsageError
+from .errors import DataError, LatsegError, UsageError
 from .lexicon import read_lexicon
-from .model import SegmenterModel, prepare_lexicon
+from .model import MODES, SegmenterModel, prepare_lexicon
 from .train import (
     TrainConfig,
     coverage_report,
@@ -36,18 +36,17 @@ from .train import (
 )
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(TrainConfig)}
+_PARSERS = {"str": str, "int": int, "float": float}
 
 
 def _parse_config_value(key: str, raw: str):
-    if key in ("mode", "embeddings", "dtype"):
-        return raw
-    if key in ("stop_f1", "max_word_len"):
+    """Parse by the TrainConfig field's declared type; optional fields take none or ''."""
+    kind = _CONFIG_TYPES[key]
+    if kind.endswith(" | None"):
         if raw.lower() in ("none", ""):
             return None
-        return float(raw) if key == "stop_f1" else int(raw)
-    if key in ("lr0", "lr_decay", "char_dropout", "lattice_dropout"):
-        return float(raw)
-    return int(raw)
+        kind = kind.removesuffix(" | None")
+    return _PARSERS[kind](raw)
 
 
 def load_config_file(path) -> dict:
@@ -103,12 +102,9 @@ def _build_model(config: TrainConfig, train_sentences, lexicon_path, emb_paths, 
 
 def cmd_train(args) -> int:
     overrides = load_config_file(args.config) if args.config else {}
-    if args.mode:
-        overrides["mode"] = args.mode
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.epochs is not None:
-        overrides["epochs"] = args.epochs
+    for key in ("mode", "seed", "epochs"):  # command-line flags win
+        if getattr(args, key) is not None:
+            overrides[key] = getattr(args, key)
     config = TrainConfig(**overrides)
     config.validate()
 
@@ -207,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a segmenter")
     p.add_argument("--train", required=True, help="segmented training corpus")
     p.add_argument("--dev", required=True, help="segmented development corpus")
-    p.add_argument("--mode", choices=("baseline", "lattice-word", "lattice-subword"))
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--lexicon", help="lexicon file for lattice modes")
     p.add_argument("--unigram-emb", help="pretrained character embeddings")
     p.add_argument("--bigram-emb", help="pretrained bigram embeddings")
@@ -258,9 +254,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except LatsegError as exc:
+    except (LatsegError, OSError) as exc:  # an unreadable or missing file is a data error
         print(f"latseg: {exc}", file=sys.stderr)
-        return exc.exit_code
+        return exc.exit_code if isinstance(exc, LatsegError) else DataError.exit_code
 
 
 if __name__ == "__main__":

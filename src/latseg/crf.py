@@ -140,8 +140,8 @@ def viterbi(hs: Sequence[Tensor], p: CrfParams) -> LabelPath:
     """Highest-scoring label sequence; ties resolve to the smallest label index."""
     if not hs:
         raise UsageError("viterbi of an empty sequence")
-    emit = np.stack([(p.emit_w.data @ h.data + p.emit_b.data) for h in hs])
-    trans = p.transitions.data + _transition_mask(p.transitions.data.dtype)
+    emit = np.stack([e.data for e in emissions(hs, p)])
+    trans = p.masked_transitions().data
     inner = trans[:N_LABELS, :N_LABELS]
 
     m = emit.shape[0]

@@ -2,9 +2,10 @@
 
 The character LSTM couples its input gate to the forget gate (i = 1 - f).
 The lattice variant adds one "shortcut" memory cell per lexicon match: an
-output-gate-free LSTM cell fed by the match embedding and the start
-character's state. At a match's end character, the candidate memory and all
-arriving shortcut memories are fused with exp-normalized gates.
+output-gate-free LSTM cell fed by the match embedding and the state at the
+match's first character in reading order. At its last character in reading
+order, the candidate memory and all arriving shortcut memories are fused
+with exp-normalized gates. The backward direction reads right to left.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .tensor import (
     concat,
     const,
     dropout_mask,
-    embedding_row,
     mul,
     one_minus,
     param,
@@ -102,7 +102,7 @@ class LatticeStep:
     h: Tensor
     c: Tensor
     alpha_char: Tensor | None = None  # normalized weight of the candidate memory
-    match_alphas: list[tuple[int, Tensor]] | None = None  # (start position, weight)
+    match_alphas: list[tuple[int, Tensor]] | None = None  # (source position, weight)
 
 
 def char_repr(
@@ -125,8 +125,8 @@ def char_repr(
     for c, bg in zip(chars, bigrams_of(chars)):
         x = concat(
             [
-                embedding_row(unigram_table.rows, uvocab.index(c)),
-                embedding_row(bigram_table.rows, bvocab.index(bg)),
+                row(unigram_table.rows, uvocab.index(c)),
+                row(bigram_table.rows, bvocab.index(bg)),
             ]
         )
         if mode == "train" and dropout > 0.0:
@@ -135,19 +135,16 @@ def char_repr(
     return reprs
 
 
-def _gate_stack(x: Tensor, h_prev: Tensor, p: DirectionParams):
-    """Stacked pre-activations of the character cell: (output, forget, candidate)."""
-    h = p.hidden
-    z = affine(concat([x, h_prev]), p.gates_w, p.gates_b)
-    o = sigmoid(slice1(z, 0, h))
-    f = sigmoid(slice1(z, h, 2 * h))
-    cand = tanh(slice1(z, 2 * h, 3 * h))
-    return o, f, cand
+def _gate_stack(x: Tensor, h_prev: Tensor, w: Tensor, b: Tensor):
+    """Two sigmoid gates and a tanh candidate from the stacked thirds of w @ [x; h_prev] + b."""
+    h = h_prev.data.shape[0]
+    z = affine(concat([x, h_prev]), w, b)
+    return sigmoid(slice1(z, 0, h)), sigmoid(slice1(z, h, 2 * h)), tanh(slice1(z, 2 * h, 3 * h))
 
 
 def lstm_step(x: Tensor, h_prev: Tensor, c_prev: Tensor, p: DirectionParams):
     """One coupled-gate LSTM step: input gate is 1 - forget gate."""
-    o, f, cand = _gate_stack(x, h_prev, p)
+    o, f, cand = _gate_stack(x, h_prev, p.gates_w, p.gates_b)
     c = add(mul(f, c_prev), mul(one_minus(f), cand))
     h = mul(o, tanh(c))
     return h, c
@@ -157,11 +154,7 @@ def shortcut_cell(
     e_w: Tensor, h_start: Tensor, c_start: Tensor, p: DirectionParams
 ) -> Tensor:
     """Memory cell of one matched subsequence; no output gate, no hidden."""
-    h = p.hidden
-    z = affine(concat([e_w, h_start]), p.shortcut_w, p.shortcut_b)
-    i = sigmoid(slice1(z, 0, h))
-    f = sigmoid(slice1(z, h, 2 * h))
-    cand = tanh(slice1(z, 2 * h, 3 * h))
+    i, f, cand = _gate_stack(e_w, h_start, p.shortcut_w, p.shortcut_b)
     return add(mul(f, c_start), mul(i, cand))
 
 
@@ -195,80 +188,64 @@ def lattice_forward(
 ) -> list[LatticeStep]:
     """Run one direction of the lattice LSTM over a sentence.
 
-    Positions where no match ends perform the plain coupled LSTM update.
-    Where matches end, each contributes a shortcut memory built from the
-    start character's state; the candidate memory and the shortcut memories
+    Positions where no match arrives perform the plain coupled LSTM step.
+    Elsewhere each arriving match contributes a shortcut memory built from
+    the state at its other end; the candidate memory and the shortcut memories
     are then combined with exp-normalized gates (the candidate's gate being
-    the coupled input gate 1 - f). The backward direction runs the same
-    computation on the reversed sequence with matches mirrored.
+    the coupled input gate 1 - f). The forward direction walks positions
+    1..m and fuses matches at their end; the backward direction walks m..1
+    and fuses them at their start. Steps and ``match_alphas`` sources are in
+    sentence positions for both.
     """
     m = len(reprs)
     if matches is not None:
         for mt in matches.matches:
             if not 1 <= mt.b < mt.e <= m:
                 raise UsageError(f"match ({mt.b}, {mt.e}) out of range for {m} positions")
-    if direction == "backward":
-        seq = list(reversed(reprs))
-        ends: dict[int, list[tuple[int, int]]] = {}
-        if matches is not None:
-            for mt in matches.matches:
-                ends.setdefault(m + 1 - mt.b, []).append((m + 1 - mt.e, mt.entry))
-    elif direction == "forward":
-        seq = list(reprs)
-        ends = {}
-        if matches is not None:
-            for mt in matches.matches:
-                ends.setdefault(mt.e, []).append((mt.b, mt.entry))
+    forward = direction == "forward"
+    if forward:
+        positions, arriving = range(1, m + 1), matches.by_end if matches else {}
+    elif direction == "backward":
+        positions, arriving = range(m, 0, -1), matches.by_start if matches else {}
     else:
         raise UsageError(f"direction must be 'forward' or 'backward', got {direction!r}")
 
     dtype = p.gates_b.data.dtype
-    zeros = np.zeros(p.hidden, dtype=dtype)
-    h_prev, c_prev = const(zeros), const(zeros)
-    hs: list[Tensor] = [h_prev]  # 1-based access: hs[i] is the state after position i
-    cs: list[Tensor] = [c_prev]
-    steps: list[LatticeStep] = []
-
-    for i in range(1, m + 1):
-        x = seq[i - 1]
-        o, f, cand = _gate_stack(x, h_prev, p)
-        ending = ends.get(i)
-        if not ending:
-            c = add(mul(f, c_prev), mul(one_minus(f), cand))
-            step = LatticeStep(h=mul(o, tanh(c)), c=c)
-        else:
-            cells = []
-            gates = []
-            for b, entry in ending:
-                idx = entry if entry_rows is None else entry_rows[entry]
-                e_w = embedding_row(lexicon_table.rows, idx)
-                if mode == "train" and lattice_dropout > 0.0:
-                    e_w = mul(
-                        e_w,
-                        dropout_mask(e_w.data.shape, lattice_dropout, mode, rng, dtype=dtype),
-                    )
-                cell = shortcut_cell(e_w, hs[b], cs[b], p)
-                cells.append(cell)
-                gates.append(gate_logit(x, cell, p))
-            alpha_char, alphas = gate_normalize(one_minus(f), gates)
-            c = sum_list([mul(a, cell) for a, cell in zip(alphas, cells)] + [mul(alpha_char, cand)])
-            step = LatticeStep(
-                h=mul(o, tanh(c)),
-                c=c,
-                alpha_char=alpha_char,
-                match_alphas=[(b, a) for (b, _), a in zip(ending, alphas)],
-            )
-        steps.append(step)
-        h_prev, c_prev = step.h, step.c
-        hs.append(h_prev)
-        cs.append(c_prev)
-
-    if direction == "backward":
-        steps.reverse()
-        for step in steps:  # report shortcut sources in original coordinates
-            if step.match_alphas:
-                step.match_alphas = [(m + 1 - b, a) for b, a in step.match_alphas]
-    return steps
+    zeros = const(np.zeros(p.hidden, dtype=dtype))
+    # states[i] is the state after position i; 0 and m + 1 are the initial states.
+    states = [LatticeStep(h=zeros, c=zeros)] * (m + 2)
+    for i in positions:
+        x = reprs[i - 1]
+        prev = states[i - 1 if forward else i + 1]
+        here = arriving.get(i)
+        if not here:
+            h, c = lstm_step(x, prev.h, prev.c, p)
+            states[i] = LatticeStep(h=h, c=c)
+            continue
+        o, f, cand = _gate_stack(x, prev.h, p.gates_w, p.gates_b)
+        sources, cells, gates = [], [], []
+        for mt in here:
+            idx = mt.entry if entry_rows is None else entry_rows[mt.entry]
+            e_w = row(lexicon_table.rows, idx)
+            if mode == "train" and lattice_dropout > 0.0:
+                e_w = mul(
+                    e_w,
+                    dropout_mask(e_w.data.shape, lattice_dropout, mode, rng, dtype=dtype),
+                )
+            src = mt.b if forward else mt.e
+            sources.append(src)
+            cell = shortcut_cell(e_w, states[src].h, states[src].c, p)
+            cells.append(cell)
+            gates.append(gate_logit(x, cell, p))
+        alpha_char, alphas = gate_normalize(one_minus(f), gates)
+        c = sum_list([mul(a, cell) for a, cell in zip(alphas, cells)] + [mul(alpha_char, cand)])
+        states[i] = LatticeStep(
+            h=mul(o, tanh(c)),
+            c=c,
+            alpha_char=alpha_char,
+            match_alphas=list(zip(sources, alphas)),
+        )
+    return states[1 : m + 1]
 
 
 def encode_bidirectional(

@@ -72,15 +72,17 @@ class Match:
 
 @dataclass
 class LatticeMatchSet:
-    """Every lexicon subsequence of one sentence, indexed by end position."""
+    """Every lexicon subsequence of one sentence, indexed by end and by start position."""
 
     length: int
     matches: list[Match] = field(default_factory=list)
     by_end: dict[int, list[Match]] = field(default_factory=dict)
+    by_start: dict[int, list[Match]] = field(default_factory=dict)
 
     def add(self, match: Match) -> None:
         self.matches.append(match)
         self.by_end.setdefault(match.e, []).append(match)
+        self.by_start.setdefault(match.b, []).append(match)
 
     def __len__(self) -> int:
         return len(self.matches)

@@ -114,9 +114,6 @@ class SegmenterModel:
     def parameters(self) -> list[Tensor]:
         return self._params
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return [(p.name, p) for p in self._params]
-
     def snapshot(self) -> dict[str, np.ndarray]:
         return {p.name: p.data.copy() for p in self._params}
 

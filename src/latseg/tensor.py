@@ -236,35 +236,6 @@ def tanh(x: Tensor) -> Tensor:
     return out
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Stable softmax over a 1-D vector; outputs are positive and sum to 1."""
-    if x.data.ndim != 1 or x.data.size < 1:
-        raise ShapeError(f"softmax requires a non-empty 1-D vector, got shape {x.data.shape}")
-    e = np.exp(x.data - x.data.max())
-    s = e / e.sum()
-    out = _out(s)
-
-    def bwd():
-        if x.grad is not None:
-            g = out.grad
-            x.grad += s * (g - np.dot(g, s))
-
-    _record(bwd)
-    return out
-
-
-_ACTIVATIONS = {"sigmoid": sigmoid, "tanh": tanh, "softmax": softmax}
-
-
-def activate(x: Tensor, kind: str) -> Tensor:
-    """Apply a named activation: sigmoid, tanh, or softmax."""
-    try:
-        fn = _ACTIVATIONS[kind]
-    except KeyError:
-        raise UsageError(f"unknown activation kind: {kind!r}") from None
-    return fn(x)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and shape manipulation
 # ---------------------------------------------------------------------------
@@ -375,7 +346,7 @@ def pick2(m: Tensor, i: int, j: int) -> Tensor:
 
 
 def row(m: Tensor, i: int) -> Tensor:
-    """Row i of a 2-D tensor."""
+    """Row i of a 2-D tensor, e.g. an embedding lookup; backward adds into that row."""
     out = _out(m.data[i].copy())
 
     def bwd():
@@ -384,11 +355,6 @@ def row(m: Tensor, i: int) -> Tensor:
 
     _record(bwd)
     return out
-
-
-def embedding_row(table: Tensor, idx: int) -> Tensor:
-    """Row lookup into an embedding matrix; backward scatter-adds into the row."""
-    return row(table, idx)
 
 
 def stack_rows(parts: Sequence[Tensor]) -> Tensor:
@@ -506,10 +472,10 @@ def sgd_step(params: Iterable[Tensor], lr: float) -> None:
     """p <- p - lr * grad for every trainable tensor; grads reset to zero."""
     if lr <= 0.0:
         raise ConfigError(f"learning rate must be positive, got {lr}")
-    for p in params:
-        if p.grad is None:
-            continue
+    params = [p for p in params if p.grad is not None]
+    for p in params:  # check every gradient before any parameter changes
         if not np.all(np.isfinite(p.grad)):
             raise NumericError(f"non-finite gradient in tensor {p.name or '<unnamed>'}")
+    for p in params:
         p.data -= lr * p.grad
         p.grad[...] = 0.0

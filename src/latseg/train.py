@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import LabeledSentence, label_spans, word_set
 from .errors import ConfigError, DataError, NumericError
-from .model import SegmenterModel
+from .model import MODES, SegmenterModel
 from .tensor import Tape, backward, sgd_step
 
 
@@ -39,6 +39,14 @@ class TrainConfig:
     max_word_len: int | None = None
 
     def validate(self) -> None:
+        if self.mode not in MODES:
+            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.dtype not in ("float32", "float64"):
+            raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
+        if self.max_word_len is not None and self.max_word_len < 1:
+            raise ConfigError(f"max_word_len must be at least 1, got {self.max_word_len}")
+        if self.stop_f1 is not None and not 0.0 < self.stop_f1 <= 1.0:
+            raise ConfigError(f"stop_f1 must be in (0, 1], got {self.stop_f1}")
         for name in ("lr_decay", "char_dropout", "lattice_dropout"):
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:

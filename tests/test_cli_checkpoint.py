@@ -98,6 +98,35 @@ class TestTrainCommand:
     def test_unknown_flag_is_usage_error(self):
         assert run(["train", "--bogus"]) == 1
 
+    @pytest.mark.parametrize(
+        "entry",
+        ["mode=lattice", "dtype=float17", "max_word_len=0", "stop_f1=0", "stop_f1=1.5"],
+    )
+    def test_bad_config_value_is_config_error(self, corpus_dir, tmp_path, capsys, entry):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(TINY_CONFIG + entry + "\n", encoding="utf-8")
+        rc = run([
+            "train", "--train", corpus_dir / "train.txt", "--dev", corpus_dir / "dev.txt",
+            "--config", cfg, "--out", tmp_path / "m",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("latseg: ") and err.count("\n") == 1
+        assert entry.split("=")[0] in err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("flag", ["--train", "--dev", "--config"])
+    def test_missing_input_file_is_data_error(self, corpus_dir, tmp_path, capsys, flag):
+        paths = {"--train": corpus_dir / "train.txt", "--dev": corpus_dir / "dev.txt",
+                 "--config": corpus_dir / "config.txt"}
+        paths[flag] = tmp_path / "nope.txt"
+        args = ["train", "--mode", "baseline", "--out", tmp_path / "m"]
+        for name, path in paths.items():
+            args += [name, path]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("latseg: ") and "nope.txt" in err and err.count("\n") == 1
+
     def test_same_seed_byte_identical_checkpoints(self, corpus_dir, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -117,6 +146,15 @@ class TestTrainCommand:
             if name == "report.txt":  # carries wall-clock timing
                 continue
             assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+
+    def test_retrain_into_other_mode_keeps_old_checkpoint(self, corpus_dir, tmp_path):
+        out = tmp_path / "m"
+        common = ["train", "--train", corpus_dir / "train.txt", "--dev", corpus_dir / "dev.txt",
+                  "--config", corpus_dir / "config.txt", "--out", out, "--epochs", "1"]
+        assert run(common + ["--mode", "lattice-word", "--lexicon", corpus_dir / "lexicon.txt"]) == 0
+        assert run(common + ["--mode", "baseline"]) == 2  # lattice tensor files would be stale
+        assert load_checkpoint(out).mode == "lattice-word"
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +226,11 @@ class TestEvalCommand:
         for key in ("precision", "recall", "f1", "r_iv", "r_oov"):
             assert key in values
             assert 0.0 <= float(values[key]) <= 1.0
+
+    def test_missing_gold_is_data_error(self, trained, tmp_path, capsys):
+        assert run(["eval", "--model", trained, "--gold", tmp_path / "nope.txt"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("latseg: ") and err.count("\n") == 1
 
     def test_identical_gold_prediction_f1_one(self, trained, tmp_path, capsys):
         # segment dev, then score the model against its own output
@@ -301,3 +344,32 @@ def test_float32_round_trip(tmp_path, rng):
     loaded = load_checkpoint(tmp_path / "ck")
     after = loaded.emission_matrix(tuple("中国人"))
     np.testing.assert_array_equal(before.astype("<f4"), after.astype("<f4"))
+
+
+def _tiny_float64_model(rng, mode="baseline"):
+    sents = [to_bmes(["中国", "人"]), to_bmes(["学院"])]
+    uni, bi = build_vocabs([s.chars for s in sents])
+    ut = EmbeddingTable.random(uni, 4, rng, name="unigram_embeddings")
+    bt = EmbeddingTable.random(bi, 4, rng, name="bigram_embeddings")
+    return SegmenterModel.create(mode, ut, bt, 5, rng)
+
+
+def test_probe_with_line_separator_round_trips(tmp_path, rng):
+    # U+2028 is a line boundary for str.splitlines() but not for the manifest
+    model = _tiny_float64_model(rng)
+    probe = "中\u2028国人"
+    save_checkpoint(model, tmp_path / "ck", probe)
+    load_checkpoint(tmp_path / "ck")  # verifies the probe
+    manifest = (tmp_path / "ck" / "manifest.txt").read_text(encoding="utf-8")
+    assert f"probe_chars={probe}\n" in manifest
+
+
+def test_save_leaves_model_unchanged(tmp_path, rng):
+    model = _tiny_float64_model(rng)
+    for p in model.parameters():
+        p.grad[...] = 0.25
+    before = [(p.data.copy(), p.grad.copy()) for p in model.parameters()]
+    save_checkpoint(model, tmp_path / "ck", "中国人")
+    for p, (data, grad) in zip(model.parameters(), before):
+        np.testing.assert_array_equal(p.data, data)
+        np.testing.assert_array_equal(p.grad, grad)

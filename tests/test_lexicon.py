@@ -70,6 +70,13 @@ class TestMatchSentence:
         for e, group in ms.by_end.items():
             assert all(m.e == e for m in group)
 
+    def test_by_start_partitions_matches(self):
+        trie = build_trie(["ab", "abc", "bc", "abcd"])
+        ms = match_sentence(trie, "abcdabc")
+        assert [m for group in ms.by_start.values() for m in group] == ms.matches
+        for b, group in ms.by_start.items():
+            assert all(m.b == b for m in group)
+
     def test_max_len_cap(self):
         trie = build_trie(["ab", "abcd"])
         ms = match_sentence(trie, "abcd", max_len=2)
