@@ -226,7 +226,9 @@ def load_checkpoint(ckpt_dir) -> SegmenterModel:
     model = _assemble(values, arrays, uvocab, bvocab, lvocab, ckpt)
 
     if "probe_emissions" in values:
-        if _probe_hex(model, values.get("probe_chars", "")) != values["probe_emissions"]:
+        if not values.get("probe_chars"):
+            raise CheckpointError(f"{ckpt}: manifest has probe emissions but no probe sentence")
+        if _probe_hex(model, values["probe_chars"]) != values["probe_emissions"]:
             raise CheckpointError(f"{ckpt}: probe forward pass does not match manifest")
     return model
 

@@ -2,16 +2,28 @@
 
 The layers in this package operate on 1-D/2-D float arrays. Every primitive
 below computes its result eagerly with numpy and, while a :class:`Tape` is
-active, appends a backward closure to it. Calling :func:`backward` on a
-scalar loss replays the closures in reverse, accumulating ``dloss/dtensor``
-into each tensor's ``grad`` buffer. Gradients are additive; they are cleared
-only by :func:`sgd_step` (or :func:`zero_grads`).
+active in the current context, appends a backward closure to it. Calling
+:func:`backward` on a scalar loss replays the closures in reverse,
+accumulating ``dloss/dtensor`` into each tensor's ``grad`` buffer, and lets
+go of each closure once it has run.
 
-Tests run at float64; training may use float32 for speed.
+Gradient buffers are lazy. A parameter owns a dense, same-shape buffer from
+the start; a recorded intermediate gets one the first time backward writes
+into it, so a node that no gradient reaches keeps ``grad = None``; a constant
+never gets one. Gradients are additive; they are cleared only by
+:func:`sgd_step` (or :func:`zero_grads`).
+
+Updates are row-sparse where that is exact. :func:`row` notes which rows of a
+parameter (an embedding table) it added into; while nothing else has written
+that parameter's gradient since its last update, :func:`sgd_step` checks,
+updates and clears those rows alone. Every other row holds a zero gradient,
+so the result is the dense update's, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+from contextvars import ContextVar
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,13 +39,21 @@ LOGSPACE_TOL = 1e-9  # CRF log-space identities
 
 
 class Tensor:
-    """A dense array with an optional same-shape gradient accumulator."""
+    """A dense array with an optional same-shape gradient accumulator.
 
-    __slots__ = ("data", "grad", "name", "tape")
+    ``grad`` is allocated up front on a parameter, on first write on a
+    recorded intermediate (``tape`` set), and never on a constant. ``grad_rows``
+    is, on a parameter, the row ids :func:`row` added into its gradient since
+    the last update, or ``None`` once any other write has touched it; it is
+    ``None`` on every other tensor.
+    """
+
+    __slots__ = ("data", "grad", "name", "tape", "grad_rows")
 
     def __init__(self, data, *, trainable: bool = False, name: str | None = None):
         self.data = np.asarray(data)
         self.grad = np.zeros_like(self.data) if trainable else None
+        self.grad_rows: list[int] | None = [] if trainable else None
         self.name = name
         self.tape: Tape | None = None
 
@@ -63,39 +83,45 @@ class Tape:
     """Ordered record of executed primitives for one backward pass.
 
     Closures are appended in execution order, which is a valid topological
-    order; replaying them reversed visits every node exactly once.
+    order; replaying them reversed visits every node exactly once, and skips
+    a node whose output received no gradient. The active tape belongs to the
+    current context, so each thread records onto its own.
     """
 
     def __init__(self):
         self._ops: list = []
-        self._used = False
+        self._replayed: int | None = None  # ops recorded, once backward has run
+        self._token = None
 
     def __enter__(self) -> "Tape":
-        global _ACTIVE
-        if _ACTIVE is not None:
+        if _ACTIVE.get() is not None:
             raise UsageError("nested tapes are not supported")
-        _ACTIVE = self
+        self._token = _ACTIVE.set(self)
         return self
 
     def __exit__(self, *exc) -> None:
-        global _ACTIVE
-        _ACTIVE = None
+        _ACTIVE.reset(self._token)
 
     def __len__(self) -> int:
-        return len(self._ops)
+        return len(self._ops) if self._replayed is None else self._replayed
 
     def run_backward(self, loss: Tensor) -> None:
         if loss.data.shape != ():
             raise UsageError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-        if self._used:
+        if self._replayed is not None:
             raise UsageError("tape already replayed; record a fresh graph")
-        self._used = True
-        loss.grad += 1.0
-        for op in reversed(self._ops):
-            op()
+        self._replayed = len(self._ops)
+        _acc(loss, 1.0)
+        # Popping drops the tape's hold on each node as it is replayed, so the
+        # graph is freed by reference counting instead of the cycle collector.
+        ops = self._ops
+        while ops:
+            out, op = ops.pop()
+            if out.grad is not None:  # a node no gradient reached passes none on
+                op(out.grad)
 
 
-_ACTIVE: Tape | None = None
+_ACTIVE: ContextVar[Tape | None] = ContextVar("latseg_active_tape", default=None)
 
 
 def backward(loss: Tensor) -> None:
@@ -105,18 +131,44 @@ def backward(loss: Tensor) -> None:
     loss.tape.run_backward(loss)
 
 
-def _out(data) -> Tensor:
-    """Wrap an op result; allocate its grad buffer when recording."""
+def _out(data, bwd) -> Tensor:
+    """Wrap an op result; while a tape is active, record ``bwd`` for it.
+
+    The tape calls ``bwd(g)`` with the result's gradient; the result's own
+    buffer is allocated only when backward first writes into it.
+    """
     t = Tensor(data)
-    if _ACTIVE is not None:
-        t.grad = np.zeros_like(t.data)
-        t.tape = _ACTIVE
+    tape = _ACTIVE.get()
+    if tape is not None:
+        t.tape = tape
+        tape._ops.append((t, bwd))
     return t
 
 
-def _record(fn) -> None:
-    if _ACTIVE is not None:
-        _ACTIVE._ops.append(fn)
+def _wants(t: Tensor) -> bool:
+    """Whether backward writes into t: a parameter or a recorded intermediate."""
+    return t.grad is not None or t.tape is not None
+
+
+def _acc(t: Tensor, g, at=None) -> None:
+    """Add g into t.grad, or into t.grad[at]: every backward write but :func:`row`'s record.
+
+    A recorded intermediate's buffer is allocated here on its first write; a
+    constant takes nothing. The write ends any row record on ``t``, so its
+    next update is dense.
+    """
+    if t.grad is None:
+        if t.tape is None:
+            return
+        if at is None:
+            t.grad = np.array(g, dtype=t.data.dtype)
+            return
+        t.grad = np.zeros(t.data.shape, t.data.dtype)
+    t.grad_rows = None
+    if at is None:
+        t.grad += g
+    else:
+        t.grad[at] += g
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -133,58 +185,41 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "add")
-    out = _out(a.data + b.data)
 
-    def bwd():
-        g = out.grad
-        if a.grad is not None:
-            a.grad += g
-        if b.grad is not None:
-            b.grad += g
+    def bwd(g):
+        _acc(a, g)
+        _acc(b, g)
 
-    _record(bwd)
-    return out
+    return _out(a.data + b.data, bwd)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "sub")
-    out = _out(a.data - b.data)
 
-    def bwd():
-        g = out.grad
-        if a.grad is not None:
-            a.grad += g
-        if b.grad is not None:
-            b.grad -= g
+    def bwd(g):
+        _acc(a, g)
+        _acc(b, -g)
 
-    _record(bwd)
-    return out
+    return _out(a.data - b.data, bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _same_shape(a, b, "mul")
-    out = _out(a.data * b.data)
 
-    def bwd():
-        g = out.grad
-        if a.grad is not None:
-            a.grad += g * b.data
-        if b.grad is not None:
-            b.grad += g * a.data
+    def bwd(g):
+        if _wants(a):
+            _acc(a, g * b.data)
+        if _wants(b):
+            _acc(b, g * a.data)
 
-    _record(bwd)
-    return out
+    return _out(a.data * b.data, bwd)
 
 
 def one_minus(a: Tensor) -> Tensor:
-    out = _out(1.0 - a.data)
+    def bwd(g):
+        _acc(a, -g)
 
-    def bwd():
-        if a.grad is not None:
-            a.grad -= out.grad
-
-    _record(bwd)
-    return out
+    return _out(1.0 - a.data, bwd)
 
 
 def sum_list(parts: Sequence[Tensor]) -> Tensor:
@@ -195,16 +230,12 @@ def sum_list(parts: Sequence[Tensor]) -> Tensor:
     for p in parts[1:]:
         _same_shape(parts[0], p, "sum_list")
         acc += p.data
-    out = _out(acc)
 
-    def bwd():
-        g = out.grad
+    def bwd(g):
         for p in parts:
-            if p.grad is not None:
-                p.grad += g
+            _acc(p, g)
 
-    _record(bwd)
-    return out
+    return _out(acc, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -214,26 +245,20 @@ def sum_list(parts: Sequence[Tensor]) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     s = 1.0 / (1.0 + np.exp(-x.data))
-    out = _out(s)
 
-    def bwd():
-        if x.grad is not None:
-            x.grad += out.grad * s * (1.0 - s)
+    def bwd(g):
+        _acc(x, g * s * (1.0 - s))
 
-    _record(bwd)
-    return out
+    return _out(s, bwd)
 
 
 def tanh(x: Tensor) -> Tensor:
     t = np.tanh(x.data)
-    out = _out(t)
 
-    def bwd():
-        if x.grad is not None:
-            x.grad += out.grad * (1.0 - t * t)
+    def bwd(g):
+        _acc(x, g * (1.0 - t * t))
 
-    _record(bwd)
-    return out
+    return _out(t, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -253,122 +278,100 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             f"affine: {w.name or 'w'}{w.data.shape} does not conform with "
             f"{x.name or 'x'}{x.data.shape} and {b.name or 'b'}{b.data.shape}"
         )
-    out = _out(w.data @ x.data + b.data)
 
-    def bwd():
-        g = out.grad
-        if w.grad is not None:
-            w.grad += np.outer(g, x.data)
-        if x.grad is not None:
-            x.grad += w.data.T @ g
-        if b.grad is not None:
-            b.grad += g
+    def bwd(g):
+        if _wants(w):
+            _acc(w, np.outer(g, x.data))
+        if _wants(x):
+            _acc(x, w.data.T @ g)
+        _acc(b, g)
 
-    _record(bwd)
-    return out
+    return _out(w.data @ x.data + b.data, bwd)
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
     """Concatenate 1-D tensors."""
-    out = _out(np.concatenate([p.data for p in parts]))
     sizes = [p.data.shape[0] for p in parts]
 
-    def bwd():
-        g = out.grad
+    def bwd(g):
         o = 0
         for p, n in zip(parts, sizes):
-            if p.grad is not None:
-                p.grad += g[o : o + n]
+            _acc(p, g[o : o + n])
             o += n
 
-    _record(bwd)
-    return out
+    return _out(np.concatenate([p.data for p in parts]), bwd)
 
 
 def slice1(x: Tensor, lo: int, hi: int) -> Tensor:
     """Contiguous slice of a 1-D tensor."""
-    out = _out(x.data[lo:hi].copy())
 
-    def bwd():
-        if x.grad is not None:
-            x.grad[lo:hi] += out.grad
+    def bwd(g):
+        _acc(x, g, slice(lo, hi))
 
-    _record(bwd)
-    return out
+    return _out(x.data[lo:hi].copy(), bwd)
 
 
 def block(m: Tensor, r0: int, r1: int, c0: int, c1: int) -> Tensor:
     """Contiguous sub-matrix of a 2-D tensor."""
-    out = _out(m.data[r0:r1, c0:c1].copy())
 
-    def bwd():
-        if m.grad is not None:
-            m.grad[r0:r1, c0:c1] += out.grad
+    def bwd(g):
+        _acc(m, g, (slice(r0, r1), slice(c0, c1)))
 
-    _record(bwd)
-    return out
+    return _out(m.data[r0:r1, c0:c1].copy(), bwd)
 
 
 def ravel(x: Tensor) -> Tensor:
     """Flatten to 1-D (used for single-row/column blocks)."""
-    out = _out(x.data.reshape(-1).copy())
 
-    def bwd():
-        if x.grad is not None:
-            x.grad += out.grad.reshape(x.data.shape)
+    def bwd(g):
+        _acc(x, g.reshape(x.data.shape))
 
-    _record(bwd)
-    return out
+    return _out(x.data.reshape(-1).copy(), bwd)
 
 
 def pick(v: Tensor, i: int) -> Tensor:
     """Scalar entry v[i] of a 1-D tensor."""
-    out = _out(v.data[i])
 
-    def bwd():
-        if v.grad is not None:
-            v.grad[i] += out.grad
+    def bwd(g):
+        _acc(v, g, i)
 
-    _record(bwd)
-    return out
+    return _out(v.data[i], bwd)
 
 
 def pick2(m: Tensor, i: int, j: int) -> Tensor:
     """Scalar entry m[i, j] of a 2-D tensor."""
-    out = _out(m.data[i, j])
 
-    def bwd():
-        if m.grad is not None:
-            m.grad[i, j] += out.grad
+    def bwd(g):
+        _acc(m, g, (i, j))
 
-    _record(bwd)
-    return out
+    return _out(m.data[i, j], bwd)
 
 
 def row(m: Tensor, i: int) -> Tensor:
-    """Row i of a 2-D tensor, e.g. an embedding lookup; backward adds into that row."""
-    out = _out(m.data[i].copy())
+    """Row i of a 2-D tensor, e.g. an embedding lookup; backward adds into that row.
 
-    def bwd():
-        if m.grad is not None:
-            m.grad[i] += out.grad
+    On a parameter still holding a row record, backward also notes ``i`` in
+    ``m.grad_rows``, so that :func:`sgd_step` updates only the rows looked up.
+    """
 
-    _record(bwd)
-    return out
+    def bwd(g):
+        if m.grad_rows is None:
+            _acc(m, g, i)
+        else:
+            m.grad[i] += g
+            m.grad_rows.append(i)
+
+    return _out(m.data[i].copy(), bwd)
 
 
 def stack_rows(parts: Sequence[Tensor]) -> Tensor:
     """Stack k same-length vectors into a (k, n) matrix."""
-    out = _out(np.stack([p.data for p in parts]))
 
-    def bwd():
-        g = out.grad
+    def bwd(g):
         for i, p in enumerate(parts):
-            if p.grad is not None:
-                p.grad += g[i]
+            _acc(p, g[i])
 
-    _record(bwd)
-    return out
+    return _out(np.stack([p.data for p in parts]), bwd)
 
 
 def add_outer(col: Tensor, m: Tensor) -> Tensor:
@@ -377,60 +380,45 @@ def add_outer(col: Tensor, m: Tensor) -> Tensor:
         raise ShapeError(
             f"add_outer: column{col.data.shape} does not match matrix{m.data.shape}"
         )
-    out = _out(col.data[:, None] + m.data)
 
-    def bwd():
-        g = out.grad
-        if col.grad is not None:
-            col.grad += g.sum(axis=1)
-        if m.grad is not None:
-            m.grad += g
+    def bwd(g):
+        _acc(col, g.sum(axis=1))
+        _acc(m, g)
 
-    _record(bwd)
-    return out
+    return _out(col.data[:, None] + m.data, bwd)
 
 
 def softmax_rows(m: Tensor) -> Tensor:
     """Softmax down axis 0 of a (k, n) matrix: each column sums to 1."""
     e = np.exp(m.data - m.data.max(axis=0))
     s = e / e.sum(axis=0)
-    out = _out(s)
 
-    def bwd():
-        if m.grad is not None:
-            g = out.grad
-            m.grad += s * (g - (g * s).sum(axis=0))
+    def bwd(g):
+        _acc(m, s * (g - (g * s).sum(axis=0)))
 
-    _record(bwd)
-    return out
+    return _out(s, bwd)
 
 
 def logsumexp_rows(m: Tensor) -> Tensor:
     """log(sum(exp(m), axis=0)) for a (k, n) matrix, max-shifted for stability."""
     mx = m.data.max(axis=0)
     z = mx + np.log(np.exp(m.data - mx).sum(axis=0))
-    out = _out(z)
 
-    def bwd():
-        if m.grad is not None:
-            m.grad += np.exp(m.data - z) * out.grad
+    def bwd(g):
+        _acc(m, np.exp(m.data - z) * g)
 
-    _record(bwd)
-    return out
+    return _out(z, bwd)
 
 
 def logsumexp(v: Tensor) -> Tensor:
     """log(sum(exp(v))) of a 1-D vector as a scalar."""
     mx = v.data.max()
     z = mx + np.log(np.exp(v.data - mx).sum())
-    out = _out(z)
 
-    def bwd():
-        if v.grad is not None:
-            v.grad += np.exp(v.data - z) * out.grad
+    def bwd(g):
+        _acc(v, np.exp(v.data - z) * g)
 
-    _record(bwd)
-    return out
+    return _out(z, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -463,19 +451,31 @@ def dropout_mask(
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:
+    """Clear each gradient: its recorded rows alone where it has a row record."""
     for p in params:
         if p.grad is not None:
-            p.grad[...] = 0.0
+            p.grad[p.grad_rows or ...] = 0.0  # Ellipsis: every entry
+            p.grad_rows = []
 
 
 def sgd_step(params: Iterable[Tensor], lr: float) -> None:
-    """p <- p - lr * grad for every trainable tensor; grads reset to zero."""
-    if lr <= 0.0:
-        raise ConfigError(f"learning rate must be positive, got {lr}")
-    params = [p for p in params if p.grad is not None]
+    """p <- p - lr * grad for every trainable tensor; grads reset to zero.
+
+    A tensor with a row record (see :func:`row`) is checked, updated and
+    cleared on its recorded rows only; every other tensor densely.
+    """
+    if not (math.isfinite(lr) and lr > 0.0):
+        raise ConfigError(f"learning rate must be positive and finite, got {lr}")
+    updates = []
     for p in params:  # check every gradient before any parameter changes
-        if not np.all(np.isfinite(p.grad)):
+        if p.grad is None:
+            continue
+        at = np.unique(p.grad_rows) if p.grad_rows else ...  # Ellipsis: every entry
+        g = p.grad[at]
+        if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in tensor {p.name or '<unnamed>'}")
-    for p in params:
-        p.data -= lr * p.grad
-        p.grad[...] = 0.0
+        updates.append((p, at, g))
+    for p, at, g in updates:
+        p.data[at] -= lr * g
+        p.grad[at] = 0.0
+        p.grad_rows = []

@@ -8,6 +8,7 @@ a fixed seed reproduces the run exactly.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields
 from typing import Callable, Iterable, Sequence
@@ -51,8 +52,8 @@ class TrainConfig:
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ConfigError(f"{name} must be in [0, 1), got {v}")
-        if self.lr0 <= 0.0:
-            raise ConfigError(f"lr0 must be positive, got {self.lr0}")
+        if not (math.isfinite(self.lr0) and self.lr0 > 0.0):
+            raise ConfigError(f"lr0 must be positive and finite, got {self.lr0}")
         for name in ("hidden", "unigram_dim", "bigram_dim", "lexicon_dim", "epochs"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
@@ -229,10 +230,14 @@ def train(
     rng = np.random.default_rng(config.seed)
     params = model.parameters()
     result = TrainResult(best_epoch=-1, best_f1=-1.0)
-    best_snapshot = model.snapshot()
+    best_snapshot = None
     t0 = time.perf_counter()
 
     for epoch in range(config.epochs):
+        # The parameters are still the previous epoch's: keep a copy only if
+        # that epoch was a new best, which this one may not beat.
+        if epoch and result.best_epoch == epoch - 1:
+            best_snapshot = model.snapshot()
         lr = config.learning_rate(epoch)
         order = rng.permutation(len(train_set))
         total_loss = 0.0
@@ -257,7 +262,6 @@ def train(
         if report.f1 > result.best_f1:
             result.best_f1 = report.f1
             result.best_epoch = epoch
-            best_snapshot = model.snapshot()
         if log:
             log(
                 f"epoch {epoch}: lr={lr:.6f} loss={result.mean_losses[-1]:.4f} "
@@ -266,7 +270,8 @@ def train(
         if config.stop_f1 is not None and result.best_f1 >= config.stop_f1:
             break
 
-    model.restore(best_snapshot)
+    if result.best_epoch != result.reports[-1].epoch:
+        model.restore(best_snapshot)
     result.wall_seconds = time.perf_counter() - t0
     return result
 

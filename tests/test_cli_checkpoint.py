@@ -1,6 +1,7 @@
 """CLI flows and checkpoint persistence on a small synthetic corpus."""
 
 import filecmp
+import shutil
 
 import numpy as np
 import pytest
@@ -100,7 +101,8 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize(
         "entry",
-        ["mode=lattice", "dtype=float17", "max_word_len=0", "stop_f1=0", "stop_f1=1.5"],
+        ["mode=lattice", "dtype=float17", "max_word_len=0", "stop_f1=0", "stop_f1=1.5",
+         "lr0=nan", "lr0=inf"],
     )
     def test_bad_config_value_is_config_error(self, corpus_dir, tmp_path, capsys, entry):
         cfg = tmp_path / "bad.cfg"
@@ -204,6 +206,19 @@ class TestSegmentCommand:
         assert got[-1] == ""  # empty line in, empty line out
         for raw, seg in zip(lines, got):
             assert seg.replace(" ", "") == raw
+
+    def test_empty_probe_sentence_is_checkpoint_error(self, corpus_dir, trained, tmp_path, capsys):
+        ckpt = tmp_path / "model"
+        shutil.copytree(trained, ckpt)
+        manifest = ckpt / "manifest.txt"
+        lines = manifest.read_text(encoding="utf-8").split("\n")
+        lines = ["probe_chars=" if l.startswith("probe_chars=") else l for l in lines]
+        manifest.write_text("\n".join(lines), encoding="utf-8")
+        out = tmp_path / "o.txt"
+        rc = run(["segment", "--model", ckpt, "--input", corpus_dir / "dev.txt", "--output", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("latseg: ") and "probe" in err and err.count("\n") == 1
 
     def test_missing_model_is_checkpoint_error(self, corpus_dir, tmp_path):
         out = tmp_path / "o.txt"

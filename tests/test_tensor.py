@@ -1,5 +1,9 @@
 """Numeric core: primitive semantics, gradients vs finite differences, SGD."""
 
+import gc
+import threading
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -107,13 +111,65 @@ class TestBackward:
         with tape:
             loss = pick(mul(w, w), 0)
         backward(loss)
+        assert len(tape) == 2  # still the number of recorded ops
         with pytest.raises(UsageError):
             backward(loss)
+
+    def test_replayed_graph_freed_without_cycle_collector(self):
+        w = param(np.ones(3), "w")
+        gc.disable()
+        try:
+            tape = Tape()
+            with tape:
+                hidden = T.tanh(w)
+                loss = logsumexp(hidden)
+            alive = weakref.ref(hidden.data)
+            backward(loss)
+            del hidden, loss, tape
+            assert alive() is None
+        finally:
+            gc.enable()
 
     def test_nested_tape_rejected(self):
         with Tape():
             with pytest.raises(UsageError):
                 Tape().__enter__()
+
+    def test_unreached_node_keeps_no_grad(self):
+        w = param(np.array([0.5, -1.0]), "w")
+        mask = const([1.0, 1.0])
+        tape = Tape()
+        with tape:
+            side = T.tanh(w)  # recorded, but the loss does not use it
+            loss = logsumexp(mul(w, mask))
+        backward(loss)
+        assert side.grad is None and mask.grad is None
+        assert loss.grad is not None and np.any(w.grad != 0.0)
+
+    def test_threads_hold_their_own_tapes(self):
+        ws = [param(np.array([float(k + 2)]), f"w{k}") for k in range(2)]
+        both_open = threading.Barrier(2)
+        lengths, errors = [0, 0], []
+
+        def train_one(k):
+            try:
+                tape = Tape()
+                with tape:
+                    both_open.wait(timeout=10)  # the other thread's tape is open too
+                    loss = pick(mul(ws[k], ws[k]), 0)
+                lengths[k] = len(tape)
+                backward(loss)
+            except Exception as exc:  # re-raised on the main thread below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=train_one, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert lengths == [2, 2]
+        assert [w.grad[0] for w in ws] == [4.0, 6.0]
 
     def test_gradients_accumulate_across_backward(self):
         w = param(np.array([3.0]), "w")
@@ -251,6 +307,70 @@ class TestSgd:
     def test_bad_learning_rate(self):
         with pytest.raises(ConfigError):
             sgd_step([param(np.zeros(1), "p")], 0.0)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
+    def test_non_finite_learning_rate_changes_nothing(self, lr):
+        p = param(np.array([1.0, 2.0]), "p")
+        p.grad[:] = 0.5
+        with pytest.raises(ConfigError, match="learning rate"):
+            sgd_step([p], lr)
+        np.testing.assert_array_equal(p.data, [1.0, 2.0])
+        np.testing.assert_array_equal(p.grad, [0.5, 0.5])
+
+
+def _table_step(ids, rng, lr=0.3):
+    """Look up ``ids`` in a fresh 12-row table and backprop; return the table and
+    the dense update ``data - lr * grad``."""
+    table = param(rng.normal(size=(12, 3)), "table")
+    weights = const(rng.normal(size=3))
+    tape = Tape()
+    with tape:
+        loss = sum_list([logsumexp(mul(row(table, i), weights)) for i in ids])
+    backward(loss)
+    return table, table.data - lr * table.grad
+
+
+class TestRowSparseSgd:
+    def test_repeated_rows_equal_dense_formula(self, rng):
+        ids = [3, 1, 3, 7, 3]
+        table, dense = _table_step(ids, rng)
+        before = table.data.copy()
+        assert sorted(set(table.grad_rows)) == [1, 3, 7]
+        sgd_step([table], 0.3)
+        assert table.data.tobytes() == dense.tobytes()
+        untouched = [i for i in range(12) if i not in ids]
+        assert table.data[untouched].tobytes() == before[untouched].tobytes()
+        assert not table.grad.any()
+        assert table.grad_rows == []
+
+    def test_nan_in_looked_up_row_changes_nothing(self, rng):
+        w = param(rng.normal(size=3), "w")
+        table = param(rng.normal(size=(6, 3)), "table")
+        table.data[4, 1] = np.nan
+        tape = Tape()
+        with tape:
+            loss = add(logsumexp(w), logsumexp(row(table, 4)))
+        backward(loss)
+        assert table.grad_rows == [4] and np.isfinite(w.grad).all()
+        saved = [(p.data.copy(), p.grad.copy()) for p in (w, table)]
+        with pytest.raises(NumericError, match="table"):
+            sgd_step([w, table], 0.1)
+        for p, (data, grad) in zip((w, table), saved):
+            assert p.data.tobytes() == data.tobytes()
+            assert p.grad.tobytes() == grad.tobytes()
+
+    def test_other_write_makes_update_dense(self, rng):
+        table = param(rng.normal(size=(5, 3)), "table")
+        tape = Tape()
+        with tape:
+            loss = add(logsumexp(row(table, 0)), pick2(table, 3, 1))
+        backward(loss)
+        assert table.grad_rows is None  # pick2 wrote into the gradient too
+        dense = table.data - 0.5 * table.grad
+        picked = table.data[3, 1]
+        sgd_step([table], 0.5)
+        assert table.data.tobytes() == dense.tobytes()
+        assert table.data[3, 1] == picked - 0.5 and not table.grad.any()
 
 
 class TestDropout:

@@ -1,11 +1,15 @@
 """Trainer/evaluator: metrics, schedules, determinism, coverage."""
 
+import threading
+
 import numpy as np
 import pytest
 
+from latseg import train as train_module
 from latseg.data import EmbeddingTable, build_vocabs, to_bmes, word_set
 from latseg.errors import ConfigError, DataError, NumericError
 from latseg.model import SegmenterModel, prepare_lexicon
+from latseg.tensor import Tape
 from latseg.train import (
     CoverageReport,
     TrainConfig,
@@ -162,6 +166,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TrainConfig(hidden=0).validate()
 
+    @pytest.mark.parametrize("lr0", [float("nan"), float("inf")])
+    def test_non_finite_lr0_rejected(self, lr0):
+        with pytest.raises(ConfigError, match="lr0"):
+            TrainConfig(lr0=lr0).validate()
+
 
 class TestTrainLoop:
     def _run(self, mode="baseline", seed=5, epochs=2):
@@ -224,3 +233,47 @@ class TestTrainLoop:
         result = train(config, sents, sents, model)
         assert len(result.reports) < 50
         assert result.best_f1 >= 0.5
+
+    def test_one_epoch_takes_no_snapshot(self, monkeypatch):
+        calls = []
+        real = SegmenterModel.snapshot
+        monkeypatch.setattr(SegmenterModel, "snapshot", lambda self: calls.append(1) or real(self))
+        self._run(epochs=1)
+        assert calls == []
+
+    def test_earlier_best_epoch_restored_exactly(self, monkeypatch):
+        scripted = iter([0.5, 0.9, 0.3, 0.2])  # dev F1 per epoch: the best is epoch 1
+        real = train_module.evaluate_f1
+
+        def scripted_f1(*args):
+            report = real(*args)
+            report.f1 = next(scripted)
+            return report
+
+        monkeypatch.setattr(train_module, "evaluate_f1", scripted_f1)
+        sents = tiny_corpus()
+        model = tiny_model(sents, np.random.default_rng(5))
+        config = TrainConfig(mode="baseline", epochs=4, seed=5, hidden=6, unigram_dim=4, bigram_dim=4)
+        at_epoch_end = []
+        result = train(
+            config, sents, sents, model,
+            log=lambda _: at_epoch_end.append([p.data.copy() for p in model.parameters()]),
+        )
+        assert result.best_epoch == 1 and len(at_epoch_end) == 4
+        assert at_epoch_end[1][0].tobytes() != at_epoch_end[3][0].tobytes()
+        for p, best in zip(model.parameters(), at_epoch_end[1]):
+            assert p.data.tobytes() == best.tobytes(), p.name
+
+
+def test_decode_on_another_thread_records_nothing():
+    sents = tiny_corpus()
+    model = tiny_model(sents, np.random.default_rng(3))
+    decoded = []
+    tape = Tape()
+    with tape:
+        worker = threading.Thread(target=lambda: decoded.append(model.decode(sents[0].chars)))
+        worker.start()
+        worker.join(timeout=30)
+    assert not worker.is_alive()
+    assert len(decoded) == 1 and len(decoded[0]) == len(sents[0])
+    assert len(tape) == 0
