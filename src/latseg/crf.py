@@ -6,6 +6,12 @@ covers {B, M, E, S, START, STOP}; entries into START and out of STOP are
 masked to a large negative constant, which plays the role of -inf while
 keeping the arithmetic finite. All partition sums run in log space with the
 max-shift trick.
+
+The emissions are two recorded ops (the stacked hidden states and one
+:func:`~latseg.tensor.affine`). Path score, log-partition and loss are one
+recorded op each, :func:`_objective`: its forward is the alpha recursion
+plus the gold path's terms, and its backward gives the gradient as marginals
+minus gold indicators, from the forward-backward recursions.
 """
 
 from __future__ import annotations
@@ -18,22 +24,7 @@ import numpy as np
 
 from .data import LABELS, LABEL_INDEX
 from .errors import ShapeError, UsageError
-from .tensor import (
-    Tensor,
-    add,
-    add_outer,
-    affine,
-    block,
-    const,
-    logsumexp,
-    logsumexp_rows,
-    param,
-    pick,
-    pick2,
-    ravel,
-    sub,
-    sum_list,
-)
+from .tensor import Tensor, _acc, _out, affine, const, param, stack_rows
 
 N_LABELS = len(LABELS)  # B, M, E, S
 START = 4
@@ -74,7 +65,7 @@ class CrfParams:
 
     def masked_transitions(self) -> Tensor:
         """Transition table with forbidden boundary entries pushed to -inf."""
-        return add(self.transitions, const(_transition_mask(self.transitions.data.dtype)))
+        return const(self.transitions.data + _transition_mask(self.transitions.data.dtype))
 
 
 @dataclass
@@ -90,57 +81,94 @@ def _label_indices(labels: Sequence) -> list[int]:
     return [lab if isinstance(lab, int) else LABEL_INDEX[lab] for lab in labels]
 
 
-def emissions(hs: Sequence[Tensor], p: CrfParams) -> list[Tensor]:
-    """Per-position 4-way label scores."""
-    return [affine(h, p.emit_w, p.emit_b) for h in hs]
+def emissions(hs: Sequence[Tensor], p: CrfParams) -> Tensor:
+    """Per-position 4-way label scores as one (m, 4) tensor."""
+    return affine(stack_rows(hs), p.emit_w, p.emit_b)
 
 
-def _score_from(emits: Sequence[Tensor], idx: list[int], trans: Tensor) -> Tensor:
-    terms = [pick(e, lab) for e, lab in zip(emits, idx)]
-    prev = START
-    for lab in idx:
-        terms.append(pick2(trans, prev, lab))
-        prev = lab
-    terms.append(pick2(trans, prev, STOP))
-    return sum_list(terms)
+def _logsumexp(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=0)), max-shifted."""
+    mx = a.max(axis=0)
+    return mx + np.log(np.exp(a - mx).sum(axis=0))
 
 
-def _partition_from(emits: Sequence[Tensor], trans: Tensor) -> Tensor:
-    inner = block(trans, 0, N_LABELS, 0, N_LABELS)
-    alpha = add(emits[0], ravel(block(trans, START, START + 1, 0, N_LABELS)))
-    for e in emits[1:]:
-        alpha = add(logsumexp_rows(add_outer(alpha, inner)), e)
-    return logsumexp(add(alpha, ravel(block(trans, 0, N_LABELS, STOP, STOP + 1))))
+def _objective(
+    hs: Sequence[Tensor], labels: Sequence | None, p: CrfParams, z_weight: float, path_weight: float
+) -> Tensor:
+    """z_weight * log_partition + path_weight * score of ``labels``, as one recorded op.
+
+    The gradient is z_weight times the label marginals plus path_weight
+    times the gold path's indicators, for emissions and transitions alike.
+    """
+    m = len(hs)
+    if m == 0:
+        raise UsageError("CRF over an empty sequence")
+    if labels is not None and len(labels) != m:
+        raise ShapeError(f"{m} hidden states but {len(labels)} labels")
+    emits = emissions(hs, p)
+    e = emits.data
+    trans = p.masked_transitions().data
+    inner = trans[:N_LABELS, :N_LABELS]
+
+    value = 0.0
+    if z_weight:
+        alphas = [e[0] + trans[START, :N_LABELS]]
+        for i in range(1, m):
+            alphas.append(_logsumexp(alphas[-1][:, None] + inner) + e[i])
+        alpha = np.array(alphas)
+        log_z = _logsumexp(alpha[-1] + trans[:N_LABELS, STOP])
+        value = value + z_weight * log_z
+    if path_weight:
+        idx = _label_indices(labels)
+        moves = list(zip([START, *idx], [*idx, STOP]))
+        score = sum([e[i, lab] for i, lab in enumerate(idx)] + [trans[a, b] for a, b in moves])
+        value = value + path_weight * score
+
+    def bwd(g):
+        d_emit = np.zeros_like(e)
+        d_trans = np.zeros_like(trans)
+        if z_weight:
+            # beta[i, y]: log-sum of the scores of every continuation after label y at i
+            beta = np.empty_like(alpha)
+            beta[-1] = trans[:N_LABELS, STOP]
+            for i in range(m - 2, -1, -1):
+                beta[i] = _logsumexp(inner.T + (e[i + 1] + beta[i + 1])[:, None])
+            marginals = np.exp(alpha + beta - log_z)
+            moved = np.exp(alpha[:-1, :, None] + inner + (e[1:] + beta[1:])[:, None, :] - log_z)
+            d_emit += z_weight * marginals
+            d_trans[START, :N_LABELS] += z_weight * marginals[0]
+            d_trans[:N_LABELS, STOP] += z_weight * marginals[-1]
+            d_trans[:N_LABELS, :N_LABELS] += z_weight * moved.sum(axis=0)
+        if path_weight:
+            d_emit[np.arange(m), idx] += path_weight
+            for a, b in moves:
+                d_trans[a, b] += path_weight
+        _acc(emits, g * d_emit)
+        _acc(p.transitions, g * d_trans)
+
+    return _out(np.asarray(value, dtype=e.dtype), bwd)
 
 
 def score_path(hs: Sequence[Tensor], labels: Sequence, p: CrfParams) -> Tensor:
     """Unnormalized path score: emissions plus transitions, START to STOP."""
-    if len(hs) != len(labels):
-        raise ShapeError(f"{len(hs)} hidden states but {len(labels)} labels")
-    return _score_from(emissions(hs, p), _label_indices(labels), p.masked_transitions())
+    return _objective(hs, labels, p, 0.0, 1.0)
 
 
 def log_partition(hs: Sequence[Tensor], p: CrfParams) -> Tensor:
     """log of the summed exp-score over all 4^m label sequences."""
-    if not hs:
-        raise UsageError("log_partition of an empty sequence")
-    return _partition_from(emissions(hs, p), p.masked_transitions())
+    return _objective(hs, None, p, 1.0, 0.0)
 
 
 def nll_loss(hs: Sequence[Tensor], labels: Sequence, p: CrfParams) -> Tensor:
     """Negative sentence log-likelihood: log_partition - gold path score."""
-    if len(hs) != len(labels):
-        raise ShapeError(f"{len(hs)} hidden states but {len(labels)} labels")
-    emits = emissions(hs, p)
-    trans = p.masked_transitions()
-    return sub(_partition_from(emits, trans), _score_from(emits, _label_indices(labels), trans))
+    return _objective(hs, labels, p, 1.0, -1.0)
 
 
 def viterbi(hs: Sequence[Tensor], p: CrfParams) -> LabelPath:
     """Highest-scoring label sequence; ties resolve to the smallest label index."""
     if not hs:
         raise UsageError("viterbi of an empty sequence")
-    emit = np.stack([e.data for e in emissions(hs, p)])
+    emit = emissions(hs, p).data
     trans = p.masked_transitions().data
     inner = trans[:N_LABELS, :N_LABELS]
 

@@ -2,7 +2,7 @@
 
 A model owns every trainable tensor, the vocabularies, and (in lattice
 modes) the lexicon trie. Training drives :meth:`loss` under an active tape;
-decoding runs tape-free.
+decoding and the checkpoint probe run the same forward tape-free.
 """
 
 from __future__ import annotations
@@ -174,4 +174,4 @@ class SegmenterModel:
     def emission_matrix(self, chars: Sequence[str]) -> np.ndarray:
         """Eval-mode per-position label scores; the checkpoint probe output."""
         hs, _, _ = self.hidden_states(chars, mode="eval")
-        return np.stack([e.data for e in crf_ops.emissions(hs, self.crf)])
+        return crf_ops.emissions(hs, self.crf).data

@@ -7,11 +7,21 @@ active in the current context, appends a backward closure to it. Calling
 accumulating ``dloss/dtensor`` into each tensor's ``grad`` buffer, and lets
 go of each closure once it has run.
 
+A recorded op can be as small as one embedding lookup or as large as a whole
+layer. Per sentence the model records its embedding lookups and dropout
+masks with the primitives here, :func:`stack_rows` and :func:`affine` for
+the emissions, and three fused ops with hand-written backwards built on
+:func:`_out` and :func:`_acc`: one per lattice LSTM direction (``encoder``)
+and one for the CRF objective (``crf``). That is about four recorded ops per
+character. A fused op computes its forward on plain arrays under
+:func:`unrecorded`, so that helpers it calls record nothing.
+
 Gradient buffers are lazy. A parameter owns a dense, same-shape buffer from
-the start; a recorded intermediate gets one the first time backward writes
-into it, so a node that no gradient reaches keeps ``grad = None``; a constant
-never gets one. Gradients are additive; they are cleared only by
-:func:`sgd_step` (or :func:`zero_grads`).
+the start, allocated zeroed by the allocator so that only the pages a
+gradient touches become resident; a recorded intermediate gets one the first
+time backward writes into it, so a node that no gradient reaches keeps
+``grad = None``; a constant never gets one. Gradients are additive; they are
+cleared only by :func:`sgd_step` (or :func:`zero_grads`).
 
 Updates are row-sparse where that is exact. :func:`row` notes which rows of a
 parameter (an embedding table) it added into; while nothing else has written
@@ -23,6 +33,7 @@ so the result is the dense update's, bit for bit.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterable, Sequence
 
@@ -52,7 +63,8 @@ class Tensor:
 
     def __init__(self, data, *, trainable: bool = False, name: str | None = None):
         self.data = np.asarray(data)
-        self.grad = np.zeros_like(self.data) if trainable else None
+        # np.zeros, unlike np.zeros_like, leaves untouched pages unmapped.
+        self.grad = np.zeros(self.data.shape, self.data.dtype) if trainable else None
         self.grad_rows: list[int] | None = [] if trainable else None
         self.name = name
         self.tape: Tape | None = None
@@ -122,6 +134,16 @@ class Tape:
 
 
 _ACTIVE: ContextVar[Tape | None] = ContextVar("latseg_active_tape", default=None)
+
+
+@contextmanager
+def unrecorded():
+    """Run primitives without recording them, e.g. inside a fused op's forward."""
+    token = _ACTIVE.set(None)
+    try:
+        yield
+    finally:
+        _ACTIVE.reset(token)
 
 
 def backward(loss: Tensor) -> None:
@@ -215,36 +237,29 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _out(a.data * b.data, bwd)
 
 
-def one_minus(a: Tensor) -> Tensor:
-    def bwd(g):
-        _acc(a, -g)
-
-    return _out(1.0 - a.data, bwd)
-
-
-def sum_list(parts: Sequence[Tensor]) -> Tensor:
-    """Elementwise sum of same-shape tensors."""
-    if not parts:
-        raise UsageError("sum_list of no tensors")
-    acc = parts[0].data.copy()
-    for p in parts[1:]:
-        _same_shape(parts[0], p, "sum_list")
-        acc += p.data
-
-    def bwd(g):
-        for p in parts:
-            _acc(p, g)
-
-    return _out(acc, bwd)
-
-
 # ---------------------------------------------------------------------------
 # activations
 # ---------------------------------------------------------------------------
 
 
+_EXP_SAFE = 88.0  # exp(x) is finite for x <= 88 in float32 and float64
+
+
+def logistic(a: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-a)) on an array: the one sigmoid formula in the package.
+
+    Where exp(-a) overflows to inf the result is 0, the exact limit, so the
+    overflow is not reported. Only an input that can overflow pays for
+    ``np.errstate``, which costs more than the formula on a short vector.
+    """
+    if a.min() >= -_EXP_SAFE:
+        return 1.0 / (1.0 + np.exp(-a))
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-a))
+
+
 def sigmoid(x: Tensor) -> Tensor:
-    s = 1.0 / (1.0 + np.exp(-x.data))
+    s = logistic(x.data)
 
     def bwd(g):
         _acc(x, g * s * (1.0 - s))
@@ -267,66 +282,66 @@ def tanh(x: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """out = w @ x + b with w of shape (m, n), x of shape (n,), b of shape (m,)."""
-    if w.data.ndim != 2 or x.data.ndim != 1 or b.data.ndim != 1:
+    """out = w @ x + b with w of shape (k, n), b of shape (k,), x of shape (n,) or (m, n).
+
+    A 2-D x maps row by row, out[i] = w @ x[i] + b, so every row has the
+    bits of the 1-D case; backward takes each gradient as one matrix product.
+    """
+    if w.data.ndim != 2 or x.data.ndim not in (1, 2) or b.data.ndim != 1:
         raise ShapeError(
-            f"affine expects 2-D weight, 1-D input and bias: "
+            f"affine expects 2-D weight, 1-D or 2-D input and 1-D bias: "
             f"{w.name or 'w'}{w.data.shape}, {x.name or 'x'}{x.data.shape}, {b.name or 'b'}{b.data.shape}"
         )
-    if w.data.shape[1] != x.data.shape[0] or w.data.shape[0] != b.data.shape[0]:
+    if w.data.shape[1] != x.data.shape[-1] or w.data.shape[0] != b.data.shape[0]:
         raise ShapeError(
             f"affine: {w.name or 'w'}{w.data.shape} does not conform with "
             f"{x.name or 'x'}{x.data.shape} and {b.name or 'b'}{b.data.shape}"
         )
 
     def bwd(g):
+        g2 = np.atleast_2d(g)
         if _wants(w):
-            _acc(w, np.outer(g, x.data))
+            _acc(w, g2.T @ np.atleast_2d(x.data))
         if _wants(x):
-            _acc(x, w.data.T @ g)
-        _acc(b, g)
+            _acc(x, g @ w.data)
+        _acc(b, g2.sum(axis=0))
 
-    return _out(w.data @ x.data + b.data, bwd)
+    if x.data.ndim == 1:
+        return _out(w.data @ x.data + b.data, bwd)
+    return _out(np.array([w.data @ xi + b.data for xi in x.data]), bwd)
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate 1-D tensors."""
-    sizes = [p.data.shape[0] for p in parts]
+    """Concatenate tensors along their last axis."""
+    sizes = [p.data.shape[-1] for p in parts]
 
     def bwd(g):
         o = 0
         for p, n in zip(parts, sizes):
-            _acc(p, g[o : o + n])
+            _acc(p, g[..., o : o + n])
             o += n
 
-    return _out(np.concatenate([p.data for p in parts]), bwd)
+    return _out(np.concatenate([p.data for p in parts], axis=-1), bwd)
 
 
-def slice1(x: Tensor, lo: int, hi: int) -> Tensor:
-    """Contiguous slice of a 1-D tensor."""
+def unstack(x: Tensor) -> list[Tensor]:
+    """The rows of a 2-D tensor as 1-D tensors, recording nothing.
 
-    def bwd(g):
-        _acc(x, g, slice(lo, hi))
-
-    return _out(x.data[lo:hi].copy(), bwd)
-
-
-def block(m: Tensor, r0: int, r1: int, c0: int, c1: int) -> Tensor:
-    """Contiguous sub-matrix of a 2-D tensor."""
-
-    def bwd(g):
-        _acc(m, g, (slice(r0, r1), slice(c0, c1)))
-
-    return _out(m.data[r0:r1, c0:c1].copy(), bwd)
-
-
-def ravel(x: Tensor) -> Tensor:
-    """Flatten to 1-D (used for single-row/column blocks)."""
-
-    def bwd(g):
-        _acc(x, g.reshape(x.data.shape))
-
-    return _out(x.data.reshape(-1).copy(), bwd)
+    Each row's gradient buffer is a view into x's, so backward writes into a
+    row land in x's gradient. These writes bypass :func:`row`, so on a
+    parameter they end its row record.
+    """
+    if _wants(x):
+        if x.grad is None:
+            x.grad = np.zeros(x.data.shape, x.data.dtype)
+        x.grad_rows = None
+    rows = []
+    for i, r in enumerate(x.data):
+        t = Tensor(r)
+        if x.grad is not None:
+            t.grad = x.grad[i]
+        rows.append(t)
+    return rows
 
 
 def pick(v: Tensor, i: int) -> Tensor:
@@ -336,15 +351,6 @@ def pick(v: Tensor, i: int) -> Tensor:
         _acc(v, g, i)
 
     return _out(v.data[i], bwd)
-
-
-def pick2(m: Tensor, i: int, j: int) -> Tensor:
-    """Scalar entry m[i, j] of a 2-D tensor."""
-
-    def bwd(g):
-        _acc(m, g, (i, j))
-
-    return _out(m.data[i, j], bwd)
 
 
 def row(m: Tensor, i: int) -> Tensor:
@@ -371,21 +377,7 @@ def stack_rows(parts: Sequence[Tensor]) -> Tensor:
         for i, p in enumerate(parts):
             _acc(p, g[i])
 
-    return _out(np.stack([p.data for p in parts]), bwd)
-
-
-def add_outer(col: Tensor, m: Tensor) -> Tensor:
-    """out[i, j] = col[i] + m[i, j]; broadcasts a column across a matrix."""
-    if col.data.shape[0] != m.data.shape[0]:
-        raise ShapeError(
-            f"add_outer: column{col.data.shape} does not match matrix{m.data.shape}"
-        )
-
-    def bwd(g):
-        _acc(col, g.sum(axis=1))
-        _acc(m, g)
-
-    return _out(col.data[:, None] + m.data, bwd)
+    return _out(np.array([p.data for p in parts]), bwd)
 
 
 def softmax_rows(m: Tensor) -> Tensor:
@@ -397,17 +389,6 @@ def softmax_rows(m: Tensor) -> Tensor:
         _acc(m, s * (g - (g * s).sum(axis=0)))
 
     return _out(s, bwd)
-
-
-def logsumexp_rows(m: Tensor) -> Tensor:
-    """log(sum(exp(m), axis=0)) for a (k, n) matrix, max-shifted for stability."""
-    mx = m.data.max(axis=0)
-    z = mx + np.log(np.exp(m.data - mx).sum(axis=0))
-
-    def bwd(g):
-        _acc(m, np.exp(m.data - z) * g)
-
-    return _out(z, bwd)
 
 
 def logsumexp(v: Tensor) -> Tensor:

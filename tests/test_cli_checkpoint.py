@@ -150,6 +150,22 @@ class TestTrainCommand:
             assert filecmp.cmp(a / name, b / name, shallow=False), name
 
 
+    def test_diverging_training_writes_nothing_to_stderr(self, tmp_path, capfd):
+        # lr0=0.9 without decay drives gate pre-activations past -700, where
+        # exp overflows in the sigmoid; its exact limit 0 is silent
+        data = tmp_path / "desk"
+        assert run(["synth", "--out-dir", data, "--sentences", 300, "--vocab-size", 80,
+                    "--seed", 101]) == 0
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("hidden=16\nunigram_dim=8\nbigram_dim=8\nlr0=0.9\nlr_decay=0\n",
+                       encoding="utf-8")
+        capfd.readouterr()
+        rc = run(["train", "--train", data / "train.txt", "--dev", data / "dev.txt",
+                  "--mode", "baseline", "--config", cfg, "--out", tmp_path / "m",
+                  "--seed", 7, "--epochs", 1])
+        assert rc == 0
+        assert capfd.readouterr().err == ""
+
     def test_retrain_into_other_mode_keeps_old_checkpoint(self, corpus_dir, tmp_path):
         out = tmp_path / "m"
         common = ["train", "--train", corpus_dir / "train.txt", "--dev", corpus_dir / "dev.txt",

@@ -19,8 +19,8 @@ from latseg.crf import (
     viterbi,
 )
 from latseg.data import LABELS
-from latseg.errors import ShapeError
-from latseg.tensor import LOGSPACE_TOL, param, const
+from latseg.errors import ShapeError, UsageError
+from latseg.tensor import LOGSPACE_TOL, Tape, backward, const, param
 
 
 def make_params(rng, hidden2=6, scale=1.0):
@@ -203,3 +203,81 @@ class TestMask:
         assert np.all(masked[:, START] <= MASK_VALUE / 2)
         assert np.all(masked[STOP, :] <= MASK_VALUE / 2)
         assert np.all(np.exp(masked[:, START]) == 0.0)
+
+
+def oracle_marginals(emit, trans):
+    """Label and transition marginals by explicit summation over all 4^m paths."""
+    m = emit.shape[0]
+    scores = oracle_all_paths(emit, trans)
+    logz = oracle_log_partition(emit, trans)
+    labels = np.zeros((m, N_LABELS))
+    pairs = np.zeros((6, 6))
+    for path, score in scores.items():
+        w = math.exp(score - logz)
+        labels[np.arange(m), list(path)] += w
+        for a, b in zip((START, *path), (*path, STOP)):
+            pairs[a, b] += w
+    return labels, pairs
+
+
+class TestObjectiveOp:
+    """One recorded op per path score, log-partition or loss, with a hand-written backward."""
+
+    def _identity_case(self, rng, m):
+        # emit_w = I and emit_b = 0, so the gradient wrt each h_i is the
+        # gradient wrt that position's emissions
+        p = CrfParams(
+            emit_w=param(np.eye(4), "crf_emit_w"),
+            emit_b=param(np.zeros(4), "crf_emit_b"),
+            transitions=param(rng.normal(size=(6, 6)), "crf_transitions"),
+        )
+        return p, make_hidden(rng, m, hidden2=4)
+
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_partition_gradient_is_marginals(self, rng, m):
+        p, hs = self._identity_case(rng, m)
+        tape = Tape()
+        with tape:
+            logz = log_partition(hs, p)
+        assert len(tape) == 3  # stacked states, emissions, the op
+        backward(logz)
+        labels, pairs = oracle_marginals(oracle_emissions(hs, p), oracle_trans(p))
+        np.testing.assert_allclose(np.stack([h.grad for h in hs]), labels, atol=1e-12)
+        np.testing.assert_allclose(p.transitions.grad, pairs, atol=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 4])
+    def test_loss_gradient_is_marginals_minus_gold(self, rng, m):
+        p, hs = self._identity_case(rng, m)
+        gold = [int(x) for x in rng.integers(0, 4, size=m)]
+        tape = Tape()
+        with tape:
+            loss = nll_loss(hs, [LABELS[i] for i in gold], p)
+        backward(loss)
+        labels, pairs = oracle_marginals(oracle_emissions(hs, p), oracle_trans(p))
+        labels[np.arange(m), gold] -= 1.0
+        for a, b in zip((START, *gold), (*gold, STOP)):
+            pairs[a, b] -= 1.0
+        np.testing.assert_allclose(np.stack([h.grad for h in hs]), labels, atol=1e-12)
+        np.testing.assert_allclose(p.transitions.grad, pairs, atol=1e-12)
+
+    def test_path_score_gradient_is_gold_indicators(self, rng):
+        p, hs = self._identity_case(rng, 3)
+        tape = Tape()
+        with tape:
+            score = score_path(hs, ["B", "E", "S"], p)
+        backward(score)
+        np.testing.assert_array_equal(np.stack([h.grad for h in hs]), np.eye(4)[[0, 2, 3]])
+        expect = np.zeros((6, 6))
+        expect[START, 0] = expect[0, 2] = expect[2, 3] = expect[3, STOP] = 1.0
+        np.testing.assert_array_equal(p.transitions.grad, expect)
+
+    def test_one_length_check_for_every_entry(self, rng):
+        p = make_params(rng)
+        for call in (lambda: nll_loss(make_hidden(rng, 3), ["B", "E"], p),
+                     lambda: score_path(make_hidden(rng, 1), ["B", "E"], p)):
+            with pytest.raises(ShapeError, match="3 hidden states but 2 labels|1 hidden states but 2 labels"):
+                call()
+        for call in (lambda: nll_loss([], [], p), lambda: log_partition([], p),
+                     lambda: score_path([], [], p)):
+            with pytest.raises(UsageError, match="empty"):
+                call()

@@ -1,11 +1,13 @@
 """Encoder: coupled LSTM semantics, lattice fusion, reduction, gradients."""
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
 from conftest import assert_grads_match
+from latseg import encoder
 from latseg.data import EmbeddingTable, Vocab, build_vocabs
 from latseg.encoder import (
     DirectionParams,
@@ -19,7 +21,19 @@ from latseg.encoder import (
 )
 from latseg.errors import UsageError
 from latseg.lexicon import LatticeMatchSet, Match
-from latseg.tensor import ALPHA_SUM_TOL, const, param
+from latseg.tensor import (
+    ALPHA_SUM_TOL,
+    Tape,
+    add,
+    backward,
+    concat,
+    const,
+    logsumexp,
+    mul,
+    param,
+    row,
+    unstack,
+)
 
 
 def zero_direction(hidden, x_dim, word_dim=None, name="fwd"):
@@ -55,63 +69,70 @@ def random_lexicon_table(rng, n_entries, dim, name="lexicon_embeddings"):
 class TestLstmStep:
     def test_zero_params_halves_memory(self, rng):
         p = zero_direction(4, 3)
-        c_prev = const(rng.normal(size=4))
-        h, c = lstm_step(const(rng.normal(size=3)), const(np.zeros(4)), c_prev, p)
-        np.testing.assert_allclose(c.data, 0.5 * c_prev.data, atol=1e-15)
-        np.testing.assert_allclose(h.data, 0.5 * np.tanh(0.5 * c_prev.data), atol=1e-15)
+        c_prev = rng.normal(size=4)
+        h, c, _ = lstm_step(rng.normal(size=3), np.zeros(4), c_prev, p)
+        np.testing.assert_allclose(c, 0.5 * c_prev, atol=1e-15)
+        np.testing.assert_allclose(h, 0.5 * np.tanh(0.5 * c_prev), atol=1e-15)
 
     def test_zero_memory_zero_hidden(self, rng):
         p = zero_direction(4, 3)
-        h, c = lstm_step(const(rng.normal(size=3)), const(np.zeros(4)), const(np.zeros(4)), p)
-        np.testing.assert_array_equal(h.data, np.zeros(4))
+        h, c, _ = lstm_step(rng.normal(size=3), np.zeros(4), np.zeros(4), p)
+        np.testing.assert_array_equal(h, np.zeros(4))
 
     def test_gate_coupling_exact(self, rng):
         # c = f*c_prev + (1-f)*cand: solving for the two gate weights from
         # the outputs must give coefficients summing to exactly 1
         p = random_direction(3, 2, rng)
-        x = const(rng.normal(size=2))
+        x = rng.normal(size=2)
         c_a = rng.normal(size=3)
         c_b = rng.normal(size=3)
-        _, c1 = lstm_step(x, const(np.zeros(3)), const(c_a), p)
-        _, c2 = lstm_step(x, const(np.zeros(3)), const(c_b), p)
-        f = (c1.data - c2.data) / (c_a - c_b)
+        _, c1, _ = lstm_step(x, np.zeros(3), c_a, p)
+        _, c2, _ = lstm_step(x, np.zeros(3), c_b, p)
+        f = (c1 - c2) / (c_a - c_b)
         # with zero previous memory, c0 = (1 - f) * cand exactly
-        _, c0 = lstm_step(x, const(np.zeros(3)), const(np.zeros(3)), p)
-        np.testing.assert_allclose(c1.data, f * c_a + c0.data, atol=1e-12)
+        _, c0, _ = lstm_step(x, np.zeros(3), np.zeros(3), p)
+        np.testing.assert_allclose(c1, f * c_a + c0, atol=1e-12)
         assert np.all((f > 0) & (f < 1))
 
 
 class TestShortcutCell:
     def test_zero_params_halves_start_memory(self, rng):
         p = zero_direction(4, 3, word_dim=2)
-        c_b = const(rng.normal(size=4))
-        out = shortcut_cell(const(rng.normal(size=2)), const(np.zeros(4)), c_b, p)
-        np.testing.assert_allclose(out.data, 0.5 * c_b.data, atol=1e-15)
+        c_b = rng.normal(size=4)
+        out, _ = shortcut_cell(rng.normal(size=2), np.zeros(4), c_b, p)
+        np.testing.assert_allclose(out, 0.5 * c_b, atol=1e-15)
 
     def test_zero_start_memory_zero_output(self, rng):
         p = zero_direction(4, 3, word_dim=2)
-        out = shortcut_cell(const(rng.normal(size=2)), const(np.zeros(4)), const(np.zeros(4)), p)
-        np.testing.assert_array_equal(out.data, np.zeros(4))
+        out, _ = shortcut_cell(rng.normal(size=2), np.zeros(4), np.zeros(4), p)
+        np.testing.assert_array_equal(out, np.zeros(4))
 
 
 class TestGateLogit:
     def test_zero_params_half(self, rng):
         p = zero_direction(3, 2, word_dim=2)
-        out = gate_logit(const(rng.normal(size=2)), const(rng.normal(size=3)), p)
-        np.testing.assert_array_equal(out.data, np.full(3, 0.5))
+        out = gate_logit(rng.normal(size=2), rng.normal(size=3), p)
+        np.testing.assert_array_equal(out, np.full(3, 0.5))
 
     def test_range_open_unit_interval(self, rng):
         p = random_direction(3, 2, rng, word_dim=2)
-        out = gate_logit(const(rng.normal(size=2) * 5), const(rng.normal(size=3) * 5), p)
-        assert np.all((out.data > 0) & (out.data < 1))
+        out = gate_logit(rng.normal(size=2) * 5, rng.normal(size=3) * 5, p)
+        assert np.all((out > 0) & (out < 1))
 
     def test_gradient_reaches_both_inputs(self, rng):
+        # the gate reads the end character's input and the match memory; in the
+        # direction op the memory comes from the lexicon row, so gradients
+        # must reach that input, that row and the gate's own weights
         p = random_direction(3, 2, rng, word_dim=2)
-        x = param(rng.normal(size=2), "x")
-        c = param(rng.normal(size=3), "c")
-        from latseg.tensor import logsumexp
+        table = random_lexicon_table(rng, 1, 2)
+        reprs = [param(rng.normal(size=2), f"x{i}") for i in range(3)]
+        ms = match_set(3, [(1, 3)])
 
-        assert_grads_match(lambda: logsumexp(gate_logit(x, c, p)), [x, c] + p.tensors())
+        def loss():
+            h, _ = lattice_forward(reprs, ms, table, p, entry_rows=np.array([2]))
+            return logsumexp(row(h, 2))
+
+        assert_grads_match(loss, [reprs[2], table.rows, p.match_gate_w, p.match_gate_b])
 
 
 class TestGateNormalize:
@@ -137,13 +158,12 @@ class TestLatticeForward:
     def test_empty_matches_bit_equal_to_lstm(self, rng):
         p = random_direction(5, 4, rng)
         reprs = [const(rng.normal(size=4)) for _ in range(7)]
-        steps = lattice_forward(reprs, None, None, p)
-        h = const(np.zeros(5))
-        c = const(np.zeros(5))
-        for step, x in zip(steps, reprs):
-            h, c = lstm_step(x, h, c, p)
-            np.testing.assert_array_equal(step.h.data, h.data)
-            np.testing.assert_array_equal(step.c.data, c.data)
+        out, steps = lattice_forward(reprs, None, None, p)
+        h = c = np.zeros(5)
+        for i, (step, x) in enumerate(zip(steps, reprs)):
+            h, c, _ = lstm_step(x.data, h, c, p)
+            assert out.data[i].tobytes() == step.h.data.tobytes() == h.tobytes()
+            assert step.c.data.tobytes() == c.tobytes()
 
     def test_alpha_weights_sum_to_one(self, rng):
         p = random_direction(4, 3, rng, word_dim=3)
@@ -154,14 +174,14 @@ class TestLatticeForward:
         # forward fusion happens where matches end ({3, 6}); backward where
         # they start (original positions {1, 2, 4})
         for direction, n_fused in (("forward", 2), ("backward", 3)):
-            steps = lattice_forward(reprs, ms, table, p, direction, entry_rows=rows)
+            _, steps = lattice_forward(reprs, ms, table, p, direction, entry_rows=rows)
             fused = [s for s in steps if s.alpha_char is not None]
             assert len(fused) == n_fused
             for s in fused:
                 total = s.alpha_char.data + sum(a.data for _, a in s.match_alphas)
                 np.testing.assert_allclose(total, np.ones(4), atol=ALPHA_SUM_TOL)
         # backward shortcut sources are the matches' end characters
-        bwd = lattice_forward(reprs, ms, table, p, "backward", entry_rows=rows)
+        _, bwd = lattice_forward(reprs, ms, table, p, "backward", entry_rows=rows)
         sources = {i + 1: [b for b, _ in s.match_alphas] for i, s in enumerate(bwd) if s.match_alphas}
         assert sources == {1: [3], 2: [3, 6], 4: [6]}
 
@@ -173,9 +193,9 @@ class TestLatticeForward:
         reprs = [const(rng.normal(size=3)) for _ in range(6)]
         ms = match_set(6, [(2, 4)])
         rows = np.array([2, 3])
-        before = lattice_forward(reprs, ms, table, p, entry_rows=rows)
+        _, before = lattice_forward(reprs, ms, table, p, entry_rows=rows)
         table.rows.data[2] += 1.5
-        after = lattice_forward(reprs, ms, table, p, entry_rows=rows)
+        _, after = lattice_forward(reprs, ms, table, p, entry_rows=rows)
         for j in range(3):  # positions 1..3 precede the end at 4
             np.testing.assert_array_equal(before[j].h.data, after[j].h.data)
         assert not np.array_equal(before[3].h.data, after[3].h.data)
@@ -199,11 +219,10 @@ class TestLatticeForward:
         table = random_lexicon_table(rng, 1, 3)
         reprs = [const(rng.normal(size=2)) for _ in range(4)]
         ms = match_set(4, [(1, 4)])
-        from latseg.tensor import logsumexp
 
         def loss():
-            steps = lattice_forward(reprs, ms, table, p, entry_rows=np.array([2]))
-            return logsumexp(steps[-1].h)
+            h, _ = lattice_forward(reprs, ms, table, p, entry_rows=np.array([2]))
+            return logsumexp(row(h, 3))
 
         assert_grads_match(loss, [table.rows] + p.tensors())
 
@@ -291,3 +310,74 @@ class TestCharRepr:
         base = char_repr("中", ut, bt)[0]
         kept = x.data != 0
         np.testing.assert_allclose(x.data[kept], 2.0 * base.data[kept], atol=1e-15)
+
+
+# Overlapping matches, two sharing an end (3) and two sharing a start (2), and
+# one spanning the whole sentence: every fusion and shortcut case at once.
+SPANS = [(1, 3), (2, 3), (2, 6), (4, 6), (1, 6), (3, 5)]
+
+
+def direction_case(rng, dtype=np.float64, hidden=3, x_dim=2, word_dim=3):
+    p = DirectionParams.create(x_dim, hidden, rng, word_dim=word_dim, dtype=dtype)
+    for t in p.tensors():  # nonzero biases, so every bias gradient is exercised
+        if t.data.ndim == 1:
+            t.data[:] = rng.normal(size=t.data.shape) * 0.3
+    vocab = Vocab.from_symbols([f"w{i}" for i in range(len(SPANS))])
+    table = EmbeddingTable.random(vocab, word_dim, rng, dtype=dtype, name="lexicon_embeddings")
+    reprs = [param(rng.normal(size=x_dim).astype(dtype), f"x{i}") for i in range(6)]
+    return p, table, reprs, match_set(6, SPANS), np.arange(2, 2 + len(SPANS))
+
+
+class TestDirectionOp:
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("dropout", [0.0, 0.4])
+    def test_gradients_match_finite_differences(self, rng, direction, dropout):
+        p, table, reprs, ms, rows = direction_case(rng)
+        weights = const(rng.normal(size=(6, p.hidden)))
+
+        def loss():
+            # a fresh generator per call draws the same dropout masks each time
+            h, _ = lattice_forward(
+                reprs, ms, table, p, direction, entry_rows=rows, lattice_dropout=dropout,
+                mode="train", rng=np.random.default_rng(3),
+            )
+            return logsumexp(concat(unstack(mul(h, weights))))
+
+        assert_grads_match(loss, reprs + [table.rows] + p.tensors())
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_one_recorded_op_per_direction(self, rng, direction):
+        p, table, reprs, ms, rows = direction_case(rng)
+        tape = Tape()
+        with tape:
+            lattice_forward(reprs, ms, table, p, direction, entry_rows=rows)
+        assert len(tape) == len(SPANS) + 1  # one lexicon-row lookup per match, then the op
+
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    def test_float32_stays_float32(self, rng, monkeypatch, direction):
+        p, table, reprs, ms, rows = direction_case(rng, dtype=np.float32)
+        written = []
+        real_acc = encoder._acc
+        monkeypatch.setattr(encoder, "_acc", lambda t, g: (written.append(g.dtype), real_acc(t, g)))
+        tape = Tape()
+        with tape:
+            h, steps = lattice_forward(
+                reprs, ms, table, p, direction, entry_rows=rows, lattice_dropout=0.3,
+                mode="train", rng=np.random.default_rng(1),
+            )
+            loss = logsumexp(concat(unstack(h)))
+        backward(loss)
+        assert h.data.dtype == np.float32
+        assert all(s.h.data.dtype == s.c.data.dtype == np.float32 for s in steps)
+        assert written and set(written) == {np.dtype(np.float32)}
+        assert all(t.grad.dtype == np.float32 for t in reprs + p.tensors())
+
+    def test_bidirectional_rows_pass_gradients(self, rng):
+        p_f, table, reprs, ms, rows = direction_case(rng)
+        p_b = DirectionParams.create(2, 3, rng, word_dim=3)
+
+        def loss():
+            hs, _, _ = encode_bidirectional(reprs, ms, table, p_f, p_b, entry_rows=rows)
+            return reduce(add, [logsumexp(h) for h in hs[::2]])
+
+        assert_grads_match(loss, reprs + [table.rows] + p_f.tensors() + p_b.tensors())

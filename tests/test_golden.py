@@ -1,0 +1,30 @@
+"""Checkpoints saved by an earlier encoder still load, probe-verified, and segment the same.
+
+The fixtures under ``fixtures/golden`` were written by ``fixtures/make_golden.py``
+with the per-primitive encoder and CRF loss, before each became one recorded
+op. Loading re-runs the float32 probe and refuses a checkpoint whose
+emissions differ in any bit, so these tests pin the forward pass bit for bit
+in float64 and float32.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from latseg.checkpoint import load_checkpoint
+from latseg.cli import main
+
+GOLDEN = Path(__file__).parent / "fixtures" / "golden"
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_golden_checkpoint_loads_and_segments_identically(dtype, tmp_path):
+    ckpt = GOLDEN / f"lattice-word-{dtype}"
+    model = load_checkpoint(ckpt)  # raises CheckpointError if the probe differs
+    assert model.mode == "lattice-word"
+    assert model.unigram_table.rows.data.dtype.name == dtype
+    out = tmp_path / "segmented.txt"
+    assert main(["segment", "--model", str(ckpt), "--input", str(GOLDEN / "raw.txt"),
+                 "--output", str(out)]) == 0
+    expect = (GOLDEN / f"segment-{dtype}.txt").read_text(encoding="utf-8")
+    assert out.read_text(encoding="utf-8") == expect

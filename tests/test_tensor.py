@@ -2,7 +2,10 @@
 
 import gc
 import threading
+import warnings
 import weakref
+from functools import reduce
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,29 +18,24 @@ from latseg import tensor as T
 from latseg.tensor import (
     Tape,
     add,
-    add_outer,
     affine,
     backward,
-    block,
     concat,
     const,
     dropout_mask,
+    logistic,
     logsumexp,
-    logsumexp_rows,
     mul,
-    one_minus,
     param,
     pick,
-    pick2,
-    ravel,
     row,
     sgd_step,
     sigmoid,
-    slice1,
     softmax_rows,
     stack_rows,
     sub,
-    sum_list,
+    unrecorded,
+    unstack,
 )
 
 
@@ -61,6 +59,14 @@ class TestAffine:
         with pytest.raises(ShapeError, match="weights.*input"):
             affine(x, w, param(np.zeros(2), "bias"))
 
+    def test_matrix_input_maps_rows_bit_for_bit(self, rng):
+        w = const(rng.normal(size=(4, 6)))
+        b = const(rng.normal(size=4))
+        x = rng.normal(size=(5, 6))
+        out = affine(const(x), w, b)
+        for i in range(5):
+            assert out.data[i].tobytes() == affine(const(x[i]), w, b).data.tobytes()
+
 
 class TestActivate:
     def test_sigmoid_zero(self):
@@ -68,6 +74,17 @@ class TestActivate:
 
     def test_tanh_zero(self):
         assert T.tanh(const([0.0])).data[0] == 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_sigmoid_overflow_is_silent_and_exact(self, dtype):
+        # exp(1000) overflows to inf; 1 / (1 + inf) = 0 is the exact limit
+        x = np.array([-1000.0, -88.5, 0.0, 1000.0], dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = sigmoid(const(x)).data
+            assert logistic(x).tobytes() == out.tobytes()
+        assert out.dtype == dtype
+        assert out[0] == 0.0 and out[2] == 0.5 and out[3] == 1.0
 
     def test_softmax_symmetry(self):
         out = softmax_rows(const([[1.7], [1.7], [1.7]]))
@@ -184,19 +201,17 @@ class TestBackward:
 def _composite_loss(ps):
     """Touches every primitive at least once; deterministic in the params."""
     w, b, m, v = ps
-    hidden = T.tanh(affine(concat([slice1(v, 0, 2), slice1(v, 2, 4)]), w, b))
-    gates = softmax_rows(stack_rows([hidden, sigmoid(hidden), one_minus(sigmoid(hidden))]))
-    fused = sum_list([mul(row(gates, i), hidden) for i in range(3)])
-    mat = add_outer(fused, block(m, 0, 3, 0, 3))
-    vec = logsumexp_rows(mat)
-    scalar = add(logsumexp(vec), pick2(m, 1, 2))
-    return add(scalar, add(pick(sub(vec, ravel(block(m, 0, 1, 0, 3))), 1), pick(fused, 0)))
+    hidden = T.tanh(affine(concat([row(m, 0), v]), w, b))
+    gates = softmax_rows(stack_rows([hidden, sigmoid(hidden), sub(hidden, sigmoid(hidden))]))
+    fused = add(mul(row(gates, 0), hidden), mul(row(gates, 2), hidden))
+    rows = unstack(affine(concat([m, m]), w, b))
+    return add(logsumexp(add(fused, rows[1])), pick(rows[2], 1))
 
 
 class TestFiniteDifferences:
     def test_composite_matches_central_differences(self, rng):
         ps = [
-            param(rng.normal(size=(3, 4)) * 0.7, "w"),
+            param(rng.normal(size=(3, 8)) * 0.7, "w"),
             param(rng.normal(size=3) * 0.5, "b"),
             param(rng.normal(size=(3, 4)) * 0.6, "m"),
             param(rng.normal(size=4) * 0.8, "v"),
@@ -209,16 +224,12 @@ class TestFiniteDifferences:
             lambda a, b: pick(add(a, b), 1),
             lambda a, b: pick(sub(a, b), 2),
             lambda a, b: pick(mul(a, b), 0),
-            lambda a, b: pick(one_minus(a), 1),
             lambda a, b: pick(sigmoid(a), 2),
             lambda a, b: pick(T.tanh(a), 0),
             lambda a, b: logsumexp(a),
-            lambda a, b: pick(sum_list([a, b, a]), 2),
             lambda a, b: pick(concat([a, b]), 4),
-            lambda a, b: pick(slice1(a, 1, 3), 1),
         ],
-        ids=["add", "sub", "mul", "one_minus", "sigmoid", "tanh",
-             "logsumexp", "sum_list", "concat", "slice1"],
+        ids=["add", "sub", "mul", "sigmoid", "tanh", "logsumexp", "concat"],
     )
     def test_each_primitive(self, build, rng):
         a = param(rng.normal(size=3), "a")
@@ -227,16 +238,15 @@ class TestFiniteDifferences:
 
     def test_matrix_primitives(self, rng):
         m = param(rng.normal(size=(3, 4)), "m")
-        c = param(rng.normal(size=3), "c")
+        c = param(rng.normal(size=(3, 2)), "c")
+        w = param(rng.normal(size=(5, 6)), "w")
+        b = param(rng.normal(size=5), "b")
 
         def loss():
-            x = add_outer(c, m)
-            return add(
-                logsumexp(logsumexp_rows(x)),
-                add(pick2(m, 2, 3), pick(ravel(block(m, 1, 2, 0, 4)), 2)),
-            )
+            rows = unstack(affine(concat([m, c]), w, b))
+            return add(logsumexp(rows[0]), pick(rows[2], 3))
 
-        assert_grads_match(loss, [m, c])
+        assert_grads_match(loss, [m, c, w, b])
 
     def test_stack_softmax_rows(self, rng):
         a = param(rng.normal(size=4), "a")
@@ -247,6 +257,57 @@ class TestFiniteDifferences:
             return pick(row(s, 0), 2)
 
         assert_grads_match(loss, [a, b])
+
+
+class TestUnstack:
+    def test_rows_record_nothing_and_pass_gradients(self, rng):
+        w = param(rng.normal(size=(3, 4)), "w")
+        tape = Tape()
+        with tape:
+            h = T.tanh(w)
+            rows = unstack(h)
+            loss = add(logsumexp(rows[0]), pick(rows[2], 1))
+        assert len(tape) == 4  # tanh, two reductions and add: the rows are no ops
+        backward(loss)
+        expect = np.zeros((3, 4))
+        expect[0] = np.exp(h.data[0]) / np.exp(h.data[0]).sum()  # softmax of row 0
+        expect[2, 1] = 1.0
+        np.testing.assert_allclose(w.grad, expect * (1.0 - h.data**2), atol=1e-12)
+
+    def test_constant_rows_take_no_gradient(self):
+        rows = unstack(const(np.ones((2, 3))))
+        assert [r.grad for r in rows] == [None, None]
+
+
+class TestUnrecorded:
+    def test_primitives_inside_are_not_recorded(self):
+        w = param(np.ones(2), "w")
+        tape = Tape()
+        with tape:
+            with unrecorded():
+                T.tanh(w)
+            loss = logsumexp(w)
+        assert len(tape) == 1
+        backward(loss)
+        np.testing.assert_allclose(w.grad, [0.5, 0.5])
+
+
+class TestLazyGradientPages:
+    def test_large_parameter_leaves_gradient_pages_unmapped(self):
+        status = Path("/proc/self/status")
+        if not status.is_file():
+            pytest.skip("no /proc/self/status on this platform")
+
+        def rss_kb():
+            line = next(l for l in status.read_text().splitlines() if l.startswith("VmRSS:"))
+            return int(line.split()[1])
+
+        data = np.ones((100_000, 50))  # 40 MB, resident once written
+        before = rss_kb()
+        table = param(data, "table")
+        grown_mb = (rss_kb() - before) / 1024
+        assert table.grad.shape == data.shape and not table.grad[::997].any()
+        assert grown_mb < 5.0, f"creating the parameter added {grown_mb:.1f} MB resident"
 
 
 class TestDeterminism:
@@ -325,7 +386,7 @@ def _table_step(ids, rng, lr=0.3):
     weights = const(rng.normal(size=3))
     tape = Tape()
     with tape:
-        loss = sum_list([logsumexp(mul(row(table, i), weights)) for i in ids])
+        loss = reduce(add, [logsumexp(mul(row(table, i), weights)) for i in ids])
     backward(loss)
     return table, table.data - lr * table.grad
 
@@ -363,9 +424,10 @@ class TestRowSparseSgd:
         table = param(rng.normal(size=(5, 3)), "table")
         tape = Tape()
         with tape:
-            loss = add(logsumexp(row(table, 0)), pick2(table, 3, 1))
+            column = affine(const([0.0, 1.0, 0.0]), table, const(np.zeros(5)))  # table[:, 1]
+            loss = add(logsumexp(row(table, 0)), pick(column, 3))
         backward(loss)
-        assert table.grad_rows is None  # pick2 wrote into the gradient too
+        assert table.grad_rows is None  # affine wrote into the gradient too
         dense = table.data - 0.5 * table.grad
         picked = table.data[3, 1]
         sgd_step([table], 0.5)

@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from latseg import synth
 from latseg import train as train_module
 from latseg.data import EmbeddingTable, build_vocabs, to_bmes, word_set
 from latseg.errors import ConfigError, DataError, NumericError
@@ -277,3 +278,22 @@ def test_decode_on_another_thread_records_nothing():
     assert not worker.is_alive()
     assert len(decoded) == 1 and len(decoded[0]) == len(sents[0])
     assert len(tape) == 0
+
+
+def test_desk_lattice_word_records_at_most_five_ops_per_char():
+    # the benchmark's training set-up: desk corpus, gold lexicon, no dropout
+    vocab = synth.make_vocab(300, seed=101)
+    sents = [to_bmes(w) for w in synth.make_corpus(vocab, 60, seed=202)]
+    model = tiny_model(
+        sents, np.random.default_rng(7), mode="lattice-word",
+        lexicon=[w for w in vocab if len(w) >= 2], hidden=32, dim=16,
+    )
+    rng = np.random.default_rng(7)
+    nodes = chars = 0
+    for s in sents:
+        tape = Tape()
+        with tape:
+            model.loss(s, mode="train", rng=rng)
+        nodes += len(tape)
+        chars += len(s)
+    assert nodes / chars <= 5.0, f"{nodes / chars:.2f} recorded ops per character"
