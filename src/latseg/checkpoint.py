@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .crf import CrfParams, N_LABELS, N_STATES
-from .data import SENTINEL, UNK, EmbeddingTable, Vocab
+from .data import RESERVED, EmbeddingTable, Vocab
 from .encoder import DirectionParams
 from .errors import CheckpointError, UsageError
 from .model import SegmenterModel, prepare_lexicon
@@ -56,9 +56,9 @@ def _write_vocab(path: Path, vocab: Vocab) -> None:
 def _read_vocab(path: Path, expected_size: int) -> Vocab:
     with open(path, encoding="utf-8") as fh:
         symbols = [line.rstrip("\n") for line in fh]
-    if len(symbols) < 2 or symbols[0] != UNK or symbols[1] != SENTINEL:
+    if tuple(symbols[: len(RESERVED)]) != RESERVED:
         raise CheckpointError(f"{path}: missing reserved vocabulary entries")
-    vocab = Vocab.from_symbols(symbols[2:])
+    vocab = Vocab.from_symbols(symbols[len(RESERVED) :])
     if len(vocab) != expected_size:
         raise CheckpointError(
             f"{path}: manifest declares {expected_size} symbols, file has {len(vocab)}"
@@ -161,7 +161,7 @@ def _assemble(
 
     lexicon_table = trie = None
     if mode != "baseline":
-        trie, rebuilt = prepare_lexicon(lvocab.symbols()[2:])
+        trie, rebuilt = prepare_lexicon(lvocab.symbols()[len(RESERVED) :])
         if rebuilt.symbols() != lvocab.symbols():
             raise CheckpointError(f"{ckpt}: lexicon vocabulary is not trie-consistent")
         lexicon_table = EmbeddingTable(lvocab, arrays["lexicon_embeddings"], l_dim)

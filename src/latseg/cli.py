@@ -23,7 +23,7 @@ from .data import (
     read_raw_sentences,
     word_set,
 )
-from .errors import DataError, LatsegError, UsageError
+from .errors import ConfigError, DataError, LatsegError, UsageError
 from .lexicon import read_lexicon
 from .model import MODES, SegmenterModel, prepare_lexicon
 from .train import (
@@ -116,8 +116,6 @@ def cmd_train(args) -> int:
     train_sentences = read_corpus(args.train)
     dev_sentences = read_corpus(args.dev)
     emb_paths = {"unigram": args.unigram_emb, "bigram": args.bigram_emb, "lexicon": args.lexicon_emb}
-    if any(emb_paths.values()):
-        config.embeddings = "pretrained"
 
     rng = np.random.default_rng(config.seed)
     model = _build_model(config, train_sentences, args.lexicon, emb_paths, rng)
@@ -176,6 +174,8 @@ def cmd_coverage(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {args.seed}")
     vocab = synth.make_vocab(args.vocab_size, seed=args.seed)
     corpus = synth.make_corpus(vocab, args.sentences, seed=args.seed + 1)
     tr, dev = synth.split_corpus(corpus, args.dev_fraction, seed=args.seed + 2)

@@ -7,11 +7,12 @@ masked to a large negative constant, which plays the role of -inf while
 keeping the arithmetic finite. All partition sums run in log space with the
 max-shift trick.
 
-The emissions are two recorded ops (the stacked hidden states and one
-:func:`~latseg.tensor.affine`). Path score, log-partition and loss are one
-recorded op each, :func:`_objective`: its forward is the alpha recursion
-plus the gold path's terms, and its backward gives the gradient as marginals
-minus gold indicators, from the forward-backward recursions.
+Every function here takes a sentence's hidden states as one (m, 2H) tensor.
+The emissions are one recorded :func:`~latseg.tensor.affine` of it. Path
+score, log-partition and loss are one recorded op each, :func:`_objective`:
+its forward is the alpha recursion plus the gold path's terms, and its
+backward gives the gradient as marginals minus gold indicators, from the
+forward-backward recursions.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 
 from .data import LABELS, LABEL_INDEX
 from .errors import ShapeError, UsageError
-from .tensor import Tensor, _acc, _out, affine, const, param, stack_rows
+from .tensor import Tensor, _acc, _out, affine, const, param
 
 N_LABELS = len(LABELS)  # B, M, E, S
 START = 4
@@ -81,9 +82,9 @@ def _label_indices(labels: Sequence) -> list[int]:
     return [lab if isinstance(lab, int) else LABEL_INDEX[lab] for lab in labels]
 
 
-def emissions(hs: Sequence[Tensor], p: CrfParams) -> Tensor:
-    """Per-position 4-way label scores as one (m, 4) tensor."""
-    return affine(stack_rows(hs), p.emit_w, p.emit_b)
+def emissions(hs: Tensor, p: CrfParams) -> Tensor:
+    """Per-position 4-way label scores of the (m, 2H) hidden states as one (m, 4) tensor."""
+    return affine(hs, p.emit_w, p.emit_b)
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -93,7 +94,7 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 
 
 def _objective(
-    hs: Sequence[Tensor], labels: Sequence | None, p: CrfParams, z_weight: float, path_weight: float
+    hs: Tensor, labels: Sequence | None, p: CrfParams, z_weight: float, path_weight: float
 ) -> Tensor:
     """z_weight * log_partition + path_weight * score of ``labels``, as one recorded op.
 
@@ -149,24 +150,24 @@ def _objective(
     return _out(np.asarray(value, dtype=e.dtype), bwd)
 
 
-def score_path(hs: Sequence[Tensor], labels: Sequence, p: CrfParams) -> Tensor:
+def score_path(hs: Tensor, labels: Sequence, p: CrfParams) -> Tensor:
     """Unnormalized path score: emissions plus transitions, START to STOP."""
     return _objective(hs, labels, p, 0.0, 1.0)
 
 
-def log_partition(hs: Sequence[Tensor], p: CrfParams) -> Tensor:
+def log_partition(hs: Tensor, p: CrfParams) -> Tensor:
     """log of the summed exp-score over all 4^m label sequences."""
     return _objective(hs, None, p, 1.0, 0.0)
 
 
-def nll_loss(hs: Sequence[Tensor], labels: Sequence, p: CrfParams) -> Tensor:
+def nll_loss(hs: Tensor, labels: Sequence, p: CrfParams) -> Tensor:
     """Negative sentence log-likelihood: log_partition - gold path score."""
     return _objective(hs, labels, p, 1.0, -1.0)
 
 
-def viterbi(hs: Sequence[Tensor], p: CrfParams) -> LabelPath:
+def viterbi(hs: Tensor, p: CrfParams) -> LabelPath:
     """Highest-scoring label sequence; ties resolve to the smallest label index."""
-    if not hs:
+    if len(hs) == 0:
         raise UsageError("viterbi of an empty sequence")
     emit = emissions(hs, p).data
     trans = p.masked_transitions().data

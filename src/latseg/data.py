@@ -20,6 +20,7 @@ LABELS = ("B", "M", "E", "S")
 LABEL_INDEX = {lab: i for i, lab in enumerate(LABELS)}
 UNK = "<unk>"
 SENTINEL = "</s>"  # closes the final character bigram
+RESERVED = (UNK, SENTINEL)  # the first rows of every vocabulary, in this order
 
 
 @dataclass
@@ -102,8 +103,8 @@ class Vocab:
 
     def __init__(self):
         self._index: dict[str, int] = {}
-        self.add(UNK)
-        self.add(SENTINEL)
+        for sym in RESERVED:
+            self.add(sym)
 
     def add(self, sym: str) -> int:
         idx = self._index.get(sym)

@@ -7,14 +7,16 @@ match's first character in reading order. At its last character in reading
 order, the candidate memory and all arriving shortcut memories are fused
 with exp-normalized gates. The backward direction reads right to left.
 
-Each direction over a sentence is one recorded op. :func:`lattice_forward`
-walks the positions on plain arrays (:func:`lstm_step`, :func:`shortcut_cell`,
-:func:`gate_logit` and :func:`gate_normalize` per position), records nothing
-on the way, and records one node whose hand-written backward walks the
-positions once in reverse and takes each weight gradient as one matrix
-product over the sentence. Its inputs are the character representations and
-one recorded lexicon-row lookup per match. Training and decoding run the same
-forward; without an active tape the op is simply not recorded.
+A sentence enters as one (m, x_dim) matrix of character representations:
+one gather per embedding table (:func:`char_repr`). Each direction over it is
+one recorded op. :func:`lattice_forward` gathers the embeddings of the
+matches it fuses in one lookup, walks the positions on plain arrays
+(:func:`lstm_step`, :func:`shortcut_cell`, :func:`gate_logit` and
+:func:`gate_normalize` per position), and records one node whose hand-written
+backward walks the positions once in reverse and takes each weight and input
+gradient as one matrix product over the sentence. The two directions' (m, H)
+outputs join into the (m, 2H) hidden states. Training and decoding run the
+same forward; without an active tape nothing is recorded.
 """
 
 from __future__ import annotations
@@ -25,25 +27,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .data import EmbeddingTable, bigrams_of
+from .data import RESERVED, EmbeddingTable, bigrams_of
 from .errors import UsageError
 from .lexicon import LatticeMatchSet
-from .tensor import (
-    Tensor,
-    _acc,
-    _out,
-    concat,
-    const,
-    dropout_mask,
-    logistic,
-    mul,
-    param,
-    row,
-    softmax_rows,
-    stack_rows,
-    unrecorded,
-    unstack,
-)
+from .tensor import Tensor, _acc, _out, concat, dropout_mask, logistic, mul, param, rows
 
 
 def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype):
@@ -106,10 +93,10 @@ class DirectionParams:
 class LatticeStep:
     """Per-position encoder state, including the fusion weights when present."""
 
-    h: Tensor
-    c: Tensor
-    alpha_char: Tensor | None = None  # normalized weight of the candidate memory
-    match_alphas: list[tuple[int, Tensor]] | None = None  # (source position, weight)
+    h: np.ndarray
+    c: np.ndarray
+    alpha_char: np.ndarray | None = None  # normalized weight of the candidate memory
+    match_alphas: list[tuple[int, np.ndarray]] | None = None  # (source position, weight)
 
 
 def char_repr(
@@ -119,27 +106,23 @@ def char_repr(
     dropout: float = 0.0,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
-) -> list[Tensor]:
-    """x_i = unigram(c_i) ++ bigram(c_i c_{i+1}), elementwise dropout-masked.
+) -> Tensor:
+    """x_i = unigram(c_i) ++ bigram(c_i c_{i+1}) as the rows of one (m, x_dim) tensor.
 
     The final position's bigram pairs with the sentence-end sentinel; unseen
-    symbols map to the unknown row.
+    symbols map to the unknown row. In train mode the matrix is
+    dropout-masked elementwise.
     """
     uvocab, bvocab = unigram_table.vocab, bigram_table.vocab
-    dtype = unigram_table.rows.data.dtype
-    dim = unigram_table.dim + bigram_table.dim
-    reprs = []
-    for c, bg in zip(chars, bigrams_of(chars)):
-        x = concat(
-            [
-                row(unigram_table.rows, uvocab.index(c)),
-                row(bigram_table.rows, bvocab.index(bg)),
-            ]
-        )
-        if mode == "train" and dropout > 0.0:
-            x = mul(x, dropout_mask((dim,), dropout, mode, rng, dtype=dtype))
-        reprs.append(x)
-    return reprs
+    x = concat(
+        [
+            rows(unigram_table.rows, [uvocab.index(c) for c in chars]),
+            rows(bigram_table.rows, [bvocab.index(bg) for bg in bigrams_of(chars)]),
+        ]
+    )
+    if mode == "train" and dropout > 0.0:
+        x = mul(x, dropout_mask(x.shape, dropout, mode, rng, dtype=x.data.dtype))
+    return x
 
 
 def _gate_stack(u: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -168,16 +151,16 @@ def gate_logit(x: np.ndarray, c_match: np.ndarray, p: DirectionParams) -> np.nda
     return logistic(p.match_gate_w.data @ np.concatenate([x, c_match]) + p.match_gate_b.data)
 
 
-def gate_normalize(char_gate: Tensor, match_gates: Sequence[Tensor]):
+def gate_normalize(char_gate: np.ndarray, match_gates: Sequence[np.ndarray]):
     """Elementwise exp-normalization of the char gate against all match gates.
 
     Returns (alpha_char, [alpha_match...]); the weights sum to 1 at every
     coordinate. With no matches the char weight is identically 1.
     """
-    if not match_gates:
-        return const(np.ones_like(char_gate.data)), []
-    a = softmax_rows(stack_rows([char_gate, *match_gates]))
-    return row(a, 0), [row(a, i + 1) for i in range(len(match_gates))]
+    z = np.array([char_gate, *match_gates])
+    e = np.exp(z - z.max(axis=0))
+    alphas = e / e.sum(axis=0)
+    return alphas[0], list(alphas[1:])
 
 
 class _Shortcut(NamedTuple):
@@ -191,18 +174,18 @@ class _Shortcut(NamedTuple):
 
 
 def lattice_forward(
-    reprs: Sequence[Tensor],
+    x: Tensor,
     matches: LatticeMatchSet | None,
     lexicon_table: EmbeddingTable | None,
     p: DirectionParams,
     direction: str = "forward",
-    entry_rows: Sequence[int] | None = None,
     lattice_dropout: float = 0.0,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
 ) -> tuple[Tensor, list[LatticeStep]]:
     """Run one direction of the lattice LSTM over a sentence as one recorded op.
 
+    ``x`` holds the sentence's (m, x_dim) character representations.
     Positions where no match arrives perform the plain coupled LSTM step.
     Elsewhere each arriving match contributes a shortcut memory built from
     the state at its other end; the candidate memory and the shortcut memories
@@ -216,7 +199,7 @@ def lattice_forward(
     the fusion weights, whose ``match_alphas`` sources are sentence positions
     in both directions.
     """
-    m = len(reprs)
+    m = len(x)
     if matches is not None:
         for mt in matches.matches:
             if not 1 <= mt.b < mt.e <= m:
@@ -231,64 +214,54 @@ def lattice_forward(
     back = -1 if forward else 1  # the previous position in walk order is i + back
 
     dtype = p.gates_b.data.dtype
-    # The lexicon rows are the op's recorded inputs: one lookup per match, in
-    # walk order, so that their dropout masks draw from rng in that order.
-    words = []
-    for i in positions:
-        for mt in arriving.get(i, ()):
-            idx = mt.entry if entry_rows is None else entry_rows[mt.entry]
-            e_w = row(lexicon_table.rows, idx)
-            if mode == "train" and lattice_dropout > 0.0:
-                e_w = mul(e_w, dropout_mask(e_w.data.shape, lattice_dropout, mode, rng, dtype=dtype))
-            words.append(e_w)
+    # The op's other input: the embeddings of the matches it fuses, gathered in
+    # walk order, so that their dropout mask draws from rng in that order.
+    ids = [len(RESERVED) + mt.entry for i in positions for mt in arriving.get(i, ())]
+    words = None
+    if ids:
+        words = rows(lexicon_table.rows, ids)
+        if mode == "train" and lattice_dropout > 0.0:
+            words = mul(words, dropout_mask(words.shape, lattice_dropout, mode, rng, dtype=dtype))
 
     # hs[i], cs[i]: the state after position i; rows 0 and m + 1 are the initial states.
     hs = np.zeros((m + 2, p.hidden), dtype)
     cs = np.zeros((m + 2, p.hidden), dtype)
     gates = []  # (o, f, cand) per step, in walk order
-    fusions = []  # per step in walk order: None, or (alpha tensors, index of its first cell)
     cells = []  # per match in walk order
     steps = [None] * m
-    with unrecorded():
-        for i in positions:
-            x = reprs[i - 1].data
-            prev = i + back
-            here = arriving.get(i)
-            if not here:
-                hs[i], cs[i], g = lstm_step(x, hs[prev], cs[prev], p)
-                gates.append(g)
-                fusions.append(None)
-                steps[i - 1] = LatticeStep(h=const(hs[i]), c=const(cs[i]))
-                continue
-            o, f, cand = _gate_stack(np.concatenate([x, hs[prev]]), p.gates_w.data, p.gates_b.data)
-            first = len(cells)
-            match_gates = []
-            for mt in here:
-                src = mt.b if forward else mt.e
-                memory, cell_gates = shortcut_cell(words[len(cells)].data, hs[src], cs[src], p)
-                gate = gate_logit(x, memory, p)
-                cells.append(_Shortcut(src, i, memory, cell_gates, gate))
-                match_gates.append(const(gate))
-            alpha_char, alphas = gate_normalize(const(1.0 - f), match_gates)
-            c = alphas[0].data * cells[first].memory  # summed in order: matches, then candidate
-            for a, cell in zip(alphas[1:], cells[first + 1 :]):
-                c += a.data * cell.memory
-            c += alpha_char.data * cand
-            hs[i], cs[i] = o * np.tanh(c), c
-            gates.append((o, f, cand))
-            fusions.append(([alpha_char, *alphas], first))
-            steps[i - 1] = LatticeStep(
-                h=const(hs[i]), c=const(cs[i]), alpha_char=alpha_char,
-                match_alphas=[(cell.src, a) for cell, a in zip(cells[first:], alphas)],
-            )
+    for i in positions:
+        x_i = x.data[i - 1]
+        prev = i + back
+        here = arriving.get(i)
+        if not here:
+            hs[i], cs[i], g = lstm_step(x_i, hs[prev], cs[prev], p)
+            gates.append(g)
+            steps[i - 1] = LatticeStep(hs[i], cs[i])
+            continue
+        o, f, cand = _gate_stack(np.concatenate([x_i, hs[prev]]), p.gates_w.data, p.gates_b.data)
+        first = len(cells)
+        for mt in here:
+            src = mt.b if forward else mt.e
+            memory, cell_gates = shortcut_cell(words.data[len(cells)], hs[src], cs[src], p)
+            cells.append(_Shortcut(src, i, memory, cell_gates, gate_logit(x_i, memory, p)))
+        alpha_char, alphas = gate_normalize(1.0 - f, [cell.gate for cell in cells[first:]])
+        c = alphas[0] * cells[first].memory  # summed in order: matches, then candidate
+        for a, cell in zip(alphas[1:], cells[first + 1 :]):
+            c += a * cell.memory
+        c += alpha_char * cand
+        hs[i], cs[i] = o * np.tanh(c), c
+        gates.append((o, f, cand))
+        steps[i - 1] = LatticeStep(
+            hs[i], cs[i], alpha_char, [(cell.src, a) for cell, a in zip(cells[first:], alphas)]
+        )
 
     def bwd(g):
-        _direction_backward(g, reprs, words, p, positions, back, hs, cs, gates, fusions, cells)
+        _direction_backward(g, x, words, p, positions, back, hs, cs, gates, steps, cells)
 
     return _out(hs[1 : m + 1], bwd), steps
 
 
-def _direction_backward(g, reprs, words, p, positions, back, hs, cs, gates, fusions, cells):
+def _direction_backward(g, x, words, p, positions, back, hs, cs, gates, steps, cells):
     """Backward of one :func:`lattice_forward` op, given its output gradient g (m, hidden).
 
     One reverse walk collects each state's dh/dc from the next step and from
@@ -327,19 +300,21 @@ def _direction_backward(g, reprs, words, p, positions, back, hs, cs, gates, fusi
     dz = np.empty((len(walk), 3, hidden), hs.dtype)  # walk order
     dz_cell = np.empty((len(cells), 3, hidden), hs.dtype)  # shortcut cells, walk order
     dz_gate = np.empty((len(cells), hidden), hs.dtype)  # match gates, walk order
+    end = len(cells)  # cells fused at this walk step and earlier come before this index
     for k in range(len(walk) - 1, -1, -1):
         i = positions[k]
         prev = i + back
         dh = dh_all[i]
         dc = dc_all[i] + dh * dc_dh[k]
         np.multiply(dh, d_o[k], out=dz[k, 0])
-        if fusions[k] is None:
+        step = steps[i - 1]
+        if step.match_alphas is None:
             np.multiply(dc, d_fc[k], out=dz[k, 1:])
             dc_all[prev] += dc * f[k]
         else:
-            alpha_tensors, first = fusions[k]
-            alpha = np.array([a.data for a in alpha_tensors])  # candidate first, then each cell
-            fused = range(first, first + len(alpha) - 1)
+            fused = range(end - len(step.match_alphas), end)
+            end = fused.start
+            alpha = np.array([step.alpha_char, *(a for _, a in step.match_alphas)])
             dalpha = np.array([cand[k], *(cells[j].memory for j in fused)]) * dc
             dlogit = alpha * (dalpha - (dalpha * alpha).sum(axis=0))  # softmax backward
             np.multiply(-dlogit[0], f_slope[k], out=dz[k, 1])
@@ -353,49 +328,41 @@ def _direction_backward(g, reprs, words, p, positions, back, hs, cs, gates, fusi
         dh_all[prev] += dz[k].reshape(-1) @ w_h
 
     dz = dz.reshape(len(walk), -1)
-    x = np.array([r.data for r in reprs])
-    _acc(p.gates_w, dz.T @ np.concatenate([x[walk - 1], hs[walk + back]], axis=1))
+    _acc(p.gates_w, dz.T @ np.concatenate([x.data[walk - 1], hs[walk + back]], axis=1))
     _acc(p.gates_b, dz.sum(axis=0))
-    dx = np.zeros_like(x)
+    dx = np.zeros_like(x.data)
     dx[walk - 1] = dz @ w[:, :x_dim]
     if cells:
         dz_cell = dz_cell.reshape(len(cells), -1)
         ends = np.array([cell.end for cell in cells])
-        e = np.array([t.data for t in words])
+        e = words.data
         _acc(p.shortcut_w, dz_cell.T @ np.concatenate([e, hs[sources]], axis=1))
         _acc(p.shortcut_b, dz_cell.sum(axis=0))
         memories = np.array([cell.memory for cell in cells])
-        _acc(p.match_gate_w, dz_gate.T @ np.concatenate([x[ends - 1], memories], axis=1))
+        _acc(p.match_gate_w, dz_gate.T @ np.concatenate([x.data[ends - 1], memories], axis=1))
         _acc(p.match_gate_b, dz_gate.sum(axis=0))
         np.add.at(dx, ends - 1, dz_gate @ p.match_gate_w.data[:, :x_dim])
-        for word, d in zip(words, dz_cell @ p.shortcut_w.data[:, : e.shape[1]]):
-            _acc(word, d)
-    for x_i, d in zip(reprs, dx):
-        _acc(x_i, d)
+        _acc(words, dz_cell @ p.shortcut_w.data[:, : e.shape[1]])
+    _acc(x, dx)
 
 
 def encode_bidirectional(
-    reprs: Sequence[Tensor],
+    x: Tensor,
     matches: LatticeMatchSet | None,
     lexicon_table: EmbeddingTable | None,
     forward_params: DirectionParams,
     backward_params: DirectionParams,
-    entry_rows: Sequence[int] | None = None,
     lattice_dropout: float = 0.0,
     mode: str = "eval",
     rng: np.random.Generator | None = None,
-) -> tuple[list[Tensor], list[LatticeStep], list[LatticeStep]]:
-    """h_i = forward ++ backward hidden state at every position.
-
-    The per-position ``h_i`` are rows of one recorded (m, 2 * hidden)
-    concatenation and pass their gradients into it.
-    """
+) -> tuple[Tensor, list[LatticeStep], list[LatticeStep]]:
+    """The (m, 2 * hidden) hidden states: row i is forward ++ backward state at position i."""
     hf, fwd = lattice_forward(
-        reprs, matches, lexicon_table, forward_params, "forward",
-        entry_rows=entry_rows, lattice_dropout=lattice_dropout, mode=mode, rng=rng,
+        x, matches, lexicon_table, forward_params, "forward",
+        lattice_dropout=lattice_dropout, mode=mode, rng=rng,
     )
     hb, bwd = lattice_forward(
-        reprs, matches, lexicon_table, backward_params, "backward",
-        entry_rows=entry_rows, lattice_dropout=lattice_dropout, mode=mode, rng=rng,
+        x, matches, lexicon_table, backward_params, "backward",
+        lattice_dropout=lattice_dropout, mode=mode, rng=rng,
     )
-    return unstack(concat([hf, hb])), fwd, bwd
+    return concat([hf, hb]), fwd, bwd

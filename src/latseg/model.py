@@ -12,7 +12,7 @@ from typing import Sequence
 import numpy as np
 
 from . import crf as crf_ops
-from .data import EmbeddingTable, LabeledSentence, Vocab, from_bmes
+from .data import RESERVED, EmbeddingTable, LabeledSentence, Vocab, from_bmes
 from .encoder import DirectionParams, char_repr, encode_bidirectional
 from .errors import UsageError
 from .lexicon import LatticeMatchSet, Trie, build_trie, match_sentence
@@ -24,10 +24,11 @@ MODES = ("baseline", "lattice-word", "lattice-subword")
 def prepare_lexicon(symbols: Sequence[str]) -> tuple[Trie, Vocab]:
     """Deduplicate lexicon symbols into a trie and a matching vocabulary.
 
-    Length-1 symbols are dropped (counted on the trie); the vocabulary rows
-    align with trie entry ids after the two reserved slots.
+    Length-1 symbols are dropped (counted on the trie), and so are the
+    reserved vocabulary symbols, which a vocabulary cannot hold twice: the
+    lexicon row of trie entry k is always k + len(RESERVED).
     """
-    trie = build_trie(symbols)
+    trie = build_trie(s for s in symbols if s not in RESERVED)
     return trie, Vocab.from_symbols(trie.symbols)
 
 
@@ -63,12 +64,8 @@ class SegmenterModel:
         self.max_word_len = max_word_len
         self.hidden = forward_params.hidden
 
-        if trie is not None and lexicon_table is not None:
-            self.entry_rows = np.array(
-                [lexicon_table.vocab.index(s) for s in trie.symbols], dtype=np.int64
-            )
-        else:
-            self.entry_rows = None
+        if mode != "baseline" and lexicon_table.vocab.symbols()[len(RESERVED) :] != trie.symbols:
+            raise UsageError("lexicon table rows must follow the trie's entries (see prepare_lexicon)")
 
         self._params: list[Tensor] = [unigram_table.rows, bigram_table.rows]
         if lexicon_table is not None:
@@ -134,22 +131,21 @@ class SegmenterModel:
         mode: str = "eval",
         rng: np.random.Generator | None = None,
     ):
-        reprs = char_repr(
+        """The (m, 2H) hidden states and each direction's per-position records."""
+        x = char_repr(
             chars, self.unigram_table, self.bigram_table,
             dropout=self.char_dropout, mode=mode, rng=rng,
         )
-        hs, fwd_steps, bwd_steps = encode_bidirectional(
-            reprs,
+        return encode_bidirectional(
+            x,
             self.match(chars),
             self.lexicon_table,
             self.fwd,
             self.bwd,
-            entry_rows=self.entry_rows,
             lattice_dropout=self.lattice_dropout,
             mode=mode,
             rng=rng,
         )
-        return hs, fwd_steps, bwd_steps
 
     def loss(
         self,

@@ -1,20 +1,19 @@
 """Dense tensors, forward primitives, and reverse-mode gradient accumulation.
 
-The layers in this package operate on 1-D/2-D float arrays. Every primitive
-below computes its result eagerly with numpy and, while a :class:`Tape` is
-active in the current context, appends a backward closure to it. Calling
-:func:`backward` on a scalar loss replays the closures in reverse,
+Every primitive below computes its result eagerly with numpy and, while a
+:class:`Tape` is active in the current context, appends a backward closure to
+it. Calling :func:`backward` on a scalar loss replays the closures in reverse,
 accumulating ``dloss/dtensor`` into each tensor's ``grad`` buffer, and lets
 go of each closure once it has run.
 
-A recorded op can be as small as one embedding lookup or as large as a whole
-layer. Per sentence the model records its embedding lookups and dropout
-masks with the primitives here, :func:`stack_rows` and :func:`affine` for
-the emissions, and three fused ops with hand-written backwards built on
-:func:`_out` and :func:`_acc`: one per lattice LSTM direction (``encoder``)
-and one for the CRF objective (``crf``). That is about four recorded ops per
-character. A fused op computes its forward on plain arrays under
-:func:`unrecorded`, so that helpers it calls record nothing.
+A sentence is one matrix per layer, so the tape holds a fixed handful of
+ops per sentence and none per character: one :func:`rows` gather per
+embedding table, their :func:`concat` and a dropout :func:`mul` for the
+character representations; per lattice direction, a gather and a mask of
+the matched lexicon rows and the direction op itself; the :func:`concat` of
+the two directions, one :func:`affine` for the emissions, and the CRF
+objective. The direction ops and the objective have hand-written backwards
+built on :func:`_out` and :func:`_acc` (in ``encoder`` and ``crf``).
 
 Gradient buffers are lazy. A parameter owns a dense, same-shape buffer from
 the start, allocated zeroed by the allocator so that only the pages a
@@ -23,17 +22,16 @@ time backward writes into it, so a node that no gradient reaches keeps
 ``grad = None``; a constant never gets one. Gradients are additive; they are
 cleared only by :func:`sgd_step` (or :func:`zero_grads`).
 
-Updates are row-sparse where that is exact. :func:`row` notes which rows of a
-parameter (an embedding table) it added into; while nothing else has written
-that parameter's gradient since its last update, :func:`sgd_step` checks,
-updates and clears those rows alone. Every other row holds a zero gradient,
-so the result is the dense update's, bit for bit.
+Updates are row-sparse where that is exact. :func:`rows` notes which rows of
+a parameter (an embedding table) it added into; while nothing else has
+written that parameter's gradient since its last update, :func:`sgd_step`
+checks, updates and clears those rows alone. Every other row holds a zero
+gradient, so the result is the dense update's, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Iterable, Sequence
 
@@ -54,7 +52,7 @@ class Tensor:
 
     ``grad`` is allocated up front on a parameter, on first write on a
     recorded intermediate (``tape`` set), and never on a constant. ``grad_rows``
-    is, on a parameter, the row ids :func:`row` added into its gradient since
+    is, on a parameter, the row ids :func:`rows` added into its gradient since
     the last update, or ``None`` once any other write has touched it; it is
     ``None`` on every other tensor.
     """
@@ -72,6 +70,9 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
+
+    def __len__(self) -> int:
+        return len(self.data)
 
     def item(self) -> float:
         return float(self.data)
@@ -136,16 +137,6 @@ class Tape:
 _ACTIVE: ContextVar[Tape | None] = ContextVar("latseg_active_tape", default=None)
 
 
-@contextmanager
-def unrecorded():
-    """Run primitives without recording them, e.g. inside a fused op's forward."""
-    token = _ACTIVE.set(None)
-    try:
-        yield
-    finally:
-        _ACTIVE.reset(token)
-
-
 def backward(loss: Tensor) -> None:
     """Accumulate dloss/dt into every tensor the loss was built from."""
     if loss.tape is None:
@@ -172,25 +163,19 @@ def _wants(t: Tensor) -> bool:
     return t.grad is not None or t.tape is not None
 
 
-def _acc(t: Tensor, g, at=None) -> None:
-    """Add g into t.grad, or into t.grad[at]: every backward write but :func:`row`'s record.
+def _acc(t: Tensor, g) -> None:
+    """Add g into t.grad: every backward write but :func:`rows`.
 
     A recorded intermediate's buffer is allocated here on its first write; a
     constant takes nothing. The write ends any row record on ``t``, so its
     next update is dense.
     """
     if t.grad is None:
-        if t.tape is None:
-            return
-        if at is None:
+        if t.tape is not None:
             t.grad = np.array(g, dtype=t.data.dtype)
-            return
-        t.grad = np.zeros(t.data.shape, t.data.dtype)
+        return
     t.grad_rows = None
-    if at is None:
-        t.grad += g
-    else:
-        t.grad[at] += g
+    t.grad += g
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -203,26 +188,6 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
 # ---------------------------------------------------------------------------
 # elementwise primitives
 # ---------------------------------------------------------------------------
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "add")
-
-    def bwd(g):
-        _acc(a, g)
-        _acc(b, g)
-
-    return _out(a.data + b.data, bwd)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "sub")
-
-    def bwd(g):
-        _acc(a, g)
-        _acc(b, -g)
-
-    return _out(a.data - b.data, bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -258,56 +223,35 @@ def logistic(a: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-a))
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    s = logistic(x.data)
-
-    def bwd(g):
-        _acc(x, g * s * (1.0 - s))
-
-    return _out(s, bwd)
-
-
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-
-    def bwd(g):
-        _acc(x, g * (1.0 - t * t))
-
-    return _out(t, bwd)
-
-
 # ---------------------------------------------------------------------------
 # linear algebra and shape manipulation
 # ---------------------------------------------------------------------------
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """out = w @ x + b with w of shape (k, n), b of shape (k,), x of shape (n,) or (m, n).
+    """out[i] = w @ x[i] + b with w of shape (k, n), b of shape (k,) and x of shape (m, n).
 
-    A 2-D x maps row by row, out[i] = w @ x[i] + b, so every row has the
-    bits of the 1-D case; backward takes each gradient as one matrix product.
+    Each row is its own matrix-vector product, so it has the bits of that
+    product whatever m is; backward takes each gradient as one matrix product.
     """
-    if w.data.ndim != 2 or x.data.ndim not in (1, 2) or b.data.ndim != 1:
+    if w.data.ndim != 2 or x.data.ndim != 2 or b.data.ndim != 1:
         raise ShapeError(
-            f"affine expects 2-D weight, 1-D or 2-D input and 1-D bias: "
+            f"affine expects 2-D weight, 2-D input and 1-D bias: "
             f"{w.name or 'w'}{w.data.shape}, {x.name or 'x'}{x.data.shape}, {b.name or 'b'}{b.data.shape}"
         )
-    if w.data.shape[1] != x.data.shape[-1] or w.data.shape[0] != b.data.shape[0]:
+    if w.data.shape[1] != x.data.shape[1] or w.data.shape[0] != b.data.shape[0]:
         raise ShapeError(
             f"affine: {w.name or 'w'}{w.data.shape} does not conform with "
             f"{x.name or 'x'}{x.data.shape} and {b.name or 'b'}{b.data.shape}"
         )
 
     def bwd(g):
-        g2 = np.atleast_2d(g)
         if _wants(w):
-            _acc(w, g2.T @ np.atleast_2d(x.data))
+            _acc(w, g.T @ x.data)
         if _wants(x):
             _acc(x, g @ w.data)
-        _acc(b, g2.sum(axis=0))
+        _acc(b, g.sum(axis=0))
 
-    if x.data.ndim == 1:
-        return _out(w.data @ x.data + b.data, bwd)
     return _out(np.array([w.data @ xi + b.data for xi in x.data]), bwd)
 
 
@@ -324,82 +268,27 @@ def concat(parts: Sequence[Tensor]) -> Tensor:
     return _out(np.concatenate([p.data for p in parts], axis=-1), bwd)
 
 
-def unstack(x: Tensor) -> list[Tensor]:
-    """The rows of a 2-D tensor as 1-D tensors, recording nothing.
+def rows(m: Tensor, ids: Sequence[int]) -> Tensor:
+    """Rows ``ids`` of a 2-D tensor as one (k, n) tensor, e.g. embedding lookups.
 
-    Each row's gradient buffer is a view into x's, so backward writes into a
-    row land in x's gradient. These writes bypass :func:`row`, so on a
-    parameter they end its row record.
+    Backward adds each row's gradient into ``m.grad[ids[j]]`` in reverse
+    lookup order, the order in which one lookup per row would replay, so a
+    repeated id sums its gradients with the same bits. On a parameter still
+    holding a row record it also notes ``ids`` in ``m.grad_rows``, so that
+    :func:`sgd_step` updates only the rows looked up.
     """
-    if _wants(x):
-        if x.grad is None:
-            x.grad = np.zeros(x.data.shape, x.data.dtype)
-        x.grad_rows = None
-    rows = []
-    for i, r in enumerate(x.data):
-        t = Tensor(r)
-        if x.grad is not None:
-            t.grad = x.grad[i]
-        rows.append(t)
-    return rows
-
-
-def pick(v: Tensor, i: int) -> Tensor:
-    """Scalar entry v[i] of a 1-D tensor."""
+    ids = np.asarray(ids, dtype=np.intp)
 
     def bwd(g):
-        _acc(v, g, i)
+        if m.grad is None:
+            if m.tape is None:
+                return
+            m.grad = np.zeros(m.data.shape, m.data.dtype)
+        np.add.at(m.grad, ids[::-1], g[::-1])
+        if m.grad_rows is not None:
+            m.grad_rows.extend(ids.tolist())
 
-    return _out(v.data[i], bwd)
-
-
-def row(m: Tensor, i: int) -> Tensor:
-    """Row i of a 2-D tensor, e.g. an embedding lookup; backward adds into that row.
-
-    On a parameter still holding a row record, backward also notes ``i`` in
-    ``m.grad_rows``, so that :func:`sgd_step` updates only the rows looked up.
-    """
-
-    def bwd(g):
-        if m.grad_rows is None:
-            _acc(m, g, i)
-        else:
-            m.grad[i] += g
-            m.grad_rows.append(i)
-
-    return _out(m.data[i].copy(), bwd)
-
-
-def stack_rows(parts: Sequence[Tensor]) -> Tensor:
-    """Stack k same-length vectors into a (k, n) matrix."""
-
-    def bwd(g):
-        for i, p in enumerate(parts):
-            _acc(p, g[i])
-
-    return _out(np.array([p.data for p in parts]), bwd)
-
-
-def softmax_rows(m: Tensor) -> Tensor:
-    """Softmax down axis 0 of a (k, n) matrix: each column sums to 1."""
-    e = np.exp(m.data - m.data.max(axis=0))
-    s = e / e.sum(axis=0)
-
-    def bwd(g):
-        _acc(m, s * (g - (g * s).sum(axis=0)))
-
-    return _out(s, bwd)
-
-
-def logsumexp(v: Tensor) -> Tensor:
-    """log(sum(exp(v))) of a 1-D vector as a scalar."""
-    mx = v.data.max()
-    z = mx + np.log(np.exp(v.data - mx).sum())
-
-    def bwd(g):
-        _acc(v, np.exp(v.data - z) * g)
-
-    return _out(z, bwd)
+    return _out(m.data[ids], bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +331,7 @@ def zero_grads(params: Iterable[Tensor]) -> None:
 def sgd_step(params: Iterable[Tensor], lr: float) -> None:
     """p <- p - lr * grad for every trainable tensor; grads reset to zero.
 
-    A tensor with a row record (see :func:`row`) is checked, updated and
+    A tensor with a row record (see :func:`rows`) is checked, updated and
     cleared on its recorded rows only; every other tensor densely.
     """
     if not (math.isfinite(lr) and lr > 0.0):

@@ -34,7 +34,6 @@ class TrainConfig:
     lexicon_dim: int = 50
     epochs: int = 30
     seed: int = 1
-    embeddings: str = "random"  # random | pretrained
     dtype: str = "float64"
     stop_f1: float | None = None  # stop once dev F1 reaches this
     max_word_len: int | None = None
@@ -46,6 +45,8 @@ class TrainConfig:
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
         if self.max_word_len is not None and self.max_word_len < 1:
             raise ConfigError(f"max_word_len must be at least 1, got {self.max_word_len}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         if self.stop_f1 is not None and not 0.0 < self.stop_f1 <= 1.0:
             raise ConfigError(f"stop_f1 must be in (0, 1], got {self.stop_f1}")
         for name in ("lr_decay", "char_dropout", "lattice_dropout"):

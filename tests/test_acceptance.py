@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import max_grad_error, numeric_grad
+from gradcheck import max_grad_error, numeric_grad
 from latseg import synth
 from latseg.bpe import apply_bpe, learn_bpe
 from latseg.checkpoint import load_checkpoint, save_checkpoint
@@ -75,13 +75,13 @@ def crf_case(rng, m, hidden2=6):
         emit_b=param(rng.normal(size=4), "crf_emit_b"),
         transitions=param(rng.normal(size=(6, 6)), "crf_transitions"),
     )
-    hs = [const(rng.normal(size=hidden2)) for _ in range(m)]
+    hs = const(rng.normal(size=(m, hidden2)))
     return p, hs
 
 
 def enumerate_scores(hs, p):
     """Vectorized independent oracle: the score of every one of 4^m paths."""
-    emit = np.stack([p.emit_w.data @ h.data + p.emit_b.data for h in hs])
+    emit = np.stack([p.emit_w.data @ h + p.emit_b.data for h in hs.data])
     trans = p.transitions.data.copy()
     trans[:, START] += MASK_VALUE
     trans[STOP, :] += MASK_VALUE
@@ -175,7 +175,6 @@ def test_criterion_4_lattice_reduction():
     # rebuild as an empty-lexicon lattice model sharing every tensor
     trie, lvocab = prepare_lexicon([])
     lattice.trie = trie
-    lattice.entry_rows = np.array([], dtype=np.int64)
     baseline = SegmenterModel(
         "baseline",
         lattice.unigram_table,
@@ -188,8 +187,8 @@ def test_criterion_4_lattice_reduction():
     for chars in sentences:
         hl, _, _ = lattice.hidden_states(chars)
         hb, _, _ = baseline.hidden_states(chars)
-        for a, b in zip(hl, hb):
-            worst = max(worst, float(np.abs(a.data - b.data).max()))
+        for a, b in zip(hl.data, hb.data):
+            worst = max(worst, float(np.abs(a - b).max()))
     ok = worst <= 1e-12
     report(4, ok, f"50 sentences, empty lexicon: max |lattice - baseline| = {worst:.1e} (<= 1e-12)")
 
@@ -210,15 +209,13 @@ def test_criterion_5_gate_normalization():
             if step.alpha_char is None:
                 continue
             n_fused += 1
-            total = step.alpha_char.data + sum(a.data for _, a in step.match_alphas)
+            total = step.alpha_char + sum(a for _, a in step.match_alphas)
             worst = max(worst, float(np.abs(total - 1.0).max()))
     uniform_ok = True
     for k in (1, 2, 3, 5):
-        alpha, rest = gate_normalize(
-            const(np.full(4, 0.37)), [const(np.full(4, 0.37)) for _ in range(k)]
-        )
+        alpha, rest = gate_normalize(np.full(4, 0.37), [np.full(4, 0.37) for _ in range(k)])
         for t in (alpha, *rest):
-            uniform_ok &= bool(np.all(np.abs(t.data - 1.0 / (k + 1)) < 1e-9))
+            uniform_ok &= bool(np.all(np.abs(t - 1.0 / (k + 1)) < 1e-9))
     ok = worst <= 1e-6 and n_fused > 0 and uniform_ok
     report(
         5,

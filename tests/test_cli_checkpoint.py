@@ -8,10 +8,11 @@ import pytest
 
 from latseg import synth
 from latseg.checkpoint import load_checkpoint, load_train_words, save_checkpoint
-from latseg.cli import main
+from latseg.cli import _build_model, main
 from latseg.data import EmbeddingTable, build_vocabs, read_corpus, to_bmes, word_set
 from latseg.errors import CheckpointError
-from latseg.model import SegmenterModel
+from latseg.model import SegmenterModel, prepare_lexicon
+from latseg.train import TrainConfig
 
 TINY_CONFIG = """\
 # desk-scale hyperparameters for the test corpus
@@ -85,7 +86,10 @@ class TestTrainCommand:
             "--unigram-emb", emb, "--out", out, "--epochs", "1",
         ])
         assert rc == 0
-        assert "embeddings=pretrained" in (out / "report.txt").read_text(encoding="utf-8")
+        config = TrainConfig(hidden=8, unigram_dim=6, bigram_dim=6)
+        model = _build_model(config, sents, None, {"unigram": emb}, np.random.default_rng(0))
+        table = model.unigram_table
+        np.testing.assert_array_equal(table.rows.data[table.vocab.index(char)], np.full(6, 0.25))
 
     def test_malformed_corpus_is_data_error(self, corpus_dir, tmp_path):
         bad = tmp_path / "bad.txt"
@@ -99,10 +103,26 @@ class TestTrainCommand:
     def test_unknown_flag_is_usage_error(self):
         assert run(["train", "--bogus"]) == 1
 
+    def test_negative_seed_flag_is_config_error(self, corpus_dir, tmp_path, capsys):
+        rc = run([
+            "train", "--train", corpus_dir / "train.txt", "--dev", corpus_dir / "dev.txt",
+            "--config", corpus_dir / "config.txt", "--out", tmp_path / "m", "--seed", "-1",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("latseg: ") and err.count("\n") == 1 and "seed" in err
+        assert not (tmp_path / "m").exists()
+
+    def test_negative_synth_seed_is_config_error(self, tmp_path, capsys):
+        assert run(["synth", "--out-dir", tmp_path / "c", "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("latseg: ") and err.count("\n") == 1 and "seed" in err
+        assert not (tmp_path / "c").exists()
+
     @pytest.mark.parametrize(
         "entry",
         ["mode=lattice", "dtype=float17", "max_word_len=0", "stop_f1=0", "stop_f1=1.5",
-         "lr0=nan", "lr0=inf"],
+         "lr0=nan", "lr0=inf", "seed=-1"],
     )
     def test_bad_config_value_is_config_error(self, corpus_dir, tmp_path, capsys, entry):
         cfg = tmp_path / "bad.cfg"
@@ -404,3 +424,23 @@ def test_save_leaves_model_unchanged(tmp_path, rng):
     for p, (data, grad) in zip(model.parameters(), before):
         np.testing.assert_array_equal(p.data, data)
         np.testing.assert_array_equal(p.grad, grad)
+
+
+def test_reserved_symbols_in_lexicon_round_trip(tmp_path, rng):
+    # a vocabulary holds <unk> and </s> once, in its reserved rows, so the
+    # lexicon drops them: the trained and the reloaded model match alike
+    chars = tuple("x</s>ab<unk>")
+    uni, bi = build_vocabs([chars])
+    ut = EmbeddingTable.random(uni, 4, rng, dtype=np.float32, name="unigram_embeddings")
+    bt = EmbeddingTable.random(bi, 4, rng, dtype=np.float32, name="bigram_embeddings")
+    trie, lvocab = prepare_lexicon(["</s>", "ab", "<unk>", "cd"])
+    assert trie.symbols == ["ab", "cd"] and lvocab.symbols()[2:] == trie.symbols
+    lt = EmbeddingTable.random(lvocab, 4, rng, dtype=np.float32, name="lexicon_embeddings")
+    model = SegmenterModel.create(
+        "lattice-word", ut, bt, 5, rng, lexicon_table=lt, trie=trie, dtype=np.float32
+    )
+    save_checkpoint(model, tmp_path / "ck", "".join(chars))
+    loaded = load_checkpoint(tmp_path / "ck")
+    assert loaded.trie.symbols == model.trie.symbols
+    assert len(loaded.match(chars)) == len(model.match(chars)) == 1
+    assert loaded.emission_matrix(chars).tobytes() == model.emission_matrix(chars).tobytes()

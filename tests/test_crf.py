@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import assert_grads_match
+from gradcheck import assert_grads_match
 from latseg.crf import (
     MASK_VALUE,
     N_LABELS,
@@ -41,13 +41,13 @@ def zero_params(hidden2=6):
 
 
 def make_hidden(rng, m, hidden2=6, scale=1.0):
-    return [param(rng.normal(size=hidden2) * scale, f"h{i}") for i in range(m)]
+    return param(rng.normal(size=(m, hidden2)) * scale, "h")
 
 
 # -- independent oracles: explicit summation over all 4^m paths -------------
 
 def oracle_emissions(hs, p):
-    return np.stack([p.emit_w.data @ h.data + p.emit_b.data for h in hs])
+    return np.stack([p.emit_w.data @ h + p.emit_b.data for h in hs.data])
 
 
 def oracle_trans(p):
@@ -80,7 +80,7 @@ def oracle_log_partition(emit, trans):
 
 class TestScorePath:
     def test_length_one_zero_params(self):
-        hs = [const(np.zeros(6))]
+        hs = const(np.zeros((1, 6)))
         assert score_path(hs, ["B"], zero_params()).item() == 0.0
 
     def test_length_two_expansion(self, rng):
@@ -112,7 +112,7 @@ class TestScorePath:
 
 class TestLogPartition:
     def test_length_one_zero_params(self):
-        hs = [const(np.zeros(6))]
+        hs = const(np.zeros((1, 6)))
         assert log_partition(hs, zero_params()).item() == pytest.approx(math.log(4), abs=1e-12)
 
     def test_matches_enumeration(self, rng):
@@ -151,7 +151,7 @@ class TestNllLoss:
             assert nll_loss(hs, labels, p).item() >= 0.0
 
     def test_uniform_distribution_log4(self):
-        hs = [const(np.zeros(6))]
+        hs = const(np.zeros((1, 6)))
         for lab in LABELS:
             assert nll_loss(hs, [lab], zero_params()).item() == pytest.approx(
                 math.log(4), abs=1e-12
@@ -163,13 +163,13 @@ class TestNllLoss:
         labels = ["B", "M", "E", "S"]
         assert_grads_match(
             lambda: nll_loss(hs, labels, p),
-            p.tensors() + hs,
+            p.tensors() + [hs],
         )
 
 
 class TestViterbi:
     def test_zero_params_all_b(self):
-        hs = [const(np.zeros(6)) for _ in range(5)]
+        hs = const(np.zeros((5, 6)))
         path = viterbi(hs, zero_params())
         assert path.labels == ("B",) * 5
 
@@ -239,10 +239,10 @@ class TestObjectiveOp:
         tape = Tape()
         with tape:
             logz = log_partition(hs, p)
-        assert len(tape) == 3  # stacked states, emissions, the op
+        assert len(tape) == 2  # emissions, the op
         backward(logz)
         labels, pairs = oracle_marginals(oracle_emissions(hs, p), oracle_trans(p))
-        np.testing.assert_allclose(np.stack([h.grad for h in hs]), labels, atol=1e-12)
+        np.testing.assert_allclose(hs.grad, labels, atol=1e-12)
         np.testing.assert_allclose(p.transitions.grad, pairs, atol=1e-12)
 
     @pytest.mark.parametrize("m", [1, 4])
@@ -257,7 +257,7 @@ class TestObjectiveOp:
         labels[np.arange(m), gold] -= 1.0
         for a, b in zip((START, *gold), (*gold, STOP)):
             pairs[a, b] -= 1.0
-        np.testing.assert_allclose(np.stack([h.grad for h in hs]), labels, atol=1e-12)
+        np.testing.assert_allclose(hs.grad, labels, atol=1e-12)
         np.testing.assert_allclose(p.transitions.grad, pairs, atol=1e-12)
 
     def test_path_score_gradient_is_gold_indicators(self, rng):
@@ -266,7 +266,7 @@ class TestObjectiveOp:
         with tape:
             score = score_path(hs, ["B", "E", "S"], p)
         backward(score)
-        np.testing.assert_array_equal(np.stack([h.grad for h in hs]), np.eye(4)[[0, 2, 3]])
+        np.testing.assert_array_equal(hs.grad, np.eye(4)[[0, 2, 3]])
         expect = np.zeros((6, 6))
         expect[START, 0] = expect[0, 2] = expect[2, 3] = expect[3, STOP] = 1.0
         np.testing.assert_array_equal(p.transitions.grad, expect)
@@ -277,7 +277,8 @@ class TestObjectiveOp:
                      lambda: score_path(make_hidden(rng, 1), ["B", "E"], p)):
             with pytest.raises(ShapeError, match="3 hidden states but 2 labels|1 hidden states but 2 labels"):
                 call()
-        for call in (lambda: nll_loss([], [], p), lambda: log_partition([], p),
-                     lambda: score_path([], [], p)):
+        empty = make_hidden(rng, 0)
+        for call in (lambda: nll_loss(empty, [], p), lambda: log_partition(empty, p),
+                     lambda: score_path(empty, [], p), lambda: viterbi(empty, p)):
             with pytest.raises(UsageError, match="empty"):
                 call()

@@ -1,12 +1,11 @@
 """Encoder: coupled LSTM semantics, lattice fusion, reduction, gradients."""
 
 import math
-from functools import reduce
 
 import numpy as np
 import pytest
 
-from conftest import assert_grads_match
+from gradcheck import assert_grads_match, weighted_sum
 from latseg import encoder
 from latseg.data import EmbeddingTable, Vocab, build_vocabs
 from latseg.encoder import (
@@ -21,19 +20,7 @@ from latseg.encoder import (
 )
 from latseg.errors import UsageError
 from latseg.lexicon import LatticeMatchSet, Match
-from latseg.tensor import (
-    ALPHA_SUM_TOL,
-    Tape,
-    add,
-    backward,
-    concat,
-    const,
-    logsumexp,
-    mul,
-    param,
-    row,
-    unstack,
-)
+from latseg.tensor import ALPHA_SUM_TOL, Tape, backward, const, param
 
 
 def zero_direction(hidden, x_dim, word_dim=None, name="fwd"):
@@ -125,63 +112,64 @@ class TestGateLogit:
         # must reach that input, that row and the gate's own weights
         p = random_direction(3, 2, rng, word_dim=2)
         table = random_lexicon_table(rng, 1, 2)
-        reprs = [param(rng.normal(size=2), f"x{i}") for i in range(3)]
+        x = param(rng.normal(size=(3, 2)), "x")
         ms = match_set(3, [(1, 3)])
+        weights = np.zeros((3, 3))
+        weights[2] = rng.normal(size=3)  # the state at the match's end only
 
         def loss():
-            h, _ = lattice_forward(reprs, ms, table, p, entry_rows=np.array([2]))
-            return logsumexp(row(h, 2))
+            h, _ = lattice_forward(x, ms, table, p)
+            return weighted_sum(h, weights)
 
-        assert_grads_match(loss, [reprs[2], table.rows, p.match_gate_w, p.match_gate_b])
+        assert_grads_match(loss, [x, table.rows, p.match_gate_w, p.match_gate_b])
 
 
 class TestGateNormalize:
     def test_no_matches_char_weight_one(self):
-        alpha, rest = gate_normalize(const(np.array([0.3, 0.9])), [])
-        np.testing.assert_array_equal(alpha.data, np.ones(2))
+        alpha, rest = gate_normalize(np.array([0.3, 0.9]), [])
+        np.testing.assert_array_equal(alpha, np.ones(2))
         assert rest == []
 
     def test_equal_gates_uniform(self):
-        g = const(np.full(3, 0.42))
-        alpha, rest = gate_normalize(g, [const(np.full(3, 0.42)) for _ in range(4)])
+        g = np.full(3, 0.42)
+        alpha, rest = gate_normalize(g, [np.full(3, 0.42) for _ in range(4)])
         for t in [alpha, *rest]:
-            np.testing.assert_allclose(t.data, np.full(3, 1 / 5), atol=1e-9)
+            np.testing.assert_allclose(t, np.full(3, 1 / 5), atol=1e-9)
 
     def test_log_weights_example(self):
         # pre-exp values ln 2 and ln 1 normalize to 2/3 and 1/3
-        alpha, rest = gate_normalize(const(np.array([math.log(2.0)])), [const(np.array([0.0]))])
-        assert alpha.data[0] == pytest.approx(2 / 3, abs=1e-12)
-        assert rest[0].data[0] == pytest.approx(1 / 3, abs=1e-12)
+        alpha, rest = gate_normalize(np.array([math.log(2.0)]), [np.array([0.0])])
+        assert alpha[0] == pytest.approx(2 / 3, abs=1e-12)
+        assert rest[0][0] == pytest.approx(1 / 3, abs=1e-12)
 
 
 class TestLatticeForward:
     def test_empty_matches_bit_equal_to_lstm(self, rng):
         p = random_direction(5, 4, rng)
-        reprs = [const(rng.normal(size=4)) for _ in range(7)]
-        out, steps = lattice_forward(reprs, None, None, p)
+        x = const(rng.normal(size=(7, 4)))
+        out, steps = lattice_forward(x, None, None, p)
         h = c = np.zeros(5)
-        for i, (step, x) in enumerate(zip(steps, reprs)):
-            h, c, _ = lstm_step(x.data, h, c, p)
-            assert out.data[i].tobytes() == step.h.data.tobytes() == h.tobytes()
-            assert step.c.data.tobytes() == c.tobytes()
+        for i, (step, x_i) in enumerate(zip(steps, x.data)):
+            h, c, _ = lstm_step(x_i, h, c, p)
+            assert out.data[i].tobytes() == step.h.tobytes() == h.tobytes()
+            assert step.c.tobytes() == c.tobytes()
 
     def test_alpha_weights_sum_to_one(self, rng):
         p = random_direction(4, 3, rng, word_dim=3)
         table = random_lexicon_table(rng, 4, 3)
-        reprs = [const(rng.normal(size=3)) for _ in range(6)]
+        x = const(rng.normal(size=(6, 3)))
         ms = match_set(6, [(1, 3), (2, 3), (2, 6), (4, 6)])
-        rows = np.arange(2, 6)
         # forward fusion happens where matches end ({3, 6}); backward where
         # they start (original positions {1, 2, 4})
         for direction, n_fused in (("forward", 2), ("backward", 3)):
-            _, steps = lattice_forward(reprs, ms, table, p, direction, entry_rows=rows)
+            _, steps = lattice_forward(x, ms, table, p, direction)
             fused = [s for s in steps if s.alpha_char is not None]
             assert len(fused) == n_fused
             for s in fused:
-                total = s.alpha_char.data + sum(a.data for _, a in s.match_alphas)
+                total = s.alpha_char + sum(a for _, a in s.match_alphas)
                 np.testing.assert_allclose(total, np.ones(4), atol=ALPHA_SUM_TOL)
         # backward shortcut sources are the matches' end characters
-        _, bwd = lattice_forward(reprs, ms, table, p, "backward", entry_rows=rows)
+        _, bwd = lattice_forward(x, ms, table, p, "backward")
         sources = {i + 1: [b for b, _ in s.match_alphas] for i, s in enumerate(bwd) if s.match_alphas}
         assert sources == {1: [3], 2: [3, 6], 4: [6]}
 
@@ -190,39 +178,40 @@ class TestLatticeForward:
         # the match's end position (forward direction)
         p = random_direction(4, 3, rng, word_dim=3)
         table = random_lexicon_table(rng, 2, 3)
-        reprs = [const(rng.normal(size=3)) for _ in range(6)]
+        x = const(rng.normal(size=(6, 3)))
         ms = match_set(6, [(2, 4)])
-        rows = np.array([2, 3])
-        _, before = lattice_forward(reprs, ms, table, p, entry_rows=rows)
+        _, before = lattice_forward(x, ms, table, p)
         table.rows.data[2] += 1.5
-        _, after = lattice_forward(reprs, ms, table, p, entry_rows=rows)
+        _, after = lattice_forward(x, ms, table, p)
         for j in range(3):  # positions 1..3 precede the end at 4
-            np.testing.assert_array_equal(before[j].h.data, after[j].h.data)
-        assert not np.array_equal(before[3].h.data, after[3].h.data)
+            np.testing.assert_array_equal(before[j].h, after[j].h)
+        assert not np.array_equal(before[3].h, after[3].h)
 
     def test_bad_direction(self, rng):
         p = random_direction(2, 2, rng)
         with pytest.raises(UsageError):
-            lattice_forward([const(np.zeros(2))], None, None, p, "sideways")
+            lattice_forward(const(np.zeros((1, 2))), None, None, p, "sideways")
 
     def test_out_of_range_match_rejected(self, rng):
         # a match set claiming spans beyond the sentence is a matcher
         # contract violation, not something to ignore silently
         p = random_direction(3, 2, rng, word_dim=3)
         table = random_lexicon_table(rng, 1, 3)
-        reprs = [const(rng.normal(size=2)) for _ in range(3)]
+        x = const(rng.normal(size=(3, 2)))
         with pytest.raises(UsageError, match="out of range"):
-            lattice_forward(reprs, match_set(3, [(2, 5)]), table, p, entry_rows=np.array([2]))
+            lattice_forward(x, match_set(3, [(2, 5)]), table, p)
 
     def test_gradient_reaches_spanning_match_embedding(self, rng):
         p = random_direction(3, 2, rng, word_dim=3)
         table = random_lexicon_table(rng, 1, 3)
-        reprs = [const(rng.normal(size=2)) for _ in range(4)]
+        x = const(rng.normal(size=(4, 2)))
         ms = match_set(4, [(1, 4)])
+        weights = np.zeros((4, 3))
+        weights[3] = rng.normal(size=3)  # the state at the match's end only
 
         def loss():
-            h, _ = lattice_forward(reprs, ms, table, p, entry_rows=np.array([2]))
-            return logsumexp(row(h, 3))
+            h, _ = lattice_forward(x, ms, table, p)
+            return weighted_sum(h, weights)
 
         assert_grads_match(loss, [table.rows] + p.tensors())
 
@@ -231,9 +220,8 @@ class TestEncodeBidirectional:
     def test_hidden_width_doubles(self, rng):
         p_f = random_direction(5, 4, rng, name="fwd")
         p_b = random_direction(5, 4, rng, name="bwd")
-        reprs = [const(rng.normal(size=4)) for _ in range(3)]
-        hs, fwd, bwd = encode_bidirectional(reprs, None, None, p_f, p_b)
-        assert all(h.data.shape == (10,) for h in hs)
+        hs, fwd, bwd = encode_bidirectional(const(rng.normal(size=(3, 4))), None, None, p_f, p_b)
+        assert hs.data.shape == (3, 10)
         assert len(fwd) == len(bwd) == 3
 
     def test_palindrome_with_tied_params_mirrors(self, rng):
@@ -241,25 +229,21 @@ class TestEncodeBidirectional:
         table = random_lexicon_table(rng, 1, 3)
         half = [rng.normal(size=3) for _ in range(3)]
         sym = half + [rng.normal(size=3)] + half[::-1]  # length 7 palindrome
-        reprs = [const(v) for v in sym]
         ms = match_set(7, [(3, 5)])  # self-mirroring span
-        _, fwd, bwd = encode_bidirectional(
-            reprs, ms, table, p, p, entry_rows=np.array([2])
-        )
-        m = len(reprs)
+        _, fwd, bwd = encode_bidirectional(const(np.array(sym)), ms, table, p, p)
+        m = len(sym)
         for i in range(m):
-            np.testing.assert_array_equal(fwd[i].h.data, bwd[m - 1 - i].h.data)
+            np.testing.assert_array_equal(fwd[i].h, bwd[m - 1 - i].h)
 
     def test_empty_matches_equals_baseline_encoding(self, rng):
         p_f = random_direction(4, 3, rng, word_dim=3, name="fwd")
         p_b = random_direction(4, 3, rng, word_dim=3, name="bwd")
-        reprs = [const(rng.normal(size=3)) for _ in range(5)]
+        x = const(rng.normal(size=(5, 3)))
         hs_lattice, _, _ = encode_bidirectional(
-            reprs, LatticeMatchSet(length=5), random_lexicon_table(rng, 1, 3), p_f, p_b
+            x, LatticeMatchSet(length=5), random_lexicon_table(rng, 1, 3), p_f, p_b
         )
-        hs_base, _, _ = encode_bidirectional(reprs, None, None, p_f, p_b)
-        for a, b in zip(hs_lattice, hs_base):
-            np.testing.assert_array_equal(a.data, b.data)
+        hs_base, _, _ = encode_bidirectional(x, None, None, p_f, p_b)
+        np.testing.assert_array_equal(hs_lattice.data, hs_base.data)
 
 
 class TestDefaultDimensions:
@@ -269,15 +253,15 @@ class TestDefaultDimensions:
         uni, bi = build_vocabs(["中国人"])
         ut = EmbeddingTable.random(uni, 50, rng, name="unigram_embeddings")
         bt = EmbeddingTable.random(bi, 50, rng, name="bigram_embeddings")
-        reprs = char_repr("中国人", ut, bt)
-        assert all(x.data.shape == (100,) for x in reprs)
+        x = char_repr("中国人", ut, bt)
+        assert x.data.shape == (3, 100)
         p_f = DirectionParams.create(100, 200, rng, word_dim=50, name="fwd")
         p_b = DirectionParams.create(100, 200, rng, word_dim=50, name="bwd")
         assert p_f.gates_w.data.shape == (600, 300)
         assert p_f.shortcut_w.data.shape == (600, 250)
         assert p_f.match_gate_w.data.shape == (200, 300)
-        hs, _, _ = encode_bidirectional(reprs, None, None, p_f, p_b)
-        assert all(h.data.shape == (400,) for h in hs)
+        hs, _, _ = encode_bidirectional(x, None, None, p_f, p_b)
+        assert hs.data.shape == (3, 400)
 
 
 class TestCharRepr:
@@ -289,25 +273,24 @@ class TestCharRepr:
 
     def test_width_is_sum_of_dims(self, rng):
         ut, bt = self._tables(rng)
-        reprs = char_repr("中国人", ut, bt)
-        assert all(x.data.shape == (10,) for x in reprs)
+        x = char_repr("中国人", ut, bt)
+        assert x.data.shape == (3, 10)
 
     def test_unseen_char_uses_row_zero(self, rng):
         ut, bt = self._tables(rng)
-        x = char_repr("火", ut, bt)[0]
-        np.testing.assert_array_equal(x.data[:5], ut.rows.data[0])
+        x = char_repr("火", ut, bt)
+        np.testing.assert_array_equal(x.data[0, :5], ut.rows.data[0])
 
     def test_eval_dropout_identity(self, rng):
         ut, bt = self._tables(rng)
         plain = char_repr("中国", ut, bt)
         dropped = char_repr("中国", ut, bt, dropout=0.9, mode="eval")
-        for a, b in zip(plain, dropped):
-            np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(plain.data, dropped.data)
 
     def test_train_dropout_scales(self, rng):
         ut, bt = self._tables(rng)
-        x = char_repr("中", ut, bt, dropout=0.5, mode="train", rng=rng)[0]
-        base = char_repr("中", ut, bt)[0]
+        x = char_repr("中国", ut, bt, dropout=0.5, mode="train", rng=rng)
+        base = char_repr("中国", ut, bt)
         kept = x.data != 0
         np.testing.assert_allclose(x.data[kept], 2.0 * base.data[kept], atol=1e-15)
 
@@ -324,60 +307,62 @@ def direction_case(rng, dtype=np.float64, hidden=3, x_dim=2, word_dim=3):
             t.data[:] = rng.normal(size=t.data.shape) * 0.3
     vocab = Vocab.from_symbols([f"w{i}" for i in range(len(SPANS))])
     table = EmbeddingTable.random(vocab, word_dim, rng, dtype=dtype, name="lexicon_embeddings")
-    reprs = [param(rng.normal(size=x_dim).astype(dtype), f"x{i}") for i in range(6)]
-    return p, table, reprs, match_set(6, SPANS), np.arange(2, 2 + len(SPANS))
+    x = param(rng.normal(size=(6, x_dim)).astype(dtype), "x")
+    return p, table, x, match_set(6, SPANS)
 
 
 class TestDirectionOp:
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     @pytest.mark.parametrize("dropout", [0.0, 0.4])
     def test_gradients_match_finite_differences(self, rng, direction, dropout):
-        p, table, reprs, ms, rows = direction_case(rng)
-        weights = const(rng.normal(size=(6, p.hidden)))
+        p, table, x, ms = direction_case(rng)
+        weights = rng.normal(size=(6, p.hidden))
 
         def loss():
             # a fresh generator per call draws the same dropout masks each time
             h, _ = lattice_forward(
-                reprs, ms, table, p, direction, entry_rows=rows, lattice_dropout=dropout,
+                x, ms, table, p, direction, lattice_dropout=dropout,
                 mode="train", rng=np.random.default_rng(3),
             )
-            return logsumexp(concat(unstack(mul(h, weights))))
+            return weighted_sum(h, weights)
 
-        assert_grads_match(loss, reprs + [table.rows] + p.tensors())
+        assert_grads_match(loss, [x, table.rows] + p.tensors())
 
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     def test_one_recorded_op_per_direction(self, rng, direction):
-        p, table, reprs, ms, rows = direction_case(rng)
+        p, table, x, ms = direction_case(rng)
         tape = Tape()
         with tape:
-            lattice_forward(reprs, ms, table, p, direction, entry_rows=rows)
-        assert len(tape) == len(SPANS) + 1  # one lexicon-row lookup per match, then the op
+            lattice_forward(x, ms, table, p, direction)
+        assert len(tape) == 2  # one lookup of every match's lexicon row, then the op
 
     @pytest.mark.parametrize("direction", ["forward", "backward"])
     def test_float32_stays_float32(self, rng, monkeypatch, direction):
-        p, table, reprs, ms, rows = direction_case(rng, dtype=np.float32)
+        p, table, x, ms = direction_case(rng, dtype=np.float32)
         written = []
         real_acc = encoder._acc
         monkeypatch.setattr(encoder, "_acc", lambda t, g: (written.append(g.dtype), real_acc(t, g)))
         tape = Tape()
         with tape:
             h, steps = lattice_forward(
-                reprs, ms, table, p, direction, entry_rows=rows, lattice_dropout=0.3,
+                x, ms, table, p, direction, lattice_dropout=0.3,
                 mode="train", rng=np.random.default_rng(1),
             )
-            loss = logsumexp(concat(unstack(h)))
+            loss = weighted_sum(h, np.ones(h.shape))
         backward(loss)
         assert h.data.dtype == np.float32
-        assert all(s.h.data.dtype == s.c.data.dtype == np.float32 for s in steps)
+        assert all(s.h.dtype == s.c.dtype == np.float32 for s in steps)
         assert written and set(written) == {np.dtype(np.float32)}
-        assert all(t.grad.dtype == np.float32 for t in reprs + p.tensors())
+        assert all(t.grad.dtype == np.float32 for t in [x, table.rows] + p.tensors())
 
     def test_bidirectional_rows_pass_gradients(self, rng):
-        p_f, table, reprs, ms, rows = direction_case(rng)
+        p_f, table, x, ms = direction_case(rng)
         p_b = DirectionParams.create(2, 3, rng, word_dim=3)
+        weights = rng.normal(size=(6, 6))
+        weights[1::2] = 0.0  # every other position
 
         def loss():
-            hs, _, _ = encode_bidirectional(reprs, ms, table, p_f, p_b, entry_rows=rows)
-            return reduce(add, [logsumexp(h) for h in hs[::2]])
+            hs, _, _ = encode_bidirectional(x, ms, table, p_f, p_b)
+            return weighted_sum(hs, weights)
 
-        assert_grads_match(loss, reprs + [table.rows] + p_f.tensors() + p_b.tensors())
+        assert_grads_match(loss, [x, table.rows] + p_f.tensors() + p_b.tensors())

@@ -4,7 +4,6 @@ import gc
 import threading
 import warnings
 import weakref
-from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -12,52 +11,47 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import assert_grads_match
+from gradcheck import assert_grads_match, weighted_sum
+from latseg.encoder import gate_normalize
 from latseg.errors import ConfigError, NumericError, ShapeError, UsageError
-from latseg import tensor as T
 from latseg.tensor import (
     Tape,
-    add,
     affine,
     backward,
     concat,
     const,
     dropout_mask,
     logistic,
-    logsumexp,
     mul,
     param,
-    pick,
-    row,
+    rows,
     sgd_step,
-    sigmoid,
-    softmax_rows,
-    stack_rows,
-    sub,
-    unrecorded,
-    unstack,
 )
 
 
 class TestAffine:
     def test_identity(self):
-        out = affine(const([3.0, 4.0]), const(np.eye(2)), const(np.zeros(2)))
-        np.testing.assert_array_equal(out.data, [3.0, 4.0])
+        out = affine(const([[3.0, 4.0]]), const(np.eye(2)), const(np.zeros(2)))
+        np.testing.assert_array_equal(out.data, [[3.0, 4.0]])
 
     def test_hand_multiplication(self):
         w = const([[1.0, 1.0], [0.0, 2.0]])
-        out = affine(const([1.0, 1.0]), w, const([1.0, 0.0]))
-        np.testing.assert_array_equal(out.data, [3.0, 2.0])
+        out = affine(const([[1.0, 1.0]]), w, const([1.0, 0.0]))
+        np.testing.assert_array_equal(out.data, [[3.0, 2.0]])
 
     def test_zero_map(self):
-        out = affine(const([7.0, -2.0, 0.5]), const(np.zeros((1, 3))), const([5.0]))
-        np.testing.assert_array_equal(out.data, [5.0])
+        out = affine(const([[7.0, -2.0, 0.5]]), const(np.zeros((1, 3))), const([5.0]))
+        np.testing.assert_array_equal(out.data, [[5.0]])
 
     def test_shape_mismatch_names_operands(self):
         w = param(np.zeros((2, 3)), "weights")
-        x = param(np.zeros(4), "input")
+        x = param(np.zeros((1, 4)), "input")
         with pytest.raises(ShapeError, match="weights.*input"):
             affine(x, w, param(np.zeros(2), "bias"))
+
+    def test_vector_input_rejected(self):
+        with pytest.raises(ShapeError, match="2-D input"):
+            affine(const(np.zeros(3)), const(np.zeros((2, 3))), const(np.zeros(2)))
 
     def test_matrix_input_maps_rows_bit_for_bit(self, rng):
         w = const(rng.normal(size=(4, 6)))
@@ -65,15 +59,12 @@ class TestAffine:
         x = rng.normal(size=(5, 6))
         out = affine(const(x), w, b)
         for i in range(5):
-            assert out.data[i].tobytes() == affine(const(x[i]), w, b).data.tobytes()
+            assert out.data[i].tobytes() == (w.data @ x[i] + b.data).tobytes()
 
 
 class TestActivate:
     def test_sigmoid_zero(self):
-        assert sigmoid(const([0.0])).data[0] == 0.5
-
-    def test_tanh_zero(self):
-        assert T.tanh(const([0.0])).data[0] == 0.0
+        assert logistic(np.array([0.0]))[0] == 0.5
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_sigmoid_overflow_is_silent_and_exact(self, dtype):
@@ -81,44 +72,45 @@ class TestActivate:
         x = np.array([-1000.0, -88.5, 0.0, 1000.0], dtype=dtype)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = sigmoid(const(x)).data
-            assert logistic(x).tobytes() == out.tobytes()
+            out = logistic(x)
+            assert out[1:].tobytes() == (1.0 / (1.0 + np.exp(-x[1:]))).tobytes()
         assert out.dtype == dtype
         assert out[0] == 0.0 and out[2] == 0.5 and out[3] == 1.0
 
+    # the exp-normalization (softmax) of the lattice fusion is encoder.gate_normalize
     def test_softmax_symmetry(self):
-        out = softmax_rows(const([[1.7], [1.7], [1.7]]))
-        np.testing.assert_allclose(out.data[:, 0], [1 / 3] * 3, rtol=0, atol=1e-15)
+        alpha, rest = gate_normalize(np.array([1.7]), [np.array([1.7])] * 2)
+        np.testing.assert_allclose([alpha[0], *(a[0] for a in rest)], [1 / 3] * 3, rtol=0, atol=1e-15)
 
     @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=12))
     @settings(max_examples=100, deadline=None)
     def test_softmax_sums_to_one(self, values):
-        out = softmax_rows(const(np.array(values)[:, None]))
-        assert np.all(out.data > 0)
-        assert abs(out.data.sum() - 1.0) <= 1e-9
+        alpha, rest = gate_normalize(np.array(values[:1]), [np.array([v]) for v in values[1:]])
+        out = np.array([alpha, *rest])
+        assert np.all(out > 0)
+        assert abs(out.sum() - 1.0) <= 1e-9
 
 
 class TestBackward:
-    def test_sigmoid_of_linear(self):
-        # independent oracle: d sigmoid(w*x) / dw at w=0, x=1 is sigmoid'(0) = 0.25
-        w = param(np.zeros((1, 1)), "w")
-        x = const([1.0])
+    def test_affine_weight_gradient_is_outer_product(self):
+        # independent oracle: d sum(v * (w @ x)) / dw = outer(v, x)
+        w = param(np.zeros((2, 3)), "w")
         tape = Tape()
         with tape:
-            loss = pick(sigmoid(affine(x, w, const([0.0]))), 0)
+            loss = weighted_sum(affine(const([[1.0, 2.0, 3.0]]), w, const([0.0, 0.0])), [[0.5, -1.0]])
         backward(loss)
-        assert w.grad[0, 0] == pytest.approx(0.25, abs=1e-12)
+        np.testing.assert_array_equal(w.grad, np.outer([0.5, -1.0], [1.0, 2.0, 3.0]))
 
     def test_unreachable_param_gets_zero(self):
         w = param(np.ones(3), "w")
         tape = Tape()
         with tape:
-            loss = pick(const([2.0]), 0)
+            loss = weighted_sum(const([2.0]), [1.0])
         backward(loss)
         np.testing.assert_array_equal(w.grad, np.zeros(3))
 
     def test_no_tape_is_usage_error(self):
-        loss = pick(const([1.0]), 0)
+        loss = weighted_sum(const([1.0]), [1.0])
         with pytest.raises(UsageError):
             backward(loss)
 
@@ -126,7 +118,7 @@ class TestBackward:
         w = param(np.ones(1), "w")
         tape = Tape()
         with tape:
-            loss = pick(mul(w, w), 0)
+            loss = weighted_sum(mul(w, w), [1.0])
         backward(loss)
         assert len(tape) == 2  # still the number of recorded ops
         with pytest.raises(UsageError):
@@ -138,8 +130,8 @@ class TestBackward:
         try:
             tape = Tape()
             with tape:
-                hidden = T.tanh(w)
-                loss = logsumexp(hidden)
+                hidden = mul(w, w)
+                loss = weighted_sum(hidden, np.ones(3))
             alive = weakref.ref(hidden.data)
             backward(loss)
             del hidden, loss, tape
@@ -157,8 +149,8 @@ class TestBackward:
         mask = const([1.0, 1.0])
         tape = Tape()
         with tape:
-            side = T.tanh(w)  # recorded, but the loss does not use it
-            loss = logsumexp(mul(w, mask))
+            side = mul(w, w)  # recorded, but the loss does not use it
+            loss = weighted_sum(mul(w, mask), [1.0, 1.0])
         backward(loss)
         assert side.grad is None and mask.grad is None
         assert loss.grad is not None and np.any(w.grad != 0.0)
@@ -173,7 +165,7 @@ class TestBackward:
                 tape = Tape()
                 with tape:
                     both_open.wait(timeout=10)  # the other thread's tape is open too
-                    loss = pick(mul(ws[k], ws[k]), 0)
+                    loss = weighted_sum(mul(ws[k], ws[k]), [1.0])
                 lengths[k] = len(tape)
                 backward(loss)
             except Exception as exc:  # re-raised on the main thread below
@@ -193,19 +185,17 @@ class TestBackward:
         for _ in range(2):
             tape = Tape()
             with tape:
-                loss = pick(mul(w, w), 0)
+                loss = weighted_sum(mul(w, w), [1.0])
             backward(loss)
         assert w.grad[0] == pytest.approx(12.0)  # 2 * (2w)
 
 
-def _composite_loss(ps):
+def _composite_loss(ps, weights):
     """Touches every primitive at least once; deterministic in the params."""
     w, b, m, v = ps
-    hidden = T.tanh(affine(concat([row(m, 0), v]), w, b))
-    gates = softmax_rows(stack_rows([hidden, sigmoid(hidden), sub(hidden, sigmoid(hidden))]))
-    fused = add(mul(row(gates, 0), hidden), mul(row(gates, 2), hidden))
-    rows = unstack(affine(concat([m, m]), w, b))
-    return add(logsumexp(add(fused, rows[1])), pick(rows[2], 1))
+    x = concat([rows(m, [0, 2, 0]), mul(rows(m, [1, 1, 2]), v)])
+    hidden = affine(x, w, b)
+    return weighted_sum(rows(mul(hidden, hidden), [2, 0, 2, 1]), weights)
 
 
 class TestFiniteDifferences:
@@ -214,22 +204,18 @@ class TestFiniteDifferences:
             param(rng.normal(size=(3, 8)) * 0.7, "w"),
             param(rng.normal(size=3) * 0.5, "b"),
             param(rng.normal(size=(3, 4)) * 0.6, "m"),
-            param(rng.normal(size=4) * 0.8, "v"),
+            param(rng.normal(size=(3, 4)) * 0.8, "v"),
         ]
-        assert_grads_match(lambda: _composite_loss(ps), ps)
+        weights = rng.normal(size=(4, 3))
+        assert_grads_match(lambda: _composite_loss(ps, weights), ps)
 
     @pytest.mark.parametrize(
         "build",
         [
-            lambda a, b: pick(add(a, b), 1),
-            lambda a, b: pick(sub(a, b), 2),
-            lambda a, b: pick(mul(a, b), 0),
-            lambda a, b: pick(sigmoid(a), 2),
-            lambda a, b: pick(T.tanh(a), 0),
-            lambda a, b: logsumexp(a),
-            lambda a, b: pick(concat([a, b]), 4),
+            lambda a, b: weighted_sum(mul(a, b), [0.5, -1.0, 2.0]),
+            lambda a, b: weighted_sum(concat([a, b]), [0.0, 0.0, 0.0, 0.0, 1.0, 0.0]),
         ],
-        ids=["add", "sub", "mul", "sigmoid", "tanh", "logsumexp", "concat"],
+        ids=["mul", "concat"],
     )
     def test_each_primitive(self, build, rng):
         a = param(rng.normal(size=3), "a")
@@ -241,55 +227,13 @@ class TestFiniteDifferences:
         c = param(rng.normal(size=(3, 2)), "c")
         w = param(rng.normal(size=(5, 6)), "w")
         b = param(rng.normal(size=5), "b")
+        weights = rng.normal(size=(3, 5))
 
         def loss():
-            rows = unstack(affine(concat([m, c]), w, b))
-            return add(logsumexp(rows[0]), pick(rows[2], 3))
+            h = affine(concat([rows(m, [1, 1, 0]), c]), w, b)
+            return weighted_sum(rows(mul(h, h), [2, 0, 2]), weights)
 
         assert_grads_match(loss, [m, c, w, b])
-
-    def test_stack_softmax_rows(self, rng):
-        a = param(rng.normal(size=4), "a")
-        b = param(rng.normal(size=4), "b")
-
-        def loss():
-            s = softmax_rows(stack_rows([a, b]))
-            return pick(row(s, 0), 2)
-
-        assert_grads_match(loss, [a, b])
-
-
-class TestUnstack:
-    def test_rows_record_nothing_and_pass_gradients(self, rng):
-        w = param(rng.normal(size=(3, 4)), "w")
-        tape = Tape()
-        with tape:
-            h = T.tanh(w)
-            rows = unstack(h)
-            loss = add(logsumexp(rows[0]), pick(rows[2], 1))
-        assert len(tape) == 4  # tanh, two reductions and add: the rows are no ops
-        backward(loss)
-        expect = np.zeros((3, 4))
-        expect[0] = np.exp(h.data[0]) / np.exp(h.data[0]).sum()  # softmax of row 0
-        expect[2, 1] = 1.0
-        np.testing.assert_allclose(w.grad, expect * (1.0 - h.data**2), atol=1e-12)
-
-    def test_constant_rows_take_no_gradient(self):
-        rows = unstack(const(np.ones((2, 3))))
-        assert [r.grad for r in rows] == [None, None]
-
-
-class TestUnrecorded:
-    def test_primitives_inside_are_not_recorded(self):
-        w = param(np.ones(2), "w")
-        tape = Tape()
-        with tape:
-            with unrecorded():
-                T.tanh(w)
-            loss = logsumexp(w)
-        assert len(tape) == 1
-        backward(loss)
-        np.testing.assert_allclose(w.grad, [0.5, 0.5])
 
 
 class TestLazyGradientPages:
@@ -315,11 +259,12 @@ class TestDeterminism:
         def run():
             r = np.random.default_rng(7)
             w = param(r.normal(size=(3, 3)), "w")
-            x = const(r.normal(size=3))
-            mask = dropout_mask((3,), 0.5, "train", r)
+            x = const(r.normal(size=(1, 3)))
+            mask = dropout_mask((1, 3), 0.5, "train", r)
             tape = Tape()
             with tape:
-                loss = logsumexp(mul(T.tanh(affine(x, w, const(np.zeros(3)))), mask))
+                hidden = affine(x, w, const(np.zeros(3)))
+                loss = weighted_sum(mul(mul(hidden, hidden), mask), np.ones((1, 3)))
             return loss.item()
 
         assert run() == run()
@@ -383,10 +328,10 @@ def _table_step(ids, rng, lr=0.3):
     """Look up ``ids`` in a fresh 12-row table and backprop; return the table and
     the dense update ``data - lr * grad``."""
     table = param(rng.normal(size=(12, 3)), "table")
-    weights = const(rng.normal(size=3))
     tape = Tape()
     with tape:
-        loss = reduce(add, [logsumexp(mul(row(table, i), weights)) for i in ids])
+        looked = rows(table, ids)
+        loss = weighted_sum(mul(looked, looked), rng.normal(size=(len(ids), 3)))
     backward(loss)
     return table, table.data - lr * table.grad
 
@@ -404,13 +349,30 @@ class TestRowSparseSgd:
         assert not table.grad.any()
         assert table.grad_rows == []
 
+    def test_repeated_rows_add_in_reverse_lookup_order(self, rng):
+        # one lookup per row would replay last lookup first; the gather adds in that order
+        ids = [3, 1, 3, 7, 3, 3]
+        table = param(rng.normal(size=(8, 3)), "table")
+        table.grad[:] = rng.normal(size=(8, 3))  # a gradient left by an earlier lookup
+        g = rng.normal(size=(len(ids), 3)) * 10.0 ** rng.integers(-8, 8, size=(len(ids), 1))
+        expect = table.grad.copy()
+        for i, gi in reversed(list(zip(ids, g))):
+            expect[i] += gi
+        tape = Tape()
+        with tape:
+            loss = weighted_sum(rows(table, ids), g)
+        backward(loss)
+        assert table.grad.tobytes() == expect.tobytes()
+        assert sorted(table.grad_rows) == sorted(ids)
+
     def test_nan_in_looked_up_row_changes_nothing(self, rng):
-        w = param(rng.normal(size=3), "w")
+        w = param(rng.normal(size=(1, 3)), "w")
         table = param(rng.normal(size=(6, 3)), "table")
         table.data[4, 1] = np.nan
         tape = Tape()
         with tape:
-            loss = add(logsumexp(w), logsumexp(row(table, 4)))
+            looked = rows(table, [4])
+            loss = weighted_sum(concat([mul(w, w), mul(looked, looked)]), np.ones((1, 6)))
         backward(loss)
         assert table.grad_rows == [4] and np.isfinite(w.grad).all()
         saved = [(p.data.copy(), p.grad.copy()) for p in (w, table)]
@@ -424,8 +386,9 @@ class TestRowSparseSgd:
         table = param(rng.normal(size=(5, 3)), "table")
         tape = Tape()
         with tape:
-            column = affine(const([0.0, 1.0, 0.0]), table, const(np.zeros(5)))  # table[:, 1]
-            loss = add(logsumexp(row(table, 0)), pick(column, 3))
+            column = affine(const([[0.0, 1.0, 0.0]]), table, const(np.zeros(5)))  # table[:, 1]
+            picks = np.array([[1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0]])  # row 0 and column[3]
+            loss = weighted_sum(concat([rows(table, [0]), column]), picks)
         backward(loss)
         assert table.grad_rows is None  # affine wrote into the gradient too
         dense = table.data - 0.5 * table.grad

@@ -7,8 +7,8 @@ import pytest
 
 from latseg import synth
 from latseg import train as train_module
-from latseg.data import EmbeddingTable, build_vocabs, to_bmes, word_set
-from latseg.errors import ConfigError, DataError, NumericError
+from latseg.data import EmbeddingTable, Vocab, build_vocabs, to_bmes, word_set
+from latseg.errors import ConfigError, DataError, NumericError, UsageError
 from latseg.model import SegmenterModel, prepare_lexicon
 from latseg.tensor import Tape
 from latseg.train import (
@@ -297,3 +297,38 @@ def test_desk_lattice_word_records_at_most_five_ops_per_char():
         nodes += len(tape)
         chars += len(s)
     assert nodes / chars <= 5.0, f"{nodes / chars:.2f} recorded ops per character"
+
+
+def test_tape_records_a_fixed_handful_of_ops_per_sentence():
+    # whatever the sentence length: two gathers, their concat and the dropout
+    # mask for the characters; per direction its op, after a gather and a mask
+    # of the match embeddings when anything matches; then concat, emissions, loss
+    vocab = synth.make_vocab(60, seed=5)
+    sents = [to_bmes(w) for w in synth.make_corpus(vocab, 30, seed=6)]
+    model = tiny_model(
+        sents, np.random.default_rng(7), mode="lattice-word",
+        lexicon=[w for w in vocab if len(w) >= 2][:10], char_dropout=0.3, lattice_dropout=0.3,
+    )
+    rng = np.random.default_rng(7)
+    seen = set()
+    for s in sents:
+        tape = Tape()
+        with tape:
+            model.loss(s, mode="train", rng=rng)
+        fused = len(model.match(s.chars)) > 0
+        assert len(tape) == 4 + 2 * (1 + 2 * fused) + 3
+        seen.add((len(s), fused))
+    assert len({n for n, _ in seen}) > 5 and {f for _, f in seen} == {False, True}
+
+
+def test_lexicon_table_out_of_trie_order_is_rejected():
+    # the encoder reads trie entry k from lexicon row k + 2, so the rows must follow the trie
+    sents = tiny_corpus()
+    rng = np.random.default_rng(3)
+    uni, bi = build_vocabs([s.chars for s in sents])
+    ut = EmbeddingTable.random(uni, 4, rng, name="unigram_embeddings")
+    bt = EmbeddingTable.random(bi, 4, rng, name="bigram_embeddings")
+    trie, _ = prepare_lexicon(["中国", "人民"])
+    swapped = EmbeddingTable.random(Vocab.from_symbols(["人民", "中国"]), 4, rng, name="lexicon_embeddings")
+    with pytest.raises(UsageError, match="trie"):
+        SegmenterModel.create("lattice-word", ut, bt, 6, rng, lexicon_table=swapped, trie=trie)
