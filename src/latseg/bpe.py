@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import DataError, FormatError
+from .errors import ConfigError, DataError, FormatError
 
 Pair = tuple[str, str]
 
@@ -63,7 +63,7 @@ def learn_bpe(corpus: Iterable[Sequence[str]], k: int) -> BpeModel:
     only lines containing the merged pair are rescanned.
     """
     if k < 0:
-        raise DataError(f"merge budget must be >= 0, got {k}")
+        raise ConfigError(f"merge budget must be >= 0, got {k}")
     lines = [list(seq) for seq in corpus]
     if not lines:
         raise DataError("cannot learn BPE from an empty corpus")

@@ -195,8 +195,21 @@ def _assemble(
 
 
 def load_checkpoint(ckpt_dir) -> SegmenterModel:
-    """Rebuild a model from disk and verify the manifest probe."""
+    """Rebuild a model from disk and verify the manifest probe.
+
+    Any missing or unparsable manifest value or tensor raises
+    :class:`CheckpointError` naming the directory.
+    """
     ckpt = Path(ckpt_dir)
+    try:
+        return _load(ckpt)
+    except KeyError as exc:
+        raise CheckpointError(f"{ckpt}: manifest has no {exc.args[0]!r}") from None
+    except (ValueError, TypeError, UsageError) as exc:
+        raise CheckpointError(f"{ckpt}: malformed manifest: {exc}") from None
+
+
+def _load(ckpt: Path) -> SegmenterModel:
     manifest = ckpt / MANIFEST
     if not manifest.is_file():
         raise CheckpointError(f"{ckpt}: no {MANIFEST}")

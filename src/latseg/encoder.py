@@ -14,9 +14,11 @@ matches it fuses in one lookup, walks the positions on plain arrays
 (:func:`lstm_step`, :func:`shortcut_cell`, :func:`gate_logit` and
 :func:`gate_normalize` per position), and records one node whose hand-written
 backward walks the positions once in reverse and takes each weight and input
-gradient as one matrix product over the sentence. The two directions' (m, H)
-outputs join into the (m, 2H) hidden states. Training and decoding run the
-same forward; without an active tape nothing is recorded.
+gradient as one matrix product over the sentence; it reads the direction's
+:class:`Fusion` record of per-sentence fusion weights. The two directions'
+(m, H) outputs join into the (m, 2H) hidden states. Training and decoding run
+the same forward; without an active tape nothing is recorded, and without an
+``rng`` nothing is dropped out.
 """
 
 from __future__ import annotations
@@ -89,28 +91,17 @@ class DirectionParams:
         return out
 
 
-@dataclass
-class LatticeStep:
-    """Per-position encoder state, including the fusion weights when present."""
-
-    h: np.ndarray
-    c: np.ndarray
-    alpha_char: np.ndarray | None = None  # normalized weight of the candidate memory
-    match_alphas: list[tuple[int, np.ndarray]] | None = None  # (source position, weight)
-
-
 def char_repr(
     chars: Sequence[str],
     unigram_table: EmbeddingTable,
     bigram_table: EmbeddingTable,
     dropout: float = 0.0,
-    mode: str = "eval",
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """x_i = unigram(c_i) ++ bigram(c_i c_{i+1}) as the rows of one (m, x_dim) tensor.
 
     The final position's bigram pairs with the sentence-end sentinel; unseen
-    symbols map to the unknown row. In train mode the matrix is
+    symbols map to the unknown row. Given an ``rng``, the matrix is
     dropout-masked elementwise.
     """
     uvocab, bvocab = unigram_table.vocab, bigram_table.vocab
@@ -120,8 +111,8 @@ def char_repr(
             rows(bigram_table.rows, [bvocab.index(bg) for bg in bigrams_of(chars)]),
         ]
     )
-    if mode == "train" and dropout > 0.0:
-        x = mul(x, dropout_mask(x.shape, dropout, mode, rng, dtype=x.data.dtype))
+    if rng is not None and dropout > 0.0:
+        x = mul(x, dropout_mask(x.shape, dropout, rng, x.data.dtype))
     return x
 
 
@@ -163,14 +154,16 @@ def gate_normalize(char_gate: np.ndarray, match_gates: Sequence[np.ndarray]):
     return alphas[0], list(alphas[1:])
 
 
-class _Shortcut(NamedTuple):
-    """One match's shortcut cell as the forward pass computed it, kept for backward."""
+class Fusion(NamedTuple):
+    """One direction's fusion weights, matches in walk order and positions in sentence order.
 
-    src: int  # position whose state feeds the cell
-    end: int  # position where the cell is fused
-    memory: np.ndarray
-    gates: tuple  # (input, forget, candidate)
-    gate: np.ndarray  # the match's control gate
+    The matches fused at one position are adjacent.
+    """
+
+    src: np.ndarray  # (k,) position whose state feeds each match's shortcut cell
+    end: np.ndarray  # (k,) position where that cell is fused
+    alpha: np.ndarray  # (k, hidden) each match's weight
+    alpha_char: np.ndarray  # (m, hidden) the candidate memory's weight; 1 where nothing is fused
 
 
 def lattice_forward(
@@ -180,9 +173,8 @@ def lattice_forward(
     p: DirectionParams,
     direction: str = "forward",
     lattice_dropout: float = 0.0,
-    mode: str = "eval",
     rng: np.random.Generator | None = None,
-) -> tuple[Tensor, list[LatticeStep]]:
+) -> tuple[Tensor, Fusion]:
     """Run one direction of the lattice LSTM over a sentence as one recorded op.
 
     ``x`` holds the sentence's (m, x_dim) character representations.
@@ -192,12 +184,11 @@ def lattice_forward(
     are then combined with exp-normalized gates (the candidate's gate being
     the coupled input gate 1 - f). The forward direction walks positions
     1..m and fuses matches at their end; the backward direction walks m..1
-    and fuses them at their start.
+    and fuses them at their start. Given an ``rng``, the match embeddings
+    are dropout-masked.
 
-    Returns the (m, hidden) hidden states in sentence order, the op's output,
-    and one :class:`LatticeStep` per position: tape-free records of h, c and
-    the fusion weights, whose ``match_alphas`` sources are sentence positions
-    in both directions.
+    Returns the op's output, the (m, hidden) hidden states in sentence order,
+    and the direction's :class:`Fusion` record, which nothing on the tape reads.
     """
     m = len(x)
     if matches is not None:
@@ -220,15 +211,17 @@ def lattice_forward(
     words = None
     if ids:
         words = rows(lexicon_table.rows, ids)
-        if mode == "train" and lattice_dropout > 0.0:
-            words = mul(words, dropout_mask(words.shape, lattice_dropout, mode, rng, dtype=dtype))
+        if rng is not None and lattice_dropout > 0.0:
+            words = mul(words, dropout_mask(words.shape, lattice_dropout, rng, dtype))
 
     # hs[i], cs[i]: the state after position i; rows 0 and m + 1 are the initial states.
     hs = np.zeros((m + 2, p.hidden), dtype)
     cs = np.zeros((m + 2, p.hidden), dtype)
     gates = []  # (o, f, cand) per step, in walk order
-    cells = []  # per match in walk order
-    steps = [None] * m
+    # Per match in walk order: Fusion's src, end and alpha, then the shortcut
+    # memory, its (input, forget, candidate) gates and the match's control gate.
+    src, end, alpha, memory, cell_gates, gate = [], [], [], [], [], []
+    alpha_char = np.ones((m, p.hidden), dtype)
     for i in positions:
         x_i = x.data[i - 1]
         prev = i + back
@@ -236,32 +229,37 @@ def lattice_forward(
         if not here:
             hs[i], cs[i], g = lstm_step(x_i, hs[prev], cs[prev], p)
             gates.append(g)
-            steps[i - 1] = LatticeStep(hs[i], cs[i])
             continue
         o, f, cand = _gate_stack(np.concatenate([x_i, hs[prev]]), p.gates_w.data, p.gates_b.data)
-        first = len(cells)
+        first = len(memory)
         for mt in here:
-            src = mt.b if forward else mt.e
-            memory, cell_gates = shortcut_cell(words.data[len(cells)], hs[src], cs[src], p)
-            cells.append(_Shortcut(src, i, memory, cell_gates, gate_logit(x_i, memory, p)))
-        alpha_char, alphas = gate_normalize(1.0 - f, [cell.gate for cell in cells[first:]])
-        c = alphas[0] * cells[first].memory  # summed in order: matches, then candidate
-        for a, cell in zip(alphas[1:], cells[first + 1 :]):
-            c += a * cell.memory
-        c += alpha_char * cand
+            s = mt.b if forward else mt.e
+            mem, g = shortcut_cell(words.data[len(memory)], hs[s], cs[s], p)
+            src.append(s)
+            end.append(i)
+            memory.append(mem)
+            cell_gates.append(g)
+            gate.append(gate_logit(x_i, mem, p))
+        a_char, alphas = gate_normalize(1.0 - f, gate[first:])
+        c = alphas[0] * memory[first]  # summed in order: matches, then candidate
+        for a, mem in zip(alphas[1:], memory[first + 1 :]):
+            c += a * mem
+        c += a_char * cand
         hs[i], cs[i] = o * np.tanh(c), c
         gates.append((o, f, cand))
-        steps[i - 1] = LatticeStep(
-            hs[i], cs[i], alpha_char, [(cell.src, a) for cell, a in zip(cells[first:], alphas)]
-        )
+        alpha += alphas
+        alpha_char[i - 1] = a_char
+
+    alpha = np.array(alpha, dtype).reshape(-1, p.hidden)
+    fusion = Fusion(np.array(src, np.intp), np.array(end, np.intp), alpha, alpha_char)
 
     def bwd(g):
-        _direction_backward(g, x, words, p, positions, back, hs, cs, gates, steps, cells)
+        _direction_backward(g, x, words, p, positions, back, hs, cs, gates, fusion, memory, cell_gates, gate)
 
-    return _out(hs[1 : m + 1], bwd), steps
+    return _out(hs[1 : m + 1], bwd), fusion
 
 
-def _direction_backward(g, x, words, p, positions, back, hs, cs, gates, steps, cells):
+def _direction_backward(g, x, words, p, positions, back, hs, cs, gates, fusion, memory, cell_gates, gate):
     """Backward of one :func:`lattice_forward` op, given its output gradient g (m, hidden).
 
     One reverse walk collects each state's dh/dc from the next step and from
@@ -283,48 +281,50 @@ def _direction_backward(g, x, words, p, positions, back, hs, cs, gates, steps, c
     cand_slope = 1.0 - cand * cand
     # plain step, c = f * c_prev + (1 - f) * cand: (dz_f, dz_cand) = dc * d_fc
     d_fc = np.array([(cs[walk + back] - cand) * f_slope, (1.0 - f) * cand_slope]).transpose(1, 0, 2)
-    if cells:
+    n_cells = len(memory)
+    n_fused = np.bincount(fusion.end, minlength=len(hs)).tolist()  # matches fused per position
+    src = fusion.src.tolist()
+    if n_cells:
         ws_h = p.shortcut_w.data[:, -hidden:]
         wg_c = p.match_gate_w.data[:, x_dim:]
-        sources = [cell.src for cell in cells]
-        gi, gf, gc = np.array([cell.gates for cell in cells]).transpose(1, 0, 2)
+        memory = np.array(memory)
+        gi, gf, gc = np.array(cell_gates).transpose(1, 0, 2)
         # memory = gf * c_src + gi * gc: (dz_i, dz_f, dz_cand) = dmemory * d_cell
-        d_cell = np.array([gc * gi * (1.0 - gi), cs[sources] * gf * (1.0 - gf), gi * (1.0 - gc * gc)])
+        d_cell = np.array([gc * gi * (1.0 - gi), cs[fusion.src] * gf * (1.0 - gf), gi * (1.0 - gc * gc)])
         d_cell = d_cell.transpose(1, 0, 2)
-        gate = np.array([cell.gate for cell in cells])
+        gate = np.array(gate)
         gate_slope = gate * (1.0 - gate)
 
     dh_all = np.zeros_like(hs)
     dh_all[1:-1] = g
     dc_all = np.zeros_like(cs)
     dz = np.empty((len(walk), 3, hidden), hs.dtype)  # walk order
-    dz_cell = np.empty((len(cells), 3, hidden), hs.dtype)  # shortcut cells, walk order
-    dz_gate = np.empty((len(cells), hidden), hs.dtype)  # match gates, walk order
-    end = len(cells)  # cells fused at this walk step and earlier come before this index
+    dz_cell = np.empty((n_cells, 3, hidden), hs.dtype)  # shortcut cells, walk order
+    dz_gate = np.empty((n_cells, hidden), hs.dtype)  # match gates, walk order
+    stop = n_cells  # cells fused at this walk step and earlier come before this index
     for k in range(len(walk) - 1, -1, -1):
         i = positions[k]
         prev = i + back
         dh = dh_all[i]
         dc = dc_all[i] + dh * dc_dh[k]
         np.multiply(dh, d_o[k], out=dz[k, 0])
-        step = steps[i - 1]
-        if step.match_alphas is None:
+        if not n_fused[i]:
             np.multiply(dc, d_fc[k], out=dz[k, 1:])
             dc_all[prev] += dc * f[k]
         else:
-            fused = range(end - len(step.match_alphas), end)
-            end = fused.start
-            alpha = np.array([step.alpha_char, *(a for _, a in step.match_alphas)])
-            dalpha = np.array([cand[k], *(cells[j].memory for j in fused)]) * dc
+            start = stop - n_fused[i]
+            alpha = np.concatenate((fusion.alpha_char[i - 1 : i], fusion.alpha[start:stop]))
+            dalpha = np.concatenate((cand[k : k + 1], memory[start:stop])) * dc
             dlogit = alpha * (dalpha - (dalpha * alpha).sum(axis=0))  # softmax backward
             np.multiply(-dlogit[0], f_slope[k], out=dz[k, 1])
             np.multiply(dc * alpha[0], cand_slope[k], out=dz[k, 2])
-            for r, j in enumerate(fused, start=1):
+            for r, j in enumerate(range(start, stop), start=1):
                 np.multiply(dlogit[r], gate_slope[j], out=dz_gate[j])
                 dmemory = dc * alpha[r] + dz_gate[j] @ wg_c
                 np.multiply(dmemory, d_cell[j], out=dz_cell[j])
-                dc_all[cells[j].src] += dmemory * gf[j]
-                dh_all[cells[j].src] += dz_cell[j].reshape(-1) @ ws_h
+                dc_all[src[j]] += dmemory * gf[j]
+                dh_all[src[j]] += dz_cell[j].reshape(-1) @ ws_h
+            stop = start
         dh_all[prev] += dz[k].reshape(-1) @ w_h
 
     dz = dz.reshape(len(walk), -1)
@@ -332,16 +332,14 @@ def _direction_backward(g, x, words, p, positions, back, hs, cs, gates, steps, c
     _acc(p.gates_b, dz.sum(axis=0))
     dx = np.zeros_like(x.data)
     dx[walk - 1] = dz @ w[:, :x_dim]
-    if cells:
-        dz_cell = dz_cell.reshape(len(cells), -1)
-        ends = np.array([cell.end for cell in cells])
+    if n_cells:
+        dz_cell = dz_cell.reshape(n_cells, -1)
         e = words.data
-        _acc(p.shortcut_w, dz_cell.T @ np.concatenate([e, hs[sources]], axis=1))
+        _acc(p.shortcut_w, dz_cell.T @ np.concatenate([e, hs[fusion.src]], axis=1))
         _acc(p.shortcut_b, dz_cell.sum(axis=0))
-        memories = np.array([cell.memory for cell in cells])
-        _acc(p.match_gate_w, dz_gate.T @ np.concatenate([x.data[ends - 1], memories], axis=1))
+        _acc(p.match_gate_w, dz_gate.T @ np.concatenate([x.data[fusion.end - 1], memory], axis=1))
         _acc(p.match_gate_b, dz_gate.sum(axis=0))
-        np.add.at(dx, ends - 1, dz_gate @ p.match_gate_w.data[:, :x_dim])
+        np.add.at(dx, fusion.end - 1, dz_gate @ p.match_gate_w.data[:, :x_dim])
         _acc(words, dz_cell @ p.shortcut_w.data[:, : e.shape[1]])
     _acc(x, dx)
 
@@ -353,16 +351,16 @@ def encode_bidirectional(
     forward_params: DirectionParams,
     backward_params: DirectionParams,
     lattice_dropout: float = 0.0,
-    mode: str = "eval",
     rng: np.random.Generator | None = None,
-) -> tuple[Tensor, list[LatticeStep], list[LatticeStep]]:
-    """The (m, 2 * hidden) hidden states: row i is forward ++ backward state at position i."""
+) -> tuple[Tensor, Fusion, Fusion]:
+    """The (m, 2 * hidden) hidden states and each direction's :class:`Fusion`.
+
+    Row i of the states is the forward ++ backward state at position i.
+    """
     hf, fwd = lattice_forward(
-        x, matches, lexicon_table, forward_params, "forward",
-        lattice_dropout=lattice_dropout, mode=mode, rng=rng,
+        x, matches, lexicon_table, forward_params, "forward", lattice_dropout=lattice_dropout, rng=rng
     )
     hb, bwd = lattice_forward(
-        x, matches, lexicon_table, backward_params, "backward",
-        lattice_dropout=lattice_dropout, mode=mode, rng=rng,
+        x, matches, lexicon_table, backward_params, "backward", lattice_dropout=lattice_dropout, rng=rng
     )
     return concat([hf, hb]), fwd, bwd

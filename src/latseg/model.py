@@ -1,8 +1,9 @@
 """The full segmenter: embeddings + (lattice) BiLSTM encoder + CRF.
 
 A model owns every trainable tensor, the vocabularies, and (in lattice
-modes) the lexicon trie. Training drives :meth:`loss` under an active tape;
-decoding and the checkpoint probe run the same forward tape-free.
+modes) the lexicon trie. Training drives :meth:`loss` under an active tape,
+with an rng for dropout; decoding and the checkpoint probe run the same
+forward tape-free and without one.
 """
 
 from __future__ import annotations
@@ -125,17 +126,13 @@ class SegmenterModel:
             return None
         return match_sentence(self.trie, chars, max_len=self.max_word_len)
 
-    def hidden_states(
-        self,
-        chars: Sequence[str],
-        mode: str = "eval",
-        rng: np.random.Generator | None = None,
-    ):
-        """The (m, 2H) hidden states and each direction's per-position records."""
-        x = char_repr(
-            chars, self.unigram_table, self.bigram_table,
-            dropout=self.char_dropout, mode=mode, rng=rng,
-        )
+    def hidden_states(self, chars: Sequence[str], rng: np.random.Generator | None = None):
+        """The (m, 2H) hidden states and each direction's :class:`~latseg.encoder.Fusion`.
+
+        Given an ``rng``, the model's dropout draws its masks from it;
+        without one, no dropout applies.
+        """
+        x = char_repr(chars, self.unigram_table, self.bigram_table, dropout=self.char_dropout, rng=rng)
         return encode_bidirectional(
             x,
             self.match(chars),
@@ -143,22 +140,19 @@ class SegmenterModel:
             self.fwd,
             self.bwd,
             lattice_dropout=self.lattice_dropout,
-            mode=mode,
             rng=rng,
         )
 
-    def loss(
-        self,
-        sentence: LabeledSentence,
-        mode: str = "train",
-        rng: np.random.Generator | None = None,
-    ) -> Tensor:
-        """Sentence negative log-likelihood; record under an active tape to train."""
-        hs, _, _ = self.hidden_states(sentence.chars, mode=mode, rng=rng)
+    def loss(self, sentence: LabeledSentence, rng: np.random.Generator | None = None) -> Tensor:
+        """Sentence negative log-likelihood; record under an active tape to train.
+
+        Training passes its ``rng``, which turns dropout on.
+        """
+        hs, _, _ = self.hidden_states(sentence.chars, rng)
         return crf_ops.nll_loss(hs, sentence.labels, self.crf)
 
     def decode(self, chars: Sequence[str]) -> crf_ops.LabelPath:
-        hs, _, _ = self.hidden_states(chars, mode="eval")
+        hs, _, _ = self.hidden_states(chars)
         return crf_ops.viterbi(hs, self.crf)
 
     def segment(self, text: str) -> list[str]:
@@ -168,6 +162,6 @@ class SegmenterModel:
         return from_bmes(chars, self.decode(chars).labels)
 
     def emission_matrix(self, chars: Sequence[str]) -> np.ndarray:
-        """Eval-mode per-position label scores; the checkpoint probe output."""
-        hs, _, _ = self.hidden_states(chars, mode="eval")
+        """Per-position label scores without dropout; the checkpoint probe output."""
+        hs, _, _ = self.hidden_states(chars)
         return crf_ops.emissions(hs, self.crf).data

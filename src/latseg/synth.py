@@ -57,12 +57,16 @@ def make_corpus(
 def split_corpus(
     sentences: list[list[str]], dev_fraction: float = 0.1, seed: int = 303
 ) -> tuple[list[list[str]], list[list[str]]]:
-    """Shuffled train/dev split with the dev fraction held out."""
+    """Shuffled train/dev split with the dev fraction held out; neither side may be empty."""
     if not 0.0 < dev_fraction < 1.0:
         raise ConfigError(f"dev fraction must be in (0, 1), got {dev_fraction}")
+    n_dev = max(1, int(round(len(sentences) * dev_fraction)))
+    if n_dev >= len(sentences):
+        raise ConfigError(
+            f"{len(sentences)} sentences at dev fraction {dev_fraction} leave no training sentence"
+        )
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(sentences))
-    n_dev = max(1, int(round(len(sentences) * dev_fraction)))
     dev = [sentences[i] for i in order[:n_dev]]
     tr = [sentences[i] for i in order[n_dev:]]
     return tr, dev

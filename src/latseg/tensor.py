@@ -8,12 +8,14 @@ go of each closure once it has run.
 
 A sentence is one matrix per layer, so the tape holds a fixed handful of
 ops per sentence and none per character: one :func:`rows` gather per
-embedding table, their :func:`concat` and a dropout :func:`mul` for the
-character representations; per lattice direction, a gather and a mask of
-the matched lexicon rows and the direction op itself; the :func:`concat` of
-the two directions, one :func:`affine` for the emissions, and the CRF
-objective. The direction ops and the objective have hand-written backwards
-built on :func:`_out` and :func:`_acc` (in ``encoder`` and ``crf``).
+embedding table and their :func:`concat` for the character representations;
+per lattice direction, a gather of the matched lexicon rows and the
+direction op itself; when the forward is given an rng, a dropout
+:func:`mul` on the character representations and on each lexicon gather;
+the :func:`concat` of the two directions, one :func:`affine` for the
+emissions, and the CRF objective. The direction ops and the objective have
+hand-written backwards built on :func:`_out` and :func:`_acc` (in
+``encoder`` and ``crf``).
 
 Gradient buffers are lazy. A parameter owns a dense, same-shape buffer from
 the start, allocated zeroed by the allocator so that only the pages a
@@ -296,26 +298,14 @@ def rows(m: Tensor, ids: Sequence[int]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def dropout_mask(
-    shape,
-    p: float,
-    mode: str,
-    rng: np.random.Generator | None = None,
-    dtype=np.float64,
-) -> Tensor:
+def dropout_mask(shape, p: float, rng: np.random.Generator, dtype=np.float64) -> Tensor:
     """Inverted-dropout mask: entries 0 with probability p, else 1/(1-p).
 
-    Scaling at train time keeps the expectation at identity, so eval mode is
-    simply an all-ones mask.
+    Scaling while training keeps the expectation at identity, so a forward
+    without dropout (no ``rng``) applies no mask at all.
     """
     if not 0.0 <= p < 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
-    if mode not in ("train", "eval"):
-        raise ConfigError(f"dropout mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "eval" or p == 0.0:
-        return const(np.ones(shape, dtype=dtype))
-    if rng is None:
-        raise UsageError("train-mode dropout requires an explicit RNG")
     keep = (rng.random(shape) >= p).astype(dtype)
     return const(keep / (1.0 - p))
 

@@ -246,7 +246,7 @@ def train(
             sentence = train_set[si]
             tape = Tape()
             with tape:
-                loss = model.loss(sentence, mode="train", rng=rng)
+                loss = model.loss(sentence, rng=rng)
             value = loss.item()
             if not np.isfinite(value):
                 raise NumericError(f"non-finite loss at epoch {epoch}, sentence {si}")

@@ -146,7 +146,7 @@ def test_criterion_3_gradient_suite():
             gold = to_bmes(from_bmes(chars, labels))  # legal BMES layout
 
             def loss_fn():
-                return model.loss(gold, mode="eval")
+                return model.loss(gold)
 
             tape = Tape()
             with tape:
@@ -205,12 +205,11 @@ def test_criterion_5_gate_normalization():
     n_fused = 0
     for chars in sentences:
         _, fwd, bwd = model.hidden_states(chars)
-        for step in (*fwd, *bwd):
-            if step.alpha_char is None:
-                continue
-            n_fused += 1
-            total = step.alpha_char + sum(a for _, a in step.match_alphas)
-            worst = max(worst, float(np.abs(total - 1.0).max()))
+        for fusion in (fwd, bwd):
+            for i in dict.fromkeys(fusion.end.tolist()):  # each fused position once
+                n_fused += 1
+                total = fusion.alpha_char[i - 1] + sum(fusion.alpha[fusion.end == i])
+                worst = max(worst, float(np.abs(total - 1.0).max()))
     uniform_ok = True
     for k in (1, 2, 3, 5):
         alpha, rest = gate_normalize(np.full(4, 0.37), [np.full(4, 0.37) for _ in range(k)])

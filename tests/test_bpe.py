@@ -14,7 +14,7 @@ from latseg.bpe import (
     save_bpe_model,
     save_lexicon,
 )
-from latseg.errors import DataError, FormatError
+from latseg.errors import ConfigError, DataError, FormatError
 from latseg.lexicon import read_lexicon
 
 
@@ -103,7 +103,7 @@ class TestLearn:
             learn_bpe([], 3)
 
     def test_negative_budget_rejected(self):
-        with pytest.raises(DataError):
+        with pytest.raises(ConfigError):
             learn_bpe(["ab"], -1)
 
 

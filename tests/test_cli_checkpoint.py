@@ -120,6 +120,17 @@ class TestTrainCommand:
         assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize(
+        "flags",
+        [["--sentences", "0"], ["--sentences", "-5"], ["--sentences", "1"],
+         ["--sentences", "2", "--dev-fraction", "0.9"]],
+    )
+    def test_empty_synth_split_is_config_error(self, tmp_path, capsys, flags):
+        assert run(["synth", "--out-dir", tmp_path / "c", *flags]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("latseg: ") and err.count("\n") == 1 and "sentences" in err
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize(
         "entry",
         ["mode=lattice", "dtype=float17", "max_word_len=0", "stop_f1=0", "stop_f1=1.5",
          "lr0=nan", "lr0=inf", "seed=-1"],
@@ -256,6 +267,29 @@ class TestSegmentCommand:
         err = capsys.readouterr().err
         assert err.startswith("latseg: ") and "probe" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "prefix, replacement",
+        [("tensor=fwd_shortcut_w:", None), ("hidden=", None), ("hidden=", "hidden=x"),
+         ("mode=", "mode=bogus")],
+        ids=["missing-tensor", "missing-hidden", "unparsable-hidden", "unknown-mode"],
+    )
+    def test_malformed_manifest_is_checkpoint_error(
+        self, corpus_dir, trained, tmp_path, capsys, prefix, replacement
+    ):
+        ckpt = tmp_path / "model"
+        shutil.copytree(trained, ckpt)
+        if prefix.startswith("tensor="):  # the manifest must still list every tensor file
+            (ckpt / "fwd_shortcut_w.f32").unlink()
+        manifest = ckpt / "manifest.txt"
+        lines = manifest.read_text(encoding="utf-8").split("\n")
+        lines = [replacement if l.startswith(prefix) else l for l in lines]
+        manifest.write_text("\n".join(l for l in lines if l is not None), encoding="utf-8")
+        out = tmp_path / "o.txt"
+        rc = run(["segment", "--model", ckpt, "--input", corpus_dir / "dev.txt", "--output", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"latseg: {ckpt}: ") and err.count("\n") == 1
+
     def test_missing_model_is_checkpoint_error(self, corpus_dir, tmp_path):
         out = tmp_path / "o.txt"
         rc = run([
@@ -305,6 +339,14 @@ class TestBpeAndCoverage:
         rc = run(["bpe-learn", "--corpus", corpus_dir / "train.txt", "--merges", "0", "--out", out])
         assert rc == 0
         assert out.read_text(encoding="utf-8").startswith("bpe-v1 0")
+
+    def test_bpe_learn_negative_merges_is_config_error(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "model.bpe"
+        rc = run(["bpe-learn", "--corpus", corpus_dir / "train.txt", "--merges", "-1", "--out", out])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("latseg: ") and err.count("\n") == 1 and "merge" in err
+        assert not out.exists()
 
     def test_bpe_learn_writes_lexicon(self, corpus_dir, tmp_path):
         out = tmp_path / "model.bpe"

@@ -147,12 +147,13 @@ class TestLatticeForward:
     def test_empty_matches_bit_equal_to_lstm(self, rng):
         p = random_direction(5, 4, rng)
         x = const(rng.normal(size=(7, 4)))
-        out, steps = lattice_forward(x, None, None, p)
+        out, fusion = lattice_forward(x, None, None, p)
         h = c = np.zeros(5)
-        for i, (step, x_i) in enumerate(zip(steps, x.data)):
+        for i, x_i in enumerate(x.data):
             h, c, _ = lstm_step(x_i, h, c, p)
-            assert out.data[i].tobytes() == step.h.tobytes() == h.tobytes()
-            assert step.c.tobytes() == c.tobytes()
+            assert out.data[i].tobytes() == h.tobytes()
+        assert len(fusion.src) == len(fusion.end) == len(fusion.alpha) == 0
+        np.testing.assert_array_equal(fusion.alpha_char, np.ones((7, 5)))
 
     def test_alpha_weights_sum_to_one(self, rng):
         p = random_direction(4, 3, rng, word_dim=3)
@@ -161,17 +162,20 @@ class TestLatticeForward:
         ms = match_set(6, [(1, 3), (2, 3), (2, 6), (4, 6)])
         # forward fusion happens where matches end ({3, 6}); backward where
         # they start (original positions {1, 2, 4})
-        for direction, n_fused in (("forward", 2), ("backward", 3)):
-            _, steps = lattice_forward(x, ms, table, p, direction)
-            fused = [s for s in steps if s.alpha_char is not None]
-            assert len(fused) == n_fused
-            for s in fused:
-                total = s.alpha_char + sum(a for _, a in s.match_alphas)
+        for direction, fused in (("forward", {3, 6}), ("backward", {1, 2, 4})):
+            _, fusion = lattice_forward(x, ms, table, p, direction)
+            assert set(fusion.end.tolist()) == fused
+            for i in fused:
+                total = fusion.alpha_char[i - 1] + sum(fusion.alpha[fusion.end == i])
                 np.testing.assert_allclose(total, np.ones(4), atol=ALPHA_SUM_TOL)
+            for i in set(range(1, 7)) - fused:
+                np.testing.assert_array_equal(fusion.alpha_char[i - 1], np.ones(4))
         # backward shortcut sources are the matches' end characters
-        _, bwd = lattice_forward(x, ms, table, p, "backward")
-        sources = {i + 1: [b for b, _ in s.match_alphas] for i, s in enumerate(bwd) if s.match_alphas}
-        assert sources == {1: [3], 2: [3, 6], 4: [6]}
+        sources = {}
+        for src, end in zip(fusion.src.tolist(), fusion.end.tolist()):
+            sources.setdefault(end, []).append(src)
+        assert sources == {4: [6], 2: [3, 6], 1: [3]}
+        assert list(sources) == [4, 2, 1]  # walk order: the matches fused at one position are adjacent
 
     def test_locality_prefix_unchanged(self, rng):
         # perturbing a match embedding must not change hidden states before
@@ -180,12 +184,12 @@ class TestLatticeForward:
         table = random_lexicon_table(rng, 2, 3)
         x = const(rng.normal(size=(6, 3)))
         ms = match_set(6, [(2, 4)])
-        _, before = lattice_forward(x, ms, table, p)
+        before, _ = lattice_forward(x, ms, table, p)
         table.rows.data[2] += 1.5
-        _, after = lattice_forward(x, ms, table, p)
-        for j in range(3):  # positions 1..3 precede the end at 4
-            np.testing.assert_array_equal(before[j].h, after[j].h)
-        assert not np.array_equal(before[3].h, after[3].h)
+        after, _ = lattice_forward(x, ms, table, p)
+        # positions 1..3 precede the end at 4
+        np.testing.assert_array_equal(before.data[:3], after.data[:3])
+        assert not np.array_equal(before.data[3], after.data[3])
 
     def test_bad_direction(self, rng):
         p = random_direction(2, 2, rng)
@@ -222,7 +226,7 @@ class TestEncodeBidirectional:
         p_b = random_direction(5, 4, rng, name="bwd")
         hs, fwd, bwd = encode_bidirectional(const(rng.normal(size=(3, 4))), None, None, p_f, p_b)
         assert hs.data.shape == (3, 10)
-        assert len(fwd) == len(bwd) == 3
+        assert fwd.alpha_char.shape == bwd.alpha_char.shape == (3, 5)
 
     def test_palindrome_with_tied_params_mirrors(self, rng):
         p = random_direction(4, 3, rng, word_dim=3)
@@ -230,10 +234,12 @@ class TestEncodeBidirectional:
         half = [rng.normal(size=3) for _ in range(3)]
         sym = half + [rng.normal(size=3)] + half[::-1]  # length 7 palindrome
         ms = match_set(7, [(3, 5)])  # self-mirroring span
-        _, fwd, bwd = encode_bidirectional(const(np.array(sym)), ms, table, p, p)
-        m = len(sym)
-        for i in range(m):
-            np.testing.assert_array_equal(fwd[i].h, bwd[m - 1 - i].h)
+        hs, fwd, bwd = encode_bidirectional(const(np.array(sym)), ms, table, p, p)
+        np.testing.assert_array_equal(hs.data[:, :4], hs.data[::-1, 4:])
+        # the span fuses at 5 reading forward and at its mirror 3 reading backward
+        assert fwd.end.tolist() == [5] and bwd.end.tolist() == [3]
+        np.testing.assert_array_equal(fwd.alpha, bwd.alpha)
+        np.testing.assert_array_equal(fwd.alpha_char, bwd.alpha_char[::-1])
 
     def test_empty_matches_equals_baseline_encoding(self, rng):
         p_f = random_direction(4, 3, rng, word_dim=3, name="fwd")
@@ -284,12 +290,12 @@ class TestCharRepr:
     def test_eval_dropout_identity(self, rng):
         ut, bt = self._tables(rng)
         plain = char_repr("中国", ut, bt)
-        dropped = char_repr("中国", ut, bt, dropout=0.9, mode="eval")
+        dropped = char_repr("中国", ut, bt, dropout=0.9)
         np.testing.assert_array_equal(plain.data, dropped.data)
 
     def test_train_dropout_scales(self, rng):
         ut, bt = self._tables(rng)
-        x = char_repr("中国", ut, bt, dropout=0.5, mode="train", rng=rng)
+        x = char_repr("中国", ut, bt, dropout=0.5, rng=rng)
         base = char_repr("中国", ut, bt)
         kept = x.data != 0
         np.testing.assert_allclose(x.data[kept], 2.0 * base.data[kept], atol=1e-15)
@@ -321,8 +327,7 @@ class TestDirectionOp:
         def loss():
             # a fresh generator per call draws the same dropout masks each time
             h, _ = lattice_forward(
-                x, ms, table, p, direction, lattice_dropout=dropout,
-                mode="train", rng=np.random.default_rng(3),
+                x, ms, table, p, direction, lattice_dropout=dropout, rng=np.random.default_rng(3)
             )
             return weighted_sum(h, weights)
 
@@ -344,14 +349,13 @@ class TestDirectionOp:
         monkeypatch.setattr(encoder, "_acc", lambda t, g: (written.append(g.dtype), real_acc(t, g)))
         tape = Tape()
         with tape:
-            h, steps = lattice_forward(
-                x, ms, table, p, direction, lattice_dropout=0.3,
-                mode="train", rng=np.random.default_rng(1),
+            h, fusion = lattice_forward(
+                x, ms, table, p, direction, lattice_dropout=0.3, rng=np.random.default_rng(1)
             )
             loss = weighted_sum(h, np.ones(h.shape))
         backward(loss)
         assert h.data.dtype == np.float32
-        assert all(s.h.dtype == s.c.dtype == np.float32 for s in steps)
+        assert fusion.alpha.dtype == fusion.alpha_char.dtype == np.float32
         assert written and set(written) == {np.dtype(np.float32)}
         assert all(t.grad.dtype == np.float32 for t in [x, table.rows] + p.tensors())
 

@@ -260,7 +260,7 @@ class TestDeterminism:
             r = np.random.default_rng(7)
             w = param(r.normal(size=(3, 3)), "w")
             x = const(r.normal(size=(1, 3)))
-            mask = dropout_mask((1, 3), 0.5, "train", r)
+            mask = dropout_mask((1, 3), 0.5, r)
             tape = Tape()
             with tape:
                 hidden = affine(x, w, const(np.zeros(3)))
@@ -400,27 +400,15 @@ class TestRowSparseSgd:
 
 class TestDropout:
     def test_p_zero_all_ones(self, rng):
-        mask = dropout_mask((5,), 0.0, "train", rng)
-        np.testing.assert_array_equal(mask.data, np.ones(5))
-
-    def test_eval_all_ones(self, rng):
-        mask = dropout_mask((5,), 0.9, "eval", rng)
+        mask = dropout_mask((5,), 0.0, rng)
         np.testing.assert_array_equal(mask.data, np.ones(5))
 
     def test_inverted_scaling_mean_near_one(self, rng):
         # law of large numbers: inverted dropout has expectation 1
-        mask = dropout_mask((1_000_000,), 0.5, "train", rng)
+        mask = dropout_mask((1_000_000,), 0.5, rng)
         assert 0.99 <= mask.data.mean() <= 1.01
         assert set(np.unique(mask.data)) == {0.0, 2.0}
 
     def test_p_one_rejected(self, rng):
         with pytest.raises(ConfigError):
-            dropout_mask((3,), 1.0, "train", rng)
-
-    def test_train_requires_rng(self):
-        with pytest.raises(UsageError):
-            dropout_mask((3,), 0.5, "train", None)
-
-    def test_bad_mode(self, rng):
-        with pytest.raises(ConfigError):
-            dropout_mask((3,), 0.5, "predict", rng)
+            dropout_mask((3,), 1.0, rng)

@@ -1,11 +1,12 @@
 """Trainer/evaluator: metrics, schedules, determinism, coverage."""
 
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from latseg import synth
+from latseg import bpe, encoder, synth
 from latseg import train as train_module
 from latseg.data import EmbeddingTable, Vocab, build_vocabs, to_bmes, word_set
 from latseg.errors import ConfigError, DataError, NumericError, UsageError
@@ -280,6 +281,40 @@ def test_decode_on_another_thread_records_nothing():
     assert len(tape) == 0
 
 
+@pytest.mark.parametrize("mode", ["lattice-word", "lattice-subword"])
+def test_fusion_record_agrees_with_the_traced_call_counts(monkeypatch, mode):
+    # The benchmark's encoder.shortcut_cells_per_char and encoder.fused_positions_frac
+    # count calls of these two functions; the Fusion records must give the same counts.
+    vocab = synth.make_vocab(300, seed=101)
+    sents = [to_bmes(w) for w in synth.make_corpus(vocab, 20, seed=202)]
+    if mode == "lattice-word":
+        lexicon = [w for w in vocab if len(w) >= 2]
+    else:
+        merges = bpe.learn_bpe(["".join(s.chars) for s in sents], 100)
+        lexicon = [sym for sym, _ in bpe.extract_lexicon(merges)]
+    model = tiny_model(sents, np.random.default_rng(7), mode=mode, lexicon=lexicon)
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(encoder, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in ("shortcut_cell", "gate_normalize"):
+        monkeypatch.setattr(encoder, name, counted(name))
+    cells = fused = 0
+    for s in sents:
+        _, fwd, bwd = model.hidden_states(s.chars)
+        cells += len(fwd.end) + len(bwd.end)
+        fused += len(set(fwd.end.tolist())) + len(set(bwd.end.tolist()))
+        assert (calls["shortcut_cell"], calls["gate_normalize"]) == (cells, fused)
+    assert 0 < fused < cells
+
+
 def test_desk_lattice_word_records_at_most_five_ops_per_char():
     # the benchmark's training set-up: desk corpus, gold lexicon, no dropout
     vocab = synth.make_vocab(300, seed=101)
@@ -293,7 +328,7 @@ def test_desk_lattice_word_records_at_most_five_ops_per_char():
     for s in sents:
         tape = Tape()
         with tape:
-            model.loss(s, mode="train", rng=rng)
+            model.loss(s, rng=rng)
         nodes += len(tape)
         chars += len(s)
     assert nodes / chars <= 5.0, f"{nodes / chars:.2f} recorded ops per character"
@@ -314,7 +349,7 @@ def test_tape_records_a_fixed_handful_of_ops_per_sentence():
     for s in sents:
         tape = Tape()
         with tape:
-            model.loss(s, mode="train", rng=rng)
+            model.loss(s, rng=rng)
         fused = len(model.match(s.chars)) > 0
         assert len(tape) == 4 + 2 * (1 + 2 * fused) + 3
         seen.add((len(s), fused))
