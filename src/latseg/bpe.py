@@ -26,8 +26,11 @@ class BpeModel:
 
     merges: list[Pair]
     vocab: Counter  # symbol -> frequency in the final training segmentation
-    merge_count: int
     _ranks: dict[Pair, int] | None = field(default=None, repr=False)
+
+    @property
+    def merge_count(self) -> int:
+        return len(self.merges)
 
     def ranks(self) -> dict[Pair, int]:
         if self._ranks is None:
@@ -104,7 +107,7 @@ def learn_bpe(corpus: Iterable[Sequence[str]], k: int) -> BpeModel:
     vocab: Counter = Counter()
     for line in lines:
         vocab.update(line)
-    return BpeModel(merges=merges, vocab=vocab, merge_count=len(merges))
+    return BpeModel(merges=merges, vocab=vocab)
 
 
 def apply_bpe(model: BpeModel, sentence: Sequence[str]) -> list[str]:
@@ -158,7 +161,7 @@ def load_bpe_model(path) -> BpeModel:
         raise FormatError(
             f"{path}: header declares {declared} merges but file has {len(merges)}"
         )
-    return BpeModel(merges=merges, vocab=Counter(), merge_count=len(merges))
+    return BpeModel(merges=merges, vocab=Counter())
 
 
 def save_lexicon(entries: Iterable[tuple[str, int]], path) -> None:

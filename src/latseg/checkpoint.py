@@ -161,9 +161,7 @@ def _assemble(
 
     lexicon_table = trie = None
     if mode != "baseline":
-        trie, rebuilt = prepare_lexicon(lvocab.symbols()[len(RESERVED) :])
-        if rebuilt.symbols() != lvocab.symbols():
-            raise CheckpointError(f"{ckpt}: lexicon vocabulary is not trie-consistent")
+        trie, _ = prepare_lexicon(lvocab.symbols()[len(RESERVED) :])
         lexicon_table = EmbeddingTable(lvocab, arrays["lexicon_embeddings"], l_dim)
 
     fields = ["gates_w", "gates_b"]

@@ -9,16 +9,17 @@ with exp-normalized gates. The backward direction reads right to left.
 
 A sentence enters as one (m, x_dim) matrix of character representations:
 one gather per embedding table (:func:`char_repr`). Each direction over it is
-one recorded op. :func:`lattice_forward` gathers the embeddings of the
-matches it fuses in one lookup, walks the positions on plain arrays
-(:func:`lstm_step`, :func:`shortcut_cell`, :func:`gate_logit` and
-:func:`gate_normalize` per position), and records one node whose hand-written
-backward walks the positions once in reverse and takes each weight and input
-gradient as one matrix product over the sentence; it reads the direction's
-:class:`Fusion` record of per-sentence fusion weights. The two directions'
-(m, H) outputs join into the (m, 2H) hidden states. Training and decoding run
-the same forward; without an active tape nothing is recorded, and without an
-``rng`` nothing is dropped out.
+one recorded op. :func:`lattice_forward` sorts the sentence's matches once
+into its walk order, gathers their embeddings in one lookup, walks the
+positions on plain arrays (:func:`lstm_step`, :func:`shortcut_cell`,
+:func:`gate_logit` and :func:`gate_normalize` per position), and records one
+node whose hand-written backward walks the positions once in reverse and
+takes each weight and input gradient as one matrix product over the
+sentence; it reads the forward's per-position match counts and the
+direction's :class:`Fusion` record of per-sentence fusion weights. The two
+directions' (m, H) outputs join into the (m, 2H) hidden states. Training and
+decoding run the same forward; without an active tape nothing is recorded,
+and without an ``rng`` nothing is dropped out.
 """
 
 from __future__ import annotations
@@ -184,32 +185,34 @@ def lattice_forward(
     are then combined with exp-normalized gates (the candidate's gate being
     the coupled input gate 1 - f). The forward direction walks positions
     1..m and fuses matches at their end; the backward direction walks m..1
-    and fuses them at their start. Given an ``rng``, the match embeddings
-    are dropout-masked.
+    and fuses them at their start, each position's matches in order of their
+    source position. Given an ``rng``, the match embeddings are dropout-masked.
 
     Returns the op's output, the (m, hidden) hidden states in sentence order,
     and the direction's :class:`Fusion` record, which nothing on the tape reads.
     """
     m = len(x)
-    if matches is not None:
-        for mt in matches.matches:
-            if not 1 <= mt.b < mt.e <= m:
-                raise UsageError(f"match ({mt.b}, {mt.e}) out of range for {m} positions")
     forward = direction == "forward"
-    if forward:
-        positions, arriving = range(1, m + 1), matches.by_end if matches else {}
-    elif direction == "backward":
-        positions, arriving = range(m, 0, -1), matches.by_start if matches else {}
-    else:
+    src = end = ids = np.zeros(0, np.intp)  # per match in walk order
+    if matches is not None:
+        bad = (matches.b < 1) | (matches.b >= matches.e) | (matches.e > m)
+        if bad.any():
+            k = bad.argmax()
+            raise UsageError(f"match ({matches.b[k]}, {matches.e[k]}) out of range for {m} positions")
+        src, end = (matches.b, matches.e) if forward else (matches.e, matches.b)
+        order = np.lexsort((src, end if forward else -end))  # by fusion position, then source
+        src, end, ids = src[order], end[order], len(RESERVED) + matches.entry[order]
+    if not forward and direction != "backward":
         raise UsageError(f"direction must be 'forward' or 'backward', got {direction!r}")
+    positions = range(1, m + 1) if forward else range(m, 0, -1)
     back = -1 if forward else 1  # the previous position in walk order is i + back
+    n_fused = np.bincount(end, minlength=m + 2).tolist()  # matches fused per position
 
     dtype = p.gates_b.data.dtype
     # The op's other input: the embeddings of the matches it fuses, gathered in
     # walk order, so that their dropout mask draws from rng in that order.
-    ids = [len(RESERVED) + mt.entry for i in positions for mt in arriving.get(i, ())]
     words = None
-    if ids:
+    if len(ids):
         words = rows(lexicon_table.rows, ids)
         if rng is not None and lattice_dropout > 0.0:
             words = mul(words, dropout_mask(words.shape, lattice_dropout, rng, dtype))
@@ -218,25 +221,22 @@ def lattice_forward(
     hs = np.zeros((m + 2, p.hidden), dtype)
     cs = np.zeros((m + 2, p.hidden), dtype)
     gates = []  # (o, f, cand) per step, in walk order
-    # Per match in walk order: Fusion's src, end and alpha, then the shortcut
-    # memory, its (input, forget, candidate) gates and the match's control gate.
-    src, end, alpha, memory, cell_gates, gate = [], [], [], [], [], []
+    # Per match in walk order: Fusion's alpha, then the shortcut memory, its
+    # (input, forget, candidate) gates and the match's control gate.
+    alpha, memory, cell_gates, gate = [], [], [], []
     alpha_char = np.ones((m, p.hidden), dtype)
+    sources = src.tolist()
     for i in positions:
         x_i = x.data[i - 1]
         prev = i + back
-        here = arriving.get(i)
-        if not here:
+        if not n_fused[i]:
             hs[i], cs[i], g = lstm_step(x_i, hs[prev], cs[prev], p)
             gates.append(g)
             continue
         o, f, cand = _gate_stack(np.concatenate([x_i, hs[prev]]), p.gates_w.data, p.gates_b.data)
         first = len(memory)
-        for mt in here:
-            s = mt.b if forward else mt.e
+        for s in sources[first : first + n_fused[i]]:
             mem, g = shortcut_cell(words.data[len(memory)], hs[s], cs[s], p)
-            src.append(s)
-            end.append(i)
             memory.append(mem)
             cell_gates.append(g)
             gate.append(gate_logit(x_i, mem, p))
@@ -251,15 +251,19 @@ def lattice_forward(
         alpha_char[i - 1] = a_char
 
     alpha = np.array(alpha, dtype).reshape(-1, p.hidden)
-    fusion = Fusion(np.array(src, np.intp), np.array(end, np.intp), alpha, alpha_char)
+    fusion = Fusion(src, end, alpha, alpha_char)
 
     def bwd(g):
-        _direction_backward(g, x, words, p, positions, back, hs, cs, gates, fusion, memory, cell_gates, gate)
+        _direction_backward(
+            g, x, words, p, positions, back, hs, cs, gates, fusion, n_fused, sources, memory, cell_gates, gate
+        )
 
     return _out(hs[1 : m + 1], bwd), fusion
 
 
-def _direction_backward(g, x, words, p, positions, back, hs, cs, gates, fusion, memory, cell_gates, gate):
+def _direction_backward(
+    g, x, words, p, positions, back, hs, cs, gates, fusion, n_fused, src, memory, cell_gates, gate
+):
     """Backward of one :func:`lattice_forward` op, given its output gradient g (m, hidden).
 
     One reverse walk collects each state's dh/dc from the next step and from
@@ -282,8 +286,6 @@ def _direction_backward(g, x, words, p, positions, back, hs, cs, gates, fusion, 
     # plain step, c = f * c_prev + (1 - f) * cand: (dz_f, dz_cand) = dc * d_fc
     d_fc = np.array([(cs[walk + back] - cand) * f_slope, (1.0 - f) * cand_slope]).transpose(1, 0, 2)
     n_cells = len(memory)
-    n_fused = np.bincount(fusion.end, minlength=len(hs)).tolist()  # matches fused per position
-    src = fusion.src.tolist()
     if n_cells:
         ws_h = p.shortcut_w.data[:, -hidden:]
         wg_c = p.match_gate_w.data[:, x_dim:]

@@ -2,13 +2,16 @@
 
 A match is a sentence span (b, e), 1-based and inclusive, whose characters
 spell a lexicon entry. Only multi-character entries participate: single
-characters already flow through the character path of the encoder.
+characters already flow through the character path of the encoder. A
+sentence's matches are three parallel index arrays in (b, e) order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class TrieNode:
@@ -64,28 +67,15 @@ def build_trie(symbols: Iterable[str]) -> Trie:
 
 
 @dataclass(frozen=True)
-class Match:
-    b: int  # start, 1-based
-    e: int  # end, 1-based inclusive
-    entry: int
-
-
-@dataclass
 class LatticeMatchSet:
-    """Every lexicon subsequence of one sentence, indexed by end and by start position."""
+    """Every lexicon subsequence of one sentence: match k spans b[k]..e[k] and spells entry[k]."""
 
-    length: int
-    matches: list[Match] = field(default_factory=list)
-    by_end: dict[int, list[Match]] = field(default_factory=dict)
-    by_start: dict[int, list[Match]] = field(default_factory=dict)
-
-    def add(self, match: Match) -> None:
-        self.matches.append(match)
-        self.by_end.setdefault(match.e, []).append(match)
-        self.by_start.setdefault(match.b, []).append(match)
+    b: np.ndarray  # (k,) start, 1-based
+    e: np.ndarray  # (k,) end, 1-based inclusive
+    entry: np.ndarray  # (k,) trie entry id
 
     def __len__(self) -> int:
-        return len(self.matches)
+        return len(self.b)
 
 
 def match_sentence(
@@ -97,7 +87,7 @@ def match_sentence(
     optional max_len caps match length to bound lattice density.
     """
     m = len(chars)
-    out = LatticeMatchSet(length=m)
+    spans = []
     for b0 in range(m):
         node = trie.root
         limit = m if max_len is None else min(m, b0 + max_len)
@@ -106,8 +96,8 @@ def match_sentence(
             if node is None:
                 break
             if node.entry is not None:
-                out.add(Match(b=b0 + 1, e=j + 1, entry=node.entry))
-    return out
+                spans.append((b0 + 1, j + 1, node.entry))
+    return LatticeMatchSet(*np.array(spans, np.intp).reshape(-1, 3).T)
 
 
 def read_lexicon(path) -> list[str]:

@@ -43,6 +43,8 @@ def make_corpus(
     max_words: int = 14,
 ) -> list[list[str]]:
     """Sentences as word lists; word w_i drawn with weight 1/(rank+4)."""
+    if n_sentences < 1:
+        raise ConfigError(f"the number of sentences must be at least 1, got {n_sentences}")
     rng = np.random.default_rng(seed)
     weights = 1.0 / (np.arange(len(vocab)) + 4.0)
     weights /= weights.sum()

@@ -108,13 +108,6 @@ class CoverageReport:
         return self.matched_count / self.word_count if self.word_count else 0.0
 
 
-def _f1(tp: int, n_pred: int, n_gold: int) -> tuple[float, float, float]:
-    p = tp / n_pred if n_pred else 0.0
-    r = tp / n_gold if n_gold else 0.0
-    f = 2 * p * r / (p + r) if p + r > 0 else 0.0
-    return p, r, f
-
-
 def error_reduction(f1_new: float, f1_base: float) -> float:
     """Fraction of the baseline's residual error removed (negative if worse)."""
     if f1_base >= 1.0:
@@ -157,7 +150,9 @@ def evaluate_f1(
             else:
                 oov_n += 1
                 oov_tp += hit
-    p, r, f = _f1(tp, n_pred, n_gold)
+    p = tp / n_pred if n_pred else 0.0
+    r = tp / n_gold if n_gold else 0.0
+    f = 2 * p * r / (p + r) if p + r > 0 else 0.0
     return EvalReport(
         precision=p,
         recall=r,
@@ -177,18 +172,16 @@ def length_bucket_f1(
     """F1 per sentence-length bucket [k*w+1, (k+1)*w]; empty buckets omitted."""
     if bucket_width < 1:
         raise ConfigError(f"bucket width must be >= 1, got {bucket_width}")
-    counts: dict[int, list[int]] = {}
+    if len(gold) != len(predicted):
+        raise DataError(f"{len(gold)} gold sentences but {len(predicted)} predictions")
+    buckets: dict[int, tuple[list, list]] = {}
     for sent, pred_labels in zip(gold, predicted):
-        k = (len(sent) - 1) // bucket_width
-        gold_spans = label_spans(sent.labels)
-        pred_spans = set(label_spans(pred_labels))
-        acc = counts.setdefault(k, [0, 0, 0])
-        acc[0] += sum(1 for s in gold_spans if s in pred_spans)
-        acc[1] += len(pred_spans)
-        acc[2] += len(gold_spans)
+        g, p = buckets.setdefault((len(sent) - 1) // bucket_width, ([], []))
+        g.append(sent)
+        p.append(pred_labels)
     return {
-        (k * bucket_width + 1, (k + 1) * bucket_width): _f1(*acc)[2]
-        for k, acc in counts.items()
+        (k * bucket_width + 1, (k + 1) * bucket_width): evaluate_f1(g, p).f1
+        for k, (g, p) in buckets.items()
     }
 
 

@@ -279,7 +279,8 @@ def test_criterion_6_bpe_and_trie_oracles():
             for e in range(b + 1, len(chars))
             if chars[b : e + 1] in words
         }
-        got = {(m.b, m.e) for m in match_sentence(build_trie(lexicon), chars).matches}
+        ms = match_sentence(build_trie(lexicon), chars)
+        got = set(zip(ms.b.tolist(), ms.e.tolist()))
         trie_ok &= got == naive
     elapsed = time.perf_counter() - t0
     ok = bpe_ok and trie_ok

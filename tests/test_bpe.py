@@ -109,11 +109,11 @@ class TestLearn:
 
 class TestApply:
     def test_single_merge_left_to_right(self):
-        model = BpeModel(merges=[("a", "b")], vocab=Counter(), merge_count=1)
+        model = BpeModel(merges=[("a", "b")], vocab=Counter())
         assert apply_bpe(model, "aba") == ["ab", "a"]
 
     def test_empty_merges_identity(self):
-        model = BpeModel(merges=[], vocab=Counter(), merge_count=0)
+        model = BpeModel(merges=[], vocab=Counter())
         assert apply_bpe(model, "abc") == ["a", "b", "c"]
 
     def test_unseen_chars_pass_through(self):
@@ -128,7 +128,7 @@ class TestApply:
             assert apply_bpe(model, line) == expected
 
     def test_overlapping_run(self):
-        model = BpeModel(merges=[("a", "a")], vocab=Counter(), merge_count=1)
+        model = BpeModel(merges=[("a", "a")], vocab=Counter())
         assert apply_bpe(model, "aaaaa") == ["aa", "aa", "a"]
 
 
@@ -181,6 +181,15 @@ class TestModelFile:
         assert loaded.merges == model.merges
         assert loaded.merge_count == model.merge_count
         assert apply_bpe(loaded, "ababb") == apply_bpe(model, "ababb")
+
+    def test_hand_built_model_round_trips(self, tmp_path):
+        # the header count is the merge list's length; no stored count can disagree
+        model = BpeModel(merges=[("a", "b"), ("ab", "c")], vocab=Counter())
+        path = tmp_path / "model.bpe"
+        save_bpe_model(model, path)
+        assert path.read_text(encoding="utf-8").splitlines()[0] == "bpe-v1 2"
+        loaded = load_bpe_model(path)
+        assert loaded.merges == model.merges and loaded.merge_count == 2
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "model.bpe"

@@ -128,6 +128,8 @@ class TestTrainCommand:
         assert run(["synth", "--out-dir", tmp_path / "c", *flags]) == 1
         err = capsys.readouterr().err
         assert err.startswith("latseg: ") and err.count("\n") == 1 and "sentences" in err
+        if flags == ["--sentences", "-5"]:
+            assert "-5" in err  # the count the user gave
         assert not (tmp_path / "c").exists()
 
     @pytest.mark.parametrize(
@@ -284,6 +286,20 @@ class TestSegmentCommand:
         lines = manifest.read_text(encoding="utf-8").split("\n")
         lines = [replacement if l.startswith(prefix) else l for l in lines]
         manifest.write_text("\n".join(l for l in lines if l is not None), encoding="utf-8")
+        out = tmp_path / "o.txt"
+        rc = run(["segment", "--model", ckpt, "--input", corpus_dir / "dev.txt", "--output", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"latseg: {ckpt}: ") and err.count("\n") == 1
+
+    def test_lexicon_vocab_off_the_trie_is_checkpoint_error(self, corpus_dir, trained, tmp_path, capsys):
+        # a 1-char symbol never enters the trie, so the lexicon rows cannot follow it
+        ckpt = tmp_path / "model"
+        shutil.copytree(trained, ckpt)
+        vocab = ckpt / "lexicon.vocab"
+        lines = vocab.read_text(encoding="utf-8").split("\n")
+        lines[-2] = "Ω"  # the last symbol; the file ends with a newline
+        vocab.write_text("\n".join(lines), encoding="utf-8")
         out = tmp_path / "o.txt"
         rc = run(["segment", "--model", ckpt, "--input", corpus_dir / "dev.txt", "--output", out])
         assert rc == 2

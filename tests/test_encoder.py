@@ -19,7 +19,7 @@ from latseg.encoder import (
     shortcut_cell,
 )
 from latseg.errors import UsageError
-from latseg.lexicon import LatticeMatchSet, Match
+from latseg.lexicon import LatticeMatchSet
 from latseg.tensor import ALPHA_SUM_TOL, Tape, backward, const, param
 
 
@@ -41,11 +41,10 @@ def random_direction(hidden, x_dim, rng, word_dim=None, name="fwd"):
     return DirectionParams.create(x_dim, hidden, rng, word_dim=word_dim, name=name)
 
 
-def match_set(length, spans):
-    ms = LatticeMatchSet(length=length)
-    for entry, (b, e) in enumerate(spans):
-        ms.add(Match(b=b, e=e, entry=entry))
-    return ms
+def match_set(spans):
+    """Span k as match k of lexicon entry k."""
+    b, e = np.array(spans, np.intp).reshape(-1, 2).T
+    return LatticeMatchSet(b, e, np.arange(len(spans)))
 
 
 def random_lexicon_table(rng, n_entries, dim, name="lexicon_embeddings"):
@@ -113,7 +112,7 @@ class TestGateLogit:
         p = random_direction(3, 2, rng, word_dim=2)
         table = random_lexicon_table(rng, 1, 2)
         x = param(rng.normal(size=(3, 2)), "x")
-        ms = match_set(3, [(1, 3)])
+        ms = match_set([(1, 3)])
         weights = np.zeros((3, 3))
         weights[2] = rng.normal(size=3)  # the state at the match's end only
 
@@ -159,7 +158,7 @@ class TestLatticeForward:
         p = random_direction(4, 3, rng, word_dim=3)
         table = random_lexicon_table(rng, 4, 3)
         x = const(rng.normal(size=(6, 3)))
-        ms = match_set(6, [(1, 3), (2, 3), (2, 6), (4, 6)])
+        ms = match_set([(1, 3), (2, 3), (2, 6), (4, 6)])
         # forward fusion happens where matches end ({3, 6}); backward where
         # they start (original positions {1, 2, 4})
         for direction, fused in (("forward", {3, 6}), ("backward", {1, 2, 4})):
@@ -177,13 +176,34 @@ class TestLatticeForward:
         assert sources == {4: [6], 2: [3, 6], 1: [3]}
         assert list(sources) == [4, 2, 1]  # walk order: the matches fused at one position are adjacent
 
+    def test_walk_order_of_both_directions(self, rng):
+        # forward fuses at the end, matches ordered by end then start; backward
+        # fuses at the start, walking starts downwards and ordering by end
+        p = random_direction(3, 2, rng, word_dim=3)
+        table = random_lexicon_table(rng, len(SPANS), 3)
+        x = const(rng.normal(size=(6, 2)))
+        expected = {
+            "forward": ([1, 2, 3, 1, 2, 4], [3, 3, 5, 6, 6, 6]),
+            "backward": ([6, 5, 3, 6, 3, 6], [4, 3, 2, 2, 1, 1]),
+        }
+        for direction, (src, end) in expected.items():
+            records = []
+            for spans in (SPANS, SPANS[::-1]):  # the caller's order does not matter
+                entries = [SPANS.index(s) for s in spans]  # each span keeps its lexicon row
+                b, e = np.array(spans).T
+                ms = LatticeMatchSet(b, e, np.array(entries))
+                h, fusion = lattice_forward(x, ms, table, p, direction)
+                assert fusion.src.tolist() == src and fusion.end.tolist() == end
+                records.append((h.data.tobytes(), fusion.alpha.tobytes()))
+            assert records[0] == records[1]
+
     def test_locality_prefix_unchanged(self, rng):
         # perturbing a match embedding must not change hidden states before
         # the match's end position (forward direction)
         p = random_direction(4, 3, rng, word_dim=3)
         table = random_lexicon_table(rng, 2, 3)
         x = const(rng.normal(size=(6, 3)))
-        ms = match_set(6, [(2, 4)])
+        ms = match_set([(2, 4)])
         before, _ = lattice_forward(x, ms, table, p)
         table.rows.data[2] += 1.5
         after, _ = lattice_forward(x, ms, table, p)
@@ -203,13 +223,13 @@ class TestLatticeForward:
         table = random_lexicon_table(rng, 1, 3)
         x = const(rng.normal(size=(3, 2)))
         with pytest.raises(UsageError, match="out of range"):
-            lattice_forward(x, match_set(3, [(2, 5)]), table, p)
+            lattice_forward(x, match_set([(2, 5)]), table, p)
 
     def test_gradient_reaches_spanning_match_embedding(self, rng):
         p = random_direction(3, 2, rng, word_dim=3)
         table = random_lexicon_table(rng, 1, 3)
         x = const(rng.normal(size=(4, 2)))
-        ms = match_set(4, [(1, 4)])
+        ms = match_set([(1, 4)])
         weights = np.zeros((4, 3))
         weights[3] = rng.normal(size=3)  # the state at the match's end only
 
@@ -233,7 +253,7 @@ class TestEncodeBidirectional:
         table = random_lexicon_table(rng, 1, 3)
         half = [rng.normal(size=3) for _ in range(3)]
         sym = half + [rng.normal(size=3)] + half[::-1]  # length 7 palindrome
-        ms = match_set(7, [(3, 5)])  # self-mirroring span
+        ms = match_set([(3, 5)])  # self-mirroring span
         hs, fwd, bwd = encode_bidirectional(const(np.array(sym)), ms, table, p, p)
         np.testing.assert_array_equal(hs.data[:, :4], hs.data[::-1, 4:])
         # the span fuses at 5 reading forward and at its mirror 3 reading backward
@@ -246,7 +266,7 @@ class TestEncodeBidirectional:
         p_b = random_direction(4, 3, rng, word_dim=3, name="bwd")
         x = const(rng.normal(size=(5, 3)))
         hs_lattice, _, _ = encode_bidirectional(
-            x, LatticeMatchSet(length=5), random_lexicon_table(rng, 1, 3), p_f, p_b
+            x, match_set([]), random_lexicon_table(rng, 1, 3), p_f, p_b
         )
         hs_base, _, _ = encode_bidirectional(x, None, None, p_f, p_b)
         np.testing.assert_array_equal(hs_lattice.data, hs_base.data)
@@ -314,7 +334,7 @@ def direction_case(rng, dtype=np.float64, hidden=3, x_dim=2, word_dim=3):
     vocab = Vocab.from_symbols([f"w{i}" for i in range(len(SPANS))])
     table = EmbeddingTable.random(vocab, word_dim, rng, dtype=dtype, name="lexicon_embeddings")
     x = param(rng.normal(size=(6, x_dim)).astype(dtype), "x")
-    return p, table, x, match_set(6, SPANS)
+    return p, table, x, match_set(SPANS)
 
 
 class TestDirectionOp:

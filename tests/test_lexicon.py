@@ -1,5 +1,6 @@
 """Trie construction and exhaustive matching vs a brute-force substring scan."""
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +17,10 @@ def brute_force_matches(lexicon, chars):
             if "".join(chars[b : e + 1]) in words:
                 out.add((b + 1, e + 1))
     return out
+
+
+def spans(ms):
+    return set(zip(ms.b.tolist(), ms.e.tolist()))
 
 
 class TestBuildTrie:
@@ -43,7 +48,7 @@ class TestBuildTrie:
 class TestMatchSentence:
     def test_academy_example(self):
         trie = build_trie(["科学", "科学院", "学院"])
-        got = {(m.b, m.e) for m in match_sentence(trie, "中国科学院院士").matches}
+        got = spans(match_sentence(trie, "中国科学院院士"))
         assert got == {(3, 4), (3, 5), (4, 5)}
         assert got == brute_force_matches(["科学", "科学院", "学院"], "中国科学院院士")
 
@@ -53,34 +58,30 @@ class TestMatchSentence:
 
     def test_overlapping_matches_both_reported(self):
         trie = build_trie(["ab", "bc"])
-        got = {(m.b, m.e) for m in match_sentence(trie, "abc").matches}
+        got = spans(match_sentence(trie, "abc"))
         assert got == {(1, 2), (2, 3)}
 
     def test_entries_map_to_symbols(self):
         lexicon = ["ab", "abc", "bc"]
         trie = build_trie(lexicon)
         ms = match_sentence(trie, "abc")
-        for m in ms.matches:
-            assert trie.symbols[m.entry] == "abc"[m.b - 1 : m.e]
+        for b, e, entry in zip(ms.b.tolist(), ms.e.tolist(), ms.entry.tolist()):
+            assert trie.symbols[entry] == "abc"[b - 1 : e]
 
-    def test_by_end_partitions_matches(self):
+    def test_three_index_arrays_in_start_end_order(self):
         trie = build_trie(["ab", "abc", "bc", "abcd"])
         ms = match_sentence(trie, "abcdabc")
-        assert sum(len(v) for v in ms.by_end.values()) == len(ms.matches)
-        for e, group in ms.by_end.items():
-            assert all(m.e == e for m in group)
-
-    def test_by_start_partitions_matches(self):
-        trie = build_trie(["ab", "abc", "bc", "abcd"])
-        ms = match_sentence(trie, "abcdabc")
-        assert [m for group in ms.by_start.values() for m in group] == ms.matches
-        for b, group in ms.by_start.items():
-            assert all(m.b == b for m in group)
+        got = list(zip(ms.b.tolist(), ms.e.tolist()))
+        assert got == [(1, 2), (1, 3), (1, 4), (2, 3), (5, 6), (5, 7), (6, 7)]
+        assert len(ms) == len(ms.e) == len(ms.entry) == 7
+        assert ms.b.dtype == ms.e.dtype == ms.entry.dtype == np.intp
+        empty = match_sentence(trie, "dd")
+        assert len(empty) == 0 and empty.b.shape == empty.e.shape == empty.entry.shape == (0,)
 
     def test_max_len_cap(self):
         trie = build_trie(["ab", "abcd"])
         ms = match_sentence(trie, "abcd", max_len=2)
-        assert {(m.b, m.e) for m in ms.matches} == {(1, 2)}
+        assert spans(ms) == {(1, 2)}
 
     @given(
         st.text(alphabet="abc", min_size=0, max_size=64),
@@ -89,10 +90,10 @@ class TestMatchSentence:
     @settings(max_examples=300, deadline=None)
     def test_equals_brute_force_scan(self, sentence, lexicon):
         trie = build_trie(lexicon)
-        got = {(m.b, m.e) for m in match_sentence(trie, sentence).matches}
+        got = spans(match_sentence(trie, sentence))
         assert got == brute_force_matches(lexicon, sentence)
         # exhaustive and unique
-        assert len(got) == len(match_sentence(trie, sentence).matches)
+        assert len(got) == len(match_sentence(trie, sentence))
         assert all(e - b + 1 >= 2 for b, e in got)
 
 

@@ -124,6 +124,13 @@ class TestLengthBuckets:
         with pytest.raises(ConfigError):
             length_bucket_f1([], [], 0)
 
+    def test_mismatched_lengths_rejected(self):
+        gold = [to_bmes(["中国"]), to_bmes(["人民"])]
+        with pytest.raises(DataError, match="2 gold sentences but 1 predictions"):
+            length_bucket_f1(gold, [("B", "E")], 2)
+        with pytest.raises(DataError, match="prediction length 3"):
+            length_bucket_f1(gold, [("B", "E"), ("B", "M", "E")], 2)
+
 
 class TestCoverage:
     def test_empty_lexicon(self):
