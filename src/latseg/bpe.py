@@ -4,11 +4,16 @@ Pair counting is corpus-global over raw lines (no word pre-tokenization) and
 merges never cross line boundaries. A pair's frequency is its number of
 adjacent occurrences in the current segmentation; one merge performs a single
 left-to-right non-overlapping replacement pass per line.
+
+Learning is incremental: the best pair comes off a lazy max-heap, and a merge
+updates the pair counts only around its merge sites, so its cost grows with the
+occurrences it rewrites, not with the number of distinct pairs.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import heapq
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -38,32 +43,40 @@ class BpeModel:
         return self._ranks
 
 
-def _merge_pass(symbols: list[str], pair: Pair) -> list[str]:
-    """One left-to-right non-overlapping replacement of `pair` in a line."""
+def _merge_pass(symbols: list[str], pair: Pair) -> tuple[list[str], list[int]]:
+    """One left-to-right non-overlapping replacement of `pair` in a line.
+
+    Returns the new line and the old index of each merged pair's left symbol.
+    """
     left, right = pair
     out: list[str] = []
+    sites: list[int] = []
     i = 0
     n = len(symbols)
     while i < n:
         if i + 1 < n and symbols[i] == left and symbols[i + 1] == right:
             out.append(left + right)
+            sites.append(i)
             i += 2
         else:
             out.append(symbols[i])
             i += 1
-    return out
-
-
-def _line_pairs(symbols: list[str]) -> Counter:
-    return Counter(zip(symbols, symbols[1:]))
+    return out, sites
 
 
 def learn_bpe(corpus: Iterable[Sequence[str]], k: int) -> BpeModel:
     """Perform up to k greedy merges of the most frequent adjacent pair.
 
     Ties break on lexicographic (left, right) order; learning stops early
-    once the best pair occurs fewer than twice. Counting is incremental:
-    only lines containing the merged pair are rescanned.
+    once the best pair occurs fewer than twice. The best pair comes off a heap
+    keyed (-count, left, right) with lazy deletion: an entry whose count is
+    out of date is skipped, and each pair whose count a merge changed is
+    pushed again. A merge rewrites only the lines that may hold its pair. At
+    each merge site, the old pairs that touch a merged symbol lose a count and
+    the new pairs that touch the joined symbol gain one; every other pair is
+    the same before and after. So a merge costs time in proportion to the
+    occurrences it rewrites and their lines, not to the number of distinct
+    pairs.
     """
     if k < 0:
         raise ConfigError(f"merge budget must be >= 0, got {k}")
@@ -71,38 +84,54 @@ def learn_bpe(corpus: Iterable[Sequence[str]], k: int) -> BpeModel:
     if not lines:
         raise DataError("cannot learn BPE from an empty corpus")
 
-    counts: Counter = Counter()
-    where: dict[Pair, set[int]] = {}
+    counts: dict[Pair, int] = {}
+    where: defaultdict[Pair, set[int]] = defaultdict(set)  # may keep lines that lost the pair
     for li, line in enumerate(lines):
-        for pair, c in _line_pairs(line).items():
-            counts[pair] += c
-            where.setdefault(pair, set()).add(li)
+        for pair in zip(line, line[1:]):
+            counts[pair] = counts.get(pair, 0) + 1
+            where[pair].add(li)
+    heap = [(-c, pair) for pair, c in counts.items()]
+    heapq.heapify(heap)
+    changed: set[Pair] = set()  # the pairs whose count the current merge changed
+
+    def swap(lost: Pair, made: Pair, li: int) -> None:
+        """Line li holds one `lost` pair fewer and one `made` pair more."""
+        counts[lost] -= 1
+        counts[made] = counts.get(made, 0) + 1
+        where[made].add(li)
+        changed.update((lost, made))
 
     merges: list[Pair] = []
-    for _ in range(k):
-        if not counts:
+    while heap and len(merges) < k:
+        neg_count, best = heapq.heappop(heap)
+        if counts.get(best) != -neg_count:
+            continue  # stale
+        if -neg_count < 2:
             break
-        best_count = max(counts.values())
-        if best_count < 2:
-            break
-        best = min(pair for pair, c in counts.items() if c == best_count)
         merges.append(best)
 
-        for li in sorted(where.get(best, ())):
-            old = _line_pairs(lines[li])
-            lines[li] = _merge_pass(lines[li], best)
-            new = _line_pairs(lines[li])
-            for pair in old.keys() | new.keys():
-                delta = new.get(pair, 0) - old.get(pair, 0)
-                if delta:
-                    counts[pair] += delta
-                    if counts[pair] <= 0:
-                        del counts[pair]
-                if new.get(pair, 0):
-                    where.setdefault(pair, set()).add(li)
-                elif old.get(pair, 0):
-                    where[pair].discard(li)
-        where.pop(best, None)
+        changed.add(best)
+        for li in sorted(where.pop(best)):
+            old = lines[li]
+            new, sites = _merge_pass(old, best)
+            if not sites:
+                continue
+            lines[li] = new
+            counts[best] -= len(sites)
+            for t, i in enumerate(sites):
+                j = i - t  # the joined symbol's index in the new line
+                # The pair left of a site right after another is that one's right pair.
+                if i and (t == 0 or sites[t - 1] < i - 2):
+                    swap((old[i - 1], old[i]), (new[j - 1], new[j]), li)
+                if i + 2 < len(old):
+                    swap((old[i + 1], old[i + 2]), (new[j], new[j + 1]), li)
+        for pair in changed:
+            if counts[pair]:
+                heapq.heappush(heap, (-counts[pair], pair))
+            else:
+                del counts[pair]
+                where.pop(pair, None)
+        changed.clear()
 
     vocab: Counter = Counter()
     for line in lines:
@@ -123,7 +152,7 @@ def apply_bpe(model: BpeModel, sentence: Sequence[str]) -> list[str]:
         present = set(zip(symbols, symbols[1:])) & ranks.keys()
         if not present:
             break
-        symbols = _merge_pass(symbols, min(present, key=ranks.__getitem__))
+        symbols, _ = _merge_pass(symbols, min(present, key=ranks.__getitem__))
     return symbols
 
 
@@ -154,8 +183,8 @@ def load_bpe_model(path) -> BpeModel:
             if not raw:
                 continue
             parts = raw.split("\t")
-            if len(parts) != 2:
-                raise FormatError(f"{path}: line {lineno}: expected 'left<TAB>right'")
+            if len(parts) != 2 or not all(parts):
+                raise FormatError(f"{path}: line {lineno}: expected non-empty 'left<TAB>right'")
             merges.append((parts[0], parts[1]))
     if len(merges) != declared:
         raise FormatError(

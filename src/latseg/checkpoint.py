@@ -17,7 +17,7 @@ from .crf import CrfParams, N_LABELS, N_STATES
 from .data import RESERVED, EmbeddingTable, Vocab
 from .encoder import DirectionParams
 from .errors import CheckpointError, UsageError
-from .model import SegmenterModel, prepare_lexicon
+from .model import MODES, SegmenterModel, prepare_lexicon
 from .tensor import Tensor, const, param
 
 FORMAT = "latseg-ckpt-v1"
@@ -177,19 +177,24 @@ def _assemble(
     ):
         raise CheckpointError(f"{ckpt}: CRF tensor shapes do not match hidden={hidden}")
 
-    return SegmenterModel(
-        mode,
-        unigram_table,
-        bigram_table,
-        direction("fwd"),
-        direction("bwd"),
-        crf_params,
-        lexicon_table=lexicon_table,
-        trie=trie,
-        char_dropout=float(values["char_dropout"]),
-        lattice_dropout=float(values["lattice_dropout"]),
-        max_word_len=int(values.get("max_word_len", "0")) or None,
-    )
+    try:
+        return SegmenterModel(
+            mode,
+            unigram_table,
+            bigram_table,
+            direction("fwd"),
+            direction("bwd"),
+            crf_params,
+            lexicon_table=lexicon_table,
+            trie=trie,
+            char_dropout=float(values["char_dropout"]),
+            lattice_dropout=float(values["lattice_dropout"]),
+            max_word_len=int(values.get("max_word_len", "0")) or None,
+        )
+    except UsageError as exc:
+        if mode in MODES:  # then the only thing the constructor can refuse is the lexicon table
+            raise CheckpointError(f"{ckpt}: lexicon.vocab: {exc}") from None
+        raise
 
 
 def load_checkpoint(ckpt_dir) -> SegmenterModel:

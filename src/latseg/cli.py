@@ -152,7 +152,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bpe_learn(args) -> int:
-    lines = [line.replace(" ", "") for line in read_raw_sentences(args.corpus)]
+    lines = ["".join(line.split()) for line in read_raw_sentences(args.corpus)]
     lines = [line for line in lines if line]
     model = bpe_mod.learn_bpe(lines, args.merges)
     bpe_mod.save_bpe_model(model, args.out)

@@ -1,10 +1,15 @@
 """BPE: worked examples, replay invariants, equivalence with a naive reference."""
 
+import contextlib
+import io
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from latseg import cli
 from latseg.bpe import (
     BpeModel,
     apply_bpe,
@@ -15,6 +20,7 @@ from latseg.bpe import (
     save_lexicon,
 )
 from latseg.errors import ConfigError, DataError, FormatError
+from latseg.data import read_corpus
 from latseg.lexicon import read_lexicon
 
 
@@ -172,6 +178,36 @@ class TestNaiveEquivalence:
                 assert apply_bpe(model, sent) == naive_apply(merges, sent)
 
 
+# Corpora over 1-3 letters, so runs ("aaaa") and alternations ("abababa") are
+# common; lines may be empty or one character long.
+small_corpora = st.sampled_from(["a", "ab", "abc"]).flatmap(
+    lambda alphabet: st.lists(st.text(alphabet=alphabet, max_size=16), min_size=1, max_size=8)
+)
+
+
+def assert_matches_naive(corpus, k):
+    model = learn_bpe(corpus, k)
+    merges, lines = naive_learn(corpus, k)
+    assert model.merges == merges
+    vocab = Counter()
+    for line in lines:
+        vocab.update(line)
+    assert model.vocab == vocab  # extract_lexicon reads only the vocab
+
+
+class TestIncrementalLearner:
+    @given(small_corpora, st.integers(0, 40))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_from_scratch_recount(self, corpus, k):
+        assert_matches_naive(corpus, k)
+
+    def test_matches_on_synth_train_slice(self, tmp_path):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["synth", "--out-dir", str(tmp_path), "--seed", "7"]) == 0
+        lines = ["".join(s.chars) for s in read_corpus(tmp_path / "train.txt")[:300]]
+        assert_matches_naive(lines, 200)
+
+
 class TestModelFile:
     def test_round_trip(self, tmp_path):
         model = learn_bpe(["ababab", "bbab"], 3)
@@ -201,6 +237,13 @@ class TestModelFile:
         path = tmp_path / "model.bpe"
         path.write_text("bpe-v1 2\na\tb\n", encoding="utf-8")
         with pytest.raises(FormatError):
+            load_bpe_model(path)
+
+    @pytest.mark.parametrize("row", ["\tb", "a\t", "\t"])
+    def test_empty_merge_side_rejected(self, tmp_path, row):
+        path = tmp_path / "model.bpe"
+        path.write_text(f"bpe-v1 2\na\tb\n{row}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match="line 3"):
             load_bpe_model(path)
 
     def test_lexicon_file_round_trip(self, tmp_path):

@@ -6,11 +6,12 @@ import shutil
 import numpy as np
 import pytest
 
-from latseg import synth
+from latseg import bpe, synth
 from latseg.checkpoint import load_checkpoint, load_train_words, save_checkpoint
 from latseg.cli import _build_model, main
 from latseg.data import EmbeddingTable, build_vocabs, read_corpus, to_bmes, word_set
 from latseg.errors import CheckpointError
+from latseg.lexicon import read_lexicon
 from latseg.model import SegmenterModel, prepare_lexicon
 from latseg.train import TrainConfig
 
@@ -291,6 +292,7 @@ class TestSegmentCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"latseg: {ckpt}: ") and err.count("\n") == 1
+        assert "manifest" in err
 
     def test_lexicon_vocab_off_the_trie_is_checkpoint_error(self, corpus_dir, trained, tmp_path, capsys):
         # a 1-char symbol never enters the trie, so the lexicon rows cannot follow it
@@ -305,6 +307,7 @@ class TestSegmentCommand:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith(f"latseg: {ckpt}: ") and err.count("\n") == 1
+        assert "lexicon.vocab" in err and "manifest" not in err
 
     def test_missing_model_is_checkpoint_error(self, corpus_dir, tmp_path):
         out = tmp_path / "o.txt"
@@ -363,6 +366,19 @@ class TestBpeAndCoverage:
         err = capsys.readouterr().err
         assert err.startswith("latseg: ") and err.count("\n") == 1 and "merge" in err
         assert not out.exists()
+
+    def test_bpe_learn_drops_all_whitespace(self, tmp_path):
+        corpus = tmp_path / "raw.txt"
+        corpus.write_text("ab\tab\tab\nab\u3000ab ab\nab\u2028abab\n" * 3, encoding="utf-8")
+        out = tmp_path / "model.bpe"
+        lex = tmp_path / "lex.tsv"
+        rc = run(["bpe-learn", "--corpus", corpus, "--merges", "10", "--out", out, "--lexicon-out", lex])
+        assert rc == 0
+        model = bpe.learn_bpe(["ababab"] * 9, 10)
+        assert bpe.load_bpe_model(out).merges == model.merges
+        symbols = read_lexicon(lex)
+        assert symbols == [sym for sym, _ in bpe.extract_lexicon(model)]
+        assert symbols and not any(ch.isspace() for sym in symbols for ch in sym)
 
     def test_bpe_learn_writes_lexicon(self, corpus_dir, tmp_path):
         out = tmp_path / "model.bpe"
