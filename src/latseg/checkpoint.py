@@ -155,14 +155,21 @@ def _assemble(
     """The model that manifest values, vocabularies and named tensors describe."""
     mode = values["mode"]
     hidden = int(values["hidden"])
-    u_dim, b_dim, l_dim = (int(values[k]) for k in ("unigram_dim", "bigram_dim", "lexicon_dim"))
-    unigram_table = EmbeddingTable(uvocab, arrays["unigram_embeddings"], u_dim)
-    bigram_table = EmbeddingTable(bvocab, arrays["bigram_embeddings"], b_dim)
 
+    def table(name: str, vocab: Vocab) -> EmbeddingTable:
+        rows, dim = arrays[f"{name}_embeddings"], int(values[f"{name}_dim"])
+        if rows.shape != (len(vocab), dim):
+            raise CheckpointError(
+                f"{ckpt}: {name}_embeddings{TENSOR_SUFFIX} has shape {rows.shape}, but "
+                f"{name}.vocab has {len(vocab)} symbols and the manifest says {name}_dim={dim}"
+            )
+        return EmbeddingTable(vocab, rows)
+
+    unigram_table, bigram_table = table("unigram", uvocab), table("bigram", bvocab)
     lexicon_table = trie = None
     if mode != "baseline":
         trie, _ = prepare_lexicon(lvocab.symbols()[len(RESERVED) :])
-        lexicon_table = EmbeddingTable(lvocab, arrays["lexicon_embeddings"], l_dim)
+        lexicon_table = table("lexicon", lvocab)
 
     fields = ["gates_w", "gates_b"]
     if mode != "baseline":

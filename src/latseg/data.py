@@ -1,13 +1,14 @@
 """Corpus ingestion, BMES label handling, vocabularies, and embedding tables.
 
 Corpus format: UTF-8 text, one sentence per line, words separated by single
-spaces; blank lines are skipped. Characters are Unicode scalar values (no
-grapheme clustering).
+spaces (a line with any other whitespace is refused); blank lines are skipped.
+Characters are Unicode scalar values (no grapheme clustering).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -21,6 +22,7 @@ LABEL_INDEX = {lab: i for i, lab in enumerate(LABELS)}
 UNK = "<unk>"
 SENTINEL = "</s>"  # closes the final character bigram
 RESERVED = (UNK, SENTINEL)  # the first rows of every vocabulary, in this order
+_OTHER_SPACE = re.compile(r"[^\S ]")  # whitespace other than the word separator
 
 
 @dataclass
@@ -160,9 +162,12 @@ class EmbeddingTable:
     """A vocabulary plus one trainable vector per symbol."""
 
     vocab: Vocab
-    rows: Tensor
-    dim: int
+    rows: Tensor  # (len(vocab), dim)
     file_hits: int = 0  # vocab entries that received a pretrained vector
+
+    @property
+    def dim(self) -> int:
+        return self.rows.shape[1]
 
     @classmethod
     def random(
@@ -175,7 +180,7 @@ class EmbeddingTable:
     ) -> "EmbeddingTable":
         bound = math.sqrt(3.0 / dim)
         data = rng.uniform(-bound, bound, size=(len(vocab), dim)).astype(dtype)
-        return cls(vocab=vocab, rows=param(data, name), dim=dim)
+        return cls(vocab=vocab, rows=param(data, name))
 
 
 def load_embeddings(
@@ -225,9 +230,11 @@ def read_corpus(path) -> list[LabeledSentence]:
             raw = line.rstrip("\n").rstrip("\r")
             if not raw.strip():
                 continue
-            words = raw.split(" ")
             try:
-                sentences.append(to_bmes(words))
+                other = _OTHER_SPACE.search(raw)
+                if other:
+                    raise DataError(f"U+{ord(other[0]):04X} is not a single space between words")
+                sentences.append(to_bmes(raw.split(" ")))
             except DataError as exc:
                 raise DataError(f"{path}: line {lineno}: {exc}") from None
     return sentences

@@ -10,13 +10,13 @@ with exp-normalized gates. The backward direction reads right to left.
 A sentence enters as one (m, x_dim) matrix of character representations:
 one gather per embedding table (:func:`char_repr`). Each direction over it is
 one recorded op. :func:`lattice_forward` sorts the sentence's matches once
-into its walk order, gathers their embeddings in one lookup, walks the
-positions on plain arrays (:func:`lstm_step`, :func:`shortcut_cell`,
-:func:`gate_logit` and :func:`gate_normalize` per position), and records one
-node whose hand-written backward walks the positions once in reverse and
-takes each weight and input gradient as one matrix product over the
-sentence; it reads the forward's per-position match counts and the
-direction's :class:`Fusion` record of per-sentence fusion weights. The two
+into its walk order, gathers their embeddings in one lookup, and walks the
+positions on plain arrays: one gate stack per position, plus
+:func:`shortcut_cell` and :func:`gate_logit` per arriving match and
+:func:`gate_normalize` per fused position. It records one node whose
+hand-written backward walks the positions once in reverse over the forward's
+values and takes each weight and input gradient as one matrix product over
+the sentence. The two
 directions' (m, H) outputs join into the (m, 2H) hidden states. Training and
 decoding run the same forward; without an active tape nothing is recorded,
 and without an ``rng`` nothing is dropped out.
@@ -125,13 +125,6 @@ def _gate_stack(u: np.ndarray, w: np.ndarray, b: np.ndarray):
     return s[:n], s[n:], np.tanh(z[2 * n :])
 
 
-def lstm_step(x: np.ndarray, h_prev: np.ndarray, c_prev: np.ndarray, p: DirectionParams):
-    """One coupled-gate LSTM step (input gate 1 - forget gate): h, c and the gates (o, f, cand)."""
-    o, f, cand = _gate_stack(np.concatenate([x, h_prev]), p.gates_w.data, p.gates_b.data)
-    c = f * c_prev + (1.0 - f) * cand
-    return o * np.tanh(c), c, (o, f, cand)
-
-
 def shortcut_cell(e_w: np.ndarray, h_start: np.ndarray, c_start: np.ndarray, p: DirectionParams):
     """Memory cell of one matched subsequence (no output gate, no hidden) and its gates (i, f, cand)."""
     i, f, cand = _gate_stack(np.concatenate([e_w, h_start]), p.shortcut_w.data, p.shortcut_b.data)
@@ -178,15 +171,16 @@ def lattice_forward(
 ) -> tuple[Tensor, Fusion]:
     """Run one direction of the lattice LSTM over a sentence as one recorded op.
 
-    ``x`` holds the sentence's (m, x_dim) character representations.
-    Positions where no match arrives perform the plain coupled LSTM step.
-    Elsewhere each arriving match contributes a shortcut memory built from
-    the state at its other end; the candidate memory and the shortcut memories
-    are then combined with exp-normalized gates (the candidate's gate being
-    the coupled input gate 1 - f). The forward direction walks positions
-    1..m and fuses matches at their end; the backward direction walks m..1
-    and fuses them at their start, each position's matches in order of their
-    source position. Given an ``rng``, the match embeddings are dropout-masked.
+    ``x`` holds the sentence's (m, x_dim) character representations. Each
+    position takes the coupled LSTM gates (o, f, cand) and emits o * tanh(c).
+    Where no match arrives, c = f * c_prev + (1 - f) * cand. Elsewhere each
+    arriving match contributes a shortcut memory built from the state at its
+    other end, and c sums the shortcut memories, then the candidate, weighted
+    by exp-normalized gates (the candidate's gate is the coupled input gate
+    1 - f). The forward direction walks positions 1..m and fuses matches at
+    their end; the backward direction walks m..1 and fuses them at their start,
+    each position's matches in order of their source position. Given an
+    ``rng``, the match embeddings are dropout-masked.
 
     Returns the op's output, the (m, hidden) hidden states in sentence order,
     and the direction's :class:`Fusion` record, which nothing on the tape reads.
@@ -229,121 +223,107 @@ def lattice_forward(
     for i in positions:
         x_i = x.data[i - 1]
         prev = i + back
-        if not n_fused[i]:
-            hs[i], cs[i], g = lstm_step(x_i, hs[prev], cs[prev], p)
-            gates.append(g)
-            continue
         o, f, cand = _gate_stack(np.concatenate([x_i, hs[prev]]), p.gates_w.data, p.gates_b.data)
-        first = len(memory)
-        for s in sources[first : first + n_fused[i]]:
-            mem, g = shortcut_cell(words.data[len(memory)], hs[s], cs[s], p)
-            memory.append(mem)
-            cell_gates.append(g)
-            gate.append(gate_logit(x_i, mem, p))
-        a_char, alphas = gate_normalize(1.0 - f, gate[first:])
-        c = alphas[0] * memory[first]  # summed in order: matches, then candidate
-        for a, mem in zip(alphas[1:], memory[first + 1 :]):
-            c += a * mem
-        c += a_char * cand
-        hs[i], cs[i] = o * np.tanh(c), c
         gates.append((o, f, cand))
-        alpha += alphas
-        alpha_char[i - 1] = a_char
+        if not n_fused[i]:
+            c = f * cs[prev] + (1.0 - f) * cand
+        else:
+            first = len(memory)
+            for s in sources[first : first + n_fused[i]]:
+                mem, g = shortcut_cell(words.data[len(memory)], hs[s], cs[s], p)
+                memory.append(mem)
+                cell_gates.append(g)
+                gate.append(gate_logit(x_i, mem, p))
+            a_char, alphas = gate_normalize(1.0 - f, gate[first:])
+            c = alphas[0] * memory[first]  # summed in order: matches, then candidate
+            for a, mem in zip(alphas[1:], memory[first + 1 :]):
+                c += a * mem
+            c += a_char * cand
+            alpha += alphas
+            alpha_char[i - 1] = a_char
+        hs[i], cs[i] = o * np.tanh(c), c
 
     alpha = np.array(alpha, dtype).reshape(-1, p.hidden)
-    fusion = Fusion(src, end, alpha, alpha_char)
 
     def bwd(g):
-        _direction_backward(
-            g, x, words, p, positions, back, hs, cs, gates, fusion, n_fused, sources, memory, cell_gates, gate
-        )
+        # One reverse walk collects each state's dh/dc from the next step and
+        # from every shortcut leaving it, and stores each step's gate
+        # pre-activation gradients as a row; every weight and input gradient is
+        # then one matrix product over those rows. Factors that do not depend on
+        # g are computed for all steps at once before the walk.
+        hidden, w = p.hidden, p.gates_w.data
+        x_dim = w.shape[1] - hidden
+        w_h = w[:, x_dim:]
+        walk = np.asarray(positions)
+        o, f, cand = np.array(gates).transpose(1, 0, 2)  # each (steps, hidden), walk order
+        tanh_c = np.tanh(cs[walk])
+        d_o = tanh_c * o * (1.0 - o)  # dz_o = dh * d_o
+        dc_dh = o * (1.0 - tanh_c * tanh_c)  # dc = dc from later steps + dh * dc_dh
+        f_slope = f * (1.0 - f)
+        cand_slope = 1.0 - cand * cand
+        # plain step, c = f * c_prev + (1 - f) * cand: (dz_f, dz_cand) = dc * d_fc
+        d_fc = np.array([(cs[walk + back] - cand) * f_slope, (1.0 - f) * cand_slope]).transpose(1, 0, 2)
+        n_cells = len(memory)
+        if n_cells:
+            ws_h = p.shortcut_w.data[:, -hidden:]
+            wg_c = p.match_gate_w.data[:, x_dim:]
+            mems = np.array(memory)
+            gi, gf, gc = np.array(cell_gates).transpose(1, 0, 2)
+            # memory = gf * c_src + gi * gc: (dz_i, dz_f, dz_cand) = dmemory * d_cell
+            d_cell = np.array([gc * gi * (1.0 - gi), cs[src] * gf * (1.0 - gf), gi * (1.0 - gc * gc)])
+            d_cell = d_cell.transpose(1, 0, 2)
+            control = np.array(gate)
+            gate_slope = control * (1.0 - control)
 
-    return _out(hs[1 : m + 1], bwd), fusion
+        dh_all = np.zeros_like(hs)
+        dh_all[1:-1] = g
+        dc_all = np.zeros_like(cs)
+        dz = np.empty((len(walk), 3, hidden), dtype)  # walk order
+        dz_cell = np.empty((n_cells, 3, hidden), dtype)  # shortcut cells, walk order
+        dz_gate = np.empty((n_cells, hidden), dtype)  # match gates, walk order
+        stop = n_cells  # cells fused at this walk step and earlier come before this index
+        for k in range(len(walk) - 1, -1, -1):
+            i = positions[k]
+            prev = i + back
+            dh = dh_all[i]
+            dc = dc_all[i] + dh * dc_dh[k]
+            np.multiply(dh, d_o[k], out=dz[k, 0])
+            if not n_fused[i]:
+                np.multiply(dc, d_fc[k], out=dz[k, 1:])
+                dc_all[prev] += dc * f[k]
+            else:
+                start = stop - n_fused[i]
+                a = np.concatenate((alpha_char[i - 1 : i], alpha[start:stop]))
+                da = np.concatenate((cand[k : k + 1], mems[start:stop])) * dc
+                dlogit = a * (da - (da * a).sum(axis=0))  # softmax backward
+                np.multiply(-dlogit[0], f_slope[k], out=dz[k, 1])
+                np.multiply(dc * a[0], cand_slope[k], out=dz[k, 2])
+                for r, j in enumerate(range(start, stop), start=1):
+                    np.multiply(dlogit[r], gate_slope[j], out=dz_gate[j])
+                    dmemory = dc * a[r] + dz_gate[j] @ wg_c
+                    np.multiply(dmemory, d_cell[j], out=dz_cell[j])
+                    dc_all[sources[j]] += dmemory * gf[j]
+                    dh_all[sources[j]] += dz_cell[j].reshape(-1) @ ws_h
+                stop = start
+            dh_all[prev] += dz[k].reshape(-1) @ w_h
 
+        dz = dz.reshape(len(walk), -1)
+        _acc(p.gates_w, dz.T @ np.concatenate([x.data[walk - 1], hs[walk + back]], axis=1))
+        _acc(p.gates_b, dz.sum(axis=0))
+        dx = np.zeros_like(x.data)
+        dx[walk - 1] = dz @ w[:, :x_dim]
+        if n_cells:
+            dz_cell = dz_cell.reshape(n_cells, -1)
+            e = words.data
+            _acc(p.shortcut_w, dz_cell.T @ np.concatenate([e, hs[src]], axis=1))
+            _acc(p.shortcut_b, dz_cell.sum(axis=0))
+            _acc(p.match_gate_w, dz_gate.T @ np.concatenate([x.data[end - 1], mems], axis=1))
+            _acc(p.match_gate_b, dz_gate.sum(axis=0))
+            np.add.at(dx, end - 1, dz_gate @ p.match_gate_w.data[:, :x_dim])
+            _acc(words, dz_cell @ p.shortcut_w.data[:, : e.shape[1]])
+        _acc(x, dx)
 
-def _direction_backward(
-    g, x, words, p, positions, back, hs, cs, gates, fusion, n_fused, src, memory, cell_gates, gate
-):
-    """Backward of one :func:`lattice_forward` op, given its output gradient g (m, hidden).
-
-    One reverse walk collects each state's dh/dc from the next step and from
-    every shortcut leaving it, and stores each step's gate pre-activation
-    gradients as a row; every weight and input gradient is then one matrix
-    product over those rows. Factors that do not depend on the incoming
-    gradients are computed for all steps at once before the walk.
-    """
-    hidden = p.hidden
-    x_dim = p.gates_w.data.shape[1] - hidden
-    w = p.gates_w.data
-    w_h = w[:, x_dim:]
-    walk = np.asarray(positions)
-    o, f, cand = np.array(gates).transpose(1, 0, 2)  # each (steps, hidden), walk order
-    tanh_c = np.tanh(cs[walk])
-    d_o = tanh_c * o * (1.0 - o)  # dz_o = dh * d_o
-    dc_dh = o * (1.0 - tanh_c * tanh_c)  # dc = dc from later steps + dh * dc_dh
-    f_slope = f * (1.0 - f)
-    cand_slope = 1.0 - cand * cand
-    # plain step, c = f * c_prev + (1 - f) * cand: (dz_f, dz_cand) = dc * d_fc
-    d_fc = np.array([(cs[walk + back] - cand) * f_slope, (1.0 - f) * cand_slope]).transpose(1, 0, 2)
-    n_cells = len(memory)
-    if n_cells:
-        ws_h = p.shortcut_w.data[:, -hidden:]
-        wg_c = p.match_gate_w.data[:, x_dim:]
-        memory = np.array(memory)
-        gi, gf, gc = np.array(cell_gates).transpose(1, 0, 2)
-        # memory = gf * c_src + gi * gc: (dz_i, dz_f, dz_cand) = dmemory * d_cell
-        d_cell = np.array([gc * gi * (1.0 - gi), cs[fusion.src] * gf * (1.0 - gf), gi * (1.0 - gc * gc)])
-        d_cell = d_cell.transpose(1, 0, 2)
-        gate = np.array(gate)
-        gate_slope = gate * (1.0 - gate)
-
-    dh_all = np.zeros_like(hs)
-    dh_all[1:-1] = g
-    dc_all = np.zeros_like(cs)
-    dz = np.empty((len(walk), 3, hidden), hs.dtype)  # walk order
-    dz_cell = np.empty((n_cells, 3, hidden), hs.dtype)  # shortcut cells, walk order
-    dz_gate = np.empty((n_cells, hidden), hs.dtype)  # match gates, walk order
-    stop = n_cells  # cells fused at this walk step and earlier come before this index
-    for k in range(len(walk) - 1, -1, -1):
-        i = positions[k]
-        prev = i + back
-        dh = dh_all[i]
-        dc = dc_all[i] + dh * dc_dh[k]
-        np.multiply(dh, d_o[k], out=dz[k, 0])
-        if not n_fused[i]:
-            np.multiply(dc, d_fc[k], out=dz[k, 1:])
-            dc_all[prev] += dc * f[k]
-        else:
-            start = stop - n_fused[i]
-            alpha = np.concatenate((fusion.alpha_char[i - 1 : i], fusion.alpha[start:stop]))
-            dalpha = np.concatenate((cand[k : k + 1], memory[start:stop])) * dc
-            dlogit = alpha * (dalpha - (dalpha * alpha).sum(axis=0))  # softmax backward
-            np.multiply(-dlogit[0], f_slope[k], out=dz[k, 1])
-            np.multiply(dc * alpha[0], cand_slope[k], out=dz[k, 2])
-            for r, j in enumerate(range(start, stop), start=1):
-                np.multiply(dlogit[r], gate_slope[j], out=dz_gate[j])
-                dmemory = dc * alpha[r] + dz_gate[j] @ wg_c
-                np.multiply(dmemory, d_cell[j], out=dz_cell[j])
-                dc_all[src[j]] += dmemory * gf[j]
-                dh_all[src[j]] += dz_cell[j].reshape(-1) @ ws_h
-            stop = start
-        dh_all[prev] += dz[k].reshape(-1) @ w_h
-
-    dz = dz.reshape(len(walk), -1)
-    _acc(p.gates_w, dz.T @ np.concatenate([x.data[walk - 1], hs[walk + back]], axis=1))
-    _acc(p.gates_b, dz.sum(axis=0))
-    dx = np.zeros_like(x.data)
-    dx[walk - 1] = dz @ w[:, :x_dim]
-    if n_cells:
-        dz_cell = dz_cell.reshape(n_cells, -1)
-        e = words.data
-        _acc(p.shortcut_w, dz_cell.T @ np.concatenate([e, hs[fusion.src]], axis=1))
-        _acc(p.shortcut_b, dz_cell.sum(axis=0))
-        _acc(p.match_gate_w, dz_gate.T @ np.concatenate([x.data[fusion.end - 1], memory], axis=1))
-        _acc(p.match_gate_b, dz_gate.sum(axis=0))
-        np.add.at(dx, fusion.end - 1, dz_gate @ p.match_gate_w.data[:, :x_dim])
-        _acc(words, dz_cell @ p.shortcut_w.data[:, : e.shape[1]])
-    _acc(x, dx)
+    return _out(hs[1 : m + 1], bwd), Fusion(src, end, alpha, alpha_char)
 
 
 def encode_bidirectional(

@@ -33,14 +33,6 @@ class Trie:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def __contains__(self, symbol: str) -> bool:
-        node = self.root
-        for ch in symbol:
-            node = node.children.get(ch)
-            if node is None:
-                return False
-        return node.entry is not None
-
     def insert(self, symbol: str) -> int | None:
         if len(symbol) < 2:
             self.rejected_short += 1

@@ -309,6 +309,28 @@ class TestSegmentCommand:
         assert err.startswith(f"latseg: {ckpt}: ") and err.count("\n") == 1
         assert "lexicon.vocab" in err and "manifest" not in err
 
+    def test_vocab_longer_than_table_is_checkpoint_error(self, corpus_dir, trained, tmp_path, capsys):
+        # one more unigram symbol than embedding rows: refused at load, not at
+        # the first input line that holds the new symbol
+        ckpt = tmp_path / "model"
+        shutil.copytree(trained, ckpt)
+        with open(ckpt / "unigram.vocab", "a", encoding="utf-8") as fh:
+            fh.write("Ω\n")
+        manifest = ckpt / "manifest.txt"
+        lines = manifest.read_text(encoding="utf-8").split("\n")
+        for k, line in enumerate(lines):
+            key, _, size = line.partition("=")
+            if key == "unigram_vocab_size":
+                lines[k] = f"{key}={int(size) + 1}"
+        manifest.write_text("\n".join(lines), encoding="utf-8")
+        inp = tmp_path / "raw.txt"
+        inp.write_text("Ω\n", encoding="utf-8")
+        rc = run(["segment", "--model", ckpt, "--input", inp, "--output", tmp_path / "o.txt"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"latseg: {ckpt}: ") and err.count("\n") == 1
+        assert "unigram_embeddings" in err and "unigram.vocab" in err
+
     def test_missing_model_is_checkpoint_error(self, corpus_dir, tmp_path):
         out = tmp_path / "o.txt"
         rc = run([

@@ -188,6 +188,17 @@ class TestCorpusIO:
         with pytest.raises(DataError, match="line 2"):
             read_corpus(path)
 
+    @pytest.mark.parametrize(
+        "line, code", [("中国\t人", "U+0009"), ("中国\u3000人", "U+3000")], ids=["tab", "u3000"]
+    )
+    def test_other_whitespace_reports_line(self, tmp_path, line, code):
+        # only single spaces separate words; any other whitespace is refused,
+        # not read as a character of the word
+        path = tmp_path / "corpus.txt"
+        path.write_text(f"好 的\n{line}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"line 2: {code.replace('+', '[+]')}"):
+            read_corpus(path)
+
     def test_sentence_invariants(self):
         with pytest.raises(DataError):
             LabeledSentence(("a",), ("B", "E"))

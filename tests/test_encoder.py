@@ -7,7 +7,7 @@ import pytest
 
 from gradcheck import assert_grads_match, weighted_sum
 from latseg import encoder
-from latseg.data import EmbeddingTable, Vocab, build_vocabs
+from latseg.data import RESERVED, EmbeddingTable, Vocab, build_vocabs
 from latseg.encoder import (
     DirectionParams,
     char_repr,
@@ -15,7 +15,6 @@ from latseg.encoder import (
     gate_logit,
     gate_normalize,
     lattice_forward,
-    lstm_step,
     shortcut_cell,
 )
 from latseg.errors import UsageError
@@ -50,35 +49,6 @@ def match_set(spans):
 def random_lexicon_table(rng, n_entries, dim, name="lexicon_embeddings"):
     vocab = Vocab.from_symbols([f"w{i}" for i in range(n_entries)])
     return EmbeddingTable.random(vocab, dim, rng, name=name)
-
-
-class TestLstmStep:
-    def test_zero_params_halves_memory(self, rng):
-        p = zero_direction(4, 3)
-        c_prev = rng.normal(size=4)
-        h, c, _ = lstm_step(rng.normal(size=3), np.zeros(4), c_prev, p)
-        np.testing.assert_allclose(c, 0.5 * c_prev, atol=1e-15)
-        np.testing.assert_allclose(h, 0.5 * np.tanh(0.5 * c_prev), atol=1e-15)
-
-    def test_zero_memory_zero_hidden(self, rng):
-        p = zero_direction(4, 3)
-        h, c, _ = lstm_step(rng.normal(size=3), np.zeros(4), np.zeros(4), p)
-        np.testing.assert_array_equal(h, np.zeros(4))
-
-    def test_gate_coupling_exact(self, rng):
-        # c = f*c_prev + (1-f)*cand: solving for the two gate weights from
-        # the outputs must give coefficients summing to exactly 1
-        p = random_direction(3, 2, rng)
-        x = rng.normal(size=2)
-        c_a = rng.normal(size=3)
-        c_b = rng.normal(size=3)
-        _, c1, _ = lstm_step(x, np.zeros(3), c_a, p)
-        _, c2, _ = lstm_step(x, np.zeros(3), c_b, p)
-        f = (c1 - c2) / (c_a - c_b)
-        # with zero previous memory, c0 = (1 - f) * cand exactly
-        _, c0, _ = lstm_step(x, np.zeros(3), np.zeros(3), p)
-        np.testing.assert_allclose(c1, f * c_a + c0, atol=1e-12)
-        assert np.all((f > 0) & (f < 1))
 
 
 class TestShortcutCell:
@@ -143,16 +113,20 @@ class TestGateNormalize:
 
 
 class TestLatticeForward:
-    def test_empty_matches_bit_equal_to_lstm(self, rng):
-        p = random_direction(5, 4, rng)
-        x = const(rng.normal(size=(7, 4)))
-        out, fusion = lattice_forward(x, None, None, p)
-        h = c = np.zeros(5)
-        for i, x_i in enumerate(x.data):
-            h, c, _ = lstm_step(x_i, h, c, p)
-            assert out.data[i].tobytes() == h.tobytes()
-        assert len(fusion.src) == len(fusion.end) == len(fusion.alpha) == 0
-        np.testing.assert_array_equal(fusion.alpha_char, np.ones((7, 5)))
+    def test_zero_params_zero_hidden(self, rng):
+        p = zero_direction(4, 3)
+        out, _ = lattice_forward(const(rng.normal(size=(5, 3))), None, None, p)
+        np.testing.assert_array_equal(out.data, np.zeros((5, 4)))
+
+    def test_candidate_bias_only_halves_memory(self, rng):
+        # zero weights: o = f = 1/2 and the input gate 1 - f = 1/2, so
+        # c_i = c_{i-1} / 2 + tanh(b) / 2 = tanh(b) (1 - 2^-i) and h_i = tanh(c_i) / 2
+        p = zero_direction(4, 3)
+        cand_bias = rng.normal(size=4)
+        p.gates_b.data[8:] = cand_bias
+        out, _ = lattice_forward(const(rng.normal(size=(5, 3))), None, None, p)
+        c = np.tanh(cand_bias) * (1.0 - 0.5 ** np.arange(1, 6))[:, None]
+        np.testing.assert_allclose(out.data, 0.5 * np.tanh(c), atol=1e-15)
 
     def test_alpha_weights_sum_to_one(self, rng):
         p = random_direction(4, 3, rng, word_dim=3)
@@ -390,3 +364,82 @@ class TestDirectionOp:
             return weighted_sum(hs, weights)
 
         assert_grads_match(loss, [x, table.rows] + p_f.tensors() + p_b.tensors())
+
+
+def sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def reference_walk(x, spans, lexicon_rows, p, direction):
+    """One direction of the lattice LSTM written from its equations, position by position.
+
+    Span k = (b, e) spells lexicon row len(RESERVED) + k. Returns the hidden
+    states in sentence order and the fusion record: each match's source and
+    fusion position and weight in walk order, and the candidate's weight per
+    position.
+    """
+    m, n = len(x), p.hidden
+    forward = direction == "forward"
+
+    def three_gates(w, b, u):  # the stacked thirds of w [u] + b
+        z = w @ u + b
+        return sigmoid(z[:n]), sigmoid(z[n : 2 * n]), np.tanh(z[2 * n :])
+
+    # (fusion position, source, k) per match: a match is fused at its end reading
+    # forward and at its start reading backward, from the state at its other end
+    fusions = sorted(((e, b) if forward else (b, e)) + (k,) for k, (b, e) in enumerate(spans))
+    zero = np.zeros(n, x.dtype)
+    h, c = {0: zero, m + 1: zero}, {0: zero, m + 1: zero}
+    src, end, alpha, alpha_char = [], [], [], np.ones((m, n), x.dtype)
+    for i in range(1, m + 1) if forward else range(m, 0, -1):
+        prev = i - 1 if forward else i + 1
+        # coupled LSTM gates over [x_i; h_prev]: output, forget, candidate
+        o, f, cand = three_gates(p.gates_w.data, p.gates_b.data, np.concatenate([x[i - 1], h[prev]]))
+        arriving = [(s, k) for at, s, k in fusions if at == i]  # in order of their source
+        if not arriving:
+            c[i] = f * c[prev] + (1.0 - f) * cand  # input gate 1 - f
+        else:
+            memories, logits = [], [1.0 - f]
+            for s, k in arriving:
+                # shortcut cell over [e_w; h_s]: input, forget, candidate; no output gate
+                e_w = lexicon_rows[len(RESERVED) + k]
+                u = np.concatenate([e_w, h[s]])
+                gi, gf, gc = three_gates(p.shortcut_w.data, p.shortcut_b.data, u)
+                memories.append(gf * c[s] + gi * gc)
+                # control gate over [x_i; c_w]
+                u = np.concatenate([x[i - 1], memories[-1]])
+                logits.append(sigmoid(p.match_gate_w.data @ u + p.match_gate_b.data))
+                src.append(s)
+                end.append(i)
+            z = np.array(logits)
+            ez = np.exp(z - z.max(axis=0))
+            a = ez / ez.sum(axis=0)  # a[0] for the candidate, then one per match
+            c[i] = a[1] * memories[0]
+            for a_w, memory in zip(a[2:], memories[1:]):
+                c[i] = c[i] + a_w * memory
+            c[i] = c[i] + a[0] * cand  # the matches first, then the candidate
+            alpha += list(a[1:])
+            alpha_char[i - 1] = a[0]
+        h[i] = o * np.tanh(c[i])
+    hidden = np.array([h[i] for i in range(1, m + 1)])
+    return hidden, src, end, np.array(alpha, x.dtype).reshape(-1, n), alpha_char
+
+
+class TestReferenceWalk:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("lattice", ["none", "empty", "overlapping"])
+    def test_bit_equal_to_reference(self, rng, dtype, direction, lattice):
+        p, table, x, ms = direction_case(rng, dtype=dtype)
+        spans = SPANS if lattice == "overlapping" else []
+        ms = {"none": None, "empty": match_set([]), "overlapping": ms}[lattice]
+        h, fusion = lattice_forward(x, ms, table, p, direction)
+        ref_h, src, end, alpha, alpha_char = reference_walk(x.data, spans, table.rows.data, p, direction)
+        assert h.data.dtype == ref_h.dtype == dtype
+        assert h.data.tobytes() == ref_h.tobytes()
+        assert fusion.src.tolist() == src and fusion.end.tolist() == end
+        assert fusion.alpha.dtype == fusion.alpha_char.dtype == dtype
+        assert fusion.alpha.tobytes() == alpha.tobytes()
+        assert fusion.alpha_char.tobytes() == alpha_char.tobytes()
+        if not spans:  # nothing fused: the plain coupled LSTM at every position
+            assert len(fusion.alpha) == 0 and (fusion.alpha_char == 1).all()

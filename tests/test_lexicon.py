@@ -27,8 +27,8 @@ class TestBuildTrie:
     def test_shared_prefixes(self):
         trie = build_trie(["科学", "科学院", "学院"])
         assert len(trie) == 3
-        assert "科学" in trie and "科学院" in trie and "学院" in trie
-        assert "科" not in trie
+        assert trie.symbols == ["科学", "科学院", "学院"]
+        assert trie.root.children["科"].entry is None  # a shared prefix is no entry
 
     def test_empty_lexicon(self):
         trie = build_trie([])
