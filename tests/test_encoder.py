@@ -51,6 +51,43 @@ def random_lexicon_table(rng, n_entries, dim, name="lexicon_embeddings"):
     return EmbeddingTable.random(vocab, dim, rng, name=name)
 
 
+def sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+def lstm_step(x, h_prev, c_prev, p):
+    """The coupled LSTM step from its equations: output, forget and candidate over [x; h_prev], input gate 1 - f."""
+    n = p.hidden
+    z = p.gates_w.data @ np.concatenate([x, h_prev]) + p.gates_b.data
+    o, f, cand = sigmoid(z[:n]), sigmoid(z[n : 2 * n]), np.tanh(z[2 * n :])
+    c = f * c_prev + (1.0 - f) * cand
+    return o * np.tanh(c), c
+
+
+class TestLstmStep:
+    def test_gate_coupling_exact(self, rng):
+        # c = f*c_prev + (1-f)*cand, seen through lattice_forward: with the
+        # hidden-state columns zeroed the gates of a character depend on it
+        # alone, and with the output gate pinned to 1, c = arctanh(h). Two
+        # sentences that differ only in their first character then share f
+        # and cand at the second, so f = (c1 - c2) / (c_a - c_b), and the
+        # one-character sentence gives (1 - f) * cand from zero memory
+        p = random_direction(3, 2, rng)
+        p.gates_w.data[:, 2:] = 0.0
+        p.gates_b.data[:3] = 40.0  # sigmoid(40) rounds to 1 in float64
+        x, x_a, x_b = rng.normal(size=(3, 2))
+
+        def memories(*chars):
+            h, _ = lattice_forward(const(np.array(chars)), None, None, p)
+            return np.arctanh(h.data)
+
+        (c_a, c1), (c_b, c2) = memories(x_a, x), memories(x_b, x)
+        (c0,) = memories(x)
+        f = (c1 - c2) / (c_a - c_b)
+        np.testing.assert_allclose(c1, f * c_a + c0, atol=1e-12)
+        assert np.all((f > 0) & (f < 1))
+
+
 class TestShortcutCell:
     def test_zero_params_halves_start_memory(self, rng):
         p = zero_direction(4, 3, word_dim=2)
@@ -113,6 +150,17 @@ class TestGateNormalize:
 
 
 class TestLatticeForward:
+    def test_empty_matches_bit_equal_to_lstm(self, rng):
+        p = random_direction(5, 4, rng)
+        x = const(rng.normal(size=(7, 4)))
+        out, fusion = lattice_forward(x, None, None, p)
+        h = c = np.zeros(5)
+        for i, x_i in enumerate(x.data):
+            h, c = lstm_step(x_i, h, c, p)
+            assert out.data[i].tobytes() == h.tobytes()
+        assert len(fusion.src) == len(fusion.end) == len(fusion.alpha) == 0
+        np.testing.assert_array_equal(fusion.alpha_char, np.ones((7, 5)))
+
     def test_zero_params_zero_hidden(self, rng):
         p = zero_direction(4, 3)
         out, _ = lattice_forward(const(rng.normal(size=(5, 3))), None, None, p)
@@ -364,10 +412,6 @@ class TestDirectionOp:
             return weighted_sum(hs, weights)
 
         assert_grads_match(loss, [x, table.rows] + p_f.tensors() + p_b.tensors())
-
-
-def sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
 
 
 def reference_walk(x, spans, lexicon_rows, p, direction):
