@@ -93,10 +93,27 @@ def _probe_hex(model: SegmenterModel, chars: str) -> str:
     return model.emission_matrix(tuple(chars)).astype("<f4").tobytes().hex()
 
 
+def check_out_dir(model: SegmenterModel, out_dir) -> None:
+    """Refuse an ``out_dir`` that a checkpoint of ``model`` could not be saved into.
+
+    Its nearest existing path must be a directory, holding no tensor file this
+    model does not have: a load requires the manifest to list every one.
+    """
+    out = Path(out_dir)
+    nearest = next(d for d in (out, *out.parents) if d.exists())
+    if not nearest.is_dir():
+        raise CheckpointError(f"{nearest}: not a directory")
+    names = {f"{p.name}{TENSOR_SUFFIX}" for p in model.parameters()}
+    stale = sorted(f.name for f in out.glob(f"*{TENSOR_SUFFIX}") if f.name not in names)
+    if stale:
+        raise CheckpointError(f"{out}: holds tensor files this model does not have: {stale}")
+
+
 def save_checkpoint(model: SegmenterModel, out_dir, probe_chars: str) -> None:
     """Write vocabularies, tensors, and a manifest with a verification probe."""
     if not probe_chars:
         raise UsageError("checkpoint probe sentence must be non-empty")
+    check_out_dir(model, out_dir)
     out = Path(out_dir)
     dtype_name = np.dtype(model.unigram_table.rows.data.dtype).name
     lines = _manifest_lines(model, dtype_name)
@@ -114,11 +131,6 @@ def save_checkpoint(model: SegmenterModel, out_dir, probe_chars: str) -> None:
     lines.append(f"probe_chars={probe_chars}")
     lines.append(f"probe_emissions={_probe_hex(stored, probe_chars)}")
 
-    # Load requires the manifest to list every tensor file in the directory.
-    names = {f"{p.name}{TENSOR_SUFFIX}" for p in model.parameters()}
-    stale = sorted(f.name for f in out.glob(f"*{TENSOR_SUFFIX}") if f.name not in names)
-    if stale:
-        raise CheckpointError(f"{out}: holds tensor files this model does not have: {stale}")
     out.mkdir(parents=True, exist_ok=True)
     _write_vocab(out / "unigram.vocab", model.unigram_table.vocab)
     _write_vocab(out / "bigram.vocab", model.bigram_table.vocab)

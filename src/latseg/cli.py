@@ -14,7 +14,7 @@ import numpy as np
 
 from . import bpe as bpe_mod
 from . import synth
-from .checkpoint import load_checkpoint, load_train_words, save_checkpoint, save_train_words
+from .checkpoint import check_out_dir, load_checkpoint, load_train_words, save_checkpoint, save_train_words
 from .data import (
     EmbeddingTable,
     build_vocabs,
@@ -119,6 +119,7 @@ def cmd_train(args) -> int:
 
     rng = np.random.default_rng(config.seed)
     model = _build_model(config, train_sentences, args.lexicon, emb_paths, rng)
+    check_out_dir(model, args.out)  # before training, not after it
     training_words = word_set(train_sentences)
     result = train(config, train_sentences, dev_sentences, model, training_words, log=print)
 

@@ -7,12 +7,12 @@ masked to a large negative constant, which plays the role of -inf while
 keeping the arithmetic finite. All partition sums run in log space with the
 max-shift trick.
 
-Every function here takes a sentence's hidden states as one (m, 2H) tensor.
-The emissions are one recorded :func:`~latseg.tensor.affine` of it. Path
-score, log-partition and loss are one recorded op each, :func:`_objective`:
-its forward is the alpha recursion plus the gold path's terms, and its
-backward gives the gradient as marginals minus gold indicators, from the
-forward-backward recursions.
+Every function here takes a sentence's hidden states as one (m, 2H) tensor;
+:func:`emissions` maps them to a plain (m, 4) array. Path score,
+log-partition and loss are one recorded op each, :func:`_objective`: its
+forward is the emissions, the alpha recursion and the gold path's terms; its
+backward takes the emission gradient as marginals minus gold indicators, from
+the forward-backward recursions, on to the hidden states and emission weights.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .data import LABELS, LABEL_INDEX
 from .errors import ShapeError, UsageError
-from .tensor import Tensor, _acc, _out, affine, const, param
+from .tensor import Tensor, _acc, _out, param
 
 N_LABELS = len(LABELS)  # B, M, E, S
 START = 4
@@ -64,9 +64,9 @@ class CrfParams:
     def tensors(self) -> list[Tensor]:
         return [self.emit_w, self.emit_b, self.transitions]
 
-    def masked_transitions(self) -> Tensor:
+    def masked_transitions(self) -> np.ndarray:
         """Transition table with forbidden boundary entries pushed to -inf."""
-        return const(self.transitions.data + _transition_mask(self.transitions.data.dtype))
+        return self.transitions.data + _transition_mask(self.transitions.data.dtype)
 
 
 @dataclass
@@ -82,9 +82,10 @@ def _label_indices(labels: Sequence) -> list[int]:
     return [lab if isinstance(lab, int) else LABEL_INDEX[lab] for lab in labels]
 
 
-def emissions(hs: Tensor, p: CrfParams) -> Tensor:
-    """Per-position 4-way label scores of the (m, 2H) hidden states as one (m, 4) tensor."""
-    return affine(hs, p.emit_w, p.emit_b)
+def emissions(hs: Tensor, p: CrfParams) -> np.ndarray:
+    """The (m, 4) label scores; row i has the bits of ``emit_w @ h_i + emit_b`` whatever m is."""
+    w, b = p.emit_w.data, p.emit_b.data
+    return np.array([w @ h + b for h in hs.data])
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -106,9 +107,8 @@ def _objective(
         raise UsageError("CRF over an empty sequence")
     if labels is not None and len(labels) != m:
         raise ShapeError(f"{m} hidden states but {len(labels)} labels")
-    emits = emissions(hs, p)
-    e = emits.data
-    trans = p.masked_transitions().data
+    e = emissions(hs, p)
+    trans = p.masked_transitions()
     inner = trans[:N_LABELS, :N_LABELS]
 
     value = 0.0
@@ -144,7 +144,10 @@ def _objective(
             d_emit[np.arange(m), idx] += path_weight
             for a, b in moves:
                 d_trans[a, b] += path_weight
-        _acc(emits, g * d_emit)
+        d_emit = g * d_emit
+        _acc(p.emit_w, d_emit.T @ hs.data)
+        _acc(hs, d_emit @ p.emit_w.data)
+        _acc(p.emit_b, d_emit.sum(axis=0))
         _acc(p.transitions, g * d_trans)
 
     return _out(np.asarray(value, dtype=e.dtype), bwd)
@@ -169,8 +172,8 @@ def viterbi(hs: Tensor, p: CrfParams) -> LabelPath:
     """Highest-scoring label sequence; ties resolve to the smallest label index."""
     if len(hs) == 0:
         raise UsageError("viterbi of an empty sequence")
-    emit = emissions(hs, p).data
-    trans = p.masked_transitions().data
+    emit = emissions(hs, p)
+    trans = p.masked_transitions()
     inner = trans[:N_LABELS, :N_LABELS]
 
     m = emit.shape[0]

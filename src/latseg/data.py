@@ -195,7 +195,8 @@ def load_embeddings(
 
     Tokens present in the file get the file vector; everything else keeps a
     random row in [-sqrt(3/d), sqrt(3/d)]. A leading count/dim header line is
-    tolerated. Rows with the wrong dimension raise FormatError naming the row.
+    tolerated. A row with the wrong dimension, or a vocabulary token's row with
+    a value that is not finite, raises FormatError naming the row.
     """
     table = EmbeddingTable.random(vocab, dim, rng, dtype=dtype, name=name)
     hits = 0
@@ -216,6 +217,8 @@ def load_embeddings(
                     vec = np.array([float(v) for v in parts[1:]], dtype=dtype)
                 except ValueError as exc:
                     raise FormatError(f"{path}: row {lineno}: {exc}") from None
+                if not np.isfinite(vec).all():
+                    raise FormatError(f"{path}: row {lineno}: {token} has a value that is not finite")
                 table.rows.data[vocab.index(token)] = vec
                 hits += 1
     table.file_hits = hits

@@ -33,7 +33,8 @@ import numpy as np
 from .data import RESERVED, EmbeddingTable, bigrams_of
 from .errors import UsageError
 from .lexicon import LatticeMatchSet
-from .tensor import Tensor, _acc, _out, concat, dropout_mask, logistic, mul, param, rows
+from .tensor import Tensor, _acc, _out, concat, logistic, param, rows
+from .tensor import dropout as _dropout  # char_repr's ``dropout`` keyword shadows the name
 
 
 def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype):
@@ -112,9 +113,7 @@ def char_repr(
             rows(bigram_table.rows, [bvocab.index(bg) for bg in bigrams_of(chars)]),
         ]
     )
-    if rng is not None and dropout > 0.0:
-        x = mul(x, dropout_mask(x.shape, dropout, rng, x.data.dtype))
-    return x
+    return _dropout(x, dropout, rng)
 
 
 def _gate_stack(u: np.ndarray, w: np.ndarray, b: np.ndarray):
@@ -207,9 +206,7 @@ def lattice_forward(
     # walk order, so that their dropout mask draws from rng in that order.
     words = None
     if len(ids):
-        words = rows(lexicon_table.rows, ids)
-        if rng is not None and lattice_dropout > 0.0:
-            words = mul(words, dropout_mask(words.shape, lattice_dropout, rng, dtype))
+        words = _dropout(rows(lexicon_table.rows, ids), lattice_dropout, rng)
 
     # hs[i], cs[i]: the state after position i; rows 0 and m + 1 are the initial states.
     hs = np.zeros((m + 2, p.hidden), dtype)

@@ -164,4 +164,4 @@ class SegmenterModel:
     def emission_matrix(self, chars: Sequence[str]) -> np.ndarray:
         """Per-position label scores without dropout; the checkpoint probe output."""
         hs, _, _ = self.hidden_states(chars)
-        return crf_ops.emissions(hs, self.crf).data
+        return crf_ops.emissions(hs, self.crf)

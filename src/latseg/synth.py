@@ -19,6 +19,10 @@ def make_vocab(n_words: int = 300, seed: int = 101, alphabet: str = ALPHABET) ->
     """n_words distinct words with CWS-like length statistics."""
     if n_words < 1:
         raise ConfigError(f"need at least one word, got {n_words}")
+    letters = len(set(alphabet))
+    limit = sum(letters**k for k in WORD_LENGTH_WEIGHTS)  # the distinct words of every length
+    if n_words > limit:
+        raise ConfigError(f"{n_words} distinct words asked for, but {letters} letters make only {limit}")
     rng = np.random.default_rng(seed)
     lengths = np.array(sorted(WORD_LENGTH_WEIGHTS))
     probs = np.array([WORD_LENGTH_WEIGHTS[k] for k in lengths], dtype=float)

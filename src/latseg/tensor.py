@@ -10,12 +10,12 @@ A sentence is one matrix per layer, so the tape holds a fixed handful of
 ops per sentence and none per character: one :func:`rows` gather per
 embedding table and their :func:`concat` for the character representations;
 per lattice direction, a gather of the matched lexicon rows and the
-direction op itself; when the forward is given an rng, a dropout
-:func:`mul` on the character representations and on each lexicon gather;
-the :func:`concat` of the two directions, one :func:`affine` for the
-emissions, and the CRF objective. The direction ops and the objective have
-hand-written backwards built on :func:`_out` and :func:`_acc` (in
-``encoder`` and ``crf``).
+direction op itself; when the forward is given an rng, a :func:`dropout` of
+the character representations and of each lexicon gather; the
+:func:`concat` of the two directions; and the CRF objective, which computes
+the emissions itself. The direction ops and the objective have hand-written
+backwards built on :func:`_out` and :func:`_acc` (in ``encoder`` and
+``crf``).
 
 Gradient buffers are lazy. A parameter owns a dense, same-shape buffer from
 the start, allocated zeroed by the allocator so that only the pages a
@@ -39,7 +39,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError, UsageError
+from .errors import ConfigError, NumericError, UsageError
 
 # Single home for the numeric tolerances used across the test suites.
 GRAD_REL_TOL = 1e-4  # analytic vs central finite differences, float64
@@ -160,11 +160,6 @@ def _out(data, bwd) -> Tensor:
     return t
 
 
-def _wants(t: Tensor) -> bool:
-    """Whether backward writes into t: a parameter or a recorded intermediate."""
-    return t.grad is not None or t.tape is not None
-
-
 def _acc(t: Tensor, g) -> None:
     """Add g into t.grad: every backward write but :func:`rows`.
 
@@ -178,30 +173,6 @@ def _acc(t: Tensor, g) -> None:
         return
     t.grad_rows = None
     t.grad += g
-
-
-def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(
-            f"{op}: shape mismatch {a.name or 'lhs'}{a.data.shape} vs {b.name or 'rhs'}{b.data.shape}"
-        )
-
-
-# ---------------------------------------------------------------------------
-# elementwise primitives
-# ---------------------------------------------------------------------------
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "mul")
-
-    def bwd(g):
-        if _wants(a):
-            _acc(a, g * b.data)
-        if _wants(b):
-            _acc(b, g * a.data)
-
-    return _out(a.data * b.data, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -226,35 +197,8 @@ def logistic(a: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# linear algebra and shape manipulation
+# shape manipulation
 # ---------------------------------------------------------------------------
-
-
-def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """out[i] = w @ x[i] + b with w of shape (k, n), b of shape (k,) and x of shape (m, n).
-
-    Each row is its own matrix-vector product, so it has the bits of that
-    product whatever m is; backward takes each gradient as one matrix product.
-    """
-    if w.data.ndim != 2 or x.data.ndim != 2 or b.data.ndim != 1:
-        raise ShapeError(
-            f"affine expects 2-D weight, 2-D input and 1-D bias: "
-            f"{w.name or 'w'}{w.data.shape}, {x.name or 'x'}{x.data.shape}, {b.name or 'b'}{b.data.shape}"
-        )
-    if w.data.shape[1] != x.data.shape[1] or w.data.shape[0] != b.data.shape[0]:
-        raise ShapeError(
-            f"affine: {w.name or 'w'}{w.data.shape} does not conform with "
-            f"{x.name or 'x'}{x.data.shape} and {b.name or 'b'}{b.data.shape}"
-        )
-
-    def bwd(g):
-        if _wants(w):
-            _acc(w, g.T @ x.data)
-        if _wants(x):
-            _acc(x, g @ w.data)
-        _acc(b, g.sum(axis=0))
-
-    return _out(np.array([w.data @ xi + b.data for xi in x.data]), bwd)
 
 
 def concat(parts: Sequence[Tensor]) -> Tensor:
@@ -298,16 +242,23 @@ def rows(m: Tensor, ids: Sequence[int]) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def dropout_mask(shape, p: float, rng: np.random.Generator, dtype=np.float64) -> Tensor:
-    """Inverted-dropout mask: entries 0 with probability p, else 1/(1-p).
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout: each entry zeroed with probability p, else scaled by 1/(1-p).
 
-    Scaling while training keeps the expectation at identity, so a forward
-    without dropout (no ``rng``) applies no mask at all.
+    The mask is one ``rng.random`` draw of x's shape. Without an ``rng`` or with
+    p <= 0 it returns ``x`` itself, unrecorded: the scaling keeps the
+    expectation, so a forward without dropout needs no mask.
     """
-    if not 0.0 <= p < 1.0:
+    if rng is None or not p > 0.0:
+        return x
+    if p >= 1.0:
         raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
-    keep = (rng.random(shape) >= p).astype(dtype)
-    return const(keep / (1.0 - p))
+    mask = (rng.random(x.shape) >= p).astype(x.data.dtype) / (1.0 - p)
+
+    def bwd(g):
+        _acc(x, g * mask)
+
+    return _out(x.data * mask, bwd)
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:

@@ -10,7 +10,7 @@ from latseg import bpe, synth
 from latseg.checkpoint import load_checkpoint, load_train_words, save_checkpoint
 from latseg.cli import _build_model, main
 from latseg.data import EmbeddingTable, build_vocabs, read_corpus, to_bmes, word_set
-from latseg.errors import CheckpointError
+from latseg.errors import CheckpointError, ConfigError
 from latseg.lexicon import read_lexicon
 from latseg.model import SegmenterModel, prepare_lexicon
 from latseg.train import TrainConfig
@@ -92,6 +92,20 @@ class TestTrainCommand:
         table = model.unigram_table
         np.testing.assert_array_equal(table.rows.data[table.vocab.index(char)], np.full(6, 0.25))
 
+    @pytest.mark.parametrize("value", ["nan", "-inf", "1e999"])
+    def test_non_finite_embedding_is_format_error(self, corpus_dir, tmp_path, capsys, value):
+        # a lexicon row that no training sentence looks up would keep the value for good
+        (tmp_path / "lex.txt").write_text("天地\n", encoding="utf-8")
+        emb = tmp_path / "lex.vec"  # row 1 is no lexicon entry's, so it is never parsed
+        emb.write_text("zz nan 2 3 4 5 6\n天地 1 2 " + value + " 4 5 6\n", encoding="utf-8")
+        rc = run(["train", "--train", corpus_dir / "train.txt", "--dev", corpus_dir / "dev.txt",
+                  "--mode", "lattice-word", "--lexicon", tmp_path / "lex.txt",
+                  "--config", corpus_dir / "config.txt", "--lexicon-emb", emb,
+                  "--out", tmp_path / "m", "--epochs", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"latseg: {emb}: row 2: 天地 has a value that is not finite\n"
+        assert not (tmp_path / "m").exists()
+
     def test_malformed_corpus_is_data_error(self, corpus_dir, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("好  的\n", encoding="utf-8")  # double space
@@ -119,6 +133,20 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert err.startswith("latseg: ") and err.count("\n") == 1 and "seed" in err
         assert not (tmp_path / "c").exists()
+
+    def test_synth_vocab_beyond_distinct_words_is_config_error(self, tmp_path, capsys):
+        # 30 letters spell 30 + 30**2 + 30**3 + 30**4 = 837,930 words of length 1 to 4
+        assert run(["synth", "--out-dir", tmp_path / "c", "--vocab-size", "837931"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("latseg: ") and err.count("\n") == 1
+        assert "837931" in err and "837930" in err
+        assert not (tmp_path / "c").exists()
+
+    def test_make_vocab_stops_at_distinct_words(self):
+        # "ab" spells 2 + 4 + 8 + 16 = 30 words of length 1 to 4
+        assert sorted(map(len, synth.make_vocab(30, alphabet="ab"))) == [1] * 2 + [2] * 4 + [3] * 8 + [4] * 16
+        with pytest.raises(ConfigError, match="31 distinct words .* only 30"):
+            synth.make_vocab(31, alphabet="ab")
 
     @pytest.mark.parametrize(
         "flags",
@@ -200,13 +228,31 @@ class TestTrainCommand:
         assert rc == 0
         assert capfd.readouterr().err == ""
 
-    def test_retrain_into_other_mode_keeps_old_checkpoint(self, corpus_dir, tmp_path):
+    def test_retrain_into_other_mode_keeps_old_checkpoint(self, corpus_dir, tmp_path, capsys):
         out = tmp_path / "m"
         common = ["train", "--train", corpus_dir / "train.txt", "--dev", corpus_dir / "dev.txt",
                   "--config", corpus_dir / "config.txt", "--out", out, "--epochs", "1"]
         assert run(common + ["--mode", "lattice-word", "--lexicon", corpus_dir / "lexicon.txt"]) == 0
+        capsys.readouterr()
         assert run(common + ["--mode", "baseline"]) == 2  # lattice tensor files would be stale
+        captured = capsys.readouterr()
+        assert "epoch " not in captured.out  # refused before training, not after it
+        assert captured.err.startswith("latseg: ") and captured.err.count("\n") == 1
+        assert "does not have" in captured.err
         assert load_checkpoint(out).mode == "lattice-word"
+
+    @pytest.mark.parametrize("under", [False, True])
+    def test_out_that_is_a_file_is_refused_before_training(self, corpus_dir, tmp_path, capsys, under):
+        taken = tmp_path / "taken"
+        taken.write_text("not a checkpoint\n", encoding="utf-8")
+        rc = run(["train", "--train", corpus_dir / "train.txt", "--dev", corpus_dir / "dev.txt",
+                  "--mode", "baseline", "--config", corpus_dir / "config.txt",
+                  "--out", taken / "m" if under else taken, "--epochs", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "epoch " not in captured.out
+        assert captured.err == f"latseg: {taken}: not a directory\n"
+        assert taken.read_text(encoding="utf-8") == "not a checkpoint\n"
 
 
 @pytest.fixture(scope="module")

@@ -158,13 +158,14 @@ class TestNllLoss:
             )
 
     def test_gradient_matches_finite_differences(self, rng):
+        # the objective op computes the emissions, so this checks emit_w, emit_b and hs too
         p = make_params(rng, scale=0.5)
-        hs = make_hidden(rng, 4, scale=0.5)
-        labels = ["B", "M", "E", "S"]
-        assert_grads_match(
-            lambda: nll_loss(hs, labels, p),
-            p.tensors() + [hs],
-        )
+        for labels in (["S"], ["B", "M", "E", "S"]):
+            hs = make_hidden(rng, len(labels), scale=0.5)
+            assert_grads_match(
+                lambda: nll_loss(hs, labels, p),
+                p.tensors() + [hs],
+            )
 
 
 class TestViterbi:
@@ -199,7 +200,7 @@ class TestViterbi:
 class TestMask:
     def test_forbidden_transitions_effectively_minus_inf(self, rng):
         p = make_params(rng)
-        masked = p.masked_transitions().data
+        masked = p.masked_transitions()
         assert np.all(masked[:, START] <= MASK_VALUE / 2)
         assert np.all(masked[STOP, :] <= MASK_VALUE / 2)
         assert np.all(np.exp(masked[:, START]) == 0.0)
@@ -239,7 +240,7 @@ class TestObjectiveOp:
         tape = Tape()
         with tape:
             logz = log_partition(hs, p)
-        assert len(tape) == 2  # emissions, the op
+        assert len(tape) == 1  # the op, which computes the emissions itself
         backward(logz)
         labels, pairs = oracle_marginals(oracle_emissions(hs, p), oracle_trans(p))
         np.testing.assert_allclose(hs.grad, labels, atol=1e-12)

@@ -12,54 +12,63 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcheck import assert_grads_match, weighted_sum
+from latseg.crf import CrfParams, emissions, score_path
 from latseg.encoder import gate_normalize
-from latseg.errors import ConfigError, NumericError, ShapeError, UsageError
+from latseg.errors import ConfigError, NumericError, UsageError
 from latseg.tensor import (
     Tape,
-    affine,
+    Tensor,
+    _acc,
+    _out,
     backward,
     concat,
     const,
-    dropout_mask,
+    dropout,
     logistic,
-    mul,
     param,
     rows,
     sgd_step,
 )
 
 
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """a * b elementwise as one recorded op: a test-local graph for the tape tests."""
+
+    def bwd(g):
+        _acc(a, g * b.data)
+        _acc(b, g * a.data)
+
+    return _out(a.data * b.data, bwd)
+
+
+def crf_params(w, b) -> CrfParams:
+    return CrfParams(emit_w=param(w, "w"), emit_b=param(b, "b"), transitions=param(np.zeros((6, 6)), "t"))
+
+
 class TestAffine:
+    """The model's one affine map w @ h + b: the CRF emissions."""
+
     def test_identity(self):
-        out = affine(const([[3.0, 4.0]]), const(np.eye(2)), const(np.zeros(2)))
-        np.testing.assert_array_equal(out.data, [[3.0, 4.0]])
+        out = emissions(const([[3.0, 4.0, 5.0, 6.0]]), crf_params(np.eye(4), np.zeros(4)))
+        np.testing.assert_array_equal(out, [[3.0, 4.0, 5.0, 6.0]])
 
     def test_hand_multiplication(self):
-        w = const([[1.0, 1.0], [0.0, 2.0]])
-        out = affine(const([[1.0, 1.0]]), w, const([1.0, 0.0]))
-        np.testing.assert_array_equal(out.data, [[3.0, 2.0]])
+        w = [[1.0, 1.0], [0.0, 2.0], [1.0, 0.0], [0.0, 0.0]]
+        out = emissions(const([[1.0, 1.0]]), crf_params(w, [1.0, 0.0, 0.0, -1.0]))
+        np.testing.assert_array_equal(out, [[3.0, 2.0, 1.0, -1.0]])
 
     def test_zero_map(self):
-        out = affine(const([[7.0, -2.0, 0.5]]), const(np.zeros((1, 3))), const([5.0]))
-        np.testing.assert_array_equal(out.data, [[5.0]])
-
-    def test_shape_mismatch_names_operands(self):
-        w = param(np.zeros((2, 3)), "weights")
-        x = param(np.zeros((1, 4)), "input")
-        with pytest.raises(ShapeError, match="weights.*input"):
-            affine(x, w, param(np.zeros(2), "bias"))
-
-    def test_vector_input_rejected(self):
-        with pytest.raises(ShapeError, match="2-D input"):
-            affine(const(np.zeros(3)), const(np.zeros((2, 3))), const(np.zeros(2)))
+        out = emissions(const([[7.0, -2.0, 0.5]]), crf_params(np.zeros((4, 3)), [5.0, 0.0, 1.0, 2.0]))
+        np.testing.assert_array_equal(out, [[5.0, 0.0, 1.0, 2.0]])
 
     def test_matrix_input_maps_rows_bit_for_bit(self, rng):
-        w = const(rng.normal(size=(4, 6)))
-        b = const(rng.normal(size=4))
-        x = rng.normal(size=(5, 6))
-        out = affine(const(x), w, b)
-        for i in range(5):
-            assert out.data[i].tobytes() == (w.data @ x[i] + b.data).tobytes()
+        for dtype in (np.float64, np.float32):
+            p = crf_params(rng.normal(size=(4, 6)).astype(dtype), rng.normal(size=4).astype(dtype))
+            x = rng.normal(size=(5, 6)).astype(dtype)
+            out = emissions(const(x), p)
+            assert out.dtype == dtype
+            for i in range(5):
+                assert out[i].tobytes() == (p.emit_w.data @ x[i] + p.emit_b.data).tobytes()
 
 
 class TestActivate:
@@ -93,13 +102,16 @@ class TestActivate:
 
 class TestBackward:
     def test_affine_weight_gradient_is_outer_product(self):
-        # independent oracle: d sum(v * (w @ x)) / dw = outer(v, x)
-        w = param(np.zeros((2, 3)), "w")
+        # independent oracle: d (w @ x_i)[y_i] / dw = outer(onehot(y_i), x_i), summed over i;
+        # the path score picks emission y_i at each position i
+        p = crf_params(np.zeros((4, 3)), np.zeros(4))
+        x = [[1.0, 2.0, 3.0], [0.5, -1.0, 2.0]]
         tape = Tape()
         with tape:
-            loss = weighted_sum(affine(const([[1.0, 2.0, 3.0]]), w, const([0.0, 0.0])), [[0.5, -1.0]])
+            loss = score_path(const(x), ["B", "E"], p)
         backward(loss)
-        np.testing.assert_array_equal(w.grad, np.outer([0.5, -1.0], [1.0, 2.0, 3.0]))
+        expect = np.outer([1.0, 0.0, 0.0, 0.0], x[0]) + np.outer([0.0, 0.0, 1.0, 0.0], x[1])
+        np.testing.assert_array_equal(p.emit_w.grad, expect)
 
     def test_unreachable_param_gets_zero(self):
         w = param(np.ones(3), "w")
@@ -192,21 +204,19 @@ class TestBackward:
 
 def _composite_loss(ps, weights):
     """Touches every primitive at least once; deterministic in the params."""
-    w, b, m, v = ps
+    m, v = ps
     x = concat([rows(m, [0, 2, 0]), mul(rows(m, [1, 1, 2]), v)])
-    hidden = affine(x, w, b)
+    hidden = dropout(x, 0.25, np.random.default_rng(5))  # a fresh rng: the same mask every call
     return weighted_sum(rows(mul(hidden, hidden), [2, 0, 2, 1]), weights)
 
 
 class TestFiniteDifferences:
     def test_composite_matches_central_differences(self, rng):
         ps = [
-            param(rng.normal(size=(3, 8)) * 0.7, "w"),
-            param(rng.normal(size=3) * 0.5, "b"),
             param(rng.normal(size=(3, 4)) * 0.6, "m"),
             param(rng.normal(size=(3, 4)) * 0.8, "v"),
         ]
-        weights = rng.normal(size=(4, 3))
+        weights = rng.normal(size=(4, 8))
         assert_grads_match(lambda: _composite_loss(ps, weights), ps)
 
     @pytest.mark.parametrize(
@@ -225,15 +235,13 @@ class TestFiniteDifferences:
     def test_matrix_primitives(self, rng):
         m = param(rng.normal(size=(3, 4)), "m")
         c = param(rng.normal(size=(3, 2)), "c")
-        w = param(rng.normal(size=(5, 6)), "w")
-        b = param(rng.normal(size=5), "b")
-        weights = rng.normal(size=(3, 5))
+        weights = rng.normal(size=(3, 6))
 
         def loss():
-            h = affine(concat([rows(m, [1, 1, 0]), c]), w, b)
+            h = dropout(concat([rows(m, [1, 1, 0]), c]), 0.5, np.random.default_rng(3))
             return weighted_sum(rows(mul(h, h), [2, 0, 2]), weights)
 
-        assert_grads_match(loss, [m, c, w, b])
+        assert_grads_match(loss, [m, c])
 
 
 class TestLazyGradientPages:
@@ -259,12 +267,10 @@ class TestDeterminism:
         def run():
             r = np.random.default_rng(7)
             w = param(r.normal(size=(3, 3)), "w")
-            x = const(r.normal(size=(1, 3)))
-            mask = dropout_mask((1, 3), 0.5, r)
             tape = Tape()
             with tape:
-                hidden = affine(x, w, const(np.zeros(3)))
-                loss = weighted_sum(mul(mul(hidden, hidden), mask), np.ones((1, 3)))
+                hidden = dropout(rows(w, [2, 0]), 0.5, r)
+                loss = weighted_sum(mul(hidden, hidden), np.ones((2, 3)))
             return loss.item()
 
         assert run() == run()
@@ -386,11 +392,11 @@ class TestRowSparseSgd:
         table = param(rng.normal(size=(5, 3)), "table")
         tape = Tape()
         with tape:
-            column = affine(const([[0.0, 1.0, 0.0]]), table, const(np.zeros(5)))  # table[:, 1]
-            picks = np.array([[1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0]])  # row 0 and column[3]
-            loss = weighted_sum(concat([rows(table, [0]), column]), picks)
+            row = rows(concat([table]), [3])  # concat writes the whole gradient back
+            picks = np.array([[1.0, 1.0, 1.0, 0.0, 1.0, 0.0]])  # row 0 and table[3, 1]
+            loss = weighted_sum(concat([rows(table, [0]), row]), picks)
         backward(loss)
-        assert table.grad_rows is None  # affine wrote into the gradient too
+        assert table.grad_rows is None  # concat wrote into the gradient too
         dense = table.data - 0.5 * table.grad
         picked = table.data[3, 1]
         sgd_step([table], 0.5)
@@ -400,15 +406,35 @@ class TestRowSparseSgd:
 
 class TestDropout:
     def test_p_zero_all_ones(self, rng):
-        mask = dropout_mask((5,), 0.0, rng)
-        np.testing.assert_array_equal(mask.data, np.ones(5))
+        # p = 0 or no rng: x itself, nothing recorded and no draw from the rng
+        x = param(np.ones(5), "x")
+        state = rng.bit_generator.state
+        tape = Tape()
+        with tape:
+            assert dropout(x, 0.0, rng) is x and dropout(x, 0.5, None) is x
+        assert len(tape) == 0 and rng.bit_generator.state == state
 
     def test_inverted_scaling_mean_near_one(self, rng):
         # law of large numbers: inverted dropout has expectation 1
-        mask = dropout_mask((1_000_000,), 0.5, rng)
-        assert 0.99 <= mask.data.mean() <= 1.01
-        assert set(np.unique(mask.data)) == {0.0, 2.0}
+        out = dropout(const(np.ones(1_000_000)), 0.5, rng).data
+        assert 0.99 <= out.mean() <= 1.01
+        assert set(np.unique(out)) == {0.0, 2.0}
 
     def test_p_one_rejected(self, rng):
         with pytest.raises(ConfigError):
-            dropout_mask((3,), 1.0, rng)
+            dropout(const(np.ones(3)), 1.0, rng)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_one_draw_of_the_input_shape(self, dtype):
+        # the mask is (rng.random(shape) >= p) / (1 - p) in x's dtype, drawn in one call
+        x = np.random.default_rng(1).normal(size=(4, 5)).astype(dtype)
+        out = dropout(const(x), 0.3, np.random.default_rng(9)).data
+        keep = (np.random.default_rng(9).random((4, 5)) >= 0.3).astype(dtype)
+        assert out.dtype == dtype and out.tobytes() == (x * (keep / (1.0 - 0.3))).tobytes()
+
+    def test_gradient_matches_finite_differences(self, rng):
+        x = param(rng.normal(size=(4, 5)), "x")
+        weights = rng.normal(size=(4, 5))
+        mask = dropout(const(np.ones((4, 5))), 0.4, np.random.default_rng(4)).data
+        assert {0.0, 1 / 0.6} == set(np.unique(mask))  # some entries dropped, some kept
+        assert_grads_match(lambda: weighted_sum(dropout(x, 0.4, np.random.default_rng(4)), weights), [x])

@@ -342,9 +342,9 @@ def test_desk_lattice_word_records_at_most_five_ops_per_char():
 
 
 def test_tape_records_a_fixed_handful_of_ops_per_sentence():
-    # whatever the sentence length: two gathers, their concat and the dropout
-    # mask for the characters; per direction its op, after a gather and a mask
-    # of the match embeddings when anything matches; then concat, emissions, loss
+    # whatever the sentence length: two gathers, their concat and its dropout
+    # for the characters; per direction its op, after a gather and a dropout
+    # of the match embeddings when anything matches; then concat and the loss
     vocab = synth.make_vocab(60, seed=5)
     sents = [to_bmes(w) for w in synth.make_corpus(vocab, 30, seed=6)]
     model = tiny_model(
@@ -358,7 +358,7 @@ def test_tape_records_a_fixed_handful_of_ops_per_sentence():
         with tape:
             model.loss(s, rng=rng)
         fused = len(model.match(s.chars)) > 0
-        assert len(tape) == 4 + 2 * (1 + 2 * fused) + 3
+        assert len(tape) == 4 + 2 * (1 + 2 * fused) + 2
         seen.add((len(s), fused))
     assert len({n for n, _ in seen}) > 5 and {f for _, f in seen} == {False, True}
 
