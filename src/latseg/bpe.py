@@ -71,12 +71,12 @@ def learn_bpe(corpus: Iterable[Sequence[str]], k: int) -> BpeModel:
     once the best pair occurs fewer than twice. The best pair comes off a heap
     keyed (-count, left, right) with lazy deletion: an entry whose count is
     out of date is skipped, and each pair whose count a merge changed is
-    pushed again. A merge rewrites only the lines that may hold its pair. At
-    each merge site, the old pairs that touch a merged symbol lose a count and
-    the new pairs that touch the joined symbol gain one; every other pair is
-    the same before and after. So a merge costs time in proportion to the
-    occurrences it rewrites and their lines, not to the number of distinct
-    pairs.
+    pushed again. Each pair keeps its count per line, so a merge rewrites only
+    the lines that hold its pair. At each merge site, the old pairs that touch
+    a merged symbol lose a count and the new pairs that touch the joined
+    symbol gain one; every other pair is the same before and after. So a
+    merge costs time in proportion to the occurrences it rewrites and their
+    lines, not to the number of distinct pairs.
     """
     if k < 0:
         raise ConfigError(f"merge budget must be >= 0, got {k}")
@@ -85,11 +85,12 @@ def learn_bpe(corpus: Iterable[Sequence[str]], k: int) -> BpeModel:
         raise DataError("cannot learn BPE from an empty corpus")
 
     counts: dict[Pair, int] = {}
-    where: defaultdict[Pair, set[int]] = defaultdict(set)  # may keep lines that lost the pair
+    where: defaultdict[Pair, dict[int, int]] = defaultdict(dict)  # line -> the pair's count in it
     for li, line in enumerate(lines):
         for pair in zip(line, line[1:]):
             counts[pair] = counts.get(pair, 0) + 1
-            where[pair].add(li)
+            at = where[pair]
+            at[li] = at.get(li, 0) + 1
     heap = [(-c, pair) for pair, c in counts.items()]
     heapq.heapify(heap)
     changed: set[Pair] = set()  # the pairs whose count the current merge changed
@@ -98,7 +99,14 @@ def learn_bpe(corpus: Iterable[Sequence[str]], k: int) -> BpeModel:
         """Line li holds one `lost` pair fewer and one `made` pair more."""
         counts[lost] -= 1
         counts[made] = counts.get(made, 0) + 1
-        where[made].add(li)
+        at = where.get(lost)  # None for the pair being merged, whose lines are already taken
+        if at is not None:
+            if at[li] == 1:
+                del at[li]  # so that a merge of `lost` never visits this line for nothing
+            else:
+                at[li] -= 1
+        at = where[made]
+        at[li] = at.get(li, 0) + 1
         changed.update((lost, made))
 
     merges: list[Pair] = []
@@ -111,11 +119,9 @@ def learn_bpe(corpus: Iterable[Sequence[str]], k: int) -> BpeModel:
         merges.append(best)
 
         changed.add(best)
-        for li in sorted(where.pop(best)):
+        for li in sorted(where.pop(best)):  # each line holds the pair at least once
             old = lines[li]
             new, sites = _merge_pass(old, best)
-            if not sites:
-                continue
             lines[li] = new
             counts[best] -= len(sites)
             for t, i in enumerate(sites):

@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -36,6 +37,7 @@ from .train import (
 )
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(TrainConfig)}
+_SPACE = re.compile(r"\s")
 _PARSERS = {"str": str, "int": int, "float": float}
 
 
@@ -134,6 +136,10 @@ def cmd_train(args) -> int:
 def cmd_segment(args) -> int:
     model = load_checkpoint(args.model)
     sentences = read_raw_sentences(args.input)
+    for lineno, text in enumerate(sentences, start=1):
+        space = _SPACE.search(text)
+        if space:  # the output joins words with spaces, so it would split this word
+            raise DataError(f"{args.input}: line {lineno}: U+{ord(space[0]):04X} in raw text")
     with open(args.output, "w", encoding="utf-8") as fh:
         for text in sentences:
             fh.write(" ".join(model.segment(text)) + "\n")

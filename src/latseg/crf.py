@@ -84,8 +84,9 @@ def _label_indices(labels: Sequence) -> list[int]:
 
 def emissions(hs: Tensor, p: CrfParams) -> np.ndarray:
     """The (m, 4) label scores; row i has the bits of ``emit_w @ h_i + emit_b`` whatever m is."""
-    w, b = p.emit_w.data, p.emit_b.data
-    return np.array([w @ h + b for h in hs.data])
+    # One stacked product of (4, 2H) by m column vectors: each row gets the
+    # bits of w @ h, which hs @ w.T does not give.
+    return np.matmul(p.emit_w.data, hs.data[:, :, None])[:, :, 0] + p.emit_b.data
 
 
 def _logsumexp(a: np.ndarray) -> np.ndarray:
@@ -182,7 +183,7 @@ def viterbi(hs: Tensor, p: CrfParams) -> LabelPath:
     for i in range(1, m):
         scores = delta[:, None] + inner  # [prev, next]
         best_prev = scores.argmax(axis=0)  # first max = smallest label index
-        delta = scores[best_prev, np.arange(N_LABELS)] + emit[i]
+        delta = scores.max(axis=0) + emit[i]
         back.append(best_prev)
 
     final = delta + trans[:N_LABELS, STOP]

@@ -10,16 +10,19 @@ with exp-normalized gates. The backward direction reads right to left.
 A sentence enters as one (m, x_dim) matrix of character representations:
 one gather per embedding table (:func:`char_repr`). Each direction over it is
 one recorded op. :func:`lattice_forward` sorts the sentence's matches once
-into its walk order, gathers their embeddings in one lookup, and walks the
-positions on plain arrays: one gate stack per position, plus
-:func:`shortcut_cell` and :func:`gate_logit` per arriving match and
-:func:`gate_normalize` per fused position. It records one node whose
-hand-written backward walks the positions once in reverse over the forward's
-values and takes each weight and input gradient as one matrix product over
-the sentence. The two
-directions' (m, H) outputs join into the (m, 2H) hidden states. Training and
-decoding run the same forward; without an active tape nothing is recorded,
-and without an ``rng`` nothing is dropped out.
+into its walk order and allocates every array the walk writes before it
+starts: the [x; h] row of each step, its gates and memory; per match, the
+[embedding; source state] row, the cell gates and the [x; memory] row; per
+fused position, a block of gate logits and one of their weights. Each step
+then writes its values in place: one gate product, :func:`shortcut_cell` per
+arriving match and :func:`gate_normalize` per fused position, with the
+sigmoid applied in place under one ``np.errstate`` per walk. The op's
+hand-written backward walks the positions once in reverse over those
+buffers and takes each weight and input gradient as one matrix product over
+the sentence. The two directions' (m, H) outputs join into the (m, 2H)
+hidden states. Training and decoding run the same forward; without an
+active tape nothing is recorded, and without an ``rng`` nothing is dropped
+out.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 from .data import RESERVED, EmbeddingTable, bigrams_of
 from .errors import UsageError
 from .lexicon import LatticeMatchSet
-from .tensor import Tensor, _acc, _out, concat, logistic, param, rows
+from .tensor import Tensor, _acc, _out, concat, param, rows
 from .tensor import dropout as _dropout  # char_repr's ``dropout`` keyword shadows the name
 
 
@@ -116,35 +119,53 @@ def char_repr(
     return _dropout(x, dropout, rng)
 
 
-def _gate_stack(u: np.ndarray, w: np.ndarray, b: np.ndarray):
-    """Two sigmoid gates and a tanh candidate from the stacked thirds of w @ u + b."""
-    n = b.shape[0] // 3
-    z = w @ u + b
-    s = logistic(z[: 2 * n])  # elementwise, so the same bits as one call per gate
-    return s[:n], s[n:], np.tanh(z[2 * n :])
+def _sigmoid(a: np.ndarray) -> np.ndarray:
+    """1 / (1 + exp(-a)) in place: the one sigmoid formula in the package.
 
-
-def shortcut_cell(e_w: np.ndarray, h_start: np.ndarray, c_start: np.ndarray, p: DirectionParams):
-    """Memory cell of one matched subsequence (no output gate, no hidden) and its gates (i, f, cand)."""
-    i, f, cand = _gate_stack(np.concatenate([e_w, h_start]), p.shortcut_w.data, p.shortcut_b.data)
-    return f * c_start + i * cand, (i, f, cand)
-
-
-def gate_logit(x: np.ndarray, c_match: np.ndarray, p: DirectionParams) -> np.ndarray:
-    """Per-match control gate from the end character's input and the match memory."""
-    return logistic(p.match_gate_w.data @ np.concatenate([x, c_match]) + p.match_gate_b.data)
-
-
-def gate_normalize(char_gate: np.ndarray, match_gates: Sequence[np.ndarray]):
-    """Elementwise exp-normalization of the char gate against all match gates.
-
-    Returns (alpha_char, [alpha_match...]); the weights sum to 1 at every
-    coordinate. With no matches the char weight is identically 1.
+    Where exp(-a) overflows to inf the result is 0, the exact limit. The walk
+    that calls it holds ``np.errstate(over="ignore")``, so that is not reported.
     """
-    z = np.array([char_gate, *match_gates])
-    e = np.exp(z - z.max(axis=0))
-    alphas = e / e.sum(axis=0)
-    return alphas[0], list(alphas[1:])
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    a += 1.0
+    return np.divide(1.0, a, out=a)
+
+
+def shortcut_cell(p: DirectionParams, eh, h_src, c_src, gates, xm, gate) -> None:
+    """One match's shortcut cell and control gate, written into the walk's buffers.
+
+    ``eh`` = [e_w; h] holds the match embedding; the state ``h_src`` at the
+    match's source is copied into its h half. ``gates`` receives the cell's
+    stacked (input, forget, candidate) gates, the memory half of
+    ``xm`` = [x; c_w] the cell memory f * c_src + i * cand (no output gate, no
+    hidden state), and ``gate`` the control gate over ``xm``.
+    """
+    n = p.hidden
+    eh[-n:] = h_src
+    np.dot(p.shortcut_w.data, eh, out=gates)
+    gates += p.shortcut_b.data
+    _sigmoid(gates[: 2 * n])
+    cand = gates[2 * n :]
+    np.tanh(cand, out=cand)
+    memory = xm[-n:]
+    np.multiply(gates[n : 2 * n], c_src, out=memory)
+    np.multiply(gates[:n], cand, out=gate)  # scratch until the gate is written
+    memory += gate
+    np.dot(p.match_gate_w.data, xm, out=gate)
+    gate += p.match_gate_b.data
+    _sigmoid(gate)
+
+
+def gate_normalize(z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Exp-normalize the stacked gates ``z`` (char gate, then match gates) over its rows into ``out``.
+
+    The weights sum to 1 at every coordinate; a single row (no match) gets
+    weight 1.
+    """
+    np.subtract(z, np.maximum.reduce(z, 0), out=out)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out, 0)
+    return out
 
 
 class Fusion(NamedTuple):
@@ -197,130 +218,154 @@ def lattice_forward(
         src, end, ids = src[order], end[order], len(RESERVED) + matches.entry[order]
     if not forward and direction != "backward":
         raise UsageError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    positions = range(1, m + 1) if forward else range(m, 0, -1)
-    back = -1 if forward else 1  # the previous position in walk order is i + back
-    n_fused = np.bincount(end, minlength=m + 2).tolist()  # matches fused per position
+    walk = np.arange(1, m + 1) if forward else np.arange(m, 0, -1)  # position of each step
+    fused = np.bincount(end, minlength=m + 1)[walk]  # matches fused per step
+    srow = src if forward else m + 1 - src  # the row of u and c that holds each source's state
+    n_fused, sources = fused.tolist(), srow.tolist()
 
-    dtype = p.gates_b.data.dtype
-    # The op's other input: the embeddings of the matches it fuses, gathered in
-    # walk order, so that their dropout mask draws from rng in that order.
-    words = None
-    if len(ids):
+    n, dtype = p.hidden, p.gates_b.data.dtype
+    x_dim = x.data.shape[1]
+    # Row k of u is [x; h] at walk step k, so step k writes its h into row k + 1;
+    # row k of c is the memory before step k. Row 0 holds the initial state.
+    u = np.zeros((m + 1, x_dim + n), dtype)
+    u[:m, :x_dim] = x.data[walk - 1]
+    c = np.zeros((m + 1, n), dtype)
+    gates = np.empty((m, 3 * n), dtype)  # (o, f, cand) per step
+    # Per match in walk order: [e_w; h_src], the cell's (input, forget,
+    # candidate) gates, and [x; memory] at its fusion position. The op's other
+    # input is e_w, gathered in walk order so that its dropout mask draws
+    # from rng in that order.
+    n_cells = len(ids)
+    words, eh = None, np.empty((0, n), dtype)
+    if n_cells:
         words = _dropout(rows(lexicon_table.rows, ids), lattice_dropout, rng)
+        eh = np.empty((n_cells, words.data.shape[1] + n), dtype)
+        eh[:, :-n] = words.data
+    cell_gates = np.empty((n_cells, 3 * n), dtype)
+    xm = np.empty((n_cells, x_dim + n), dtype)
+    xm[:, :x_dim] = x.data[end - 1]
+    # Per fused step, one block of rows [1 - f; control gates] and its
+    # exp-normalized weights: the char row, then one row per match.
+    blocks = np.flatnonzero(fused)
+    logits = np.empty((n_cells + len(blocks), n), dtype)
+    alphas = np.empty_like(logits)
+    tmp = np.empty(n, dtype)
+    w, b = p.gates_w.data, p.gates_b.data
+    j = r = 0  # the next match and the next block row
+    h_rows = u[:, x_dim:]
+    with np.errstate(over="ignore"):
+        for nf, u_k, g, c_prev, c_k, h in zip(n_fused, u, gates, c, c[1:], h_rows[1:]):
+            np.dot(w, u_k, out=g)
+            g += b
+            _sigmoid(g[: 2 * n])
+            f, cand = g[n : 2 * n], g[2 * n :]
+            np.tanh(cand, out=cand)
+            if not nf:  # c = f * c_prev + (1 - f) * cand
+                np.multiply(f, c_prev, out=c_k)
+                np.subtract(1.0, f, out=tmp)
+                tmp *= cand
+                c_k += tmp
+            else:
+                z, a = logits[r : r + nf + 1], alphas[r : r + nf + 1]
+                np.subtract(1.0, f, out=z[0])
+                for gate in z[1:]:
+                    s = sources[j]
+                    shortcut_cell(p, eh[j], h_rows[s], c[s], cell_gates[j], xm[j], gate)
+                    j += 1
+                gate_normalize(z, a)
+                memories = xm[j - nf : j, x_dim:]
+                np.multiply(a[1], memories[0], out=c_k)  # summed in order: matches, then candidate
+                for a_q, memory in zip(a[2:], memories[1:]):
+                    np.multiply(a_q, memory, out=tmp)
+                    c_k += tmp
+                np.multiply(a[0], cand, out=tmp)
+                c_k += tmp
+                r += nf + 1
+            np.tanh(c_k, out=h)
+            h *= g[:n]
 
-    # hs[i], cs[i]: the state after position i; rows 0 and m + 1 are the initial states.
-    hs = np.zeros((m + 2, p.hidden), dtype)
-    cs = np.zeros((m + 2, p.hidden), dtype)
-    gates = []  # (o, f, cand) per step, in walk order
-    # Per match in walk order: Fusion's alpha, then the shortcut memory, its
-    # (input, forget, candidate) gates and the match's control gate.
-    alpha, memory, cell_gates, gate = [], [], [], []
-    alpha_char = np.ones((m, p.hidden), dtype)
-    sources = src.tolist()
-    for i in positions:
-        x_i = x.data[i - 1]
-        prev = i + back
-        o, f, cand = _gate_stack(np.concatenate([x_i, hs[prev]]), p.gates_w.data, p.gates_b.data)
-        gates.append((o, f, cand))
-        if not n_fused[i]:
-            c = f * cs[prev] + (1.0 - f) * cand
-        else:
-            first = len(memory)
-            for s in sources[first : first + n_fused[i]]:
-                mem, g = shortcut_cell(words.data[len(memory)], hs[s], cs[s], p)
-                memory.append(mem)
-                cell_gates.append(g)
-                gate.append(gate_logit(x_i, mem, p))
-            a_char, alphas = gate_normalize(1.0 - f, gate[first:])
-            c = alphas[0] * memory[first]  # summed in order: matches, then candidate
-            for a, mem in zip(alphas[1:], memory[first + 1 :]):
-                c += a * mem
-            c += a_char * cand
-            alpha += alphas
-            alpha_char[i - 1] = a_char
-        hs[i], cs[i] = o * np.tanh(c), c
+    sizes = fused[blocks] + 1
+    char_rows = np.cumsum(sizes) - sizes
+    match_rows = np.delete(np.arange(len(alphas)), char_rows)
+    alpha = alphas[match_rows]
+    alpha_char = np.ones((m, n), dtype)
+    alpha_char[walk[blocks] - 1] = alphas[char_rows]
+    hs = u[1:, x_dim:] if forward else u[:0:-1, x_dim:]
 
-    alpha = np.array(alpha, dtype).reshape(-1, p.hidden)
-
-    def bwd(g):
+    def bwd(grad):
         # One reverse walk collects each state's dh/dc from the next step and
         # from every shortcut leaving it, and stores each step's gate
         # pre-activation gradients as a row; every weight and input gradient is
         # then one matrix product over those rows. Factors that do not depend on
-        # g are computed for all steps at once before the walk.
-        hidden, w = p.hidden, p.gates_w.data
-        x_dim = w.shape[1] - hidden
+        # the gradient are computed for all steps at once before the walk.
         w_h = w[:, x_dim:]
-        walk = np.asarray(positions)
-        o, f, cand = np.array(gates).transpose(1, 0, 2)  # each (steps, hidden), walk order
-        tanh_c = np.tanh(cs[walk])
+        o, f, cand = gates[:, :n], gates[:, n : 2 * n], gates[:, 2 * n :]  # walk order
+        tanh_c = np.tanh(c[1:])
         d_o = tanh_c * o * (1.0 - o)  # dz_o = dh * d_o
         dc_dh = o * (1.0 - tanh_c * tanh_c)  # dc = dc from later steps + dh * dc_dh
         f_slope = f * (1.0 - f)
         cand_slope = 1.0 - cand * cand
         # plain step, c = f * c_prev + (1 - f) * cand: (dz_f, dz_cand) = dc * d_fc
-        d_fc = np.array([(cs[walk + back] - cand) * f_slope, (1.0 - f) * cand_slope]).transpose(1, 0, 2)
-        n_cells = len(memory)
+        d_fc = np.array([(c[:-1] - cand) * f_slope, (1.0 - f) * cand_slope]).transpose(1, 0, 2)
         if n_cells:
-            ws_h = p.shortcut_w.data[:, -hidden:]
+            ws_h = p.shortcut_w.data[:, -n:]
             wg_c = p.match_gate_w.data[:, x_dim:]
-            mems = np.array(memory)
-            gi, gf, gc = np.array(cell_gates).transpose(1, 0, 2)
+            mems = xm[:, x_dim:]
+            gi, gf, gc = cell_gates[:, :n], cell_gates[:, n : 2 * n], cell_gates[:, 2 * n :]
             # memory = gf * c_src + gi * gc: (dz_i, dz_f, dz_cand) = dmemory * d_cell
-            d_cell = np.array([gc * gi * (1.0 - gi), cs[src] * gf * (1.0 - gf), gi * (1.0 - gc * gc)])
+            d_cell = np.array([gc * gi * (1.0 - gi), c[srow] * gf * (1.0 - gf), gi * (1.0 - gc * gc)])
             d_cell = d_cell.transpose(1, 0, 2)
-            control = np.array(gate)
+            control = logits[match_rows]
             gate_slope = control * (1.0 - control)
 
-        dh_all = np.zeros_like(hs)
-        dh_all[1:-1] = g
-        dc_all = np.zeros_like(cs)
-        dz = np.empty((len(walk), 3, hidden), dtype)  # walk order
-        dz_cell = np.empty((n_cells, 3, hidden), dtype)  # shortcut cells, walk order
-        dz_gate = np.empty((n_cells, hidden), dtype)  # match gates, walk order
-        stop = n_cells  # cells fused at this walk step and earlier come before this index
-        for k in range(len(walk) - 1, -1, -1):
-            i = positions[k]
-            prev = i + back
-            dh = dh_all[i]
-            dc = dc_all[i] + dh * dc_dh[k]
+        # dh_all, dc_all: the gradient of each state row of u and c
+        dh_all = np.zeros((m + 1, n), dtype)
+        dh_all[1:] = grad if forward else grad[::-1]
+        dc_all = np.zeros((m + 1, n), dtype)
+        dz = np.empty((m, 3, n), dtype)  # walk order
+        dz_cell = np.empty((n_cells, 3, n), dtype)  # shortcut cells, walk order
+        dz_gate = np.empty((n_cells, n), dtype)  # match gates, walk order
+        stop, row = n_cells, len(alphas)  # the matches and block rows of later steps start here
+        for k in range(m - 1, -1, -1):
+            nf = n_fused[k]
+            dh = dh_all[k + 1]
+            dc = dc_all[k + 1] + dh * dc_dh[k]
             np.multiply(dh, d_o[k], out=dz[k, 0])
-            if not n_fused[i]:
+            if not nf:
                 np.multiply(dc, d_fc[k], out=dz[k, 1:])
-                dc_all[prev] += dc * f[k]
+                dc_all[k] += dc * f[k]
             else:
-                start = stop - n_fused[i]
-                a = np.concatenate((alpha_char[i - 1 : i], alpha[start:stop]))
+                start, row = stop - nf, row - nf - 1
+                a = alphas[row : row + nf + 1]
                 da = np.concatenate((cand[k : k + 1], mems[start:stop])) * dc
                 dlogit = a * (da - (da * a).sum(axis=0))  # softmax backward
                 np.multiply(-dlogit[0], f_slope[k], out=dz[k, 1])
                 np.multiply(dc * a[0], cand_slope[k], out=dz[k, 2])
-                for r, j in enumerate(range(start, stop), start=1):
-                    np.multiply(dlogit[r], gate_slope[j], out=dz_gate[j])
-                    dmemory = dc * a[r] + dz_gate[j] @ wg_c
-                    np.multiply(dmemory, d_cell[j], out=dz_cell[j])
-                    dc_all[sources[j]] += dmemory * gf[j]
-                    dh_all[sources[j]] += dz_cell[j].reshape(-1) @ ws_h
+                for q, jj in enumerate(range(start, stop), start=1):
+                    np.multiply(dlogit[q], gate_slope[jj], out=dz_gate[jj])
+                    dmemory = dc * a[q] + dz_gate[jj] @ wg_c
+                    np.multiply(dmemory, d_cell[jj], out=dz_cell[jj])
+                    dc_all[sources[jj]] += dmemory * gf[jj]
+                    dh_all[sources[jj]] += dz_cell[jj].reshape(-1) @ ws_h
                 stop = start
-            dh_all[prev] += dz[k].reshape(-1) @ w_h
+            dh_all[k] += dz[k].reshape(-1) @ w_h
 
-        dz = dz.reshape(len(walk), -1)
-        _acc(p.gates_w, dz.T @ np.concatenate([x.data[walk - 1], hs[walk + back]], axis=1))
+        dz = dz.reshape(m, -1)
+        _acc(p.gates_w, dz.T @ u[:m])
         _acc(p.gates_b, dz.sum(axis=0))
         dx = np.zeros_like(x.data)
         dx[walk - 1] = dz @ w[:, :x_dim]
         if n_cells:
             dz_cell = dz_cell.reshape(n_cells, -1)
-            e = words.data
-            _acc(p.shortcut_w, dz_cell.T @ np.concatenate([e, hs[src]], axis=1))
+            _acc(p.shortcut_w, dz_cell.T @ eh)
             _acc(p.shortcut_b, dz_cell.sum(axis=0))
-            _acc(p.match_gate_w, dz_gate.T @ np.concatenate([x.data[end - 1], mems], axis=1))
+            _acc(p.match_gate_w, dz_gate.T @ xm)
             _acc(p.match_gate_b, dz_gate.sum(axis=0))
             np.add.at(dx, end - 1, dz_gate @ p.match_gate_w.data[:, :x_dim])
-            _acc(words, dz_cell @ p.shortcut_w.data[:, : e.shape[1]])
+            _acc(words, dz_cell @ p.shortcut_w.data[:, : -n])
         _acc(x, dx)
 
-    return _out(hs[1 : m + 1], bwd), Fusion(src, end, alpha, alpha_char)
+    return _out(np.ascontiguousarray(hs), bwd), Fusion(src, end, alpha, alpha_char)
 
 
 def encode_bidirectional(

@@ -176,27 +176,6 @@ def _acc(t: Tensor, g) -> None:
 
 
 # ---------------------------------------------------------------------------
-# activations
-# ---------------------------------------------------------------------------
-
-
-_EXP_SAFE = 88.0  # exp(x) is finite for x <= 88 in float32 and float64
-
-
-def logistic(a: np.ndarray) -> np.ndarray:
-    """1 / (1 + exp(-a)) on an array: the one sigmoid formula in the package.
-
-    Where exp(-a) overflows to inf the result is 0, the exact limit, so the
-    overflow is not reported. Only an input that can overflow pays for
-    ``np.errstate``, which costs more than the formula on a short vector.
-    """
-    if a.min() >= -_EXP_SAFE:
-        return 1.0 / (1.0 + np.exp(-a))
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-a))
-
-
-# ---------------------------------------------------------------------------
 # shape manipulation
 # ---------------------------------------------------------------------------
 

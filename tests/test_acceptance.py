@@ -212,9 +212,9 @@ def test_criterion_5_gate_normalization():
                 worst = max(worst, float(np.abs(total - 1.0).max()))
     uniform_ok = True
     for k in (1, 2, 3, 5):
-        alpha, rest = gate_normalize(np.full(4, 0.37), [np.full(4, 0.37) for _ in range(k)])
-        for t in (alpha, *rest):
-            uniform_ok &= bool(np.all(np.abs(t - 1.0 / (k + 1)) < 1e-9))
+        z = np.full((k + 1, 4), 0.37)  # the char gate, then k match gates
+        alphas = gate_normalize(z, np.empty_like(z))
+        uniform_ok &= bool(np.all(np.abs(alphas - 1.0 / (k + 1)) < 1e-9))
     ok = worst <= 1e-6 and n_fused > 0 and uniform_ok
     report(
         5,

@@ -303,6 +303,18 @@ class TestSegmentCommand:
         for raw, seg in zip(lines, got):
             assert seg.replace(" ", "") == raw
 
+    @pytest.mark.parametrize("space", [" ", "\t", "\u3000"], ids=["space", "tab", "ideographic"])
+    def test_whitespace_in_raw_line_is_data_error(self, trained, tmp_path, capsys, space):
+        # the output joins words with spaces, so a word holding one would read back as two
+        inp = tmp_path / "raw.txt"
+        inp.write_text(f"天地人\n天地{space}人\n", encoding="utf-8")
+        out = tmp_path / "o.txt"
+        rc = run(["segment", "--model", trained, "--input", inp, "--output", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"latseg: {inp}: line 2: ") and err.count("\n") == 1
+        assert not out.exists()
+
     def test_empty_probe_sentence_is_checkpoint_error(self, corpus_dir, trained, tmp_path, capsys):
         ckpt = tmp_path / "model"
         shutil.copytree(trained, ckpt)

@@ -1,6 +1,7 @@
 """Encoder: coupled LSTM semantics, lattice fusion, reduction, gradients."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from latseg.encoder import (
     DirectionParams,
     char_repr,
     encode_bidirectional,
-    gate_logit,
     gate_normalize,
     lattice_forward,
     shortcut_cell,
@@ -88,28 +88,52 @@ class TestLstmStep:
         assert np.all((f > 0) & (f < 1))
 
 
+def run_shortcut_cell(p, e_w, h_src, c_src, x):
+    """:func:`shortcut_cell` on fresh buffers: the match memory, the cell gates and the control gate."""
+    n = p.hidden
+    eh, xm = np.concatenate([e_w, np.zeros(n)]), np.concatenate([x, np.zeros(n)])
+    gates, gate = np.empty(3 * n), np.empty(n)
+    shortcut_cell(p, eh, h_src, c_src, gates, xm, gate)
+    np.testing.assert_array_equal(eh[-n:], h_src)
+    return xm[-n:], gates, gate
+
+
+def normalize(rows):
+    z = np.array(rows, dtype=float)
+    return gate_normalize(z, np.empty_like(z))
+
+
 class TestShortcutCell:
     def test_zero_params_halves_start_memory(self, rng):
         p = zero_direction(4, 3, word_dim=2)
         c_b = rng.normal(size=4)
-        out, _ = shortcut_cell(rng.normal(size=2), np.zeros(4), c_b, p)
+        out, _, _ = run_shortcut_cell(p, rng.normal(size=2), np.zeros(4), c_b, np.zeros(3))
         np.testing.assert_allclose(out, 0.5 * c_b, atol=1e-15)
 
     def test_zero_start_memory_zero_output(self, rng):
         p = zero_direction(4, 3, word_dim=2)
-        out, _ = shortcut_cell(rng.normal(size=2), np.zeros(4), np.zeros(4), p)
+        out, _, _ = run_shortcut_cell(p, rng.normal(size=2), np.zeros(4), np.zeros(4), np.zeros(3))
         np.testing.assert_array_equal(out, np.zeros(4))
 
 
 class TestGateLogit:
+    # The control gate is the last thing shortcut_cell writes. With zero
+    # shortcut weights the match memory is exactly half the source memory, so
+    # a source memory of 2 * c_match puts c_match into the gate's input.
     def test_zero_params_half(self, rng):
         p = zero_direction(3, 2, word_dim=2)
-        out = gate_logit(rng.normal(size=2), rng.normal(size=3), p)
+        x, c_match = rng.normal(size=2), rng.normal(size=3)
+        memory, _, out = run_shortcut_cell(p, np.zeros(2), np.zeros(3), 2.0 * c_match, x)
+        np.testing.assert_array_equal(memory, c_match)
         np.testing.assert_array_equal(out, np.full(3, 0.5))
 
     def test_range_open_unit_interval(self, rng):
         p = random_direction(3, 2, rng, word_dim=2)
-        out = gate_logit(rng.normal(size=2) * 5, rng.normal(size=3) * 5, p)
+        p.shortcut_w.data[:] = 0.0
+        p.shortcut_b.data[:] = 0.0
+        x, c_match = rng.normal(size=2) * 5, rng.normal(size=3) * 5
+        memory, _, out = run_shortcut_cell(p, np.zeros(2), np.zeros(3), 2.0 * c_match, x)
+        np.testing.assert_array_equal(memory, c_match)
         assert np.all((out > 0) & (out < 1))
 
     def test_gradient_reaches_both_inputs(self, rng):
@@ -132,21 +156,18 @@ class TestGateLogit:
 
 class TestGateNormalize:
     def test_no_matches_char_weight_one(self):
-        alpha, rest = gate_normalize(np.array([0.3, 0.9]), [])
-        np.testing.assert_array_equal(alpha, np.ones(2))
-        assert rest == []
+        out = normalize([[0.3, 0.9]])
+        np.testing.assert_array_equal(out, np.ones((1, 2)))
 
     def test_equal_gates_uniform(self):
-        g = np.full(3, 0.42)
-        alpha, rest = gate_normalize(g, [np.full(3, 0.42) for _ in range(4)])
-        for t in [alpha, *rest]:
-            np.testing.assert_allclose(t, np.full(3, 1 / 5), atol=1e-9)
+        out = normalize(np.full((5, 3), 0.42))
+        np.testing.assert_allclose(out, np.full((5, 3), 1 / 5), atol=1e-9)
 
     def test_log_weights_example(self):
         # pre-exp values ln 2 and ln 1 normalize to 2/3 and 1/3
-        alpha, rest = gate_normalize(np.array([math.log(2.0)]), [np.array([0.0])])
-        assert alpha[0] == pytest.approx(2 / 3, abs=1e-12)
-        assert rest[0][0] == pytest.approx(1 / 3, abs=1e-12)
+        out = normalize([[math.log(2.0)], [0.0]])
+        assert out[0, 0] == pytest.approx(2 / 3, abs=1e-12)
+        assert out[1, 0] == pytest.approx(1 / 3, abs=1e-12)
 
 
 class TestLatticeForward:
@@ -348,14 +369,14 @@ class TestCharRepr:
 SPANS = [(1, 3), (2, 3), (2, 6), (4, 6), (1, 6), (3, 5)]
 
 
-def direction_case(rng, dtype=np.float64, hidden=3, x_dim=2, word_dim=3):
+def direction_case(rng, dtype=np.float64, hidden=3, x_dim=2, word_dim=3, m=6, n_entries=len(SPANS)):
     p = DirectionParams.create(x_dim, hidden, rng, word_dim=word_dim, dtype=dtype)
     for t in p.tensors():  # nonzero biases, so every bias gradient is exercised
         if t.data.ndim == 1:
             t.data[:] = rng.normal(size=t.data.shape) * 0.3
-    vocab = Vocab.from_symbols([f"w{i}" for i in range(len(SPANS))])
+    vocab = Vocab.from_symbols([f"w{i}" for i in range(n_entries)])
     table = EmbeddingTable.random(vocab, word_dim, rng, dtype=dtype, name="lexicon_embeddings")
-    x = param(rng.normal(size=(6, x_dim)).astype(dtype), "x")
+    x = param(rng.normal(size=(m, x_dim)).astype(dtype), "x")
     return p, table, x, match_set(SPANS)
 
 
@@ -469,6 +490,28 @@ def reference_walk(x, spans, lexicon_rows, p, direction):
     return hidden, src, end, np.array(alpha, x.dtype).reshape(-1, n), alpha_char
 
 
+def random_spans(rng, m, most=6):
+    """Spans of an m-character sentence; each position ends 0 to ``most`` of them, from distinct starts."""
+    spans = []
+    for e in range(2, m + 1):
+        for b in sorted(rng.choice(e - 1, size=rng.integers(min(most, e - 1) + 1), replace=False)):
+            spans.append((int(b) + 1, e))
+    return spans or [(1, m)] * (m > 1)
+
+
+def assert_bit_equal_to_reference(x, ms, spans, table, p, direction):
+    """The walk over match set ``ms`` of ``spans`` gives the reference's bits; returns its outputs."""
+    h, fusion = lattice_forward(x, ms, table, p, direction)
+    ref_h, src, end, alpha, alpha_char = reference_walk(x.data, spans, table.rows.data, p, direction)
+    assert h.data.dtype == ref_h.dtype == x.data.dtype
+    assert h.data.tobytes() == ref_h.tobytes()
+    assert fusion.src.tolist() == src and fusion.end.tolist() == end
+    assert fusion.alpha.dtype == fusion.alpha_char.dtype == x.data.dtype
+    assert fusion.alpha.tobytes() == alpha.tobytes()
+    assert fusion.alpha_char.tobytes() == alpha_char.tobytes()
+    return h, fusion
+
+
 class TestReferenceWalk:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("direction", ["forward", "backward"])
@@ -477,13 +520,48 @@ class TestReferenceWalk:
         p, table, x, ms = direction_case(rng, dtype=dtype)
         spans = SPANS if lattice == "overlapping" else []
         ms = {"none": None, "empty": match_set([]), "overlapping": ms}[lattice]
-        h, fusion = lattice_forward(x, ms, table, p, direction)
-        ref_h, src, end, alpha, alpha_char = reference_walk(x.data, spans, table.rows.data, p, direction)
-        assert h.data.dtype == ref_h.dtype == dtype
-        assert h.data.tobytes() == ref_h.tobytes()
-        assert fusion.src.tolist() == src and fusion.end.tolist() == end
-        assert fusion.alpha.dtype == fusion.alpha_char.dtype == dtype
-        assert fusion.alpha.tobytes() == alpha.tobytes()
-        assert fusion.alpha_char.tobytes() == alpha_char.tobytes()
+        _, fusion = assert_bit_equal_to_reference(x, ms, spans, table, p, direction)
         if not spans:  # nothing fused: the plain coupled LSTM at every position
             assert len(fusion.alpha) == 0 and (fusion.alpha_char == 1).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("direction", ["forward", "backward"])
+    @pytest.mark.parametrize("m", [1, 2, 200])
+    def test_random_lattices_bit_equal_to_reference(self, dtype, direction, m):
+        rng = np.random.default_rng(m)
+        spans = random_spans(rng, m)
+        if direction == "backward":  # mirrored, so that each fusion position gets as many matches
+            spans = [(m + 1 - e, m + 1 - b) for b, e in spans]
+        p, table, x, _ = direction_case(rng, dtype=dtype, m=m, n_entries=max(len(spans), 1))
+        _, fusion = assert_bit_equal_to_reference(x, match_set(spans), spans, table, p, direction)
+        arriving = np.bincount(fusion.end, minlength=m + 1)[1:]
+        if m == 200:
+            assert set(arriving.tolist()) == set(range(7))
+        else:
+            assert arriving.sum() == m - 1  # length 1: no match; length 2: one
+        _, fusion = assert_bit_equal_to_reference(x, None, [], table, p, direction)
+        assert len(fusion.alpha) == 0 and (fusion.alpha_char == 1).all()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_saturated_gates_are_silent_and_exact(self, rng, dtype):
+        # Gate pre-activations of +-1000: exp(1000) overflows to inf, and
+        # 1 / (1 + inf) = 0 is the exact limit. Output gates (1, 0, 1), forget
+        # gates 0 and control gates (1, 0, 1) must come out exactly, unreported.
+        p, table, x, ms = direction_case(rng, dtype=dtype)
+        p.gates_w.data[:] = 0.0
+        p.gates_b.data[:6] = [1000.0, -1000.0, 1000.0, -1000.0, -1000.0, -1000.0]
+        p.match_gate_b.data[:] = [1000.0, -1000.0, 1000.0]
+        h_plain = np.tanh(np.tanh(p.gates_b.data[6:])) * np.array([1, 0, 1], dtype)  # c = cand unfused
+        for direction in ("forward", "backward"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                h, fusion = lattice_forward(x, ms, table, p, direction)
+            with np.errstate(over="ignore"):
+                assert_bit_equal_to_reference(x, ms, SPANS, table, p, direction)
+            for i in set(range(1, 7)) - set(fusion.end.tolist()):
+                assert h.data[i - 1].tobytes() == h_plain.tobytes()
+            assert not h.data[:, 1].any()
+            # control gate 1 = input gate 1 - f: equal weights; control gate 0 is outweighed
+            char = fusion.alpha_char[fusion.end - 1]
+            np.testing.assert_array_equal(fusion.alpha[:, [0, 2]], char[:, [0, 2]])
+            assert (fusion.alpha[:, 1] < char[:, 1]).all()
