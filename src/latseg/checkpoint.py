@@ -1,13 +1,17 @@
 """Checkpoint persistence: plain-text manifest plus one raw file per tensor.
 
 Tensor files hold an 8-byte little-endian value count followed by the values
-as little-endian float32, row-major. The manifest records the probe sentence
-and its emission bytes as computed from the stored (rounded) parameters, so
-a reload must reproduce them bit for bit.
+as little-endian float32, row-major. They are converted, written and read
+:data:`BLOCK` values at a time, straight from and into the model's arrays, so
+a save or load makes no whole-table float32 or ``bytes`` copy. The manifest
+records the probe sentence and its emission bytes as computed from the stored
+(rounded) parameters, so a reload must reproduce them bit for bit; the rounded
+copy the probe runs on is built block by block in the model's dtype.
 """
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 from typing import Sequence
 
@@ -17,34 +21,55 @@ from .crf import CrfParams, N_LABELS, N_STATES
 from .data import RESERVED, EmbeddingTable, Vocab
 from .encoder import DirectionParams
 from .errors import CheckpointError, UsageError
-from .model import MODES, SegmenterModel, prepare_lexicon
+from .lexicon import build_trie
+from .model import MODES, SegmenterModel
 from .tensor import Tensor, const, param
 
 FORMAT = "latseg-ckpt-v1"
 MANIFEST = "manifest.txt"
 TENSOR_SUFFIX = ".f32"
+BLOCK = 1 << 18  # tensor values converted, written or read at a time
 
 
 def _write_tensor(path: Path, data: np.ndarray) -> None:
-    flat = np.ascontiguousarray(data, dtype="<f4")
+    flat = data.reshape(-1)
     with open(path, "wb") as fh:
         fh.write(np.uint64(flat.size).astype("<u8").tobytes())
-        fh.write(flat.tobytes())
+        for start in range(0, flat.size, BLOCK):
+            fh.write(flat[start : start + BLOCK].astype("<f4", copy=False))
 
 
 def _read_tensor(path: Path, shape: tuple[int, ...], dtype) -> np.ndarray:
+    expected = int(np.prod(shape)) if shape else 1
     with open(path, "rb") as fh:
         head = fh.read(8)
         if len(head) != 8:
             raise CheckpointError(f"{path}: truncated tensor file")
         count = int(np.frombuffer(head, dtype="<u8")[0])
-        body = np.frombuffer(fh.read(), dtype="<f4")
-    expected = int(np.prod(shape)) if shape else 1
-    if count != body.size or count != expected:
-        raise CheckpointError(
-            f"{path}: expected {expected} values, header says {count}, file has {body.size}"
-        )
-    return body.reshape(shape).astype(dtype)
+        size = os.fstat(fh.fileno()).st_size - 8
+        values, partial = divmod(size, 4)
+        if partial or count != values or count != expected:
+            has = f"{size} bytes of values, not a multiple of 4" if partial else values
+            raise CheckpointError(
+                f"{path}: expected {expected} values, header says {count}, file has {has}"
+            )
+        out = np.empty(count, dtype)
+        block = np.empty(min(count, BLOCK), "<f4")
+        for start in range(0, count, BLOCK):
+            part = block[: min(count - start, BLOCK)]
+            if fh.readinto(part) != part.nbytes:
+                raise CheckpointError(f"{path}: truncated tensor file")
+            out[start : start + part.size] = part
+    return out.reshape(shape)
+
+
+def _rounded(data: np.ndarray, dtype) -> np.ndarray:
+    """``data`` rounded to float32 and back to ``dtype``, as a load would read it."""
+    flat = data.reshape(-1)
+    out = np.empty(flat.size, dtype)
+    for start in range(0, flat.size, BLOCK):
+        out[start : start + BLOCK] = flat[start : start + BLOCK].astype("<f4", copy=False)
+    return out.reshape(data.shape)
 
 
 def _write_vocab(path: Path, vocab: Vocab) -> None:
@@ -121,9 +146,7 @@ def save_checkpoint(model: SegmenterModel, out_dir, probe_chars: str) -> None:
     # The probe runs on the model a future load will reconstruct: the same
     # manifest values and vocabularies, and float32-rounded parameters.
     values, _ = _parse_manifest(lines)
-    rounded = {
-        p.name: const(p.data.astype("<f4").astype(dtype_name), p.name) for p in model.parameters()
-    }
+    rounded = {p.name: const(_rounded(p.data, dtype_name), p.name) for p in model.parameters()}
     lexicon_vocab = model.lexicon_table.vocab if model.lexicon_table else None
     stored = _assemble(
         values, rounded, model.unigram_table.vocab, model.bigram_table.vocab, lexicon_vocab, out
@@ -180,7 +203,7 @@ def _assemble(
     unigram_table, bigram_table = table("unigram", uvocab), table("bigram", bvocab)
     lexicon_table = trie = None
     if mode != "baseline":
-        trie, _ = prepare_lexicon(lvocab.symbols()[len(RESERVED) :])
+        trie = build_trie(lvocab.symbols()[len(RESERVED) :])
         lexicon_table = table("lexicon", lvocab)
 
     fields = ["gates_w", "gates_b"]

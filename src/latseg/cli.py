@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
-import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -19,6 +18,7 @@ from .checkpoint import check_out_dir, load_checkpoint, load_train_words, save_c
 from .data import (
     EmbeddingTable,
     build_vocabs,
+    check_raw_text,
     load_embeddings,
     read_corpus,
     read_raw_sentences,
@@ -37,7 +37,6 @@ from .train import (
 )
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(TrainConfig)}
-_SPACE = re.compile(r"\s")
 _PARSERS = {"str": str, "int": int, "float": float}
 
 
@@ -136,10 +135,11 @@ def cmd_train(args) -> int:
 def cmd_segment(args) -> int:
     model = load_checkpoint(args.model)
     sentences = read_raw_sentences(args.input)
-    for lineno, text in enumerate(sentences, start=1):
-        space = _SPACE.search(text)
-        if space:  # the output joins words with spaces, so it would split this word
-            raise DataError(f"{args.input}: line {lineno}: U+{ord(space[0]):04X} in raw text")
+    for lineno, text in enumerate(sentences, start=1):  # every line, before the output opens
+        try:
+            check_raw_text(text)
+        except DataError as exc:
+            raise DataError(f"{args.input}: line {lineno}: {exc}") from None
     with open(args.output, "w", encoding="utf-8") as fh:
         for text in sentences:
             fh.write(" ".join(model.segment(text)) + "\n")

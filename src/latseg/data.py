@@ -10,6 +10,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import chain
+from operator import add
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,6 +26,7 @@ UNK = "<unk>"
 SENTINEL = "</s>"  # closes the final character bigram
 RESERVED = (UNK, SENTINEL)  # the first rows of every vocabulary, in this order
 _OTHER_SPACE = re.compile(r"[^\S ]")  # whitespace other than the word separator
+_SPACE = re.compile(r"\s")
 
 
 @dataclass
@@ -48,19 +52,19 @@ class LabeledSentence:
 
 def to_bmes(words: Sequence[str]) -> LabeledSentence:
     """Label a word sequence: 1-char word -> S, k-char word -> B M*(k-2) E."""
-    chars: list[str] = []
-    labels: list[str] = []
-    for w in words:
-        if not w:
-            raise DataError("empty word")
-        chars.extend(w)
-        if len(w) == 1:
-            labels.append("S")
-        else:
-            labels.append("B")
-            labels.extend("M" * (len(w) - 2))
-            labels.append("E")
-    return LabeledSentence(tuple(chars), tuple(labels))
+    if "" in words:
+        raise DataError("empty word")
+    return LabeledSentence(tuple("".join(words)), _labels(words))
+
+
+@lru_cache(maxsize=64)
+def _word_labels(n: int) -> str:
+    """The BMES labels of an n-character word, one letter each."""
+    return "S" if n == 1 else "B" + "M" * (n - 2) + "E"
+
+
+def _labels(words: Sequence[str]) -> tuple[str, ...]:
+    return tuple("".join(map(_word_labels, map(len, words))))
 
 
 def label_spans(labels: Sequence[str]) -> list[tuple[int, int]]:
@@ -101,19 +105,14 @@ def from_bmes(chars: Sequence[str], labels: Sequence[str]) -> list[str]:
 
 
 class Vocab:
-    """Dense symbol -> index map; index 0 is the unknown symbol."""
+    """Dense symbol -> index map; index 0 is the unknown symbol.
 
-    def __init__(self):
-        self._index: dict[str, int] = {}
-        for sym in RESERVED:
-            self.add(sym)
+    Symbols are numbered in order of first appearance, after :data:`RESERVED`.
+    """
 
-    def add(self, sym: str) -> int:
-        idx = self._index.get(sym)
-        if idx is None:
-            idx = len(self._index)
-            self._index[sym] = idx
-        return idx
+    def __init__(self, symbols: Iterable[str] = ()):
+        keys = dict.fromkeys(chain(RESERVED, symbols))
+        self._index: dict[str, int] = dict(zip(keys, range(len(keys))))
 
     def index(self, sym: str) -> int:
         return self._index.get(sym, 0)
@@ -129,31 +128,21 @@ class Vocab:
 
     @classmethod
     def from_symbols(cls, symbols: Iterable[str]) -> "Vocab":
-        v = cls()
-        for s in symbols:
-            v.add(s)
-        return v
+        return cls(symbols)
 
 
 def bigrams_of(chars: Sequence[str]) -> list[str]:
     """Bigram keys c_i c_{i+1} for every position; the last pairs with the sentinel."""
-    m = len(chars)
-    return [chars[i] + (chars[i + 1] if i + 1 < m else SENTINEL) for i in range(m)]
+    return list(map(add, chars, chain(chars[1:], (SENTINEL,))))
 
 
 def build_vocabs(corpus: Iterable[Sequence[str]]) -> tuple[Vocab, Vocab]:
     """Unigram and bigram vocabularies over an iterable of char sequences."""
-    unigrams = Vocab()
-    bigrams = Vocab()
-    empty = True
-    for chars in corpus:
-        empty = False
-        for c in chars:
-            unigrams.add(c)
-        for bg in bigrams_of(chars):
-            bigrams.add(bg)
-    if empty:
+    corpus = list(corpus)
+    if not corpus:
         raise DataError("cannot build vocabularies from an empty corpus")
+    unigrams = Vocab(chain.from_iterable(corpus))
+    bigrams = Vocab(chain.from_iterable(map(bigrams_of, corpus)))
     return unigrams, bigrams
 
 
@@ -179,7 +168,7 @@ class EmbeddingTable:
         name: str = "embeddings",
     ) -> "EmbeddingTable":
         bound = math.sqrt(3.0 / dim)
-        data = rng.uniform(-bound, bound, size=(len(vocab), dim)).astype(dtype)
+        data = rng.uniform(-bound, bound, size=(len(vocab), dim)).astype(dtype, copy=False)
         return cls(vocab=vocab, rows=param(data, name))
 
 
@@ -225,21 +214,34 @@ def load_embeddings(
     return table
 
 
+class _Interned(dict):
+    """Maps each key to the first equal ``str`` it was given."""
+
+    def __missing__(self, key: str) -> str:
+        self[key] = key
+        return key
+
+
 def read_corpus(path) -> list[LabeledSentence]:
-    """Parse a segmented corpus file into labeled sentences."""
+    """Parse a segmented corpus file into labeled sentences.
+
+    All sentences share one ``str`` object per distinct character.
+    """
     sentences: list[LabeledSentence] = []
+    interned = _Interned().__getitem__
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             raw = line.rstrip("\n").rstrip("\r")
             if not raw.strip():
                 continue
-            try:
-                other = _OTHER_SPACE.search(raw)
-                if other:
-                    raise DataError(f"U+{ord(other[0]):04X} is not a single space between words")
-                sentences.append(to_bmes(raw.split(" ")))
-            except DataError as exc:
-                raise DataError(f"{path}: line {lineno}: {exc}") from None
+            words = raw.split(" ")
+            other = _OTHER_SPACE.search(raw)
+            if other:
+                reason = f"U+{ord(other[0]):04X} is not a single space between words"
+                raise DataError(f"{path}: line {lineno}: {reason}")
+            if "" in words:
+                raise DataError(f"{path}: line {lineno}: empty word")
+            sentences.append(LabeledSentence(tuple(map(interned, "".join(words))), _labels(words)))
     return sentences
 
 
@@ -247,6 +249,13 @@ def read_raw_sentences(path) -> list[str]:
     """Unsegmented input, one sentence per line; empty lines are preserved."""
     with open(path, encoding="utf-8") as fh:
         return [line.rstrip("\n").rstrip("\r") for line in fh]
+
+
+def check_raw_text(text: str) -> None:
+    """Refuse whitespace in unsegmented text: joined by spaces, its words would read back split."""
+    space = _SPACE.search(text)
+    if space:
+        raise DataError(f"U+{ord(space[0]):04X} in raw text")
 
 
 def word_set(sentences: Iterable[LabeledSentence]) -> set[str]:

@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from . import crf as crf_ops
-from .data import RESERVED, EmbeddingTable, LabeledSentence, Vocab, from_bmes
+from .data import RESERVED, EmbeddingTable, LabeledSentence, Vocab, check_raw_text, from_bmes
 from .encoder import DirectionParams, char_repr, encode_bidirectional
 from .errors import UsageError
 from .lexicon import LatticeMatchSet, Trie, build_trie, match_sentence
@@ -156,6 +156,8 @@ class SegmenterModel:
         return crf_ops.viterbi(hs, self.crf)
 
     def segment(self, text: str) -> list[str]:
+        """The words of unsegmented ``text``; whitespace in it is a :class:`DataError`."""
+        check_raw_text(text)
         if not text:
             return []
         chars = tuple(text)

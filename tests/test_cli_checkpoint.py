@@ -1,16 +1,18 @@
 """CLI flows and checkpoint persistence on a small synthetic corpus."""
 
 import filecmp
+import re
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from latseg import bpe, synth
+from latseg import bpe, checkpoint, synth
 from latseg.checkpoint import load_checkpoint, load_train_words, save_checkpoint
 from latseg.cli import _build_model, main
 from latseg.data import EmbeddingTable, build_vocabs, read_corpus, to_bmes, word_set
-from latseg.errors import CheckpointError, ConfigError
+from latseg.errors import CheckpointError, ConfigError, DataError
 from latseg.lexicon import read_lexicon
 from latseg.model import SegmenterModel, prepare_lexicon
 from latseg.train import TrainConfig
@@ -315,6 +317,13 @@ class TestSegmentCommand:
         assert err.startswith(f"latseg: {inp}: line 2: ") and err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("space", [" ", "\t", "\u3000"], ids=["space", "tab", "ideographic"])
+    def test_segment_method_refuses_whitespace(self, trained, space):
+        # it used to return a word holding the space, e.g. ['ab', ' cd']
+        model = load_checkpoint(trained)
+        with pytest.raises(DataError, match=f"^U[+]{ord(space):04X} in raw text$"):
+            model.segment(f"ab{space}cd")
+
     def test_empty_probe_sentence_is_checkpoint_error(self, corpus_dir, trained, tmp_path, capsys):
         ckpt = tmp_path / "model"
         shutil.copytree(trained, ckpt)
@@ -532,6 +541,19 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="manifest"):
             load_checkpoint(copy)
 
+    def test_partial_value_names_the_tensor_file(self, trained, tmp_path):
+        # it used to be reported as a malformed manifest
+        copy = tmp_path / "partial"
+        shutil.copytree(trained, copy)
+        victim = copy / "crf_transitions.f32"
+        size = victim.stat().st_size
+        with open(victim, "ab") as fh:
+            fh.write(b"\x00")
+        with pytest.raises(CheckpointError) as info:
+            load_checkpoint(copy)
+        assert str(info.value).startswith(f"{victim}: ") and f"{size - 8 + 1} bytes" in str(info.value)
+        assert "manifest" not in str(info.value)
+
     def test_train_words_persisted(self, trained, corpus_dir):
         words = load_train_words(trained)
         assert words == word_set(read_corpus(corpus_dir / "train.txt"))
@@ -598,3 +620,70 @@ def test_reserved_symbols_in_lexicon_round_trip(tmp_path, rng):
     assert loaded.trie.symbols == model.trie.symbols
     assert len(loaded.match(chars)) == len(model.match(chars)) == 1
     assert loaded.emission_matrix(chars).tobytes() == model.emission_matrix(chars).tobytes()
+
+
+def _reference_tensor_bytes(a: np.ndarray) -> bytes:
+    return np.uint64(a.size).astype("<u8").tobytes() + np.ascontiguousarray(a, "<f4").tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("size", [1, 6, 7, 8, 29], ids=["one", "block-1", "block", "block+1", "blocks"])
+def test_tensor_io_at_block_edges(tmp_path, monkeypatch, rng, dtype, size):
+    monkeypatch.setattr(checkpoint, "BLOCK", 7)
+    a = rng.standard_normal(size).astype(dtype)
+    shape = (size,) if size % 2 else (2, size // 2)
+    a = a.reshape(shape)
+    path = tmp_path / "t.f32"
+    checkpoint._write_tensor(path, a)
+    assert path.read_bytes() == _reference_tensor_bytes(a)
+    stored = a.astype("<f4").astype(dtype)
+    for got in (checkpoint._read_tensor(path, shape, dtype), checkpoint._rounded(a, dtype)):
+        assert got.dtype == dtype and got.shape == shape
+        assert got.tobytes() == stored.tobytes()
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (lambda ref: ref[:5], "truncated tensor file"),
+        (lambda ref: ref[:-4], "expected 9 values, header says 9, file has 8$"),
+        (lambda ref: ref + ref[-4:], "expected 9 values, header says 9, file has 10$"),
+        (lambda ref: ref + b"\x00", "file has 37 bytes of values, not a multiple of 4$"),
+    ],
+    ids=["short-header", "short-body", "trailing-values", "partial-value"],
+)
+def test_tensor_file_refusals(tmp_path, monkeypatch, body, message):
+    monkeypatch.setattr(checkpoint, "BLOCK", 4)
+    path = tmp_path / "t.f32"
+    path.write_bytes(body(_reference_tensor_bytes(np.arange(9.0))))
+    with pytest.raises(CheckpointError, match=f"^{re.escape(str(path))}: .*{message}"):
+        checkpoint._read_tensor(path, (3, 3), np.float64)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_save_and_load_hold_the_parameters_once(tmp_path, dtype):
+    # 130 x 8,192 unigram values dominate the parameters; a save or load may
+    # hold them once, plus blocks, not as whole-table float32 or bytes copies
+    rng = np.random.default_rng(5)
+    chars = tuple(chr(0x4E00 + k) for k in range(128))
+    uni, bi = build_vocabs([chars])
+    ut = EmbeddingTable.random(uni, 1 << 13, rng, dtype=dtype, name="unigram_embeddings")
+    bt = EmbeddingTable.random(bi, 2, rng, dtype=dtype, name="bigram_embeddings")
+    model = SegmenterModel.create("baseline", ut, bt, 1, rng, dtype=dtype)
+    assert ut.rows.data.size >= 1 << 20
+    param_bytes = sum(p.data.nbytes for p in model.parameters())
+    tracemalloc.start()
+    try:
+        save_checkpoint(model, tmp_path / "ck", chars[0])
+        _, save_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        before_load, _ = tracemalloc.get_traced_memory()
+        loaded = load_checkpoint(tmp_path / "ck")
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert save_peak < 1.25 * param_bytes
+    # tracemalloc counts the loaded parameters' gradient buffers in full,
+    # though a load writes none of their pages
+    grad_bytes = sum(p.grad.nbytes for p in loaded.parameters())
+    assert load_peak - before_load - grad_bytes < 1.25 * param_bytes

@@ -124,6 +124,11 @@ class TestBuildVocabs:
         with pytest.raises(DataError):
             build_vocabs([])
 
+    def test_symbols_in_order_of_first_appearance(self):
+        uni, bi = build_vocabs(iter(["ba", ("a", "c", "b")]))
+        assert uni.symbols() == [UNK, SENTINEL, "b", "a", "c"]
+        assert bi.symbols() == [UNK, SENTINEL, "ba", "a" + SENTINEL, "ac", "cb", "b" + SENTINEL]
+
     @given(st.lists(st.text(alphabet="pqr", min_size=1, max_size=9), min_size=1, max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_bigram_entries_are_two_symbols(self, corpus):
@@ -181,6 +186,15 @@ class TestCorpusIO:
         assert len(sents) == 2
         assert sents[0].labels == ("B", "E", "S")
         assert word_set(sents) == {"中国", "人"}
+
+    def test_one_object_per_distinct_character(self, tmp_path):
+        path = tmp_path / "corpus.txt"
+        lines = ["中国 人民", "人民 是 中国 的", "abc a"]
+        path.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
+        corpus = read_corpus(path)
+        assert corpus == [to_bmes(l.split(" ")) for l in lines]
+        distinct = {c for s in corpus for c in s.chars}
+        assert len({id(c) for s in corpus for c in s.chars}) == len(distinct) == 9
 
     def test_double_space_reports_line(self, tmp_path):
         path = tmp_path / "corpus.txt"
