@@ -1,4 +1,4 @@
-"""Byte-pair encoding over characters: learn merges, apply them, emit a lexicon.
+"""Byte-pair encoding over characters: learn merges, emit a lexicon.
 
 Pair counting is corpus-global over raw lines (no word pre-tokenization) and
 merges never cross line boundaries. A pair's frequency is its number of
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, DataError, FormatError
@@ -31,16 +31,10 @@ class BpeModel:
 
     merges: list[Pair]
     vocab: Counter  # symbol -> frequency in the final training segmentation
-    _ranks: dict[Pair, int] | None = field(default=None, repr=False)
 
     @property
     def merge_count(self) -> int:
         return len(self.merges)
-
-    def ranks(self) -> dict[Pair, int]:
-        if self._ranks is None:
-            self._ranks = {pair: i for i, pair in enumerate(self.merges)}
-        return self._ranks
 
 
 def _merge_pass(symbols: list[str], pair: Pair) -> tuple[list[str], list[int]]:
@@ -143,23 +137,6 @@ def learn_bpe(corpus: Iterable[Sequence[str]], k: int) -> BpeModel:
     for line in lines:
         vocab.update(line)
     return BpeModel(merges=merges, vocab=vocab)
-
-
-def apply_bpe(model: BpeModel, sentence: Sequence[str]) -> list[str]:
-    """Replay the learned merges over a character sequence.
-
-    Applies the lowest-ranked applicable merge until none remains, which
-    reproduces in-order replay: a pair's occurrences can only be created by
-    strictly earlier merges. Unseen characters pass through as singletons.
-    """
-    symbols = list(sentence)
-    ranks = model.ranks()
-    while len(symbols) > 1:
-        present = set(zip(symbols, symbols[1:])) & ranks.keys()
-        if not present:
-            break
-        symbols, _ = _merge_pass(symbols, min(present, key=ranks.__getitem__))
-    return symbols
 
 
 def extract_lexicon(model: BpeModel) -> list[tuple[str, int]]:

@@ -23,7 +23,7 @@ from .encoder import DirectionParams
 from .errors import CheckpointError, UsageError
 from .lexicon import build_trie
 from .model import MODES, SegmenterModel
-from .tensor import Tensor, const, param
+from .tensor import Tensor, const
 
 FORMAT = "latseg-ckpt-v1"
 MANIFEST = "manifest.txt"
@@ -83,7 +83,7 @@ def _read_vocab(path: Path, expected_size: int) -> Vocab:
         symbols = [line.rstrip("\n") for line in fh]
     if tuple(symbols[: len(RESERVED)]) != RESERVED:
         raise CheckpointError(f"{path}: missing reserved vocabulary entries")
-    vocab = Vocab.from_symbols(symbols[len(RESERVED) :])
+    vocab = Vocab(symbols[len(RESERVED) :])
     if len(vocab) != expected_size:
         raise CheckpointError(
             f"{path}: manifest declares {expected_size} symbols, file has {len(vocab)}"
@@ -240,7 +240,10 @@ def _assemble(
 
 
 def load_checkpoint(ckpt_dir) -> SegmenterModel:
-    """Rebuild a model from disk and verify the manifest probe.
+    """Rebuild a model for decoding from disk and verify the manifest probe.
+
+    Its tensors are constants: they hold no gradient buffers, so the model
+    is not for training.
 
     Any missing or unparsable manifest value or tensor raises
     :class:`CheckpointError` naming the directory.
@@ -274,7 +277,7 @@ def _load(ckpt: Path) -> SegmenterModel:
     dtype = np.dtype(values["dtype"])
     arrays: dict[str, Tensor] = {}
     for name, shape in tensor_list:
-        arrays[name] = param(_read_tensor(ckpt / f"{name}{TENSOR_SUFFIX}", shape, dtype), name)
+        arrays[name] = const(_read_tensor(ckpt / f"{name}{TENSOR_SUFFIX}", shape, dtype), name)
 
     uvocab = _read_vocab(ckpt / "unigram.vocab", int(values["unigram_vocab_size"]))
     bvocab = _read_vocab(ckpt / "bigram.vocab", int(values["bigram_vocab_size"]))

@@ -1,4 +1,4 @@
-"""Linear-chain CRF over BMES labels: scoring, partition, loss, Viterbi.
+"""Linear-chain CRF over BMES labels: the NLL loss and Viterbi decoding.
 
 Scores decompose into per-position emissions (a 4-way affine projection of
 the encoder hidden state) plus label-pair transitions. The transition table
@@ -8,11 +8,11 @@ keeping the arithmetic finite. All partition sums run in log space with the
 max-shift trick.
 
 Every function here takes a sentence's hidden states as one (m, 2H) tensor;
-:func:`emissions` maps them to a plain (m, 4) array. Path score,
-log-partition and loss are one recorded op each, :func:`_objective`: its
-forward is the emissions, the alpha recursion and the gold path's terms; its
-backward takes the emission gradient as marginals minus gold indicators, from
-the forward-backward recursions, on to the hidden states and emission weights.
+:func:`emissions` maps them to a plain (m, 4) array. The loss is one recorded
+op, :func:`nll_loss`: its forward is the emissions, the alpha recursion and
+the gold path's terms; its backward takes the emission gradient as marginals
+minus gold indicators, from the forward-backward recursions, on to the hidden
+states and emission weights.
 """
 
 from __future__ import annotations
@@ -72,14 +72,6 @@ class CrfParams:
 @dataclass
 class LabelPath:
     labels: tuple[str, ...]
-    score: float
-
-    def __len__(self) -> int:
-        return len(self.labels)
-
-
-def _label_indices(labels: Sequence) -> list[int]:
-    return [lab if isinstance(lab, int) else LABEL_INDEX[lab] for lab in labels]
 
 
 def emissions(hs: Tensor, p: CrfParams) -> np.ndarray:
@@ -95,78 +87,52 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
     return mx + np.log(np.exp(a - mx).sum(axis=0))
 
 
-def _objective(
-    hs: Tensor, labels: Sequence | None, p: CrfParams, z_weight: float, path_weight: float
-) -> Tensor:
-    """z_weight * log_partition + path_weight * score of ``labels``, as one recorded op.
+def nll_loss(hs: Tensor, labels: Sequence[str], p: CrfParams) -> Tensor:
+    """Negative sentence log-likelihood, log Z minus the gold path's score, as one recorded op.
 
-    The gradient is z_weight times the label marginals plus path_weight
-    times the gold path's indicators, for emissions and transitions alike.
+    The gradient is the label marginals minus the gold path's indicators,
+    for emissions and transitions alike.
     """
     m = len(hs)
     if m == 0:
         raise UsageError("CRF over an empty sequence")
-    if labels is not None and len(labels) != m:
+    if len(labels) != m:
         raise ShapeError(f"{m} hidden states but {len(labels)} labels")
     e = emissions(hs, p)
     trans = p.masked_transitions()
     inner = trans[:N_LABELS, :N_LABELS]
 
-    value = 0.0
-    if z_weight:
-        alphas = [e[0] + trans[START, :N_LABELS]]
-        for i in range(1, m):
-            alphas.append(_logsumexp(alphas[-1][:, None] + inner) + e[i])
-        alpha = np.array(alphas)
-        log_z = _logsumexp(alpha[-1] + trans[:N_LABELS, STOP])
-        value = value + z_weight * log_z
-    if path_weight:
-        idx = _label_indices(labels)
-        moves = list(zip([START, *idx], [*idx, STOP]))
-        score = sum([e[i, lab] for i, lab in enumerate(idx)] + [trans[a, b] for a, b in moves])
-        value = value + path_weight * score
+    alphas = [e[0] + trans[START, :N_LABELS]]
+    for i in range(1, m):
+        alphas.append(_logsumexp(alphas[-1][:, None] + inner) + e[i])
+    alpha = np.array(alphas)
+    log_z = _logsumexp(alpha[-1] + trans[:N_LABELS, STOP])
+    idx = [LABEL_INDEX[lab] for lab in labels]
+    moves = list(zip([START, *idx], [*idx, STOP]))
+    score = sum([e[i, lab] for i, lab in enumerate(idx)] + [trans[a, b] for a, b in moves])
 
     def bwd(g):
-        d_emit = np.zeros_like(e)
+        # beta[i, y]: log-sum of the scores of every continuation after label y at i
+        beta = np.empty_like(alpha)
+        beta[-1] = trans[:N_LABELS, STOP]
+        for i in range(m - 2, -1, -1):
+            beta[i] = _logsumexp(inner.T + (e[i + 1] + beta[i + 1])[:, None])
+        d_emit = np.exp(alpha + beta - log_z)  # the label marginals
+        moved = np.exp(alpha[:-1, :, None] + inner + (e[1:] + beta[1:])[:, None, :] - log_z)
         d_trans = np.zeros_like(trans)
-        if z_weight:
-            # beta[i, y]: log-sum of the scores of every continuation after label y at i
-            beta = np.empty_like(alpha)
-            beta[-1] = trans[:N_LABELS, STOP]
-            for i in range(m - 2, -1, -1):
-                beta[i] = _logsumexp(inner.T + (e[i + 1] + beta[i + 1])[:, None])
-            marginals = np.exp(alpha + beta - log_z)
-            moved = np.exp(alpha[:-1, :, None] + inner + (e[1:] + beta[1:])[:, None, :] - log_z)
-            d_emit += z_weight * marginals
-            d_trans[START, :N_LABELS] += z_weight * marginals[0]
-            d_trans[:N_LABELS, STOP] += z_weight * marginals[-1]
-            d_trans[:N_LABELS, :N_LABELS] += z_weight * moved.sum(axis=0)
-        if path_weight:
-            d_emit[np.arange(m), idx] += path_weight
-            for a, b in moves:
-                d_trans[a, b] += path_weight
+        d_trans[START, :N_LABELS] = d_emit[0]
+        d_trans[:N_LABELS, STOP] = d_emit[-1]
+        d_trans[:N_LABELS, :N_LABELS] = moved.sum(axis=0)
+        d_emit[np.arange(m), idx] -= 1.0
+        for a, b in moves:
+            d_trans[a, b] -= 1.0
         d_emit = g * d_emit
         _acc(p.emit_w, d_emit.T @ hs.data)
         _acc(hs, d_emit @ p.emit_w.data)
         _acc(p.emit_b, d_emit.sum(axis=0))
         _acc(p.transitions, g * d_trans)
 
-    return _out(np.asarray(value, dtype=e.dtype), bwd)
-
-
-def score_path(hs: Tensor, labels: Sequence, p: CrfParams) -> Tensor:
-    """Unnormalized path score: emissions plus transitions, START to STOP."""
-    return _objective(hs, labels, p, 0.0, 1.0)
-
-
-def log_partition(hs: Tensor, p: CrfParams) -> Tensor:
-    """log of the summed exp-score over all 4^m label sequences."""
-    return _objective(hs, None, p, 1.0, 0.0)
-
-
-def nll_loss(hs: Tensor, labels: Sequence, p: CrfParams) -> Tensor:
-    """Negative sentence log-likelihood: log_partition - gold path score."""
-    return _objective(hs, labels, p, 1.0, -1.0)
+    return _out(np.asarray(log_z - score, dtype=e.dtype), bwd)
 
 
 def viterbi(hs: Tensor, p: CrfParams) -> LabelPath:
@@ -192,4 +158,4 @@ def viterbi(hs: Tensor, p: CrfParams) -> LabelPath:
     for bp in reversed(back):
         path.append(int(bp[path[-1]]))
     path.reverse()
-    return LabelPath(labels=tuple(LABELS[i] for i in path), score=float(final[last]))
+    return LabelPath(labels=tuple(LABELS[i] for i in path))

@@ -126,10 +126,6 @@ class Vocab:
     def symbols(self) -> list[str]:
         return list(self._index)
 
-    @classmethod
-    def from_symbols(cls, symbols: Iterable[str]) -> "Vocab":
-        return cls(symbols)
-
 
 def bigrams_of(chars: Sequence[str]) -> list[str]:
     """Bigram keys c_i c_{i+1} for every position; the last pairs with the sentinel."""

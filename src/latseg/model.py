@@ -30,7 +30,7 @@ def prepare_lexicon(symbols: Sequence[str]) -> tuple[Trie, Vocab]:
     lexicon row of trie entry k is always k + len(RESERVED).
     """
     trie = build_trie(s for s in symbols if s not in RESERVED)
-    return trie, Vocab.from_symbols(trie.symbols)
+    return trie, Vocab(trie.symbols)
 
 
 class SegmenterModel:

@@ -12,8 +12,8 @@ embedding table and their :func:`concat` for the character representations;
 per lattice direction, a gather of the matched lexicon rows and the
 direction op itself; when the forward is given an rng, a :func:`dropout` of
 the character representations and of each lexicon gather; the
-:func:`concat` of the two directions; and the CRF objective, which computes
-the emissions itself. The direction ops and the objective have hand-written
+:func:`concat` of the two directions; and the CRF loss, which computes
+the emissions itself. The direction ops and the loss have hand-written
 backwards built on :func:`_out` and :func:`_acc` (in ``encoder`` and
 ``crf``).
 
@@ -40,13 +40,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ConfigError, NumericError, UsageError
-
-# Single home for the numeric tolerances used across the test suites.
-GRAD_REL_TOL = 1e-4  # analytic vs central finite differences, float64
-GRAD_ABS_TOL = 1e-8  # absolute floor for near-zero gradient entries
-FD_STEP = 1e-5  # central-difference step
-ALPHA_SUM_TOL = 1e-6  # lattice gate weights must sum to 1 within this
-LOGSPACE_TOL = 1e-9  # CRF log-space identities
 
 
 class Tensor:

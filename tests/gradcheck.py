@@ -4,17 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from latseg.tensor import (
-    FD_STEP,
-    GRAD_ABS_TOL,
-    GRAD_REL_TOL,
-    Tape,
-    Tensor,
-    _acc,
-    _out,
-    backward,
-    zero_grads,
-)
+from latseg.tensor import Tape, Tensor, _acc, _out, backward, zero_grads
+
+# Single home for the numeric tolerances used across the test suites.
+GRAD_REL_TOL = 1e-4  # analytic vs central finite differences, float64
+GRAD_ABS_TOL = 1e-8  # absolute floor for near-zero gradient entries
+FD_STEP = 1e-5  # central-difference step
+ALPHA_SUM_TOL = 1e-6  # lattice gate weights must sum to 1 within this
+LOGSPACE_TOL = 1e-9  # CRF log-space identities
 
 
 def weighted_sum(t: Tensor, weights) -> Tensor:

@@ -1,8 +1,9 @@
-"""BPE: worked examples, replay invariants, equivalence with a naive reference."""
+"""BPE: worked examples, learner invariants, equivalence with a naive reference."""
 
 import contextlib
 import io
 from collections import Counter
+from itertools import chain
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from hypothesis import strategies as st
 from latseg import cli
 from latseg.bpe import (
     BpeModel,
-    apply_bpe,
     extract_lexicon,
     learn_bpe,
     load_bpe_model,
@@ -56,11 +56,9 @@ def naive_learn(corpus, k):
     return merges, lines
 
 
-def naive_apply(merges, sentence):
-    symbols = list(sentence)
-    for pair in merges:
-        symbols = naive_merge_pass(symbols, pair)
-    return symbols
+def naive_vocab(corpus, k):
+    """Symbol counts of the naive learner's final segmentation."""
+    return Counter(chain(*naive_learn(corpus, k)[1]))
 
 
 def random_corpus(rng, max_chars, alphabet="abcd"):
@@ -78,14 +76,14 @@ class TestLearn:
     def test_abab_one_merge(self):
         model = learn_bpe(["abab"], 1)
         assert model.merges == [("a", "b")]
-        assert apply_bpe(model, "abab") == ["ab", "ab"]
+        assert model.vocab == Counter({"ab": 2}) == naive_vocab(["abab"], 1)
 
     def test_abab_second_merge_stopped_by_frequency_rule(self):
         # after (a, b) the only remaining pair occurs once, below the
         # frequency-2 floor, so the budget is not exhausted
         model = learn_bpe(["abab"], 2)
         assert model.merges == [("a", "b")]
-        assert apply_bpe(model, "abab") == ["ab", "ab"]
+        assert model.vocab == Counter({"ab": 2}) == naive_vocab(["abab"], 2)
 
     def test_k_zero(self):
         model = learn_bpe(["abab"], 0)
@@ -114,28 +112,31 @@ class TestLearn:
 
 
 class TestApply:
+    """Each learned merge rewrites the training lines in one left-to-right,
+    non-overlapping pass; ``model.vocab`` counts the final segmentation."""
+
     def test_single_merge_left_to_right(self):
-        model = BpeModel(merges=[("a", "b")], vocab=Counter())
-        assert apply_bpe(model, "aba") == ["ab", "a"]
+        # "aaa" becomes ["aa", "a"], not ["a", "aa"], so the next merge is (aa, a)
+        assert learn_bpe(["aaa", "aaa"], 2).merges == [("a", "a"), ("aa", "a")]
 
     def test_empty_merges_identity(self):
-        model = BpeModel(merges=[], vocab=Counter())
-        assert apply_bpe(model, "abc") == ["a", "b", "c"]
+        model = learn_bpe(["abc"], 5)
+        assert model.merges == []
+        assert model.vocab == Counter("abc")
 
     def test_unseen_chars_pass_through(self):
-        model = learn_bpe(["abab"], 1)
-        assert apply_bpe(model, "xy") == ["x", "y"]
+        # characters that no merge touches stay single symbols
+        model = learn_bpe(["abab", "xy"], 1)
+        assert model.vocab == Counter({"ab": 2, "x": 1, "y": 1}) == naive_vocab(["abab", "xy"], 1)
 
     def test_reproduces_training_segmentation(self):
         corpus = ["ababab", "aabba", "bbbab"]
-        model = learn_bpe(corpus, 4)
-        _, naive_lines = naive_learn(corpus, 4)
-        for line, expected in zip(corpus, naive_lines):
-            assert apply_bpe(model, line) == expected
+        assert learn_bpe(corpus, 4).vocab == naive_vocab(corpus, 4)
 
     def test_overlapping_run(self):
-        model = BpeModel(merges=[("a", "a")], vocab=Counter())
-        assert apply_bpe(model, "aaaaa") == ["aa", "aa", "a"]
+        model = learn_bpe(["aaaaa"], 1)
+        assert model.merges == [("a", "a")]
+        assert model.vocab == Counter({"aa": 2, "a": 1})
 
 
 class TestExtractLexicon:
@@ -173,9 +174,6 @@ class TestNaiveEquivalence:
             for line in lines:
                 vocab.update(line)
             assert model.vocab == vocab, f"trial {trial}"
-            probe = random_corpus(rng, 120)
-            for sent in probe:
-                assert apply_bpe(model, sent) == naive_apply(merges, sent)
 
 
 # Corpora over 1-3 letters, so runs ("aaaa") and alternations ("abababa") are
@@ -210,13 +208,14 @@ class TestIncrementalLearner:
 
 class TestModelFile:
     def test_round_trip(self, tmp_path):
-        model = learn_bpe(["ababab", "bbab"], 3)
+        corpus = ["ababab", "bbab"]
+        model = learn_bpe(corpus, 3)
+        assert model.vocab == naive_vocab(corpus, 3)
         path = tmp_path / "model.bpe"
         save_bpe_model(model, path)
         loaded = load_bpe_model(path)
-        assert loaded.merges == model.merges
+        assert loaded.merges == model.merges == naive_learn(corpus, 3)[0]
         assert loaded.merge_count == model.merge_count
-        assert apply_bpe(loaded, "ababb") == apply_bpe(model, "ababb")
 
     def test_hand_built_model_round_trips(self, tmp_path):
         # the header count is the merge list's length; no stored count can disagree

@@ -683,7 +683,6 @@ def test_save_and_load_hold_the_parameters_once(tmp_path, dtype):
     finally:
         tracemalloc.stop()
     assert save_peak < 1.25 * param_bytes
-    # tracemalloc counts the loaded parameters' gradient buffers in full,
-    # though a load writes none of their pages
-    grad_bytes = sum(p.grad.nbytes for p in loaded.parameters())
-    assert load_peak - before_load - grad_bytes < 1.25 * param_bytes
+    # a loaded model is for decoding: its tensors hold no gradient buffers
+    assert all(p.grad is None for p in loaded.parameters())
+    assert load_peak - before_load < 1.25 * param_bytes

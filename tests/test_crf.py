@@ -1,4 +1,4 @@
-"""CRF: path scores, partition, Viterbi vs explicit 4^m enumeration."""
+"""CRF: the loss's path score and partition terms, and Viterbi, vs explicit 4^m enumeration."""
 
 import itertools
 import math
@@ -6,21 +6,19 @@ import math
 import numpy as np
 import pytest
 
-from gradcheck import assert_grads_match
+from gradcheck import LOGSPACE_TOL, assert_grads_match
 from latseg.crf import (
     MASK_VALUE,
     N_LABELS,
     START,
     STOP,
     CrfParams,
-    log_partition,
     nll_loss,
-    score_path,
     viterbi,
 )
 from latseg.data import LABELS
 from latseg.errors import ShapeError, UsageError
-from latseg.tensor import LOGSPACE_TOL, Tape, backward, const, param
+from latseg.tensor import Tape, backward, const, param
 
 
 def make_params(rng, hidden2=6, scale=1.0):
@@ -78,22 +76,32 @@ def oracle_log_partition(emit, trans):
     return mx + math.log(np.exp(scores - mx).sum())
 
 
+def nll_of(hs, path, p):
+    """The loss of a path given as label indices, as a float."""
+    return nll_loss(hs, [LABELS[i] for i in path], p).item()
+
+
 class TestScorePath:
+    """The loss's path-score term: log Z from the enumeration minus the loss."""
+
     def test_length_one_zero_params(self):
         hs = const(np.zeros((1, 6)))
-        assert score_path(hs, ["B"], zero_params()).item() == 0.0
+        p = zero_params()
+        logz = oracle_log_partition(oracle_emissions(hs, p), oracle_trans(p))
+        for y in range(N_LABELS):
+            assert logz - nll_of(hs, (y,), p) == pytest.approx(0.0, abs=1e-12)
 
     def test_length_two_expansion(self, rng):
         p = make_params(rng)
         hs = make_hidden(rng, 2)
         emit = oracle_emissions(hs, p)
         trans = oracle_trans(p)
-        labels = ["B", "E"]
         expect = (
             emit[0, 0] + emit[1, 2]
             + trans[START, 0] + trans[0, 2] + trans[2, STOP]
         )
-        assert score_path(hs, labels, p).item() == pytest.approx(expect, abs=1e-12)
+        logz = oracle_log_partition(emit, trans)
+        assert logz - nll_of(hs, (0, 2), p) == pytest.approx(expect, abs=LOGSPACE_TOL)
 
     def test_random_instance_term_by_term(self, rng):
         for _ in range(10):
@@ -101,43 +109,59 @@ class TestScorePath:
             p = make_params(rng)
             hs = make_hidden(rng, m)
             path = tuple(int(x) for x in rng.integers(0, 4, size=m))
-            expect = oracle_path_score(oracle_emissions(hs, p), oracle_trans(p), path)
-            got = score_path(hs, [LABELS[i] for i in path], p).item()
-            assert got == pytest.approx(expect, abs=1e-9)
+            emit, trans = oracle_emissions(hs, p), oracle_trans(p)
+            expect = oracle_path_score(emit, trans, path)
+            got = oracle_log_partition(emit, trans) - nll_of(hs, path, p)
+            assert got == pytest.approx(expect, abs=LOGSPACE_TOL)
 
     def test_length_mismatch(self, rng):
         with pytest.raises(ShapeError):
-            score_path(make_hidden(rng, 2), ["B"], make_params(rng))
+            nll_loss(make_hidden(rng, 2), ["B"], make_params(rng))
 
 
 class TestLogPartition:
+    """The loss's log Z term: the loss plus the enumerated gold path score."""
+
     def test_length_one_zero_params(self):
         hs = const(np.zeros((1, 6)))
-        assert log_partition(hs, zero_params()).item() == pytest.approx(math.log(4), abs=1e-12)
+        p = zero_params()
+        emit, trans = oracle_emissions(hs, p), oracle_trans(p)
+        for y in range(N_LABELS):
+            got = nll_of(hs, (y,), p) + oracle_path_score(emit, trans, (y,))
+            assert got == pytest.approx(math.log(4), abs=1e-12)
 
     def test_matches_enumeration(self, rng):
         for _ in range(15):
             m = int(rng.integers(1, 7))
             p = make_params(rng)
             hs = make_hidden(rng, m)
-            expect = oracle_log_partition(oracle_emissions(hs, p), oracle_trans(p))
-            assert abs(log_partition(hs, p).item() - expect) < LOGSPACE_TOL
+            emit, trans = oracle_emissions(hs, p), oracle_trans(p)
+            expect = oracle_log_partition(emit, trans)
+            for _ in range(2):
+                path = tuple(int(x) for x in rng.integers(0, 4, size=m))
+                got = nll_of(hs, path, p) + oracle_path_score(emit, trans, path)
+                assert abs(got - expect) < LOGSPACE_TOL
 
     def test_emission_shift_adds_m_kappa(self, rng):
+        # log Z and every path score gain m * kappa, so the loss itself does not move
         p = make_params(rng)
         hs = make_hidden(rng, 4)
-        base = log_partition(hs, p).item()
+        path = (0, 1, 2, 3)
+        base_loss = nll_of(hs, path, p)
+        base_z = base_loss + oracle_path_score(oracle_emissions(hs, p), oracle_trans(p), path)
         kappa = 0.731
         p.emit_b.data += kappa
-        assert log_partition(hs, p).item() == pytest.approx(base + 4 * kappa, abs=1e-9)
+        shifted_loss = nll_of(hs, path, p)
+        shifted_z = shifted_loss + oracle_path_score(oracle_emissions(hs, p), oracle_trans(p), path)
+        assert shifted_z == pytest.approx(base_z + 4 * kappa, abs=1e-9)
+        assert shifted_loss == pytest.approx(base_loss, abs=1e-9)
 
     def test_normalization_sums_to_one(self, rng):
         for m in (1, 3, 6):
             p = make_params(rng)
             hs = make_hidden(rng, m)
-            logz = log_partition(hs, p).item()
-            scores = oracle_all_paths(oracle_emissions(hs, p), oracle_trans(p))
-            total = sum(math.exp(s - logz) for s in scores.values())
+            paths = itertools.product(range(N_LABELS), repeat=m)
+            total = sum(math.exp(-nll_of(hs, path, p)) for path in paths)
             assert abs(total - 1.0) <= 1e-9
 
 
@@ -179,22 +203,20 @@ class TestViterbi:
             m = int(rng.integers(1, 7))
             p = make_params(rng)
             hs = make_hidden(rng, m)
-            best = max(oracle_all_paths(oracle_emissions(hs, p), oracle_trans(p)).values())
-            assert abs(viterbi(hs, p).score - best) < LOGSPACE_TOL
-
-    def test_score_is_score_path_of_labels(self, rng):
-        p = make_params(rng)
-        hs = make_hidden(rng, 5)
-        path = viterbi(hs, p)
-        assert path.score == pytest.approx(score_path(hs, path.labels, p).item(), abs=1e-9)
+            emit, trans = oracle_emissions(hs, p), oracle_trans(p)
+            best = max(oracle_all_paths(emit, trans).values())
+            decoded = tuple(LABELS.index(lab) for lab in viterbi(hs, p).labels)
+            assert abs(oracle_path_score(emit, trans, decoded) - best) < LOGSPACE_TOL
 
     def test_beats_random_paths(self, rng):
         p = make_params(rng)
         hs = make_hidden(rng, 6)
-        best = viterbi(hs, p).score
+        emit, trans = oracle_emissions(hs, p), oracle_trans(p)
+        decoded = tuple(LABELS.index(lab) for lab in viterbi(hs, p).labels)
+        best = oracle_path_score(emit, trans, decoded)
         for _ in range(1000):
-            labels = [LABELS[int(x)] for x in rng.integers(0, 4, size=6)]
-            assert best >= score_path(hs, labels, p).item() - 1e-12
+            path = tuple(int(x) for x in rng.integers(0, 4, size=6))
+            assert best >= oracle_path_score(emit, trans, path) - 1e-12
 
 
 class TestMask:
@@ -222,7 +244,7 @@ def oracle_marginals(emit, trans):
 
 
 class TestObjectiveOp:
-    """One recorded op per path score, log-partition or loss, with a hand-written backward."""
+    """One recorded op per loss, with a hand-written backward."""
 
     def _identity_case(self, rng, m):
         # emit_w = I and emit_b = 0, so the gradient wrt each h_i is the
@@ -236,12 +258,16 @@ class TestObjectiveOp:
 
     @pytest.mark.parametrize("m", [1, 2, 5])
     def test_partition_gradient_is_marginals(self, rng, m):
+        # the log Z term's share of the loss gradient: put the gold indicators back
         p, hs = self._identity_case(rng, m)
+        gold = [int(x) for x in rng.integers(0, 4, size=m)]
         tape = Tape()
         with tape:
-            logz = log_partition(hs, p)
-        assert len(tape) == 1  # the op, which computes the emissions itself
-        backward(logz)
+            loss = nll_loss(hs, [LABELS[i] for i in gold], p)
+        backward(loss)
+        hs.grad[np.arange(m), gold] += 1.0
+        for a, b in zip((START, *gold), (*gold, STOP)):
+            p.transitions.grad[a, b] += 1.0
         labels, pairs = oracle_marginals(oracle_emissions(hs, p), oracle_trans(p))
         np.testing.assert_allclose(hs.grad, labels, atol=1e-12)
         np.testing.assert_allclose(p.transitions.grad, pairs, atol=1e-12)
@@ -253,6 +279,7 @@ class TestObjectiveOp:
         tape = Tape()
         with tape:
             loss = nll_loss(hs, [LABELS[i] for i in gold], p)
+        assert len(tape) == 1  # the op, which computes the emissions itself
         backward(loss)
         labels, pairs = oracle_marginals(oracle_emissions(hs, p), oracle_trans(p))
         labels[np.arange(m), gold] -= 1.0
@@ -261,25 +288,13 @@ class TestObjectiveOp:
         np.testing.assert_allclose(hs.grad, labels, atol=1e-12)
         np.testing.assert_allclose(p.transitions.grad, pairs, atol=1e-12)
 
-    def test_path_score_gradient_is_gold_indicators(self, rng):
-        p, hs = self._identity_case(rng, 3)
-        tape = Tape()
-        with tape:
-            score = score_path(hs, ["B", "E", "S"], p)
-        backward(score)
-        np.testing.assert_array_equal(hs.grad, np.eye(4)[[0, 2, 3]])
-        expect = np.zeros((6, 6))
-        expect[START, 0] = expect[0, 2] = expect[2, 3] = expect[3, STOP] = 1.0
-        np.testing.assert_array_equal(p.transitions.grad, expect)
-
     def test_one_length_check_for_every_entry(self, rng):
         p = make_params(rng)
         for call in (lambda: nll_loss(make_hidden(rng, 3), ["B", "E"], p),
-                     lambda: score_path(make_hidden(rng, 1), ["B", "E"], p)):
+                     lambda: nll_loss(make_hidden(rng, 1), ["B", "E"], p)):
             with pytest.raises(ShapeError, match="3 hidden states but 2 labels|1 hidden states but 2 labels"):
                 call()
         empty = make_hidden(rng, 0)
-        for call in (lambda: nll_loss(empty, [], p), lambda: log_partition(empty, p),
-                     lambda: score_path(empty, [], p), lambda: viterbi(empty, p)):
+        for call in (lambda: nll_loss(empty, [], p), lambda: viterbi(empty, p)):
             with pytest.raises(UsageError, match="empty"):
                 call()

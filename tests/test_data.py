@@ -98,7 +98,7 @@ class TestVocab:
         assert v.index("missing") == 0
 
     def test_dense_indices(self):
-        v = Vocab.from_symbols(["x", "y", "x"])
+        v = Vocab(["x", "y", "x"])
         assert [v.index(s) for s in ("x", "y")] == [2, 3]
         assert len(v) == 4
         assert v.symbols() == [UNK, SENTINEL, "x", "y"]
@@ -141,7 +141,7 @@ class TestBuildVocabs:
 
 class TestEmbeddings:
     def test_random_rows_within_bound(self, rng):
-        v = Vocab.from_symbols(["a", "b"])
+        v = Vocab(["a", "b"])
         t = EmbeddingTable.random(v, 50, rng)
         bound = math.sqrt(3.0 / 50)
         assert t.rows.data.shape == (len(v), 50)
@@ -150,7 +150,7 @@ class TestEmbeddings:
     def test_empty_file_all_random(self, tmp_path, rng):
         path = tmp_path / "emb.txt"
         path.write_text("", encoding="utf-8")
-        v = Vocab.from_symbols(["a"])
+        v = Vocab(["a"])
         t = load_embeddings(path, v, 8, rng)
         assert t.file_hits == 0
         assert np.all(np.abs(t.rows.data) <= math.sqrt(3.0 / 8))
@@ -159,7 +159,7 @@ class TestEmbeddings:
         vec = [0.1] * 50
         path = tmp_path / "emb.txt"
         path.write_text("中 " + " ".join(str(x) for x in vec) + "\n", encoding="utf-8")
-        v = Vocab.from_symbols(["中", "外"])
+        v = Vocab(["中", "外"])
         t = load_embeddings(path, v, 50, rng)
         assert t.file_hits == 1
         np.testing.assert_array_equal(t.rows.data[v.index("中")], np.array(vec))
@@ -167,7 +167,7 @@ class TestEmbeddings:
     def test_header_tolerated(self, tmp_path, rng):
         path = tmp_path / "emb.txt"
         path.write_text("2 3\na 1 2 3\nzz 4 5 6\n", encoding="utf-8")
-        v = Vocab.from_symbols(["a"])
+        v = Vocab(["a"])
         t = load_embeddings(path, v, 3, rng)
         np.testing.assert_array_equal(t.rows.data[v.index("a")], [1.0, 2.0, 3.0])
 
@@ -175,7 +175,7 @@ class TestEmbeddings:
         path = tmp_path / "emb.txt"
         path.write_text("a 1 2 3\nb 1 2\n", encoding="utf-8")
         with pytest.raises(FormatError, match="row 2"):
-            load_embeddings(path, Vocab.from_symbols(["a", "b"]), 3, rng)
+            load_embeddings(path, Vocab(["a", "b"]), 3, rng)
 
 
 class TestCorpusIO:

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gradcheck import assert_grads_match, weighted_sum
+from gradcheck import ALPHA_SUM_TOL, assert_grads_match, weighted_sum
 from latseg import encoder
 from latseg.data import RESERVED, EmbeddingTable, Vocab, build_vocabs
 from latseg.encoder import (
@@ -19,7 +19,7 @@ from latseg.encoder import (
 )
 from latseg.errors import UsageError
 from latseg.lexicon import LatticeMatchSet
-from latseg.tensor import ALPHA_SUM_TOL, Tape, backward, const, param
+from latseg.tensor import Tape, backward, const, param
 
 
 def zero_direction(hidden, x_dim, word_dim=None, name="fwd"):
@@ -47,7 +47,7 @@ def match_set(spans):
 
 
 def random_lexicon_table(rng, n_entries, dim, name="lexicon_embeddings"):
-    vocab = Vocab.from_symbols([f"w{i}" for i in range(n_entries)])
+    vocab = Vocab([f"w{i}" for i in range(n_entries)])
     return EmbeddingTable.random(vocab, dim, rng, name=name)
 
 
@@ -374,7 +374,7 @@ def direction_case(rng, dtype=np.float64, hidden=3, x_dim=2, word_dim=3, m=6, n_
     for t in p.tensors():  # nonzero biases, so every bias gradient is exercised
         if t.data.ndim == 1:
             t.data[:] = rng.normal(size=t.data.shape) * 0.3
-    vocab = Vocab.from_symbols([f"w{i}" for i in range(n_entries)])
+    vocab = Vocab([f"w{i}" for i in range(n_entries)])
     table = EmbeddingTable.random(vocab, word_dim, rng, dtype=dtype, name="lexicon_embeddings")
     x = param(rng.normal(size=(m, x_dim)).astype(dtype), "x")
     return p, table, x, match_set(SPANS)

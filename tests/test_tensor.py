@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradcheck import assert_grads_match, weighted_sum
-from latseg.crf import CrfParams, emissions, score_path
+from latseg.crf import CrfParams, emissions, nll_loss
 from latseg.encoder import _sigmoid, gate_normalize
 from latseg.errors import ConfigError, NumericError, UsageError
 from latseg.tensor import (
@@ -92,16 +92,17 @@ class TestActivate:
 
 class TestBackward:
     def test_affine_weight_gradient_is_outer_product(self):
-        # independent oracle: d (w @ x_i)[y_i] / dw = outer(onehot(y_i), x_i), summed over i;
-        # the path score picks emission y_i at each position i
+        # independent oracle: d (w @ x_i)[y] / dw = outer(onehot(y), x_i); with zero
+        # parameters every path scores 0, so each label's marginal is 1/4 and the
+        # loss gradient is outer(1/4 - onehot(y_i), x_i), summed over i
         p = crf_params(np.zeros((4, 3)), np.zeros(4))
         x = [[1.0, 2.0, 3.0], [0.5, -1.0, 2.0]]
         tape = Tape()
         with tape:
-            loss = score_path(const(x), ["B", "E"], p)
+            loss = nll_loss(const(x), ["B", "E"], p)
         backward(loss)
-        expect = np.outer([1.0, 0.0, 0.0, 0.0], x[0]) + np.outer([0.0, 0.0, 1.0, 0.0], x[1])
-        np.testing.assert_array_equal(p.emit_w.grad, expect)
+        expect = np.outer([-0.75, 0.25, 0.25, 0.25], x[0]) + np.outer([0.25, 0.25, -0.75, 0.25], x[1])
+        np.testing.assert_allclose(p.emit_w.grad, expect, atol=1e-12)
 
     def test_unreachable_param_gets_zero(self):
         w = param(np.ones(3), "w")

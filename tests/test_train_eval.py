@@ -284,7 +284,7 @@ def test_decode_on_another_thread_records_nothing():
         worker.start()
         worker.join(timeout=30)
     assert not worker.is_alive()
-    assert len(decoded) == 1 and len(decoded[0]) == len(sents[0])
+    assert len(decoded) == 1 and len(decoded[0].labels) == len(sents[0])
     assert len(tape) == 0
 
 
@@ -371,6 +371,6 @@ def test_lexicon_table_out_of_trie_order_is_rejected():
     ut = EmbeddingTable.random(uni, 4, rng, name="unigram_embeddings")
     bt = EmbeddingTable.random(bi, 4, rng, name="bigram_embeddings")
     trie, _ = prepare_lexicon(["中国", "人民"])
-    swapped = EmbeddingTable.random(Vocab.from_symbols(["人民", "中国"]), 4, rng, name="lexicon_embeddings")
+    swapped = EmbeddingTable.random(Vocab(["人民", "中国"]), 4, rng, name="lexicon_embeddings")
     with pytest.raises(UsageError, match="trie"):
         SegmenterModel.create("lattice-word", ut, bt, 6, rng, lexicon_table=swapped, trie=trie)
