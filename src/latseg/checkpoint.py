@@ -5,8 +5,9 @@ as little-endian float32, row-major. They are converted, written and read
 :data:`BLOCK` values at a time, straight from and into the model's arrays, so
 a save or load makes no whole-table float32 or ``bytes`` copy. The manifest
 records the probe sentence and its emission bytes as computed from the stored
-(rounded) parameters, so a reload must reproduce them bit for bit; the rounded
-copy the probe runs on is built block by block in the model's dtype.
+(rounded) parameters, so a reload must reproduce them bit for bit. The probe
+runs on float32-rounded copies of only the embedding rows it reads and of the
+small direction and CRF tensors.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .crf import CrfParams, N_LABELS, N_STATES
-from .data import RESERVED, EmbeddingTable, Vocab
+from .data import RESERVED, EmbeddingTable, Vocab, bigrams_of
 from .encoder import DirectionParams
 from .errors import CheckpointError, UsageError
 from .lexicon import build_trie
@@ -134,6 +135,32 @@ def check_out_dir(model: SegmenterModel, out_dir) -> None:
         raise CheckpointError(f"{out}: holds tensor files this model does not have: {stale}")
 
 
+def _probe_model(model: SegmenterModel, lines: list[str], chars: str, out: Path) -> SegmenterModel:
+    """The model a future load of ``lines`` would reconstruct, cut down to what ``chars`` reads.
+
+    It has the same manifest values. Its embedding tables keep, float32-rounded,
+    only the reserved rows and the rows of the probe's characters, bigrams and
+    lexicon matches, under a trie of just the matched entries; every other
+    tensor is rounded whole. The probe's emissions are the full model's, bit
+    for bit, without a rounded copy of every table.
+    """
+    values, _ = _parse_manifest(lines)
+    dtype_name, chars = values["dtype"], tuple(chars)
+    read = {"unigram": chars, "bigram": bigrams_of(chars)}
+    if model.lexicon_table is not None:
+        read["lexicon"] = [model.trie.symbols[k] for k in np.unique(model.match(chars).entry).tolist()]
+    arrays, vocabs = {}, {}
+    for name, symbols in read.items():
+        table = getattr(model, f"{name}_table")
+        vocabs[name] = Vocab(sym for sym in symbols if sym in table.vocab)
+        kept = table.rows.data[[table.vocab.index(sym) for sym in vocabs[name].symbols()]]
+        arrays[table.rows.name] = const(_rounded(kept, dtype_name), table.rows.name)
+    for p in model.parameters():
+        if p.name not in arrays:
+            arrays[p.name] = const(_rounded(p.data, dtype_name), p.name)
+    return _assemble(values, arrays, vocabs["unigram"], vocabs["bigram"], vocabs.get("lexicon"), out)
+
+
 def save_checkpoint(model: SegmenterModel, out_dir, probe_chars: str) -> None:
     """Write vocabularies, tensors, and a manifest with a verification probe."""
     if not probe_chars:
@@ -143,22 +170,14 @@ def save_checkpoint(model: SegmenterModel, out_dir, probe_chars: str) -> None:
     dtype_name = np.dtype(model.unigram_table.rows.data.dtype).name
     lines = _manifest_lines(model, dtype_name)
 
-    # The probe runs on the model a future load will reconstruct: the same
-    # manifest values and vocabularies, and float32-rounded parameters.
-    values, _ = _parse_manifest(lines)
-    rounded = {p.name: const(_rounded(p.data, dtype_name), p.name) for p in model.parameters()}
-    lexicon_vocab = model.lexicon_table.vocab if model.lexicon_table else None
-    stored = _assemble(
-        values, rounded, model.unigram_table.vocab, model.bigram_table.vocab, lexicon_vocab, out
-    )
     lines.append(f"probe_chars={probe_chars}")
-    lines.append(f"probe_emissions={_probe_hex(stored, probe_chars)}")
+    lines.append(f"probe_emissions={_probe_hex(_probe_model(model, lines, probe_chars, out), probe_chars)}")
 
     out.mkdir(parents=True, exist_ok=True)
     _write_vocab(out / "unigram.vocab", model.unigram_table.vocab)
     _write_vocab(out / "bigram.vocab", model.bigram_table.vocab)
-    if lexicon_vocab is not None:
-        _write_vocab(out / "lexicon.vocab", lexicon_vocab)
+    if model.lexicon_table is not None:
+        _write_vocab(out / "lexicon.vocab", model.lexicon_table.vocab)
     for p in model.parameters():
         _write_tensor(out / f"{p.name}{TENSOR_SUFFIX}", p.data)
     (out / MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -19,6 +19,7 @@ from .data import (
     EmbeddingTable,
     build_vocabs,
     check_raw_text,
+    from_bmes,
     load_embeddings,
     read_corpus,
     read_raw_sentences,
@@ -30,6 +31,7 @@ from .model import MODES, SegmenterModel, prepare_lexicon
 from .train import (
     TrainConfig,
     coverage_report,
+    decode_all,
     evaluate_f1,
     length_bucket_f1,
     train,
@@ -140,9 +142,11 @@ def cmd_segment(args) -> int:
             check_raw_text(text)
         except DataError as exc:
             raise DataError(f"{args.input}: line {lineno}: {exc}") from None
+    texts = [tuple(text) for text in sentences if text]
+    labels = iter(decode_all(model, texts))
     with open(args.output, "w", encoding="utf-8") as fh:
         for text in sentences:
-            fh.write(" ".join(model.segment(text)) + "\n")
+            fh.write(" ".join(from_bmes(tuple(text), next(labels)) if text else []) + "\n")
     return 0
 
 
@@ -150,7 +154,7 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(args.model)
     gold = read_corpus(args.gold)
     training_words = load_train_words(args.model)
-    predicted = [model.decode(s.chars).labels for s in gold]
+    predicted = decode_all(model, [s.chars for s in gold])
     report = evaluate_f1(gold, predicted, training_words)
     report.bucket_f1 = length_bucket_f1(gold, predicted, args.bucket_width)
     for line in report.lines():

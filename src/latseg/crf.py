@@ -9,10 +9,11 @@ max-shift trick.
 
 Every function here takes a sentence's hidden states as one (m, 2H) tensor;
 :func:`emissions` maps them to a plain (m, 4) array. The loss is one recorded
-op, :func:`nll_loss`: its forward is the emissions, the alpha recursion and
-the gold path's terms; its backward takes the emission gradient as marginals
-minus gold indicators, from the forward-backward recursions, on to the hidden
-states and emission weights.
+op, :func:`nll_loss`: its forward is the emissions, the alpha and beta
+recursions as two lanes of one, and the gold path's terms; its backward
+takes the emission gradient as marginals minus gold indicators on to the
+hidden states and emission weights. :func:`viterbi` decodes several
+sentences' stacked states as lanes sorted by length.
 """
 
 from __future__ import annotations
@@ -90,8 +91,10 @@ def _logsumexp(a: np.ndarray) -> np.ndarray:
 def nll_loss(hs: Tensor, labels: Sequence[str], p: CrfParams) -> Tensor:
     """Negative sentence log-likelihood, log Z minus the gold path's score, as one recorded op.
 
-    The gradient is the label marginals minus the gold path's indicators,
-    for emissions and transitions alike.
+    The forward runs alpha and beta as the two lanes of one recursion over
+    the stacked (inner, inner.T) transitions: step t gives alpha[t] and
+    beta[m - 1 - t]. The gradient is the label marginals minus the gold path's
+    indicators, for emissions and transitions alike.
     """
     m = len(hs)
     if m == 0:
@@ -102,21 +105,33 @@ def nll_loss(hs: Tensor, labels: Sequence[str], p: CrfParams) -> Tensor:
     trans = p.masked_transitions()
     inner = trans[:N_LABELS, :N_LABELS]
 
-    alphas = [e[0] + trans[START, :N_LABELS]]
-    for i in range(1, m):
-        alphas.append(_logsumexp(alphas[-1][:, None] + inner) + e[i])
-    alpha = np.array(alphas)
+    # Lane 0 is alpha; lane 1 is beta, walked from the end. Step t reads
+    # v[t - 1] and writes lse[t] (log-sum-exp over the previous label) and
+    # v[t] = lse[t] + (e[t], e[m - 1 - t]): alpha[t] = v[t, 0], beta[m - 1 - t] = lse[t, 1].
+    stacked = np.array([inner, inner.T])
+    lane_e = np.array([e, e[::-1]]).transpose(1, 0, 2)
+    v, lse = np.empty((m, 2, N_LABELS), e.dtype), np.empty((m, 2, N_LABELS), e.dtype)
+    v[0, 0] = e[0] + trans[START, :N_LABELS]
+    lse[0, 1] = trans[:N_LABELS, STOP]
+    v[0, 1] = lse[0, 1] + e[-1]
+    scores = np.empty((2, N_LABELS, N_LABELS), e.dtype)
+    mx, total = np.empty((2, N_LABELS), e.dtype), np.empty((2, N_LABELS), e.dtype)
+    for t in range(1, m):
+        np.add(v[t - 1][:, :, None], stacked, out=scores)
+        np.maximum.reduce(scores, axis=1, out=mx)
+        scores -= mx[:, None]
+        np.exp(scores, out=scores)
+        np.add.reduce(scores, axis=1, out=total)
+        np.log(total, out=total)
+        np.add(mx, total, out=lse[t])
+        np.add(lse[t], lane_e[t], out=v[t])
+    alpha, beta = v[:, 0], lse[::-1, 1]
     log_z = _logsumexp(alpha[-1] + trans[:N_LABELS, STOP])
     idx = [LABEL_INDEX[lab] for lab in labels]
     moves = list(zip([START, *idx], [*idx, STOP]))
     score = sum([e[i, lab] for i, lab in enumerate(idx)] + [trans[a, b] for a, b in moves])
 
     def bwd(g):
-        # beta[i, y]: log-sum of the scores of every continuation after label y at i
-        beta = np.empty_like(alpha)
-        beta[-1] = trans[:N_LABELS, STOP]
-        for i in range(m - 2, -1, -1):
-            beta[i] = _logsumexp(inner.T + (e[i + 1] + beta[i + 1])[:, None])
         d_emit = np.exp(alpha + beta - log_z)  # the label marginals
         moved = np.exp(alpha[:-1, :, None] + inner + (e[1:] + beta[1:])[:, None, :] - log_z)
         d_trans = np.zeros_like(trans)
@@ -135,27 +150,52 @@ def nll_loss(hs: Tensor, labels: Sequence[str], p: CrfParams) -> Tensor:
     return _out(np.asarray(log_z - score, dtype=e.dtype), bwd)
 
 
-def viterbi(hs: Tensor, p: CrfParams) -> LabelPath:
-    """Highest-scoring label sequence; ties resolve to the smallest label index."""
-    if len(hs) == 0:
+def viterbi(hs: Tensor, p: CrfParams, lengths: Sequence[int] | None = None):
+    """Highest-scoring label sequence; ties resolve to the smallest label index.
+
+    Given ``lengths``, ``hs`` stacks several sentences' hidden states, and the
+    result is a list with one :class:`LabelPath` per sentence. Their
+    recursions run as lanes sorted by length, so the lanes still running at
+    a step are a prefix.
+    """
+    batch = lengths is not None
+    lengths = list(lengths) if batch else [len(hs)]
+    if not lengths or min(lengths) == 0:
         raise UsageError("viterbi of an empty sequence")
+    if sum(lengths) != len(hs):
+        raise ShapeError(f"{len(hs)} hidden states but lengths {lengths}")
     emit = emissions(hs, p)
     trans = p.masked_transitions()
     inner = trans[:N_LABELS, :N_LABELS]
 
-    m = emit.shape[0]
-    delta = emit[0] + trans[START, :N_LABELS]
-    back: list[np.ndarray] = []
-    for i in range(1, m):
-        scores = delta[:, None] + inner  # [prev, next]
-        best_prev = scores.argmax(axis=0)  # first max = smallest label index
-        delta = scores.max(axis=0) + emit[i]
-        back.append(best_prev)
+    order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
+    sorted_len = [lengths[s] for s in order]
+    walking = (-np.array(sorted_len)).searchsorted(-np.arange(sorted_len[0])).tolist()
+    # Step i's emissions of every lane; a lane past its end repeats its last row.
+    starts = np.cumsum([0] + lengths)[order]
+    step_emit = emit[starts + np.minimum.outer(np.arange(sorted_len[0]), np.array(sorted_len) - 1)]
+    delta = step_emit[0] + trans[START, :N_LABELS]
+    back = np.empty((len(walking), len(order), N_LABELS), np.intp)
+    scores = np.empty((len(order), N_LABELS, N_LABELS), emit.dtype)  # [lane, prev, next]
+    k0 = 1
+    while k0 < len(walking):  # one pass per stretch of steps over the same walking lanes
+        a = walking[k0]
+        k1 = k0 + walking[k0:].count(a)
+        lanes_delta, lanes_scores = delta[:a], scores[:a]
+        for e, best_prev in zip(step_emit[k0:k1, :a], back[k0:k1, :a]):
+            np.add(lanes_delta[:, :, None], inner, out=lanes_scores)
+            lanes_scores.argmax(axis=1, out=best_prev)  # first max = smallest label index
+            lanes_scores.max(axis=1, out=lanes_delta)
+            lanes_delta += e
+        k0 = k1
 
-    final = delta + trans[:N_LABELS, STOP]
-    last = int(final.argmax())
-    path = [last]
-    for bp in reversed(back):
-        path.append(int(bp[path[-1]]))
-    path.reverse()
-    return LabelPath(labels=tuple(LABELS[i] for i in path))
+    last = (delta + trans[:N_LABELS, STOP]).argmax(axis=1).tolist()  # each lane's final label
+    back = back.tolist()
+    labels = [None] * len(order)
+    for lane, (s, m, label) in enumerate(zip(order, sorted_len, last)):
+        path = [label]
+        for i in range(m - 1, 0, -1):
+            label = back[i][lane][label]
+            path.append(label)
+        labels[s] = LabelPath(labels=tuple(LABELS[k] for k in reversed(path)))
+    return labels if batch else labels[0]

@@ -8,35 +8,43 @@ order, the candidate memory and all arriving shortcut memories are fused
 with exp-normalized gates. The backward direction reads right to left.
 
 A sentence enters as one (m, x_dim) matrix of character representations:
-one gather per embedding table (:func:`char_repr`). Each direction over it is
-one recorded op. :func:`lattice_forward` sorts the sentence's matches once
-into its walk order and allocates every array the walk writes before it
-starts: the [x; h] row of each step, its gates and memory; per match, the
+one gather per embedding table (:func:`char_repr`); several sentences enter
+stacked into one matrix. :func:`lattice_forward` walks them as lanes, one per
+(sentence, direction), sorted by length so that the lanes still walking at
+any step are a prefix. It sorts each lane's matches once into its walk order
+and allocates every array the walk writes before it starts: per step and
+lane, the [x; h] column, the gates and the memory; per match, the
 [embedding; source state] row, the cell gates and the [x; memory] row; per
 fused position, a block of gate logits and one of their weights. Each step
-then writes its values in place: one gate product, :func:`shortcut_cell` per
-arriving match and :func:`gate_normalize` per fused position, with the
-sigmoid applied in place under one ``np.errstate`` per walk. The op's
-hand-written backward walks the positions once in reverse over those
-buffers and takes each weight and input gradient as one matrix product over
-the sentence. The two directions' (m, H) outputs join into the (m, 2H)
-hidden states. Training and decoding run the same forward; without an
-active tape nothing is recorded, and without an ``rng`` nothing is dropped
-out.
+then writes its values in place: one stacked gate product for every walking
+lane, in-place ufuncs over the prefix, and per lane with arriving matches
+:func:`shortcut_cell` per match and :func:`gate_normalize` per fused
+position, with the sigmoid applied in place under one ``np.errstate`` per
+walk. Every value is the one a lane walked alone would get, bit for bit.
+
+Training records one sentence, both directions as one op. Its hand-written
+backward walks the two lanes once in reverse over those buffers, with one
+stacked product per step, and takes each weight and input gradient as one
+matrix product per lane. The directions' states sit side by side in the
+(m, 2H) hidden states. Training and decoding run the same forward; without
+an active tape nothing is recorded, and without an ``rng`` nothing is
+dropped out.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .data import RESERVED, EmbeddingTable, bigrams_of
 from .errors import UsageError
 from .lexicon import LatticeMatchSet
-from .tensor import Tensor, _acc, _out, concat, param, rows
+from .tensor import Tensor, _acc, _out, concat, param, recording, rows
 from .tensor import dropout as _dropout  # char_repr's ``dropout`` keyword shadows the name
 
 
@@ -102,18 +110,24 @@ def char_repr(
     bigram_table: EmbeddingTable,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
+    lengths: Sequence[int] | None = None,
 ) -> Tensor:
     """x_i = unigram(c_i) ++ bigram(c_i c_{i+1}) as the rows of one (m, x_dim) tensor.
 
-    The final position's bigram pairs with the sentence-end sentinel; unseen
-    symbols map to the unknown row. Given an ``rng``, the matrix is
-    dropout-masked elementwise.
+    Given ``lengths``, ``chars`` is several sentences back to back. Each
+    sentence's final position pairs its bigram with the sentence-end
+    sentinel; unseen symbols map to the unknown row. Given an ``rng``, the
+    matrix is dropout-masked elementwise.
     """
     uvocab, bvocab = unigram_table.vocab, bigram_table.vocab
+    ends = [len(chars)] if lengths is None else list(accumulate(lengths))
     x = concat(
         [
             rows(unigram_table.rows, [uvocab.index(c) for c in chars]),
-            rows(bigram_table.rows, [bvocab.index(bg) for bg in bigrams_of(chars)]),
+            rows(
+                bigram_table.rows,
+                [bvocab.index(bg) for start, end in zip([0, *ends], ends) for bg in bigrams_of(chars[start:end])],
+            ),
         ]
     )
     return _dropout(x, dropout, rng)
@@ -168,6 +182,33 @@ def gate_normalize(z: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
+_NO_MATCHES = np.zeros(0, np.intp)
+
+
+class _Lane(NamedTuple):
+    """One (sentence, direction) lane of :func:`lattice_forward`'s walk."""
+
+    index: int  # the lane's column in the walk's buffers
+    direction: int  # index into the call's parameters
+    sentence: int
+    m: int  # steps walked
+    src: np.ndarray  # per match in walk order, as in Fusion
+    end: np.ndarray
+    walk: np.ndarray  # position of each step
+    fused: np.ndarray | None  # matches fused per step; None when nothing matches
+    blocks: np.ndarray | None  # steps that fuse
+    cell0: int  # the lane's first row among every lane's matches
+    row0: int  # the lane's first row among every lane's gate blocks
+
+
+def _scratch(shape: tuple[int, ...], dtype, kept: bool) -> np.ndarray:
+    """An uninitialised array of ``shape``; unless ``kept``, every index of its first axis is one shared row."""
+    if kept or not shape[0]:
+        return np.empty(shape, dtype)
+    row = np.empty((1, *shape[1:]), dtype)
+    return as_strided(row, shape, (0, *row.strides[1:]))
+
+
 class Fusion(NamedTuple):
     """One direction's fusion weights, matches in walk order and positions in sentence order.
 
@@ -182,209 +223,324 @@ class Fusion(NamedTuple):
 
 def lattice_forward(
     x: Tensor,
-    matches: LatticeMatchSet | None,
+    matches,
     lexicon_table: EmbeddingTable | None,
-    p: DirectionParams,
+    p,
     direction: str = "forward",
     lattice_dropout: float = 0.0,
     rng: np.random.Generator | None = None,
-) -> tuple[Tensor, Fusion]:
-    """Run one direction of the lattice LSTM over a sentence as one recorded op.
+    lengths: Sequence[int] | None = None,
+):
+    """Run the lattice LSTM over sentences as the lanes of one recorded op.
 
-    ``x`` holds the sentence's (m, x_dim) character representations. Each
-    position takes the coupled LSTM gates (o, f, cand) and emits o * tanh(c).
-    Where no match arrives, c = f * c_prev + (1 - f) * cand. Elsewhere each
-    arriving match contributes a shortcut memory built from the state at its
-    other end, and c sums the shortcut memories, then the candidate, weighted
-    by exp-normalized gates (the candidate's gate is the coupled input gate
-    1 - f). The forward direction walks positions 1..m and fuses matches at
-    their end; the backward direction walks m..1 and fuses them at their start,
-    each position's matches in order of their source position. Given an
-    ``rng``, the match embeddings are dropout-masked.
+    ``x`` holds the (m, x_dim) character representations of one sentence, or,
+    given ``lengths``, of several stacked into one (sum m, x_dim) matrix, and
+    ``matches`` then holds one match set (or None) per sentence. ``direction``
+    is "forward", "backward" or "both", in which case ``p`` is the (forward,
+    backward) pair of parameters. A lane is one (sentence, direction) pair.
 
-    Returns the op's output, the (m, hidden) hidden states in sentence order,
-    and the direction's :class:`Fusion` record, which nothing on the tape reads.
+    Each position takes the coupled LSTM gates (o, f, cand) and emits
+    o * tanh(c). Where no match arrives, c = f * c_prev + (1 - f) * cand.
+    Elsewhere each arriving match contributes a shortcut memory built from the
+    state at its other end, and c sums the shortcut memories, then the
+    candidate, weighted by exp-normalized gates (the candidate's gate is the
+    coupled input gate 1 - f). The forward direction walks positions 1..m and
+    fuses matches at their end; the backward direction walks m..1 and fuses
+    them at their start, each position's matches in order of their source
+    position. Given an ``rng``, the match embeddings are dropout-masked.
+
+    Lanes are sorted by length, so the lanes still walking at any step are a
+    prefix of the walk's buffers. A step is one stacked gate product of every
+    walking lane's [x; h] by its direction's weights, then in-place ufuncs
+    over the prefix; a lane with arriving matches then runs
+    :func:`shortcut_cell` per match and :func:`gate_normalize` on its own rows.
+    Under an active tape only one sentence is accepted.
+
+    Returns the op's output, the states in sentence order ((m, hidden), or
+    forward ++ backward for "both"), and the :class:`Fusion` records, which
+    nothing on the tape reads: one per direction, a (forward, backward) pair
+    for "both", and each a list with one per sentence given ``lengths``.
     """
-    m = len(x)
-    forward = direction == "forward"
-    src = end = ids = np.zeros(0, np.intp)  # per match in walk order
-    if matches is not None:
-        bad = (matches.b < 1) | (matches.b >= matches.e) | (matches.e > m)
+    both = direction == "both"
+    if not both and direction not in ("forward", "backward"):
+        raise UsageError(f"direction must be 'forward', 'backward' or 'both', got {direction!r}")
+    params = tuple(p) if both else (p,)
+    forwards = (True, False) if both else (direction == "forward",)
+    batch = lengths is not None
+    lengths = list(lengths) if batch else [len(x)]
+    match_sets = list(matches) if batch else [matches]
+    if len(match_sets) != len(lengths) or sum(lengths) != len(x):
+        raise UsageError(f"{len(x)} positions, {len(match_sets)} match sets and lengths {lengths}")
+    if len(lengths) > 1 and recording():
+        raise UsageError("a recorded lattice forward takes one sentence")
+    offsets = list(accumulate(lengths, initial=0))
+    for ms, m in zip(match_sets, lengths):
+        if ms is None:
+            continue
+        bad = (ms.b < 1) | (ms.b >= ms.e) | (ms.e > m)
         if bad.any():
             k = bad.argmax()
-            raise UsageError(f"match ({matches.b[k]}, {matches.e[k]}) out of range for {m} positions")
-        src, end = (matches.b, matches.e) if forward else (matches.e, matches.b)
-        order = np.lexsort((src, end if forward else -end))  # by fusion position, then source
-        src, end, ids = src[order], end[order], len(RESERVED) + matches.entry[order]
-    if not forward and direction != "backward":
-        raise UsageError(f"direction must be 'forward' or 'backward', got {direction!r}")
-    walk = np.arange(1, m + 1) if forward else np.arange(m, 0, -1)  # position of each step
-    fused = np.bincount(end, minlength=m + 1)[walk]  # matches fused per step
-    srow = src if forward else m + 1 - src  # the row of u and c that holds each source's state
-    n_fused, sources = fused.tolist(), srow.tolist()
+            raise UsageError(f"match ({ms.b[k]}, {ms.e[k]}) out of range for {m} positions")
 
-    n, dtype = p.hidden, p.gates_b.data.dtype
-    x_dim = x.data.shape[1]
-    # Row k of u is [x; h] at walk step k, so step k writes its h into row k + 1;
-    # row k of c is the memory before step k. Row 0 holds the initial state.
-    u = np.zeros((m + 1, x_dim + n), dtype)
-    u[:m, :x_dim] = x.data[walk - 1]
-    c = np.zeros((m + 1, n), dtype)
-    gates = np.empty((m, 3 * n), dtype)  # (o, f, cand) per step
-    # Per match in walk order: [e_w; h_src], the cell's (input, forget,
-    # candidate) gates, and [x; memory] at its fusion position. The op's other
-    # input is e_w, gathered in walk order so that its dropout mask draws
+    n, dtype = params[0].hidden, params[0].gates_b.data.dtype
+    n_dir, xd = len(params), x.data
+    x_dim = xd.shape[1]
+    order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
+    n_lanes, steps = len(order) * n_dir, lengths[order[0]] if order else 0
+    # The lanes in order: sentences by decreasing length, each sentence's
+    # directions in turn.
+    lanes: list[_Lane] = []
+    ids, xm_rows, sources, cell_lane = [], [], [], []
+    fused_at: list[list] = [[] for _ in range(steps)]  # (lane, direction, matches, first cell, first block row)
+    n_cells = n_rows = 0
+    for i, s in enumerate(order):
+        m, ms = lengths[s], match_sets[s]
+        for d, forward in enumerate(forwards):
+            lane = i * n_dir + d
+            walk = np.arange(1, m + 1) if forward else np.arange(m, 0, -1)  # position of each step
+            if ms is None or not len(ms):
+                lanes.append(_Lane(lane, d, s, m, _NO_MATCHES, _NO_MATCHES, walk, None, None, n_cells, n_rows))
+                continue
+            src, end = (ms.b, ms.e) if forward else (ms.e, ms.b)
+            by = np.lexsort((src, end if forward else -end))  # by fusion position, then source
+            src, end = src[by], end[by]
+            fused = np.bincount(end, minlength=m + 1)[walk]  # matches fused per step
+            blocks = np.flatnonzero(fused)
+            lanes.append(_Lane(lane, d, s, m, src, end, walk, fused, blocks, n_cells, n_rows))
+            ids.append(len(RESERVED) + ms.entry[by])
+            xm_rows.append(offsets[s] + end - 1)
+            sources += (src if forward else m + 1 - src).tolist()  # the lane's row holding each source's state
+            cell_lane += [lane] * len(src)
+            for k, nf in zip(blocks.tolist(), fused[blocks].tolist()):
+                fused_at[k].append((lane, d, nf, n_cells, n_rows))
+                n_cells += nf
+                n_rows += nf + 1
+
+    # The walk's buffers keep lanes on their last axis, so that a step's values
+    # for every walking lane are one contiguous block. Row k of u is [x; h] at
+    # walk step k, so step k writes its h into row k + 1; row k of c is the
+    # memory before step k. Row 0 holds the initial state. Step k's gates are
+    # row k of gates: (o, f, cand) once the sigmoid and tanh have run.
+    u = np.zeros((steps + 1, x_dim + n, n_lanes), dtype)
+    c = np.zeros((steps + 1, n, n_lanes), dtype)
+    kept = recording()  # only the backward reads past steps' and matches' gates
+    gates = _scratch((steps, 3 * n, n_lanes), dtype, kept)
+    tmp = np.empty((n, n_lanes), dtype)
+    for ln in lanes:
+        sentence = xd[offsets[ln.sentence] : offsets[ln.sentence] + ln.m]
+        u[: ln.m, :x_dim, ln.index] = sentence if forwards[ln.direction] else sentence[::-1]
+    # Per match, lane after lane in walk order: [e_w; h_src], the cell's (input,
+    # forget, candidate) gates, and [x; memory] at its fusion position. The op's
+    # other input is e_w, gathered in that order so that its dropout mask draws
     # from rng in that order.
-    n_cells = len(ids)
     words, eh = None, np.empty((0, n), dtype)
     if n_cells:
-        words = _dropout(rows(lexicon_table.rows, ids), lattice_dropout, rng)
+        words = _dropout(rows(lexicon_table.rows, np.concatenate(ids)), lattice_dropout, rng)
         eh = np.empty((n_cells, words.data.shape[1] + n), dtype)
         eh[:, :-n] = words.data
-    cell_gates = np.empty((n_cells, 3 * n), dtype)
+    cell_gates = _scratch((n_cells, 3 * n), dtype, kept)
     xm = np.empty((n_cells, x_dim + n), dtype)
-    xm[:, :x_dim] = x.data[end - 1]
+    if n_cells:
+        xm[:, :x_dim] = xd[np.concatenate(xm_rows)]
     # Per fused step, one block of rows [1 - f; control gates] and its
     # exp-normalized weights: the char row, then one row per match.
-    blocks = np.flatnonzero(fused)
-    logits = np.empty((n_cells + len(blocks), n), dtype)
+    logits = np.empty((n_rows, n), dtype)
     alphas = np.empty_like(logits)
-    tmp = np.empty(n, dtype)
-    w, b = p.gates_w.data, p.gates_b.data
-    j = r = 0  # the next match and the next block row
-    h_rows = u[:, x_dim:]
-    with np.errstate(over="ignore"):
-        for nf, u_k, g, c_prev, c_k, h in zip(n_fused, u, gates, c, c[1:], h_rows[1:]):
-            np.dot(w, u_k, out=g)
-            g += b
-            _sigmoid(g[: 2 * n])
-            f, cand = g[n : 2 * n], g[2 * n :]
-            np.tanh(cand, out=cand)
-            if not nf:  # c = f * c_prev + (1 - f) * cand
-                np.multiply(f, c_prev, out=c_k)
-                np.subtract(1.0, f, out=tmp)
-                tmp *= cand
-                c_k += tmp
-            else:
-                z, a = logits[r : r + nf + 1], alphas[r : r + nf + 1]
-                np.subtract(1.0, f, out=z[0])
-                for gate in z[1:]:
-                    s = sources[j]
-                    shortcut_cell(p, eh[j], h_rows[s], c[s], cell_gates[j], xm[j], gate)
-                    j += 1
-                gate_normalize(z, a)
-                memories = xm[j - nf : j, x_dim:]
-                np.multiply(a[1], memories[0], out=c_k)  # summed in order: matches, then candidate
-                for a_q, memory in zip(a[2:], memories[1:]):
-                    np.multiply(a_q, memory, out=tmp)
-                    c_k += tmp
-                np.multiply(a[0], cand, out=tmp)
-                c_k += tmp
-                r += nf + 1
-            np.tanh(c_k, out=h)
-            h *= g[:n]
 
-    sizes = fused[blocks] + 1
-    char_rows = np.cumsum(sizes) - sizes
-    match_rows = np.delete(np.arange(len(alphas)), char_rows)
-    alpha = alphas[match_rows]
-    alpha_char = np.ones((m, n), dtype)
-    alpha_char[walk[blocks] - 1] = alphas[char_rows]
-    hs = u[1:, x_dim:] if forward else u[:0:-1, x_dim:]
+    # Each step's gate product: the lanes' [x; h] columns as (sentence, direction)
+    # stacks of column vectors, times their direction's weights.
+    w_stack = np.array([q.gates_w.data for q in params])
+    bias = np.array([q.gates_b.data for q in params] * len(order)).T.copy()  # column per lane
+    u_in = u.transpose(0, 2, 1).reshape(steps + 1, len(order), n_dir, x_dim + n)[..., None]
+    g_out = gates.transpose(0, 2, 1).reshape(steps, len(order), n_dir, 3 * n)[..., None]
+    # Per lane, its parameters and the columns of u's h rows, c, gates and tmp
+    lane_views = [
+        (params[lane % n_dir], u[:, x_dim:, lane], c[:, :, lane], gates[:, :, lane], tmp[:, lane])
+        for lane in range(n_lanes)
+    ]
+    walking = (-np.array([lengths[s] for s in order], int)).searchsorted(-np.arange(steps)).tolist()
+    k0 = 0
+    with np.errstate(over="ignore"):
+        while k0 < steps:  # one pass per stretch of steps over the same walking sentences
+            a = walking[k0]
+            k1 = k0 + walking[k0:].count(a)
+            # While every lane walks, each step's blocks are read as flat vectors;
+            # after that as (rows, lanes) views of the walking prefix.
+            r = n_lanes if a * n_dir == n_lanes else 1
+
+            def part(arr):
+                return arr.reshape(len(arr), -1) if r > 1 else arr[..., : a * n_dir]
+
+            (t,), (b,) = part(tmp[None]), part(bias[None])
+            for k, u_k, g_k, g, c_prev, c_k, u_next in zip(
+                range(k0, k1), u_in[k0:k1, :a], g_out[k0:k1, :a], part(gates[k0:k1]),
+                part(c[k0:k1]), part(c[k0 + 1 : k1 + 1]), part(u[k0 + 1 : k1 + 1]),
+            ):
+                np.matmul(w_stack, u_k, out=g_k)
+                g += b
+                cand = g[2 * n * r :]
+                np.tanh(cand, out=cand)
+                _sigmoid(g[: 2 * n * r])
+                f = g[n * r : 2 * n * r]
+                np.multiply(f, c_prev, out=c_k)  # c = f * c_prev + (1 - f) * cand; fused lanes overwrite it
+                np.subtract(1.0, f, out=t)
+                t *= cand
+                c_k += t
+                for lane, d, nf, j, row in fused_at[k]:
+                    q, h_rows, c_lane, g_rows, t_lane = lane_views[lane]
+                    g_lane, c_out = g_rows[k], c_lane[k + 1]
+                    z, al = logits[row : row + nf + 1], alphas[row : row + nf + 1]
+                    np.subtract(1.0, g_lane[n : 2 * n], out=z[0])
+                    for gate in z[1:]:
+                        src_row = sources[j]
+                        shortcut_cell(q, eh[j], h_rows[src_row], c_lane[src_row], cell_gates[j], xm[j], gate)
+                        j += 1
+                    gate_normalize(z, al)
+                    memories = xm[j - nf : j, x_dim:]
+                    np.multiply(al[1], memories[0], out=c_out)  # summed in order: matches, then candidate
+                    for a_q, memory in zip(al[2:], memories[1:]):
+                        np.multiply(a_q, memory, out=t_lane)
+                        c_out += t_lane
+                    np.multiply(al[0], g_lane[2 * n :], out=t_lane)
+                    c_out += t_lane
+                h = u_next[x_dim * r :]
+                np.tanh(c_k, out=h)
+                h *= g[: n * r]
+            k0 = k1
+
+    out = np.empty((len(xd), n_dir * n), dtype)
+    fusions, match_rows = [[None] * n_dir for _ in lengths], []
+    for ln in lanes:
+        hs, d = u[1 : ln.m + 1, x_dim:, ln.index], ln.direction
+        out[offsets[ln.sentence] : offsets[ln.sentence] + ln.m, d * n : (d + 1) * n] = (
+            hs if forwards[d] else hs[::-1]
+        )
+        alpha, alpha_char = alphas[:0], np.ones((ln.m, n), dtype)
+        if ln.fused is not None:
+            lane_alphas = alphas[ln.row0 : ln.row0 + len(ln.src) + len(ln.blocks)]
+            sizes = ln.fused[ln.blocks] + 1
+            char_rows = np.cumsum(sizes) - sizes
+            lane_match_rows = np.delete(np.arange(len(lane_alphas)), char_rows)
+            match_rows.append(ln.row0 + lane_match_rows)
+            alpha = lane_alphas[lane_match_rows]
+            alpha_char[ln.walk[ln.blocks] - 1] = lane_alphas[char_rows]
+        fusions[ln.sentence][d] = Fusion(ln.src, ln.end, alpha, alpha_char)
 
     def bwd(grad):
-        # One reverse walk collects each state's dh/dc from the next step and
-        # from every shortcut leaving it, and stores each step's gate
-        # pre-activation gradients as a row; every weight and input gradient is
-        # then one matrix product over those rows. Factors that do not depend on
-        # the gradient are computed for all steps at once before the walk.
-        w_h = w[:, x_dim:]
-        o, f, cand = gates[:, :n], gates[:, n : 2 * n], gates[:, 2 * n :]  # walk order
-        tanh_c = np.tanh(c[1:])
+        # The one recorded sentence walks its lanes in reverse, collecting each
+        # state's dh/dc from the next step and from every shortcut leaving it,
+        # and storing each step's gate pre-activation gradients as one row per
+        # lane; every weight and input gradient is then one matrix product per
+        # lane over those rows. Factors that do not depend on the gradient are
+        # computed for all steps at once before the walk, with lanes on the
+        # second axis: (step, lane, unit).
+        m = steps
+        c_rows = np.ascontiguousarray(c.transpose(0, 2, 1))
+        gate_rows = np.ascontiguousarray(gates.transpose(0, 2, 1))
+        o, f, cand = gate_rows[..., :n], gate_rows[..., n : 2 * n], gate_rows[..., 2 * n :]
+        tanh_c = np.tanh(c_rows[1:])
         d_o = tanh_c * o * (1.0 - o)  # dz_o = dh * d_o
         dc_dh = o * (1.0 - tanh_c * tanh_c)  # dc = dc from later steps + dh * dc_dh
         f_slope = f * (1.0 - f)
         cand_slope = 1.0 - cand * cand
         # plain step, c = f * c_prev + (1 - f) * cand: (dz_f, dz_cand) = dc * d_fc
-        d_fc = np.array([(c[:-1] - cand) * f_slope, (1.0 - f) * cand_slope]).transpose(1, 0, 2)
+        d_fc = np.array([(c_rows[:-1] - cand) * f_slope, (1.0 - f) * cand_slope]).transpose(1, 2, 0, 3)
         if n_cells:
-            ws_h = p.shortcut_w.data[:, -n:]
-            wg_c = p.match_gate_w.data[:, x_dim:]
             mems = xm[:, x_dim:]
             gi, gf, gc = cell_gates[:, :n], cell_gates[:, n : 2 * n], cell_gates[:, 2 * n :]
             # memory = gf * c_src + gi * gc: (dz_i, dz_f, dz_cand) = dmemory * d_cell
-            d_cell = np.array([gc * gi * (1.0 - gi), c[srow] * gf * (1.0 - gf), gi * (1.0 - gc * gc)])
+            c_src = c_rows[sources, cell_lane]
+            d_cell = np.array([gc * gi * (1.0 - gi), c_src * gf * (1.0 - gf), gi * (1.0 - gc * gc)])
             d_cell = d_cell.transpose(1, 0, 2)
-            control = logits[match_rows]
+            control = logits[np.concatenate(match_rows)]
             gate_slope = control * (1.0 - control)
+            ws_h = [q.shortcut_w.data[:, -n:] for q in params]
+            wg_c = [q.match_gate_w.data[:, x_dim:] for q in params]
 
-        # dh_all, dc_all: the gradient of each state row of u and c
-        dh_all = np.zeros((m + 1, n), dtype)
-        dh_all[1:] = grad if forward else grad[::-1]
-        dc_all = np.zeros((m + 1, n), dtype)
-        dz = np.empty((m, 3, n), dtype)  # walk order
+        # dh_all, dc_all: the gradient of each state row of each lane's u and c
+        dh_all = np.zeros((m + 1, n_lanes, n), dtype)
+        for d, forward in enumerate(forwards):
+            g_d = grad[:, d * n : (d + 1) * n]
+            dh_all[1:, d] = g_d if forward else g_d[::-1]
+        dc_all = np.zeros((m + 1, n_lanes, n), dtype)
+        dz = np.empty((m, n_lanes, 3, n), dtype)  # walk order
         dz_cell = np.empty((n_cells, 3, n), dtype)  # shortcut cells, walk order
         dz_gate = np.empty((n_cells, n), dtype)  # match gates, walk order
-        stop, row = n_cells, len(alphas)  # the matches and block rows of later steps start here
+        w_h = np.array([q.gates_w.data[:, x_dim:] for q in params])
+        dh_prev = np.empty((n_lanes, 1, n), dtype)
+        dz_rows, dh_prev_row = dz.reshape(m, n_lanes, 1, 3 * n), dh_prev[:, 0]
         for k in range(m - 1, -1, -1):
-            nf = n_fused[k]
-            dh = dh_all[k + 1]
+            dh, dz_k = dh_all[k + 1], dz[k]
             dc = dc_all[k + 1] + dh * dc_dh[k]
-            np.multiply(dh, d_o[k], out=dz[k, 0])
-            if not nf:
-                np.multiply(dc, d_fc[k], out=dz[k, 1:])
+            np.multiply(dh, d_o[k], out=dz_k[:, 0])
+            arriving = fused_at[k]
+            if not arriving:
+                np.multiply(dc[:, None], d_fc[k], out=dz_k[:, 1:])
                 dc_all[k] += dc * f[k]
             else:
-                start, row = stop - nf, row - nf - 1
-                a = alphas[row : row + nf + 1]
-                da = np.concatenate((cand[k : k + 1], mems[start:stop])) * dc
-                dlogit = a * (da - (da * a).sum(axis=0))  # softmax backward
-                np.multiply(-dlogit[0], f_slope[k], out=dz[k, 1])
-                np.multiply(dc * a[0], cand_slope[k], out=dz[k, 2])
-                for q, jj in enumerate(range(start, stop), start=1):
-                    np.multiply(dlogit[q], gate_slope[jj], out=dz_gate[jj])
-                    dmemory = dc * a[q] + dz_gate[jj] @ wg_c
-                    np.multiply(dmemory, d_cell[jj], out=dz_cell[jj])
-                    dc_all[sources[jj]] += dmemory * gf[jj]
-                    dh_all[sources[jj]] += dz_cell[jj].reshape(-1) @ ws_h
-                stop = start
-            dh_all[k] += dz[k].reshape(-1) @ w_h
+                for lane in set(range(n_lanes)).difference(lane for lane, *_ in arriving):
+                    np.multiply(dc[lane], d_fc[k, lane], out=dz_k[lane, 1:])
+                    dc_all[k, lane] += dc[lane] * f[k, lane]
+                for lane, d, nf, start, row in arriving:
+                    a, dc_lane, dz_lane = alphas[row : row + nf + 1], dc[lane], dz_k[lane]
+                    da = np.concatenate((cand[k, lane : lane + 1], mems[start : start + nf])) * dc_lane
+                    dlogit = a * (da - (da * a).sum(axis=0))  # softmax backward
+                    np.multiply(-dlogit[0], f_slope[k, lane], out=dz_lane[1])
+                    np.multiply(dc_lane * a[0], cand_slope[k, lane], out=dz_lane[2])
+                    for q, jj in enumerate(range(start, start + nf), start=1):
+                        np.multiply(dlogit[q], gate_slope[jj], out=dz_gate[jj])
+                        dmemory = dc_lane * a[q] + dz_gate[jj] @ wg_c[d]
+                        np.multiply(dmemory, d_cell[jj], out=dz_cell[jj])
+                        dc_all[sources[jj], lane] += dmemory * gf[jj]
+                        dh_all[sources[jj], lane] += dz_cell[jj].reshape(-1) @ ws_h[d]
+            np.matmul(dz_rows[k], w_h, out=dh_prev)
+            dh_all[k] += dh_prev_row
 
-        dz = dz.reshape(m, -1)
-        _acc(p.gates_w, dz.T @ u[:m])
-        _acc(p.gates_b, dz.sum(axis=0))
-        dx = np.zeros_like(x.data)
-        dx[walk - 1] = dz @ w[:, :x_dim]
+        d_words = np.empty_like(eh[:, :-n])
+        for ln in reversed(lanes):
+            q, cells = params[ln.direction], slice(ln.cell0, ln.cell0 + len(ln.src))
+            dz_d = np.ascontiguousarray(dz[:, ln.index]).reshape(m, -1)
+            _acc(q.gates_w, dz_d.T @ np.ascontiguousarray(u[:m, :, ln.index]))
+            _acc(q.gates_b, dz_d.sum(axis=0))
+            dx = np.zeros_like(xd)
+            dx[ln.walk - 1] = dz_d @ q.gates_w.data[:, :x_dim]
+            if len(ln.src):
+                dz_c = dz_cell[cells].reshape(len(ln.src), -1)
+                _acc(q.shortcut_w, dz_c.T @ eh[cells])
+                _acc(q.shortcut_b, dz_c.sum(axis=0))
+                _acc(q.match_gate_w, dz_gate[cells].T @ xm[cells])
+                _acc(q.match_gate_b, dz_gate[cells].sum(axis=0))
+                np.add.at(dx, ln.end - 1, dz_gate[cells] @ q.match_gate_w.data[:, :x_dim])
+                d_words[cells] = dz_c @ q.shortcut_w.data[:, :-n]
+            _acc(x, dx)
         if n_cells:
-            dz_cell = dz_cell.reshape(n_cells, -1)
-            _acc(p.shortcut_w, dz_cell.T @ eh)
-            _acc(p.shortcut_b, dz_cell.sum(axis=0))
-            _acc(p.match_gate_w, dz_gate.T @ xm)
-            _acc(p.match_gate_b, dz_gate.sum(axis=0))
-            np.add.at(dx, end - 1, dz_gate @ p.match_gate_w.data[:, :x_dim])
-            _acc(words, dz_cell @ p.shortcut_w.data[:, : -n])
-        _acc(x, dx)
+            _acc(words, d_words)
 
-    return _out(np.ascontiguousarray(hs), bwd), Fusion(src, end, alpha, alpha_char)
+    fusions = [tuple(f) if both else f[0] for f in fusions]
+    return _out(out, bwd), fusions if batch else fusions[0]
 
 
 def encode_bidirectional(
     x: Tensor,
-    matches: LatticeMatchSet | None,
+    matches,
     lexicon_table: EmbeddingTable | None,
     forward_params: DirectionParams,
     backward_params: DirectionParams,
     lattice_dropout: float = 0.0,
     rng: np.random.Generator | None = None,
-) -> tuple[Tensor, Fusion, Fusion]:
-    """The (m, 2 * hidden) hidden states and each direction's :class:`Fusion`.
+    lengths: Sequence[int] | None = None,
+):
+    """The (sum m, 2 * hidden) hidden states and each direction's :class:`Fusion`.
 
-    Row i of the states is the forward ++ backward state at position i.
+    Row i of the states is the forward ++ backward state at position i. Both
+    directions run as the lanes of one :func:`lattice_forward`; given
+    ``lengths``, over several sentences, and each direction's record is then a
+    list with one :class:`Fusion` per sentence.
     """
-    hf, fwd = lattice_forward(
-        x, matches, lexicon_table, forward_params, "forward", lattice_dropout=lattice_dropout, rng=rng
+    hs, fusions = lattice_forward(
+        x, matches, lexicon_table, (forward_params, backward_params), "both",
+        lattice_dropout=lattice_dropout, rng=rng, lengths=lengths,
     )
-    hb, bwd = lattice_forward(
-        x, matches, lexicon_table, backward_params, "backward", lattice_dropout=lattice_dropout, rng=rng
-    )
-    return concat([hf, hb]), fwd, bwd
+    if lengths is None:
+        return hs, *fusions
+    return hs, [f for f, _ in fusions], [b for _, b in fusions]

@@ -126,22 +126,32 @@ class SegmenterModel:
             return None
         return match_sentence(self.trie, chars, max_len=self.max_word_len)
 
+    def _encode(self, sentences: Sequence[Sequence[str]], rng: np.random.Generator | None = None):
+        """The stacked hidden states of ``sentences`` and each direction's per-sentence Fusion records."""
+        lengths = [len(s) for s in sentences]
+        x = char_repr(
+            [c for s in sentences for c in s], self.unigram_table, self.bigram_table,
+            dropout=self.char_dropout, rng=rng, lengths=lengths,
+        )
+        return encode_bidirectional(
+            x,
+            [self.match(s) for s in sentences],
+            self.lexicon_table,
+            self.fwd,
+            self.bwd,
+            lattice_dropout=self.lattice_dropout,
+            rng=rng,
+            lengths=lengths,
+        )
+
     def hidden_states(self, chars: Sequence[str], rng: np.random.Generator | None = None):
         """The (m, 2H) hidden states and each direction's :class:`~latseg.encoder.Fusion`.
 
         Given an ``rng``, the model's dropout draws its masks from it;
         without one, no dropout applies.
         """
-        x = char_repr(chars, self.unigram_table, self.bigram_table, dropout=self.char_dropout, rng=rng)
-        return encode_bidirectional(
-            x,
-            self.match(chars),
-            self.lexicon_table,
-            self.fwd,
-            self.bwd,
-            lattice_dropout=self.lattice_dropout,
-            rng=rng,
-        )
+        hs, (fwd,), (bwd,) = self._encode([chars], rng)
+        return hs, fwd, bwd
 
     def loss(self, sentence: LabeledSentence, rng: np.random.Generator | None = None) -> Tensor:
         """Sentence negative log-likelihood; record under an active tape to train.
@@ -151,9 +161,20 @@ class SegmenterModel:
         hs, _, _ = self.hidden_states(sentence.chars, rng)
         return crf_ops.nll_loss(hs, sentence.labels, self.crf)
 
+    def decode_many(self, sentences: Sequence[Sequence[str]]) -> list[tuple[str, ...]]:
+        """The Viterbi labels of each sentence, all decoded as the lanes of one encoder call.
+
+        Each sentence's labels are those it gets decoded alone. Under an active
+        tape more than one sentence is a :class:`UsageError` (see
+        :func:`~latseg.encoder.lattice_forward`).
+        """
+        if not sentences:
+            return []
+        hs, _, _ = self._encode(sentences)
+        return [path.labels for path in crf_ops.viterbi(hs, self.crf, [len(s) for s in sentences])]
+
     def decode(self, chars: Sequence[str]) -> crf_ops.LabelPath:
-        hs, _, _ = self.hidden_states(chars)
-        return crf_ops.viterbi(hs, self.crf)
+        return crf_ops.LabelPath(self.decode_many([chars])[0])
 
     def segment(self, text: str) -> list[str]:
         """The words of unsegmented ``text``; whitespace in it is a :class:`DataError`."""

@@ -9,13 +9,12 @@ go of each closure once it has run.
 A sentence is one matrix per layer, so the tape holds a fixed handful of
 ops per sentence and none per character: one :func:`rows` gather per
 embedding table and their :func:`concat` for the character representations;
-per lattice direction, a gather of the matched lexicon rows and the
-direction op itself; when the forward is given an rng, a :func:`dropout` of
-the character representations and of each lexicon gather; the
-:func:`concat` of the two directions; and the CRF loss, which computes
-the emissions itself. The direction ops and the loss have hand-written
-backwards built on :func:`_out` and :func:`_acc` (in ``encoder`` and
-``crf``).
+one gather of both directions' matched lexicon rows and the encoder op,
+which runs both directions; when the forward is given an rng, a
+:func:`dropout` of the character representations and of the lexicon
+gather; and the CRF loss, which computes the emissions itself. The encoder
+op and the loss have hand-written backwards built on :func:`_out` and
+:func:`_acc` (in ``encoder`` and ``crf``).
 
 Gradient buffers are lazy. A parameter owns a dense, same-shape buffer from
 the start, allocated zeroed by the allocator so that only the pages a
@@ -137,6 +136,11 @@ def backward(loss: Tensor) -> None:
     if loss.tape is None:
         raise UsageError("loss was not recorded on an active tape")
     loss.tape.run_backward(loss)
+
+
+def recording() -> bool:
+    """Whether a tape is active in the current context."""
+    return _ACTIVE.get() is not None
 
 
 def _out(data, bwd) -> Tensor:

@@ -195,6 +195,24 @@ def coverage_report(sentences: Iterable[LabeledSentence], lexicon) -> CoverageRe
     return CoverageReport(word_count=total, matched_count=matched)
 
 
+DECODE_CHUNK = 64  # sentences per SegmenterModel.decode_many call
+
+
+def decode_all(model: SegmenterModel, sentences: Sequence[Sequence[str]]) -> list[tuple[str, ...]]:
+    """Each sentence's Viterbi labels, decoded :data:`DECODE_CHUNK` sentences of similar length per batch.
+
+    A batch's walk buffers are as long as its longest sentence, so batching
+    by length keeps them close to the characters decoded.
+    """
+    by_length = sorted(range(len(sentences)), key=lambda i: len(sentences[i]))
+    labels: list = [None] * len(sentences)
+    for start in range(0, len(by_length), DECODE_CHUNK):
+        chunk = by_length[start : start + DECODE_CHUNK]
+        for i, decoded in zip(chunk, model.decode_many([sentences[i] for i in chunk])):
+            labels[i] = decoded
+    return labels
+
+
 @dataclass
 class TrainResult:
     best_epoch: int
@@ -247,7 +265,7 @@ def train(
             sgd_step(params, lr)
             total_loss += value
 
-        pred = [model.decode(s.chars).labels for s in dev_set]
+        pred = decode_all(model, [s.chars for s in dev_set])
         report = evaluate_f1(dev_set, pred, training_words)
         report.epoch = epoch
         result.reports.append(report)

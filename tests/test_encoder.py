@@ -565,3 +565,87 @@ class TestReferenceWalk:
             char = fusion.alpha_char[fusion.end - 1]
             np.testing.assert_array_equal(fusion.alpha[:, [0, 2]], char[:, [0, 2]])
             assert (fusion.alpha[:, 1] < char[:, 1]).all()
+
+
+def assert_same_fusion(got, expect):
+    assert got.src.tolist() == expect.src.tolist() and got.end.tolist() == expect.end.tolist()
+    assert got.alpha.tobytes() == expect.alpha.tobytes()
+    assert got.alpha_char.tobytes() == expect.alpha_char.tobytes()
+
+
+class TestLanes:
+    # A batch of sentences walks as lanes of one op; each sentence must come out
+    # as it does alone and as the reference walk gives it. Lengths 1 and 200
+    # sit in one batch, so lanes stop walking at very different steps.
+    LENGTHS = [37, 1, 200, 2, 1, 64, 200, 5]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("lattice", ["none", "sparse", "dense"])
+    def test_batch_equals_each_sentence_alone_and_the_reference(self, dtype, lattice):
+        rng = np.random.default_rng(len(lattice))
+        x_dim, hidden, word_dim = 3, 4, 2
+        p_f = DirectionParams.create(x_dim, hidden, rng, word_dim=word_dim, dtype=dtype, name="fwd")
+        p_b = DirectionParams.create(x_dim, hidden, rng, word_dim=word_dim, dtype=dtype, name="bwd")
+        spans, match_sets, first_entry = [], [], 0
+        for i, m in enumerate(self.LENGTHS):
+            # every third sentence has no match set; the others end 1 to 2 (sparse) or 1 to 6 (dense) per position
+            s = [] if lattice == "none" or i % 3 == 2 else random_spans(rng, m, 2 if lattice == "sparse" else 6)
+            spans.append(s)
+            if lattice == "none":
+                match_sets.append(None)
+            else:
+                b, e = np.array(s, np.intp).reshape(-1, 2).T
+                match_sets.append(LatticeMatchSet(b, e, first_entry + np.arange(len(s))))
+            first_entry += len(s)
+        table = random_lexicon_table(rng, max(first_entry, 1), word_dim)
+        table.rows.data = table.rows.data.astype(dtype)
+        xs = [rng.normal(size=(m, x_dim)).astype(dtype) for m in self.LENGTHS]
+        hs, fwd, bwd = encode_bidirectional(
+            const(np.concatenate(xs)), match_sets, table, p_f, p_b, lengths=self.LENGTHS
+        )
+        assert hs.data.dtype == dtype and hs.data.shape == (sum(self.LENGTHS), 2 * hidden)
+
+        start = 0
+        for i, (x, ms, s) in enumerate(zip(xs, match_sets, spans)):
+            rows_ = hs.data[start : start + len(x)]
+            alone, fwd_alone, bwd_alone = encode_bidirectional(const(x), ms, table, p_f, p_b)
+            assert rows_.tobytes() == alone.data.tobytes()
+            assert_same_fusion(fwd[i], fwd_alone)
+            assert_same_fusion(bwd[i], bwd_alone)
+            # entry k of sentence i is lexicon row len(RESERVED) + first + k: shift the rows by first
+            first = int(ms.entry[0]) if ms is not None and len(ms) else 0
+            lexicon_rows = table.rows.data[first:]
+            for half, fusion, p, direction in ((0, fwd[i], p_f, "forward"), (1, bwd[i], p_b, "backward")):
+                ref_h, src, end, alpha, alpha_char = reference_walk(x, s, lexicon_rows, p, direction)
+                assert rows_[:, half * hidden : (half + 1) * hidden].tobytes() == ref_h.tobytes()
+                assert fusion.src.tolist() == src and fusion.end.tolist() == end
+                assert fusion.alpha.tobytes() == alpha.tobytes()
+                assert fusion.alpha_char.tobytes() == alpha_char.tobytes()
+            start += len(x)
+        arriving = set().union(*(np.bincount(fusion.end).tolist() for fusion in fwd))
+        most = {"none": 0, "sparse": 2, "dense": 6}[lattice]
+        assert arriving - {0} == set(range(1, most + 1))  # matches arriving at one position
+
+    def test_one_direction_batch(self, rng):
+        p, table, _, _ = direction_case(rng)
+        xs = [rng.normal(size=(m, 2)) for m in (6, 1, 6)]
+        sets = [match_set(SPANS), None, match_set([])]
+        h, fusions = lattice_forward(const(np.concatenate(xs)), sets, table, p, "backward", lengths=[6, 1, 6])
+        start = 0
+        for x, ms, fusion in zip(xs, sets, fusions):
+            alone, fusion_alone = lattice_forward(const(x), ms, table, p, "backward")
+            assert h.data[start : start + len(x)].tobytes() == alone.data.tobytes()
+            assert_same_fusion(fusion, fusion_alone)
+            start += len(x)
+
+    def test_a_recorded_forward_takes_one_sentence(self, rng):
+        p_f, table, x, ms = direction_case(rng)
+        p_b = DirectionParams.create(2, 3, rng, word_dim=3, name="bwd")
+        with Tape():
+            with pytest.raises(UsageError, match="one sentence"):
+                encode_bidirectional(x, [ms, ms], table, p_f, p_b, lengths=[3, 3])
+
+    def test_lengths_must_cover_the_rows(self, rng):
+        p, table, x, ms = direction_case(rng)
+        with pytest.raises(UsageError, match="lengths"):
+            lattice_forward(x, [ms, None], table, p, lengths=[6, 1])

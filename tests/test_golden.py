@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from fixtures.make_golden import training_digests
-from latseg.checkpoint import load_checkpoint
+from latseg.checkpoint import load_checkpoint, save_checkpoint
 from latseg.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -42,3 +42,15 @@ def test_fixed_seed_training_writes_the_recorded_tensor_bytes(tmp_path, capsys):
         f"{mode}-{dtype}" for mode in ("lattice-word", "lattice-subword") for dtype in ("float32", "float64")
     }
     assert [k for k in expect if got.get(k) != expect[k]] == [] and got.keys() == expect.keys()
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_resaving_a_golden_checkpoint_writes_its_probe_bytes(dtype, tmp_path):
+    # the probe runs on a model cut down to the rows its sentence reads; its
+    # emissions must be the whole model's, as the fixture recorded them
+    ckpt = GOLDEN / f"lattice-word-{dtype}"
+    probe = [line for line in (ckpt / "manifest.txt").read_text(encoding="utf-8").split("\n")
+             if line.startswith("probe_")]
+    save_checkpoint(load_checkpoint(ckpt), tmp_path / "again", probe[0].partition("=")[2])
+    again = (tmp_path / "again" / "manifest.txt").read_text(encoding="utf-8").split("\n")
+    assert [line for line in again if line.startswith("probe_")] == probe

@@ -23,16 +23,16 @@ from latseg.train import (
 )
 
 
-def tiny_model(sentences, rng, mode="baseline", lexicon=(), hidden=6, dim=4, **kw):
+def tiny_model(sentences, rng, mode="baseline", lexicon=(), hidden=6, dim=4, dtype=np.float64, **kw):
     uni, bi = build_vocabs([s.chars for s in sentences])
-    ut = EmbeddingTable.random(uni, dim, rng, name="unigram_embeddings")
-    bt = EmbeddingTable.random(bi, dim, rng, name="bigram_embeddings")
+    ut = EmbeddingTable.random(uni, dim, rng, dtype=dtype, name="unigram_embeddings")
+    bt = EmbeddingTable.random(bi, dim, rng, dtype=dtype, name="bigram_embeddings")
     trie = table = None
     if mode != "baseline":
         trie, lvocab = prepare_lexicon(lexicon)
-        table = EmbeddingTable.random(lvocab, dim, rng, name="lexicon_embeddings")
+        table = EmbeddingTable.random(lvocab, dim, rng, dtype=dtype, name="lexicon_embeddings")
     return SegmenterModel.create(
-        mode, ut, bt, hidden, rng, lexicon_table=table, trie=trie, **kw
+        mode, ut, bt, hidden, rng, lexicon_table=table, trie=trie, dtype=dtype, **kw
     )
 
 
@@ -343,8 +343,9 @@ def test_desk_lattice_word_records_at_most_five_ops_per_char():
 
 def test_tape_records_a_fixed_handful_of_ops_per_sentence():
     # whatever the sentence length: two gathers, their concat and its dropout
-    # for the characters; per direction its op, after a gather and a dropout
-    # of the match embeddings when anything matches; then concat and the loss
+    # for the characters; one gather and one dropout of both directions' match
+    # embeddings when anything matches; the encoder op, which runs both
+    # directions and writes their states side by side; then the loss
     vocab = synth.make_vocab(60, seed=5)
     sents = [to_bmes(w) for w in synth.make_corpus(vocab, 30, seed=6)]
     model = tiny_model(
@@ -358,7 +359,7 @@ def test_tape_records_a_fixed_handful_of_ops_per_sentence():
         with tape:
             model.loss(s, rng=rng)
         fused = len(model.match(s.chars)) > 0
-        assert len(tape) == 4 + 2 * (1 + 2 * fused) + 2
+        assert len(tape) == 4 + 2 * fused + 1 + 1
         seen.add((len(s), fused))
     assert len({n for n, _ in seen}) > 5 and {f for _, f in seen} == {False, True}
 
@@ -374,3 +375,31 @@ def test_lexicon_table_out_of_trie_order_is_rejected():
     swapped = EmbeddingTable.random(Vocab(["人民", "中国"]), 4, rng, name="lexicon_embeddings")
     with pytest.raises(UsageError, match="trie"):
         SegmenterModel.create("lattice-word", ut, bt, 6, rng, lexicon_table=swapped, trie=trie)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("mode", ["baseline", "lattice-word", "lattice-subword"])
+def test_decode_many_labels_each_sentence_as_decode_does(mode, dtype):
+    # one batch mixing 1- and 200-character sentences, with and without matches
+    vocab = synth.make_vocab(100, seed=21)
+    sents = [to_bmes(w) for w in synth.make_corpus(vocab, 60, seed=22)]
+    if mode == "lattice-word":
+        lexicon = [w for w in vocab if len(w) >= 2]
+    else:
+        lexicon = [sym for sym, _ in bpe.extract_lexicon(bpe.learn_bpe(["".join(s.chars) for s in sents], 80))]
+    model = tiny_model(sents, np.random.default_rng(23), mode=mode, lexicon=lexicon, hidden=5, dtype=dtype)
+    text = "".join("".join(s.chars) for s in sents)
+    batch = [tuple(text[:200]), ("中",), tuple(text[200:203])] + [s.chars for s in sents[:20]] + [tuple(text[-200:])]
+    assert {len(s) for s in batch} >= {1, 200}
+    if mode != "baseline":
+        assert not all(len(model.match(s)) for s in batch) and any(len(model.match(s)) for s in batch)
+    assert model.decode_many(batch) == [model.decode(s).labels for s in batch]
+    assert model.decode_many([]) == []
+
+
+def test_decode_many_under_a_tape_refuses_a_batch():
+    sents = tiny_corpus()
+    model = tiny_model(sents, np.random.default_rng(3))
+    with Tape():
+        with pytest.raises(UsageError, match="one sentence"):
+            model.decode_many([sents[0].chars, sents[1].chars])
