@@ -13,7 +13,7 @@ op, :func:`nll_loss`: its forward is the emissions, the alpha and beta
 recursions as two lanes of one, and the gold path's terms; its backward
 takes the emission gradient as marginals minus gold indicators on to the
 hidden states and emission weights. :func:`viterbi` decodes several
-sentences' stacked states as lanes sorted by length.
+sentences' stacked states as lanes sorted by length into label tuples.
 """
 
 from __future__ import annotations
@@ -150,16 +150,14 @@ def nll_loss(hs: Tensor, labels: Sequence[str], p: CrfParams) -> Tensor:
     return _out(np.asarray(log_z - score, dtype=e.dtype), bwd)
 
 
-def viterbi(hs: Tensor, p: CrfParams, lengths: Sequence[int] | None = None):
-    """Highest-scoring label sequence; ties resolve to the smallest label index.
+def viterbi(hs: Tensor, p: CrfParams, lengths: Sequence[int]) -> list[tuple[str, ...]]:
+    """Each sentence's highest-scoring labels; ties resolve to the smallest label index.
 
-    Given ``lengths``, ``hs`` stacks several sentences' hidden states, and the
-    result is a list with one :class:`LabelPath` per sentence. Their
+    ``hs`` stacks the hidden states of sentences of ``lengths``. Their
     recursions run as lanes sorted by length, so the lanes still running at
     a step are a prefix.
     """
-    batch = lengths is not None
-    lengths = list(lengths) if batch else [len(hs)]
+    lengths = list(lengths)
     if not lengths or min(lengths) == 0:
         raise UsageError("viterbi of an empty sequence")
     if sum(lengths) != len(hs):
@@ -197,5 +195,5 @@ def viterbi(hs: Tensor, p: CrfParams, lengths: Sequence[int] | None = None):
         for i in range(m - 1, 0, -1):
             label = back[i][lane][label]
             path.append(label)
-        labels[s] = LabelPath(labels=tuple(LABELS[k] for k in reversed(path)))
-    return labels if batch else labels[0]
+        labels[s] = tuple(LABELS[k] for k in reversed(path))
+    return labels

@@ -148,7 +148,6 @@ class EmbeddingTable:
 
     vocab: Vocab
     rows: Tensor  # (len(vocab), dim)
-    file_hits: int = 0  # vocab entries that received a pretrained vector
 
     @property
     def dim(self) -> int:
@@ -184,7 +183,6 @@ def load_embeddings(
     a value that is not finite, raises FormatError naming the row.
     """
     table = EmbeddingTable.random(vocab, dim, rng, dtype=dtype, name=name)
-    hits = 0
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -205,8 +203,6 @@ def load_embeddings(
                 if not np.isfinite(vec).all():
                     raise FormatError(f"{path}: row {lineno}: {token} has a value that is not finite")
                 table.rows.data[vocab.index(token)] = vec
-                hits += 1
-    table.file_hits = hits
     return table
 
 

@@ -28,14 +28,12 @@ class Trie:
     def __init__(self):
         self.root = TrieNode()
         self.symbols: list[str] = []  # entry id -> symbol
-        self.rejected_short = 0  # length-1 inputs refused at build time
 
     def __len__(self) -> int:
         return len(self.symbols)
 
     def insert(self, symbol: str) -> int | None:
         if len(symbol) < 2:
-            self.rejected_short += 1
             return None
         node = self.root
         for ch in symbol:

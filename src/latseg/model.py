@@ -25,9 +25,9 @@ MODES = ("baseline", "lattice-word", "lattice-subword")
 def prepare_lexicon(symbols: Sequence[str]) -> tuple[Trie, Vocab]:
     """Deduplicate lexicon symbols into a trie and a matching vocabulary.
 
-    Length-1 symbols are dropped (counted on the trie), and so are the
-    reserved vocabulary symbols, which a vocabulary cannot hold twice: the
-    lexicon row of trie entry k is always k + len(RESERVED).
+    Length-1 symbols are dropped, and so are the reserved vocabulary symbols,
+    which a vocabulary cannot hold twice: the lexicon row of trie entry k is
+    always k + len(RESERVED).
     """
     trie = build_trie(s for s in symbols if s not in RESERVED)
     return trie, Vocab(trie.symbols)
@@ -126,52 +126,40 @@ class SegmenterModel:
             return None
         return match_sentence(self.trie, chars, max_len=self.max_word_len)
 
-    def _encode(self, sentences: Sequence[Sequence[str]], rng: np.random.Generator | None = None):
-        """The stacked hidden states of ``sentences`` and each direction's per-sentence Fusion records."""
+    def hidden_states(self, sentences: Sequence[Sequence[str]], rng: np.random.Generator | None = None):
+        """The stacked (sum m, 2H) hidden states of ``sentences`` and their (forward, backward) Fusion pairs.
+
+        Given an ``rng``, the model's dropout draws its masks from it;
+        without one, no dropout applies. Under an active tape only one
+        sentence is accepted (see :func:`~latseg.encoder.lattice_forward`).
+        """
         lengths = [len(s) for s in sentences]
         x = char_repr(
             [c for s in sentences for c in s], self.unigram_table, self.bigram_table,
             dropout=self.char_dropout, rng=rng, lengths=lengths,
         )
+        matches = [self.match(s) for s in sentences]
         return encode_bidirectional(
-            x,
-            [self.match(s) for s in sentences],
-            self.lexicon_table,
-            self.fwd,
-            self.bwd,
-            lattice_dropout=self.lattice_dropout,
-            rng=rng,
-            lengths=lengths,
+            x, matches, self.lexicon_table, (self.fwd, self.bwd), lengths, self.lattice_dropout, rng
         )
-
-    def hidden_states(self, chars: Sequence[str], rng: np.random.Generator | None = None):
-        """The (m, 2H) hidden states and each direction's :class:`~latseg.encoder.Fusion`.
-
-        Given an ``rng``, the model's dropout draws its masks from it;
-        without one, no dropout applies.
-        """
-        hs, (fwd,), (bwd,) = self._encode([chars], rng)
-        return hs, fwd, bwd
 
     def loss(self, sentence: LabeledSentence, rng: np.random.Generator | None = None) -> Tensor:
         """Sentence negative log-likelihood; record under an active tape to train.
 
         Training passes its ``rng``, which turns dropout on.
         """
-        hs, _, _ = self.hidden_states(sentence.chars, rng)
+        hs, _ = self.hidden_states([sentence.chars], rng)
         return crf_ops.nll_loss(hs, sentence.labels, self.crf)
 
     def decode_many(self, sentences: Sequence[Sequence[str]]) -> list[tuple[str, ...]]:
         """The Viterbi labels of each sentence, all decoded as the lanes of one encoder call.
 
-        Each sentence's labels are those it gets decoded alone. Under an active
-        tape more than one sentence is a :class:`UsageError` (see
-        :func:`~latseg.encoder.lattice_forward`).
+        Each sentence's labels are those it gets decoded alone.
         """
         if not sentences:
             return []
-        hs, _, _ = self._encode(sentences)
-        return [path.labels for path in crf_ops.viterbi(hs, self.crf, [len(s) for s in sentences])]
+        hs, _ = self.hidden_states(sentences)
+        return crf_ops.viterbi(hs, self.crf, [len(s) for s in sentences])
 
     def decode(self, chars: Sequence[str]) -> crf_ops.LabelPath:
         return crf_ops.LabelPath(self.decode_many([chars])[0])
@@ -186,5 +174,5 @@ class SegmenterModel:
 
     def emission_matrix(self, chars: Sequence[str]) -> np.ndarray:
         """Per-position label scores without dropout; the checkpoint probe output."""
-        hs, _, _ = self.hidden_states(chars)
+        hs, _ = self.hidden_states([chars])
         return crf_ops.emissions(hs, self.crf)

@@ -238,10 +238,10 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
 
 
 def zero_grads(params: Iterable[Tensor]) -> None:
-    """Clear each gradient: its recorded rows alone where it has a row record."""
+    """Clear each gradient: its recorded rows alone where it has a row record, none where that is empty."""
     for p in params:
-        if p.grad is not None:
-            p.grad[p.grad_rows or ...] = 0.0  # Ellipsis: every entry
+        if p.grad is not None and p.grad_rows != []:
+            p.grad[... if p.grad_rows is None else p.grad_rows] = 0.0  # Ellipsis: every entry
             p.grad_rows = []
 
 
@@ -249,15 +249,16 @@ def sgd_step(params: Iterable[Tensor], lr: float) -> None:
     """p <- p - lr * grad for every trainable tensor; grads reset to zero.
 
     A tensor with a row record (see :func:`rows`) is checked, updated and
-    cleared on its recorded rows only; every other tensor densely.
+    cleared on its recorded rows only, and left untouched when the record is
+    empty; every other tensor densely.
     """
     if not (math.isfinite(lr) and lr > 0.0):
         raise ConfigError(f"learning rate must be positive and finite, got {lr}")
     updates = []
     for p in params:  # check every gradient before any parameter changes
-        if p.grad is None:
+        if p.grad is None or p.grad_rows == []:
             continue
-        at = np.unique(p.grad_rows) if p.grad_rows else ...  # Ellipsis: every entry
+        at = ... if p.grad_rows is None else np.unique(p.grad_rows)  # Ellipsis: every entry
         g = p.grad[at]
         if not np.all(np.isfinite(g)):
             raise NumericError(f"non-finite gradient in tensor {p.name or '<unnamed>'}")

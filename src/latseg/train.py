@@ -74,8 +74,6 @@ class EvalReport:
     n_oov: int
     epoch: int | None = None
     bucket_f1: dict[tuple[int, int], float] | None = None
-    er_percent: float | None = None  # error reduction vs the named baseline
-    baseline_name: str | None = None
 
     def lines(self) -> list[str]:
         out = [
@@ -89,9 +87,6 @@ class EvalReport:
         ]
         if self.epoch is not None:
             out.insert(0, f"epoch={self.epoch}")
-        if self.er_percent is not None:
-            out.append(f"er_percent={self.er_percent:.2f}")
-            out.append(f"er_baseline={self.baseline_name}")
         if self.bucket_f1:
             for (lo, hi), f1 in sorted(self.bucket_f1.items()):
                 out.append(f"bucket_f1[{lo}-{hi}]={f1:.6f}")
@@ -195,20 +190,25 @@ def coverage_report(sentences: Iterable[LabeledSentence], lexicon) -> CoverageRe
     return CoverageReport(word_count=total, matched_count=matched)
 
 
-DECODE_CHUNK = 64  # sentences per SegmenterModel.decode_many call
+DECODE_CELLS = 2048  # sentences x longest sentence per SegmenterModel.decode_many call
 
 
 def decode_all(model: SegmenterModel, sentences: Sequence[Sequence[str]]) -> list[tuple[str, ...]]:
-    """Each sentence's Viterbi labels, decoded :data:`DECODE_CHUNK` sentences of similar length per batch.
+    """Each sentence's Viterbi labels, decoded in batches of sentences of similar length.
 
-    A batch's walk buffers are as long as its longest sentence, so batching
-    by length keeps them close to the characters decoded.
+    A batch's walk buffers hold its longest sentence's steps for every
+    sentence, so a batch takes sentences in order of length while their count
+    times the longest stays within :data:`DECODE_CELLS`; a longer sentence
+    decodes alone.
     """
-    by_length = sorted(range(len(sentences)), key=lambda i: len(sentences[i]))
+    batches: list[list[int]] = []
+    for i in sorted(range(len(sentences)), key=lambda i: len(sentences[i])):
+        if not batches or (len(batches[-1]) + 1) * len(sentences[i]) > DECODE_CELLS:
+            batches.append([])
+        batches[-1].append(i)
     labels: list = [None] * len(sentences)
-    for start in range(0, len(by_length), DECODE_CHUNK):
-        chunk = by_length[start : start + DECODE_CHUNK]
-        for i, decoded in zip(chunk, model.decode_many([sentences[i] for i in chunk])):
+    for batch in batches:
+        for i, decoded in zip(batch, model.decode_many([sentences[i] for i in batch])):
             labels[i] = decoded
     return labels
 

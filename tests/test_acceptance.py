@@ -118,7 +118,7 @@ def test_criterion_2_crf_oracles():
         for k in rng.choice(len(scores), size=2, replace=False):
             gold = [LABELS[y] for y in np.unravel_index(k, shape)]
             worst_z = max(worst_z, abs(nll_loss(hs, gold, p).item() - (expect_z - scores[k])))
-        decoded = [LABELS.index(lab) for lab in viterbi(hs, p).labels]
+        decoded = [LABELS.index(lab) for lab in viterbi(hs, p, [m])[0]]
         worst_v = max(worst_v, abs(scores[np.ravel_multi_index(decoded, shape)] - scores.max()))
     elapsed = time.perf_counter() - t0
     ok = worst_z < 1e-9 and worst_v < 1e-9 and elapsed < 10.0
@@ -188,8 +188,8 @@ def test_criterion_4_lattice_reduction():
     )
     worst = 0.0
     for chars in sentences:
-        hl, _, _ = lattice.hidden_states(chars)
-        hb, _, _ = baseline.hidden_states(chars)
+        hl, _ = lattice.hidden_states([chars])
+        hb, _ = baseline.hidden_states([chars])
         for a, b in zip(hl.data, hb.data):
             worst = max(worst, float(np.abs(a - b).max()))
     ok = worst <= 1e-12
@@ -207,7 +207,7 @@ def test_criterion_5_gate_normalization():
     worst = 0.0
     n_fused = 0
     for chars in sentences:
-        _, fwd, bwd = model.hidden_states(chars)
+        _, [(fwd, bwd)] = model.hidden_states([chars])
         for fusion in (fwd, bwd):
             for i in dict.fromkeys(fusion.end.tolist()):  # each fused position once
                 n_fused += 1

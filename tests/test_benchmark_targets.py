@@ -10,7 +10,11 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
+
 from latseg import model
+from latseg.data import EmbeddingTable, build_vocabs, to_bmes
+from latseg.tensor import Tape
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -48,3 +52,33 @@ def test_match_hook_counts_every_match():
     hook(counts, args, model.match_sentence(*args))
     assert not before
     assert counts["matches"] == brute == 11 and counts["match_chars"] == len(chars)
+
+
+def test_encoder_spans_nest_and_count_the_characters_encoded():
+    # encoder.lattice_forward_s and the per-character encoder metrics divide by
+    # the characters these two hooks count, and the model's span must hold the kernel's
+    tracing = load_tracing()
+    sentences = [to_bmes(ws) for ws in (["中国", "人民"], ["学院"], ["人"], ["中国", "学院", "人民", "人"])]
+    rng = np.random.default_rng(4)
+    uni, bi = build_vocabs([s.chars for s in sentences])
+    trie, lvocab = model.prepare_lexicon(["中国", "人民", "学院"])
+    segmenter = model.SegmenterModel.create(
+        "lattice-word",
+        EmbeddingTable.random(uni, 3, rng, name="unigram_embeddings"),
+        EmbeddingTable.random(bi, 3, rng, name="bigram_embeddings"),
+        4,
+        rng,
+        lexicon_table=EmbeddingTable.random(lvocab, 3, rng, name="lexicon_embeddings"),
+        trie=trie,
+    )
+    batch = [s.chars for s in sentences]
+    with tracing.Tracer() as tracer:
+        tracer.phase = tracing.MEASURE
+        segmenter.decode_many(batch)
+        with Tape():
+            segmenter.loss(sentences[0])
+    kernels = [span for span in tracer.spans if span[0] == "encoder.lattice_forward"]
+    assert len(kernels) == 2
+    assert all(tracer.spans[parent][0] == "model.encode_bidirectional" for _, _, _, parent, _ in kernels)
+    encoded = sum(map(len, batch)) + len(sentences[0])
+    assert tracer.counts["encoded_chars"] == tracer.counts["lattice_positions"] == encoded

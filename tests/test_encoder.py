@@ -9,14 +9,7 @@ import pytest
 from gradcheck import ALPHA_SUM_TOL, assert_grads_match, weighted_sum
 from latseg import encoder
 from latseg.data import RESERVED, EmbeddingTable, Vocab, build_vocabs
-from latseg.encoder import (
-    DirectionParams,
-    char_repr,
-    encode_bidirectional,
-    gate_normalize,
-    lattice_forward,
-    shortcut_cell,
-)
+from latseg.encoder import DirectionParams, char_repr, gate_normalize, lattice_forward, shortcut_cell
 from latseg.errors import UsageError
 from latseg.lexicon import LatticeMatchSet
 from latseg.tensor import Tape, backward, const, param
@@ -51,6 +44,28 @@ def random_lexicon_table(rng, n_entries, dim, name="lexicon_embeddings"):
     return EmbeddingTable.random(vocab, dim, rng, name=name)
 
 
+DIRECTIONS = ("forward", "backward")
+
+
+def both(x, ms, table, p, **kwargs):
+    """One sentence through :func:`lattice_forward` with ``p`` reading both ways: its states and Fusion pair."""
+    hs, [fusions] = lattice_forward(x, [ms], table, (p, p), [len(x)], **kwargs)
+    return hs, fusions
+
+
+def walk(x, ms, table, p, direction="forward", **kwargs):
+    """One direction's half of :func:`both`: its (m, hidden) states and its Fusion."""
+    hs, fusions = both(x, ms, table, p, **kwargs)
+    d = DIRECTIONS.index(direction)
+    return hs.data[:, d * p.hidden : (d + 1) * p.hidden], fusions[d]
+
+
+def on_half(weights, direction="forward"):
+    """(m, hidden) weights on one direction's half of the (m, 2 * hidden) states; zero on the other."""
+    zero = np.zeros_like(weights)
+    return np.hstack([weights, zero] if direction == "forward" else [zero, weights])
+
+
 def sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
@@ -78,8 +93,8 @@ class TestLstmStep:
         x, x_a, x_b = rng.normal(size=(3, 2))
 
         def memories(*chars):
-            h, _ = lattice_forward(const(np.array(chars)), None, None, p)
-            return np.arctanh(h.data)
+            h, _ = walk(const(np.array(chars)), None, None, p)
+            return np.arctanh(h)
 
         (c_a, c1), (c_b, c2) = memories(x_a, x), memories(x_b, x)
         (c0,) = memories(x)
@@ -148,8 +163,8 @@ class TestGateLogit:
         weights[2] = rng.normal(size=3)  # the state at the match's end only
 
         def loss():
-            h, _ = lattice_forward(x, ms, table, p)
-            return weighted_sum(h, weights)
+            hs, _ = both(x, ms, table, p)
+            return weighted_sum(hs, on_half(weights))
 
         assert_grads_match(loss, [x, table.rows, p.match_gate_w, p.match_gate_b])
 
@@ -174,18 +189,18 @@ class TestLatticeForward:
     def test_empty_matches_bit_equal_to_lstm(self, rng):
         p = random_direction(5, 4, rng)
         x = const(rng.normal(size=(7, 4)))
-        out, fusion = lattice_forward(x, None, None, p)
+        out, fusion = walk(x, None, None, p)
         h = c = np.zeros(5)
         for i, x_i in enumerate(x.data):
             h, c = lstm_step(x_i, h, c, p)
-            assert out.data[i].tobytes() == h.tobytes()
+            assert out[i].tobytes() == h.tobytes()
         assert len(fusion.src) == len(fusion.end) == len(fusion.alpha) == 0
         np.testing.assert_array_equal(fusion.alpha_char, np.ones((7, 5)))
 
     def test_zero_params_zero_hidden(self, rng):
         p = zero_direction(4, 3)
-        out, _ = lattice_forward(const(rng.normal(size=(5, 3))), None, None, p)
-        np.testing.assert_array_equal(out.data, np.zeros((5, 4)))
+        out, _ = walk(const(rng.normal(size=(5, 3))), None, None, p)
+        np.testing.assert_array_equal(out, np.zeros((5, 4)))
 
     def test_candidate_bias_only_halves_memory(self, rng):
         # zero weights: o = f = 1/2 and the input gate 1 - f = 1/2, so
@@ -193,9 +208,9 @@ class TestLatticeForward:
         p = zero_direction(4, 3)
         cand_bias = rng.normal(size=4)
         p.gates_b.data[8:] = cand_bias
-        out, _ = lattice_forward(const(rng.normal(size=(5, 3))), None, None, p)
+        out, _ = walk(const(rng.normal(size=(5, 3))), None, None, p)
         c = np.tanh(cand_bias) * (1.0 - 0.5 ** np.arange(1, 6))[:, None]
-        np.testing.assert_allclose(out.data, 0.5 * np.tanh(c), atol=1e-15)
+        np.testing.assert_allclose(out, 0.5 * np.tanh(c), atol=1e-15)
 
     def test_alpha_weights_sum_to_one(self, rng):
         p = random_direction(4, 3, rng, word_dim=3)
@@ -205,7 +220,7 @@ class TestLatticeForward:
         # forward fusion happens where matches end ({3, 6}); backward where
         # they start (original positions {1, 2, 4})
         for direction, fused in (("forward", {3, 6}), ("backward", {1, 2, 4})):
-            _, fusion = lattice_forward(x, ms, table, p, direction)
+            _, fusion = walk(x, ms, table, p, direction)
             assert set(fusion.end.tolist()) == fused
             for i in fused:
                 total = fusion.alpha_char[i - 1] + sum(fusion.alpha[fusion.end == i])
@@ -235,9 +250,9 @@ class TestLatticeForward:
                 entries = [SPANS.index(s) for s in spans]  # each span keeps its lexicon row
                 b, e = np.array(spans).T
                 ms = LatticeMatchSet(b, e, np.array(entries))
-                h, fusion = lattice_forward(x, ms, table, p, direction)
+                h, fusion = walk(x, ms, table, p, direction)
                 assert fusion.src.tolist() == src and fusion.end.tolist() == end
-                records.append((h.data.tobytes(), fusion.alpha.tobytes()))
+                records.append((h.tobytes(), fusion.alpha.tobytes()))
             assert records[0] == records[1]
 
     def test_locality_prefix_unchanged(self, rng):
@@ -247,17 +262,12 @@ class TestLatticeForward:
         table = random_lexicon_table(rng, 2, 3)
         x = const(rng.normal(size=(6, 3)))
         ms = match_set([(2, 4)])
-        before, _ = lattice_forward(x, ms, table, p)
+        before, _ = walk(x, ms, table, p)
         table.rows.data[2] += 1.5
-        after, _ = lattice_forward(x, ms, table, p)
+        after, _ = walk(x, ms, table, p)
         # positions 1..3 precede the end at 4
-        np.testing.assert_array_equal(before.data[:3], after.data[:3])
-        assert not np.array_equal(before.data[3], after.data[3])
-
-    def test_bad_direction(self, rng):
-        p = random_direction(2, 2, rng)
-        with pytest.raises(UsageError):
-            lattice_forward(const(np.zeros((1, 2))), None, None, p, "sideways")
+        np.testing.assert_array_equal(before[:3], after[:3])
+        assert not np.array_equal(before[3], after[3])
 
     def test_out_of_range_match_rejected(self, rng):
         # a match set claiming spans beyond the sentence is a matcher
@@ -266,7 +276,7 @@ class TestLatticeForward:
         table = random_lexicon_table(rng, 1, 3)
         x = const(rng.normal(size=(3, 2)))
         with pytest.raises(UsageError, match="out of range"):
-            lattice_forward(x, match_set([(2, 5)]), table, p)
+            both(x, match_set([(2, 5)]), table, p)
 
     def test_gradient_reaches_spanning_match_embedding(self, rng):
         p = random_direction(3, 2, rng, word_dim=3)
@@ -277,8 +287,8 @@ class TestLatticeForward:
         weights[3] = rng.normal(size=3)  # the state at the match's end only
 
         def loss():
-            h, _ = lattice_forward(x, ms, table, p)
-            return weighted_sum(h, weights)
+            hs, _ = both(x, ms, table, p)
+            return weighted_sum(hs, on_half(weights))
 
         assert_grads_match(loss, [table.rows] + p.tensors())
 
@@ -287,7 +297,7 @@ class TestEncodeBidirectional:
     def test_hidden_width_doubles(self, rng):
         p_f = random_direction(5, 4, rng, name="fwd")
         p_b = random_direction(5, 4, rng, name="bwd")
-        hs, fwd, bwd = encode_bidirectional(const(rng.normal(size=(3, 4))), None, None, p_f, p_b)
+        hs, [(fwd, bwd)] = lattice_forward(const(rng.normal(size=(3, 4))), [None], None, (p_f, p_b), [3])
         assert hs.data.shape == (3, 10)
         assert fwd.alpha_char.shape == bwd.alpha_char.shape == (3, 5)
 
@@ -297,7 +307,7 @@ class TestEncodeBidirectional:
         half = [rng.normal(size=3) for _ in range(3)]
         sym = half + [rng.normal(size=3)] + half[::-1]  # length 7 palindrome
         ms = match_set([(3, 5)])  # self-mirroring span
-        hs, fwd, bwd = encode_bidirectional(const(np.array(sym)), ms, table, p, p)
+        hs, (fwd, bwd) = both(const(np.array(sym)), ms, table, p)
         np.testing.assert_array_equal(hs.data[:, :4], hs.data[::-1, 4:])
         # the span fuses at 5 reading forward and at its mirror 3 reading backward
         assert fwd.end.tolist() == [5] and bwd.end.tolist() == [3]
@@ -308,10 +318,8 @@ class TestEncodeBidirectional:
         p_f = random_direction(4, 3, rng, word_dim=3, name="fwd")
         p_b = random_direction(4, 3, rng, word_dim=3, name="bwd")
         x = const(rng.normal(size=(5, 3)))
-        hs_lattice, _, _ = encode_bidirectional(
-            x, match_set([]), random_lexicon_table(rng, 1, 3), p_f, p_b
-        )
-        hs_base, _, _ = encode_bidirectional(x, None, None, p_f, p_b)
+        hs_lattice, _ = lattice_forward(x, [match_set([])], random_lexicon_table(rng, 1, 3), (p_f, p_b), [5])
+        hs_base, _ = lattice_forward(x, [None], None, (p_f, p_b), [5])
         np.testing.assert_array_equal(hs_lattice.data, hs_base.data)
 
 
@@ -329,7 +337,7 @@ class TestDefaultDimensions:
         assert p_f.gates_w.data.shape == (600, 300)
         assert p_f.shortcut_w.data.shape == (600, 250)
         assert p_f.match_gate_w.data.shape == (200, 300)
-        hs, _, _ = encode_bidirectional(x, None, None, p_f, p_b)
+        hs, _ = lattice_forward(x, [None], None, (p_f, p_b), [3])
         assert hs.data.shape == (3, 400)
 
 
@@ -389,10 +397,8 @@ class TestDirectionOp:
 
         def loss():
             # a fresh generator per call draws the same dropout masks each time
-            h, _ = lattice_forward(
-                x, ms, table, p, direction, lattice_dropout=dropout, rng=np.random.default_rng(3)
-            )
-            return weighted_sum(h, weights)
+            hs, _ = both(x, ms, table, p, lattice_dropout=dropout, rng=np.random.default_rng(3))
+            return weighted_sum(hs, on_half(weights, direction))
 
         assert_grads_match(loss, [x, table.rows] + p.tensors())
 
@@ -401,7 +407,7 @@ class TestDirectionOp:
         p, table, x, ms = direction_case(rng)
         tape = Tape()
         with tape:
-            lattice_forward(x, ms, table, p, direction)
+            both(x, ms, table, p)
         assert len(tape) == 2  # one lookup of every match's lexicon row, then the op
 
     @pytest.mark.parametrize("direction", ["forward", "backward"])
@@ -412,12 +418,11 @@ class TestDirectionOp:
         monkeypatch.setattr(encoder, "_acc", lambda t, g: (written.append(g.dtype), real_acc(t, g)))
         tape = Tape()
         with tape:
-            h, fusion = lattice_forward(
-                x, ms, table, p, direction, lattice_dropout=0.3, rng=np.random.default_rng(1)
-            )
-            loss = weighted_sum(h, np.ones(h.shape))
+            hs, fusions = both(x, ms, table, p, lattice_dropout=0.3, rng=np.random.default_rng(1))
+            loss = weighted_sum(hs, on_half(np.ones((len(x), p.hidden)), direction))
         backward(loss)
-        assert h.data.dtype == np.float32
+        fusion = fusions[DIRECTIONS.index(direction)]
+        assert hs.data.dtype == np.float32
         assert fusion.alpha.dtype == fusion.alpha_char.dtype == np.float32
         assert written and set(written) == {np.dtype(np.float32)}
         assert all(t.grad.dtype == np.float32 for t in [x, table.rows] + p.tensors())
@@ -429,7 +434,7 @@ class TestDirectionOp:
         weights[1::2] = 0.0  # every other position
 
         def loss():
-            hs, _, _ = encode_bidirectional(x, ms, table, p_f, p_b)
+            hs, _ = lattice_forward(x, [ms], table, (p_f, p_b), [6])
             return weighted_sum(hs, weights)
 
         assert_grads_match(loss, [x, table.rows] + p_f.tensors() + p_b.tensors())
@@ -501,10 +506,10 @@ def random_spans(rng, m, most=6):
 
 def assert_bit_equal_to_reference(x, ms, spans, table, p, direction):
     """The walk over match set ``ms`` of ``spans`` gives the reference's bits; returns its outputs."""
-    h, fusion = lattice_forward(x, ms, table, p, direction)
+    h, fusion = walk(x, ms, table, p, direction)
     ref_h, src, end, alpha, alpha_char = reference_walk(x.data, spans, table.rows.data, p, direction)
-    assert h.data.dtype == ref_h.dtype == x.data.dtype
-    assert h.data.tobytes() == ref_h.tobytes()
+    assert h.dtype == ref_h.dtype == x.data.dtype
+    assert h.tobytes() == ref_h.tobytes()
     assert fusion.src.tolist() == src and fusion.end.tolist() == end
     assert fusion.alpha.dtype == fusion.alpha_char.dtype == x.data.dtype
     assert fusion.alpha.tobytes() == alpha.tobytes()
@@ -555,12 +560,12 @@ class TestReferenceWalk:
         for direction in ("forward", "backward"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                h, fusion = lattice_forward(x, ms, table, p, direction)
+                h, fusion = walk(x, ms, table, p, direction)
             with np.errstate(over="ignore"):
                 assert_bit_equal_to_reference(x, ms, SPANS, table, p, direction)
             for i in set(range(1, 7)) - set(fusion.end.tolist()):
-                assert h.data[i - 1].tobytes() == h_plain.tobytes()
-            assert not h.data[:, 1].any()
+                assert h[i - 1].tobytes() == h_plain.tobytes()
+            assert not h[:, 1].any()
             # control gate 1 = input gate 1 - f: equal weights; control gate 0 is outweighed
             char = fusion.alpha_char[fusion.end - 1]
             np.testing.assert_array_equal(fusion.alpha[:, [0, 2]], char[:, [0, 2]])
@@ -600,52 +605,38 @@ class TestLanes:
         table = random_lexicon_table(rng, max(first_entry, 1), word_dim)
         table.rows.data = table.rows.data.astype(dtype)
         xs = [rng.normal(size=(m, x_dim)).astype(dtype) for m in self.LENGTHS]
-        hs, fwd, bwd = encode_bidirectional(
-            const(np.concatenate(xs)), match_sets, table, p_f, p_b, lengths=self.LENGTHS
-        )
+        hs, fusions = lattice_forward(const(np.concatenate(xs)), match_sets, table, (p_f, p_b), self.LENGTHS)
         assert hs.data.dtype == dtype and hs.data.shape == (sum(self.LENGTHS), 2 * hidden)
 
         start = 0
         for i, (x, ms, s) in enumerate(zip(xs, match_sets, spans)):
             rows_ = hs.data[start : start + len(x)]
-            alone, fwd_alone, bwd_alone = encode_bidirectional(const(x), ms, table, p_f, p_b)
+            alone, [(fwd_alone, bwd_alone)] = lattice_forward(const(x), [ms], table, (p_f, p_b), [len(x)])
             assert rows_.tobytes() == alone.data.tobytes()
-            assert_same_fusion(fwd[i], fwd_alone)
-            assert_same_fusion(bwd[i], bwd_alone)
+            assert_same_fusion(fusions[i][0], fwd_alone)
+            assert_same_fusion(fusions[i][1], bwd_alone)
             # entry k of sentence i is lexicon row len(RESERVED) + first + k: shift the rows by first
             first = int(ms.entry[0]) if ms is not None and len(ms) else 0
             lexicon_rows = table.rows.data[first:]
-            for half, fusion, p, direction in ((0, fwd[i], p_f, "forward"), (1, bwd[i], p_b, "backward")):
+            for half, (fusion, p, direction) in enumerate(zip(fusions[i], (p_f, p_b), DIRECTIONS)):
                 ref_h, src, end, alpha, alpha_char = reference_walk(x, s, lexicon_rows, p, direction)
                 assert rows_[:, half * hidden : (half + 1) * hidden].tobytes() == ref_h.tobytes()
                 assert fusion.src.tolist() == src and fusion.end.tolist() == end
                 assert fusion.alpha.tobytes() == alpha.tobytes()
                 assert fusion.alpha_char.tobytes() == alpha_char.tobytes()
             start += len(x)
-        arriving = set().union(*(np.bincount(fusion.end).tolist() for fusion in fwd))
+        arriving = set().union(*(np.bincount(fwd.end).tolist() for fwd, _ in fusions))
         most = {"none": 0, "sparse": 2, "dense": 6}[lattice]
         assert arriving - {0} == set(range(1, most + 1))  # matches arriving at one position
-
-    def test_one_direction_batch(self, rng):
-        p, table, _, _ = direction_case(rng)
-        xs = [rng.normal(size=(m, 2)) for m in (6, 1, 6)]
-        sets = [match_set(SPANS), None, match_set([])]
-        h, fusions = lattice_forward(const(np.concatenate(xs)), sets, table, p, "backward", lengths=[6, 1, 6])
-        start = 0
-        for x, ms, fusion in zip(xs, sets, fusions):
-            alone, fusion_alone = lattice_forward(const(x), ms, table, p, "backward")
-            assert h.data[start : start + len(x)].tobytes() == alone.data.tobytes()
-            assert_same_fusion(fusion, fusion_alone)
-            start += len(x)
 
     def test_a_recorded_forward_takes_one_sentence(self, rng):
         p_f, table, x, ms = direction_case(rng)
         p_b = DirectionParams.create(2, 3, rng, word_dim=3, name="bwd")
         with Tape():
             with pytest.raises(UsageError, match="one sentence"):
-                encode_bidirectional(x, [ms, ms], table, p_f, p_b, lengths=[3, 3])
+                lattice_forward(x, [ms, ms], table, (p_f, p_b), [3, 3])
 
     def test_lengths_must_cover_the_rows(self, rng):
         p, table, x, ms = direction_case(rng)
         with pytest.raises(UsageError, match="lengths"):
-            lattice_forward(x, [ms, None], table, p, lengths=[6, 1])
+            lattice_forward(x, [ms, None], table, (p, p), [6, 1])

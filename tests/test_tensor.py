@@ -26,6 +26,7 @@ from latseg.tensor import (
     param,
     rows,
     sgd_step,
+    zero_grads,
 )
 
 
@@ -267,10 +268,15 @@ class TestDeterminism:
         assert run() == run()
 
 
+def write_grad(p, value):
+    """A dense gradient write, as every backward but rows() makes: it ends the row record."""
+    _acc(p, np.full(p.shape, value))
+
+
 class TestSgd:
     def test_basic_arithmetic(self):
         p = param(np.array([1.0]), "p")
-        p.grad[:] = 2.0
+        write_grad(p, 2.0)
         sgd_step([p], 0.01)
         assert p.data[0] == pytest.approx(0.98)
         assert p.grad[0] == 0.0
@@ -285,23 +291,23 @@ class TestSgd:
         p1 = param(np.array([2.0]), "p1")
         p2 = param(np.array([2.0]), "p2")
         for _ in range(2):
-            p1.grad[:] = 3.0
+            write_grad(p1, 3.0)
             sgd_step([p1], 0.1)
-        p2.grad[:] = 2 * 3.0
+        write_grad(p2, 2 * 3.0)
         sgd_step([p2], 0.1)
         assert p1.data[0] == pytest.approx(p2.data[0])
 
     def test_non_finite_gradient_names_tensor(self):
         p = param(np.array([1.0]), "bad_tensor")
-        p.grad[:] = np.nan
+        write_grad(p, np.nan)
         with pytest.raises(NumericError, match="bad_tensor"):
             sgd_step([p], 0.1)
 
     def test_non_finite_gradient_changes_no_parameter(self):
         good = param(np.array([1.0, 2.0]), "good")
         bad = param(np.array([3.0]), "bad")
-        good.grad[:] = 0.5
-        bad.grad[:] = np.nan
+        write_grad(good, 0.5)
+        write_grad(bad, np.nan)
         with pytest.raises(NumericError, match="bad"):
             sgd_step([good, bad], 0.1)
         np.testing.assert_array_equal(good.data, [1.0, 2.0])
@@ -378,6 +384,14 @@ class TestRowSparseSgd:
         for p, (data, grad) in zip((w, table), saved):
             assert p.data.tobytes() == data.tobytes()
             assert p.grad.tobytes() == grad.tobytes()
+
+    def test_empty_row_record_touches_nothing(self, rng):
+        # [] records that no row was looked up: the update and the reset skip the table
+        table = param(rng.normal(size=(5, 3)), "table")
+        table.data.flags.writeable = table.grad.flags.writeable = False
+        sgd_step([table], 0.5)
+        zero_grads([table])
+        assert table.grad_rows == []
 
     def test_other_write_makes_update_dense(self, rng):
         table = param(rng.normal(size=(5, 3)), "table")

@@ -1,6 +1,7 @@
 """Trainer/evaluator: metrics, schedules, determinism, coverage."""
 
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -11,11 +12,13 @@ from latseg import train as train_module
 from latseg.data import EmbeddingTable, Vocab, build_vocabs, to_bmes, word_set
 from latseg.errors import ConfigError, DataError, NumericError, UsageError
 from latseg.model import SegmenterModel, prepare_lexicon
-from latseg.tensor import Tape
+from latseg.tensor import Tape, backward, sgd_step
 from latseg.train import (
+    DECODE_CELLS,
     CoverageReport,
     TrainConfig,
     coverage_report,
+    decode_all,
     error_reduction,
     evaluate_f1,
     length_bucket_f1,
@@ -315,7 +318,7 @@ def test_fusion_record_agrees_with_the_traced_call_counts(monkeypatch, mode):
         monkeypatch.setattr(encoder, name, counted(name))
     cells = fused = 0
     for s in sents:
-        _, fwd, bwd = model.hidden_states(s.chars)
+        _, [(fwd, bwd)] = model.hidden_states([s.chars])
         cells += len(fwd.end) + len(bwd.end)
         fused += len(set(fwd.end.tolist())) + len(set(bwd.end.tolist()))
         assert (calls["shortcut_cell"], calls["gate_normalize"]) == (cells, fused)
@@ -403,3 +406,45 @@ def test_decode_many_under_a_tape_refuses_a_batch():
     with Tape():
         with pytest.raises(UsageError, match="one sentence"):
             model.decode_many([sents[0].chars, sents[1].chars])
+
+
+def test_a_sentence_without_matches_leaves_the_lexicon_table_alone():
+    # no lexicon row looked up is an empty row record, not a dense update: a
+    # read-only table would refuse any write
+    sents = tiny_corpus()
+    model = tiny_model(sents, np.random.default_rng(5), mode="lattice-word", lexicon=["中国", "人民", "学院"])
+    sentence = to_bmes(["山", "人"])
+    assert not len(model.match(sentence.chars))
+    table, emit_w = model.lexicon_table.rows, model.crf.emit_w.data.copy()
+    before = table.data.copy()
+    table.data.flags.writeable = False
+    tape = Tape()
+    with tape:
+        loss = model.loss(sentence)
+    backward(loss)
+    sgd_step(model.parameters(), 0.1)
+    assert table.data.tobytes() == before.tobytes() and table.grad_rows == []
+    assert not np.array_equal(model.crf.emit_w.data, emit_w)  # the step updated the rest
+
+
+def test_decode_all_bounds_its_walk_buffers():
+    # Each decode_many call's walk holds [x; h] and c for its longest sentence's
+    # steps in every lane. Batches of 200-character sentences, and 1-character
+    # sentences ahead of one 200-character sentence, must stay near the bytes
+    # of DECODE_CELLS sentence steps and decode as each sentence alone.
+    sents = tiny_corpus()
+    hidden, dim = 8, 4
+    model = tiny_model(sents, np.random.default_rng(7), hidden=hidden, dim=dim)
+    walk_bytes = DECODE_CELLS * 2 * (2 * dim + 2 * hidden) * 8  # two lanes per sentence, float64
+    chars = sorted({c for s in sents for c in s.chars})
+    rng = np.random.default_rng(8)
+    long = [tuple(rng.choice(chars, 200)) for _ in range(64)]
+    for batch in (long, [("中",)] * 63 + [long[0]]):
+        tracemalloc.start()
+        try:
+            labels = decode_all(model, batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * walk_bytes, (peak, walk_bytes)
+        assert labels == [model.decode(s).labels for s in batch]
