@@ -64,15 +64,6 @@ def _read_tensor(path: Path, shape: tuple[int, ...], dtype) -> np.ndarray:
     return out.reshape(shape)
 
 
-def _rounded(data: np.ndarray, dtype) -> np.ndarray:
-    """``data`` rounded to float32 and back to ``dtype``, as a load would read it."""
-    flat = data.reshape(-1)
-    out = np.empty(flat.size, dtype)
-    for start in range(0, flat.size, BLOCK):
-        out[start : start + BLOCK] = flat[start : start + BLOCK].astype("<f4", copy=False)
-    return out.reshape(data.shape)
-
-
 def _write_vocab(path: Path, vocab: Vocab) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for sym in vocab.symbols():
@@ -154,10 +145,10 @@ def _probe_model(model: SegmenterModel, lines: list[str], chars: str, out: Path)
         table = getattr(model, f"{name}_table")
         vocabs[name] = Vocab(sym for sym in symbols if sym in table.vocab)
         kept = table.rows.data[[table.vocab.index(sym) for sym in vocabs[name].symbols()]]
-        arrays[table.rows.name] = const(_rounded(kept, dtype_name), table.rows.name)
+        arrays[table.rows.name] = const(kept.astype("<f4").astype(dtype_name), table.rows.name)
     for p in model.parameters():
         if p.name not in arrays:
-            arrays[p.name] = const(_rounded(p.data, dtype_name), p.name)
+            arrays[p.name] = const(p.data.astype("<f4").astype(dtype_name), p.name)
     return _assemble(values, arrays, vocabs["unigram"], vocabs["bigram"], vocabs.get("lexicon"), out)
 
 

@@ -265,7 +265,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (LatsegError, OSError) as exc:  # an unreadable or missing file is a data error
+    except (LatsegError, OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-UTF-8 file: data error
         print(f"latseg: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, LatsegError) else DataError.exit_code
 

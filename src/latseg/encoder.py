@@ -11,21 +11,24 @@ A batch of sentences enters as one (sum m, x_dim) matrix of character
 representations: one gather per embedding table (:func:`char_repr`).
 :func:`lattice_forward`, the encoder's one entry point, walks both directions
 of every sentence as lanes, one per (sentence, direction), sorted by length
-so that the lanes still walking at any step are a prefix. It sorts each
-lane's matches once into its walk order and allocates every array the walk
-writes before it starts: per step and lane, the [x; h] column, the gates and
-the memory; per match, the [embedding; source state] row, the cell gates and
-the [x; memory] row; per fused position, a block of gate logits and one of
-their weights. Each step then writes its values in place: one stacked gate
-product for every walking lane, in-place ufuncs over the prefix, and per lane
-with arriving matches :func:`shortcut_cell` per match and
-:func:`gate_normalize` per fused position, with the sigmoid applied in place
+so that the lanes still walking at any step are a prefix. One set-up pass
+over the lanes checks each match set, copies the lane's x rows, sorts its
+matches into walk order and records where each fused position's gate rows
+sit. Every array the walk writes is allocated before it starts: per step and
+lane, the [x; h] column, the gates and the memory; per match, the
+[embedding; source state] row, the cell gates and the [x; memory] row; per
+fused position, a block of gate logits and one of their weights. Each step
+writes in place over (rows, lanes) views of the walking prefix: one stacked
+gate product and in-place ufuncs for the plain step, then per lane with
+arriving matches :func:`shortcut_cell` per match and :func:`gate_normalize`
+per fused position, which overwrite its memory. The sigmoid runs in place
 under one ``np.errstate`` per walk. Every value is the one a lane walked
 alone would get, bit for bit.
 
 Training records one sentence, both directions as one op. Its hand-written
 backward walks the two lanes once in reverse over those buffers, with one
-stacked product per step, and takes each weight and input gradient as one
+stacked product per step: every lane takes the plain step's gradient, and
+lanes that fuse overwrite it. It takes each weight and input gradient as one
 matrix product per lane. The directions' states sit side by side in the
 (m, 2H) hidden states. Training and decoding run the same forward; without
 an active tape nothing is recorded, and without an ``rng`` nothing is
@@ -196,10 +199,9 @@ class _Lane(NamedTuple):
     src: np.ndarray  # per match in walk order, as in Fusion
     end: np.ndarray
     walk: np.ndarray  # position of each step
-    fused: np.ndarray | None  # matches fused per step; None when nothing matches
-    blocks: np.ndarray | None  # steps that fuse
-    cell0: int  # the lane's first row among every lane's matches
-    row0: int  # the lane's first row among every lane's gate blocks
+    blocks: np.ndarray  # steps that fuse
+    cells: slice  # the lane's rows among every lane's matches
+    char_rows: Sequence[int]  # per fusing step, its char row among every lane's gate blocks
 
 
 def _scratch(shape: tuple[int, ...], dtype, kept: bool) -> np.ndarray:
@@ -266,48 +268,11 @@ def lattice_forward(
     if len(lengths) > 1 and recording():
         raise UsageError("a recorded lattice forward takes one sentence")
     offsets = list(accumulate(lengths, initial=0))
-    for ms, m in zip(match_sets, lengths):
-        if ms is None:
-            continue
-        bad = (ms.b < 1) | (ms.b >= ms.e) | (ms.e > m)
-        if bad.any():
-            k = bad.argmax()
-            raise UsageError(f"match ({ms.b[k]}, {ms.e[k]}) out of range for {m} positions")
-
     n, dtype = params[0].hidden, params[0].gates_b.data.dtype
     xd = x.data
     x_dim = xd.shape[1]
     order = sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
     n_lanes, steps = 2 * len(order), lengths[order[0]] if order else 0
-    # The lanes in order: sentences by decreasing length, each sentence's
-    # directions in turn.
-    lanes: list[_Lane] = []
-    ids, xm_rows, sources, cell_lane = [], [], [], []
-    fused_at: list[list] = [[] for _ in range(steps)]  # (lane, direction, matches, first cell, first block row)
-    n_cells = n_rows = 0
-    for i, s in enumerate(order):
-        m, ms = lengths[s], match_sets[s]
-        for d, forward in enumerate((True, False)):
-            lane = 2 * i + d
-            walk = np.arange(1, m + 1) if forward else np.arange(m, 0, -1)  # position of each step
-            if ms is None or not len(ms):
-                lanes.append(_Lane(lane, d, s, m, _NO_MATCHES, _NO_MATCHES, walk, None, None, n_cells, n_rows))
-                continue
-            src, end = (ms.b, ms.e) if forward else (ms.e, ms.b)
-            by = np.lexsort((src, end if forward else -end))  # by fusion position, then source
-            src, end = src[by], end[by]
-            fused = np.bincount(end, minlength=m + 1)[walk]  # matches fused per step
-            blocks = np.flatnonzero(fused)
-            lanes.append(_Lane(lane, d, s, m, src, end, walk, fused, blocks, n_cells, n_rows))
-            ids.append(len(RESERVED) + ms.entry[by])
-            xm_rows.append(offsets[s] + end - 1)
-            sources += (src if forward else m + 1 - src).tolist()  # the lane's row holding each source's state
-            cell_lane += [lane] * len(src)
-            for k, nf in zip(blocks.tolist(), fused[blocks].tolist()):
-                fused_at[k].append((lane, d, nf, n_cells, n_rows))
-                n_cells += nf
-                n_rows += nf + 1
-
     # The walk's buffers keep lanes on their last axis, so that a step's values
     # for every walking lane are one contiguous block. Row k of u is [x; h] at
     # walk step k, so step k writes its h into row k + 1; row k of c is the
@@ -315,12 +280,50 @@ def lattice_forward(
     # row k of gates: (o, f, cand) once the sigmoid and tanh have run.
     u = np.zeros((steps + 1, x_dim + n, n_lanes), dtype)
     c = np.zeros((steps + 1, n, n_lanes), dtype)
+    plain = np.ones((steps, n_lanes), bool)  # where a lane's step fuses nothing
+    # The lanes in order: sentences by decreasing length, each sentence's
+    # directions in turn.
+    lanes: list[_Lane] = []
+    ids, xm_rows, sources, cell_lane, match_rows = [], [], [], [], []
+    fused_at: list[list] = [[] for _ in range(steps)]  # (lane, matches, first cell, first block row)
+    n_cells = n_rows = 0
+    for i, s in enumerate(order):
+        m, ms = lengths[s], match_sets[s]
+        if ms is not None:
+            bad = (ms.b < 1) | (ms.b >= ms.e) | (ms.e > m)
+            if bad.any():
+                k = bad.argmax()
+                raise UsageError(f"match ({ms.b[k]}, {ms.e[k]}) out of range for {m} positions")
+        sentence = xd[offsets[s] : offsets[s] + m]
+        for d, forward in enumerate((True, False)):
+            lane = 2 * i + d
+            u[:m, :x_dim, lane] = sentence if forward else sentence[::-1]
+            walk = np.arange(1, m + 1) if forward else np.arange(m, 0, -1)  # position of each step
+            if ms is None or not len(ms):
+                lanes.append(_Lane(lane, d, s, m, _NO_MATCHES, _NO_MATCHES, walk, _NO_MATCHES, slice(0), []))
+                continue
+            src, end = (ms.b, ms.e) if forward else (ms.e, ms.b)
+            by = np.lexsort((src, end if forward else -end))  # by fusion position, then source
+            src, end = src[by], end[by]
+            fused = np.bincount(end, minlength=m + 1)[walk]  # matches fused per step
+            blocks = np.flatnonzero(fused)
+            plain[blocks, lane] = False
+            ids.append(len(RESERVED) + ms.entry[by])
+            xm_rows.append(offsets[s] + end - 1)
+            sources += (src if forward else m + 1 - src).tolist()  # the lane's row holding each source's state
+            cell_lane += [lane] * len(src)
+            cells, char_rows = slice(n_cells, n_cells + len(src)), []
+            for k, nf in zip(blocks.tolist(), fused[blocks].tolist()):
+                fused_at[k].append((lane, nf, n_cells, n_rows))
+                char_rows.append(n_rows)
+                match_rows += range(n_rows + 1, n_rows + nf + 1)
+                n_cells += nf
+                n_rows += nf + 1
+            lanes.append(_Lane(lane, d, s, m, src, end, walk, blocks, cells, char_rows))
+
     kept = recording()  # only the backward reads past steps' and matches' gates
     gates = _scratch((steps, 3 * n, n_lanes), dtype, kept)
     tmp = np.empty((n, n_lanes), dtype)
-    for ln in lanes:
-        sentence = xd[offsets[ln.sentence] : offsets[ln.sentence] + ln.m]
-        u[: ln.m, :x_dim, ln.index] = sentence[::-1] if ln.direction else sentence
     # Per match, lane after lane in walk order: [e_w; h_src], the cell's (input,
     # forget, candidate) gates, and [x; memory] at its fusion position. The op's
     # other input is e_w, gathered in that order so that its dropout mask draws
@@ -335,7 +338,8 @@ def lattice_forward(
     if n_cells:
         xm[:, :x_dim] = xd[np.concatenate(xm_rows)]
     # Per fused step, one block of rows [1 - f; control gates] and its
-    # exp-normalized weights: the char row, then one row per match.
+    # exp-normalized weights: the char row, then one row per match, at
+    # match_rows in walk order.
     logits = np.empty((n_rows, n), dtype)
     alphas = np.empty_like(logits)
 
@@ -356,29 +360,23 @@ def lattice_forward(
         while k0 < steps:  # one pass per stretch of steps over the same walking sentences
             a = walking[k0]
             k1 = k0 + walking[k0:].count(a)
-            # While every lane walks, each step's blocks are read as flat vectors;
-            # after that as (rows, lanes) views of the walking prefix.
-            r = n_lanes if 2 * a == n_lanes else 1
-
-            def part(arr):
-                return arr.reshape(len(arr), -1) if r > 1 else arr[..., : 2 * a]
-
-            (t,), (b,) = part(tmp[None]), part(bias[None])
-            for k, u_k, g_k, g, c_prev, c_k, u_next in zip(
-                range(k0, k1), u_in[k0:k1, :a], g_out[k0:k1, :a], part(gates[k0:k1]),
-                part(c[k0:k1]), part(c[k0 + 1 : k1 + 1]), part(u[k0 + 1 : k1 + 1]),
+            # Each step's blocks as (rows, lanes) views of the walking prefix
+            t, b = tmp[:, : 2 * a], bias[:, : 2 * a]
+            for k, u_k, g_k, g, c_prev, c_k, h in zip(
+                range(k0, k1), u_in[k0:k1, :a], g_out[k0:k1, :a], gates[k0:k1, :, : 2 * a],
+                c[k0:k1, :, : 2 * a], c[k0 + 1 : k1 + 1, :, : 2 * a], u[k0 + 1 : k1 + 1, x_dim:, : 2 * a],
             ):
                 np.matmul(w_stack, u_k, out=g_k)
                 g += b
-                cand = g[2 * n * r :]
+                cand = g[2 * n :]
                 np.tanh(cand, out=cand)
-                _sigmoid(g[: 2 * n * r])
-                f = g[n * r : 2 * n * r]
+                _sigmoid(g[: 2 * n])
+                f = g[n : 2 * n]
                 np.multiply(f, c_prev, out=c_k)  # c = f * c_prev + (1 - f) * cand; fused lanes overwrite it
                 np.subtract(1.0, f, out=t)
                 t *= cand
                 c_k += t
-                for lane, d, nf, j, row in fused_at[k]:
+                for lane, nf, j, row in fused_at[k]:
                     q, h_rows, c_lane, g_rows, t_lane = lane_views[lane]
                     g_lane, c_out = g_rows[k], c_lane[k + 1]
                     z, al = logits[row : row + nf + 1], alphas[row : row + nf + 1]
@@ -395,25 +393,19 @@ def lattice_forward(
                         c_out += t_lane
                     np.multiply(al[0], g_lane[2 * n :], out=t_lane)
                     c_out += t_lane
-                h = u_next[x_dim * r :]
                 np.tanh(c_k, out=h)
-                h *= g[: n * r]
+                h *= g[:n]
             k0 = k1
 
     out = np.empty((len(xd), 2 * n), dtype)
-    fusions, match_rows = [[None, None] for _ in lengths], []
+    fusions, match_rows = [[None, None] for _ in lengths], np.array(match_rows, np.intp)
     for ln in lanes:
         hs, d = u[1 : ln.m + 1, x_dim:, ln.index], ln.direction
         out[offsets[ln.sentence] : offsets[ln.sentence] + ln.m, d * n : (d + 1) * n] = hs[::-1] if d else hs
         alpha, alpha_char = alphas[:0], np.ones((ln.m, n), dtype)
-        if ln.fused is not None:
-            lane_alphas = alphas[ln.row0 : ln.row0 + len(ln.src) + len(ln.blocks)]
-            sizes = ln.fused[ln.blocks] + 1
-            char_rows = np.cumsum(sizes) - sizes
-            lane_match_rows = np.delete(np.arange(len(lane_alphas)), char_rows)
-            match_rows.append(ln.row0 + lane_match_rows)
-            alpha = lane_alphas[lane_match_rows]
-            alpha_char[ln.walk[ln.blocks] - 1] = lane_alphas[char_rows]
+        if len(ln.src):
+            alpha = alphas[match_rows[ln.cells]]
+            alpha_char[ln.walk[ln.blocks] - 1] = alphas[ln.char_rows]
         fusions[ln.sentence][d] = Fusion(ln.src, ln.end, alpha, alpha_char)
 
     def bwd(grad):
@@ -424,7 +416,6 @@ def lattice_forward(
         # lane over those rows. Factors that do not depend on the gradient are
         # computed for all steps at once before the walk, with lanes on the
         # second axis: (step, lane, unit).
-        m = steps
         c_rows = np.ascontiguousarray(c.transpose(0, 2, 1))
         gate_rows = np.ascontiguousarray(gates.transpose(0, 2, 1))
         o, f, cand = gate_rows[..., :n], gate_rows[..., n : 2 * n], gate_rows[..., 2 * n :]
@@ -442,55 +433,47 @@ def lattice_forward(
             c_src = c_rows[sources, cell_lane]
             d_cell = np.array([gc * gi * (1.0 - gi), c_src * gf * (1.0 - gf), gi * (1.0 - gc * gc)])
             d_cell = d_cell.transpose(1, 0, 2)
-            control = logits[np.concatenate(match_rows)]
+            control = logits[match_rows]
             gate_slope = control * (1.0 - control)
             ws_h = [q.shortcut_w.data[:, -n:] for q in params]
             wg_c = [q.match_gate_w.data[:, x_dim:] for q in params]
 
         # dh_all, dc_all: the gradient of each state row of each lane's u and c
-        dh_all = np.zeros((m + 1, n_lanes, n), dtype)
-        for d, forward in enumerate((True, False)):
-            g_d = grad[:, d * n : (d + 1) * n]
-            dh_all[1:, d] = g_d if forward else g_d[::-1]
-        dc_all = np.zeros((m + 1, n_lanes, n), dtype)
-        dz = np.empty((m, n_lanes, 3, n), dtype)  # walk order
+        dh_all = np.zeros((steps + 1, n_lanes, n), dtype)
+        dh_all[1:, 0], dh_all[1:, 1] = grad[:, :n], grad[::-1, n:]
+        dc_all = np.zeros((steps + 1, n_lanes, n), dtype)
+        dz = np.empty((steps, n_lanes, 3, n), dtype)  # walk order
         dz_cell = np.empty((n_cells, 3, n), dtype)  # shortcut cells, walk order
         dz_gate = np.empty((n_cells, n), dtype)  # match gates, walk order
         w_h = np.array([q.gates_w.data[:, x_dim:] for q in params])
         dh_prev = np.empty((n_lanes, 1, n), dtype)
-        dz_rows, dh_prev_row = dz.reshape(m, n_lanes, 1, 3 * n), dh_prev[:, 0]
-        for k in range(m - 1, -1, -1):
+        dz_rows, dh_prev_row = dz.reshape(steps, n_lanes, 1, 3 * n), dh_prev[:, 0]
+        for k in range(steps - 1, -1, -1):
             dh, dz_k = dh_all[k + 1], dz[k]
             dc = dc_all[k + 1] + dh * dc_dh[k]
             np.multiply(dh, d_o[k], out=dz_k[:, 0])
-            arriving = fused_at[k]
-            if not arriving:
-                np.multiply(dc[:, None], d_fc[k], out=dz_k[:, 1:])
-                dc_all[k] += dc * f[k]
-            else:
-                for lane in set(range(n_lanes)).difference(lane for lane, *_ in arriving):
-                    np.multiply(dc[lane], d_fc[k, lane], out=dz_k[lane, 1:])
-                    dc_all[k, lane] += dc[lane] * f[k, lane]
-                for lane, d, nf, start, row in arriving:
-                    a, dc_lane, dz_lane = alphas[row : row + nf + 1], dc[lane], dz_k[lane]
-                    da = np.concatenate((cand[k, lane : lane + 1], mems[start : start + nf])) * dc_lane
-                    dlogit = a * (da - (da * a).sum(axis=0))  # softmax backward
-                    np.multiply(-dlogit[0], f_slope[k, lane], out=dz_lane[1])
-                    np.multiply(dc_lane * a[0], cand_slope[k, lane], out=dz_lane[2])
-                    for q, jj in enumerate(range(start, start + nf), start=1):
-                        np.multiply(dlogit[q], gate_slope[jj], out=dz_gate[jj])
-                        dmemory = dc_lane * a[q] + dz_gate[jj] @ wg_c[d]
-                        np.multiply(dmemory, d_cell[jj], out=dz_cell[jj])
-                        dc_all[sources[jj], lane] += dmemory * gf[jj]
-                        dh_all[sources[jj], lane] += dz_cell[jj].reshape(-1) @ ws_h[d]
+            np.multiply(dc[:, None], d_fc[k], out=dz_k[:, 1:])  # fused lanes overwrite it
+            np.add(dc_all[k], dc * f[k], out=dc_all[k], where=plain[k, :, None])
+            for lane, nf, start, row in fused_at[k]:
+                a, dc_lane, dz_lane = alphas[row : row + nf + 1], dc[lane], dz_k[lane]
+                da = np.concatenate((cand[k, lane : lane + 1], mems[start : start + nf])) * dc_lane
+                dlogit = a * (da - (da * a).sum(axis=0))  # softmax backward
+                np.multiply(-dlogit[0], f_slope[k, lane], out=dz_lane[1])
+                np.multiply(dc_lane * a[0], cand_slope[k, lane], out=dz_lane[2])
+                for q, jj in enumerate(range(start, start + nf), start=1):
+                    np.multiply(dlogit[q], gate_slope[jj], out=dz_gate[jj])
+                    dmemory = dc_lane * a[q] + dz_gate[jj] @ wg_c[lane % 2]
+                    np.multiply(dmemory, d_cell[jj], out=dz_cell[jj])
+                    dc_all[sources[jj], lane] += dmemory * gf[jj]
+                    dh_all[sources[jj], lane] += dz_cell[jj].reshape(-1) @ ws_h[lane % 2]
             np.matmul(dz_rows[k], w_h, out=dh_prev)
             dh_all[k] += dh_prev_row
 
         d_words = np.empty_like(eh[:, :-n])
         for ln in reversed(lanes):
-            q, cells = params[ln.direction], slice(ln.cell0, ln.cell0 + len(ln.src))
-            dz_d = np.ascontiguousarray(dz[:, ln.index]).reshape(m, -1)
-            _acc(q.gates_w, dz_d.T @ np.ascontiguousarray(u[:m, :, ln.index]))
+            q, cells = params[ln.direction], ln.cells
+            dz_d = np.ascontiguousarray(dz[:, ln.index]).reshape(steps, -1)
+            _acc(q.gates_w, dz_d.T @ np.ascontiguousarray(u[:steps, :, ln.index]))
             _acc(q.gates_b, dz_d.sum(axis=0))
             dx = np.zeros_like(xd)
             dx[ln.walk - 1] = dz_d @ q.gates_w.data[:, :x_dim]

@@ -3,7 +3,8 @@
 ``bench/tracing.py`` rebinds ``(owner, attribute)`` pairs of latseg at run
 time; a rename in the package would make ``bench/run.py --trace 1`` die with
 an AttributeError. The file is loaded here read-only, without importing the
-rest of the benchmark.
+rest of the benchmark; so is ``tools/ab_bench.py``, whose argument checks are
+tested without running anything.
 """
 
 import importlib.util
@@ -11,23 +12,25 @@ from collections import Counter
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from latseg import model
 from latseg.data import EmbeddingTable, build_vocabs, to_bmes
 from latseg.tensor import Tape
 
-TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACING, AB_BENCH = ROOT / "bench" / "tracing.py", ROOT / "tools" / "ab_bench.py"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("latseg_bench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing
+def load(path: Path):
+    spec = importlib.util.spec_from_file_location(f"latseg_{path.parent.name}_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_every_traced_target_resolves():
-    tracing = load_tracing()
+    tracing = load(TRACING)
     missing = []
     for owner, attr, name in tracing.TARGETS:
         # the tracer reads a class's own __dict__ and a module's attributes
@@ -40,7 +43,7 @@ def test_every_traced_target_resolves():
 
 def test_match_hook_counts_every_match():
     # lexicon.matches_per_char is the hook's count over the characters it saw
-    hook, before = load_tracing().HOOKS["model.match_sentence"]
+    hook, before = load(TRACING).HOOKS["model.match_sentence"]
     lexicon = ["ab", "abc", "bc", "ca", "cab", "a"]
     chars = "abcabcab"
     words = {w for w in lexicon if len(w) >= 2}
@@ -57,7 +60,7 @@ def test_match_hook_counts_every_match():
 def test_encoder_spans_nest_and_count_the_characters_encoded():
     # encoder.lattice_forward_s and the per-character encoder metrics divide by
     # the characters these two hooks count, and the model's span must hold the kernel's
-    tracing = load_tracing()
+    tracing = load(TRACING)
     sentences = [to_bmes(ws) for ws in (["中国", "人民"], ["学院"], ["人"], ["中国", "学院", "人民", "人"])]
     rng = np.random.default_rng(4)
     uni, bi = build_vocabs([s.chars for s in sentences])
@@ -82,3 +85,20 @@ def test_encoder_spans_nest_and_count_the_characters_encoded():
     assert all(tracer.spans[parent][0] == "model.encode_bidirectional" for _, _, _, parent, _ in kernels)
     encoded = sum(map(len, batch)) + len(sentences[0])
     assert tracer.counts["encoded_chars"] == tracer.counts["lattice_positions"] == encoded
+
+
+def test_ab_bench_refuses_a_single_seed_before_running(monkeypatch, capsys, tmp_path):
+    # quartiles need two runs per tree, and one seed would fail only after every run
+    ab_bench = load(AB_BENCH)
+
+    def never(*args):
+        raise AssertionError("ran before the seeds were checked")
+
+    monkeypatch.setattr(ab_bench, "export", never)
+    monkeypatch.setattr(ab_bench, "run_bench", never)
+    out = tmp_path / "ab.json"
+    with pytest.raises(SystemExit) as exit_:
+        ab_bench.main(["--parent", "HEAD", "--out", str(out), "--seeds", "4"])
+    assert exit_.value.code == 2
+    assert "--seeds 4: quartiles need at least two seeds" in capsys.readouterr().err
+    assert not out.exists()

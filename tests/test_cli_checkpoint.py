@@ -495,6 +495,30 @@ class TestBpeAndCoverage:
         assert "ratio=0.0000" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [("train", "--train"), ("train", "--dev"), ("train", "--lexicon"), ("train", "--config"),
+     ("segment", "--input"), ("eval", "--gold"), ("bpe-learn", "--corpus"),
+     ("coverage", "--gold"), ("coverage", "--lexicon")],
+)
+def test_non_utf8_input_is_data_error(corpus_dir, trained, tmp_path, capsys, command, flag):
+    args = {
+        "train": {"--train": corpus_dir / "train.txt", "--dev": corpus_dir / "dev.txt", "--mode": "lattice-word",
+                  "--lexicon": corpus_dir / "lexicon.txt", "--config": corpus_dir / "config.txt",
+                  "--out": tmp_path / "m"},
+        "segment": {"--model": trained, "--input": None, "--output": tmp_path / "seg.txt"},
+        "eval": {"--model": trained, "--gold": None},
+        "bpe-learn": {"--corpus": None, "--merges": 5, "--out": tmp_path / "model.bpe"},
+        "coverage": {"--gold": corpus_dir / "train.txt", "--lexicon": corpus_dir / "lexicon.txt"},
+    }[command]
+    args[flag] = tmp_path / "latin1.txt"
+    args[flag].write_bytes(b"\xff\n")
+    assert run([command, *(v for pair in args.items() for v in pair)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("latseg: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert "can't decode byte 0xff" in err
+
+
 class TestCheckpoint:
     def test_probe_round_trip_bit_identical(self, trained, corpus_dir):
         model = load_checkpoint(trained)  # load verifies the probe internally
@@ -636,10 +660,9 @@ def test_tensor_io_at_block_edges(tmp_path, monkeypatch, rng, dtype, size):
     path = tmp_path / "t.f32"
     checkpoint._write_tensor(path, a)
     assert path.read_bytes() == _reference_tensor_bytes(a)
-    stored = a.astype("<f4").astype(dtype)
-    for got in (checkpoint._read_tensor(path, shape, dtype), checkpoint._rounded(a, dtype)):
-        assert got.dtype == dtype and got.shape == shape
-        assert got.tobytes() == stored.tobytes()
+    got = checkpoint._read_tensor(path, shape, dtype)
+    assert got.dtype == dtype and got.shape == shape
+    assert got.tobytes() == a.astype("<f4").astype(dtype).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -593,10 +593,11 @@ class TestLanes:
         p_b = DirectionParams.create(x_dim, hidden, rng, word_dim=word_dim, dtype=dtype, name="bwd")
         spans, match_sets, first_entry = [], [], 0
         for i, m in enumerate(self.LENGTHS):
-            # every third sentence has no match set; the others end 1 to 2 (sparse) or 1 to 6 (dense) per position
+            # every third sentence has no match, its match set alternately None and empty;
+            # the others end 1 to 2 (sparse) or 1 to 6 (dense) per position
             s = [] if lattice == "none" or i % 3 == 2 else random_spans(rng, m, 2 if lattice == "sparse" else 6)
             spans.append(s)
-            if lattice == "none":
+            if lattice == "none" or i % 6 == 2:
                 match_sets.append(None)
             else:
                 b, e = np.array(s, np.intp).reshape(-1, 2).T

@@ -111,6 +111,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", choices=[w["name"] for w in SPEC["workloads"]],
                         help="workload to run (repeatable; default every one)")
     args = parser.parse_args(argv)
+    if len(seed_range(args.seeds)) < 2:
+        parser.error(f"--seeds {args.seeds}: quartiles need at least two seeds")
     workloads = args.workload or [w["name"] for w in SPEC["workloads"]]
     parent_rev = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT,
                                 capture_output=True, text=True, check=True).stdout.strip()
