@@ -17,6 +17,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .data import open_text
 from .errors import ConfigError, DataError, FormatError
 
 Pair = tuple[str, str]
@@ -155,7 +156,7 @@ def save_bpe_model(model: BpeModel, path) -> None:
 
 def load_bpe_model(path) -> BpeModel:
     """Reload a merge list; corpus frequencies are not persisted."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2 or header[0] != MODEL_MAGIC or not header[1].isdigit():
             raise FormatError(f"{path}: not a {MODEL_MAGIC} model file")

@@ -1,25 +1,28 @@
 """Checkpoint persistence: plain-text manifest plus one raw file per tensor.
 
 Tensor files hold an 8-byte little-endian value count followed by the values
-as little-endian float32, row-major. They are converted, written and read
-:data:`BLOCK` values at a time, straight from and into the model's arrays, so
-a save or load makes no whole-table float32 or ``bytes`` copy. The manifest
-records the probe sentence and its emission bytes as computed from the stored
-(rounded) parameters, so a reload must reproduce them bit for bit. The probe
-runs on float32-rounded copies of only the embedding rows it reads and of the
-small direction and CRF tensors.
+as little-endian float32, row-major. A save converts and writes them
+:data:`BLOCK` values at a time; a load reads each file in one pass into its
+final array. A loaded model keeps its embedding tables float32, since they are
+only gathered and a float64 walk widens their rows exactly, and its other
+tensors at the manifest's ``dtype``. The manifest records the probe sentence
+and its emission bytes as computed from the stored (rounded) parameters, so a
+reload must reproduce them bit for bit.
 """
 
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .crf import CrfParams, N_LABELS, N_STATES
-from .data import RESERVED, EmbeddingTable, Vocab, bigrams_of
+from .data import RESERVED, EmbeddingTable, Vocab, bigrams_of, open_text
 from .encoder import DirectionParams
 from .errors import CheckpointError, UsageError
 from .lexicon import build_trie
@@ -29,7 +32,7 @@ from .tensor import Tensor, const
 FORMAT = "latseg-ckpt-v1"
 MANIFEST = "manifest.txt"
 TENSOR_SUFFIX = ".f32"
-BLOCK = 1 << 18  # tensor values converted, written or read at a time
+BLOCK = 1 << 18  # tensor values converted and written at a time
 
 
 def _write_tensor(path: Path, data: np.ndarray) -> None:
@@ -54,14 +57,10 @@ def _read_tensor(path: Path, shape: tuple[int, ...], dtype) -> np.ndarray:
             raise CheckpointError(
                 f"{path}: expected {expected} values, header says {count}, file has {has}"
             )
-        out = np.empty(count, dtype)
-        block = np.empty(min(count, BLOCK), "<f4")
-        for start in range(0, count, BLOCK):
-            part = block[: min(count - start, BLOCK)]
-            if fh.readinto(part) != part.nbytes:
-                raise CheckpointError(f"{path}: truncated tensor file")
-            out[start : start + part.size] = part
-    return out.reshape(shape)
+        out = np.empty(count, "<f4")
+        if fh.readinto(out) != out.nbytes:
+            raise CheckpointError(f"{path}: truncated tensor file")
+    return out.reshape(shape).astype(dtype, copy=False)
 
 
 def _write_vocab(path: Path, vocab: Vocab) -> None:
@@ -71,11 +70,10 @@ def _write_vocab(path: Path, vocab: Vocab) -> None:
 
 
 def _read_vocab(path: Path, expected_size: int) -> Vocab:
-    with open(path, encoding="utf-8") as fh:
-        symbols = [line.rstrip("\n") for line in fh]
-    if tuple(symbols[: len(RESERVED)]) != RESERVED:
-        raise CheckpointError(f"{path}: missing reserved vocabulary entries")
-    vocab = Vocab(symbols[len(RESERVED) :])
+    with open_text(path) as fh:
+        if tuple(line.rstrip("\n") for line in islice(fh, len(RESERVED))) != RESERVED:
+            raise CheckpointError(f"{path}: missing reserved vocabulary entries")
+        vocab = Vocab(line.rstrip("\n") for line in fh)
     if len(vocab) != expected_size:
         raise CheckpointError(
             f"{path}: manifest declares {expected_size} symbols, file has {len(vocab)}"
@@ -110,30 +108,28 @@ def _probe_hex(model: SegmenterModel, chars: str) -> str:
     return model.emission_matrix(tuple(chars)).astype("<f4").tobytes().hex()
 
 
-def check_out_dir(model: SegmenterModel, out_dir) -> None:
-    """Refuse an ``out_dir`` that a checkpoint of ``model`` could not be saved into.
+def check_out_dir(out_dir) -> None:
+    """Refuse an ``out_dir`` that a checkpoint could not be saved into.
 
-    Its nearest existing path must be a directory, holding no tensor file this
-    model does not have: a load requires the manifest to list every one.
+    Its nearest existing path must be a directory. A save replaces ``out_dir``
+    whole, so an existing one must be empty or hold a checkpoint manifest.
     """
     out = Path(out_dir)
     nearest = next(d for d in (out, *out.parents) if d.exists())
     if not nearest.is_dir():
         raise CheckpointError(f"{nearest}: not a directory")
-    names = {f"{p.name}{TENSOR_SUFFIX}" for p in model.parameters()}
-    stale = sorted(f.name for f in out.glob(f"*{TENSOR_SUFFIX}") if f.name not in names)
-    if stale:
-        raise CheckpointError(f"{out}: holds tensor files this model does not have: {stale}")
+    if nearest == out and not (out / MANIFEST).is_file() and any(out.iterdir()):
+        raise CheckpointError(f"{out}: holds files but no checkpoint {MANIFEST}, so a save would not replace it")
 
 
 def _probe_model(model: SegmenterModel, lines: list[str], chars: str, out: Path) -> SegmenterModel:
     """The model a future load of ``lines`` would reconstruct, cut down to what ``chars`` reads.
 
-    It has the same manifest values. Its embedding tables keep, float32-rounded,
-    only the reserved rows and the rows of the probe's characters, bigrams and
-    lexicon matches, under a trie of just the matched entries; every other
-    tensor is rounded whole. The probe's emissions are the full model's, bit
-    for bit, without a rounded copy of every table.
+    It has the same manifest values and the tensors a load would give: its
+    embedding tables keep, as float32, only the reserved rows and the rows of
+    the probe's characters, bigrams and lexicon matches, under a trie of just
+    the matched entries, and every other tensor is rounded whole. The probe's
+    emissions are the full model's, bit for bit, without a copy of every table.
     """
     values, _ = _parse_manifest(lines)
     dtype_name, chars = values["dtype"], tuple(chars)
@@ -145,7 +141,7 @@ def _probe_model(model: SegmenterModel, lines: list[str], chars: str, out: Path)
         table = getattr(model, f"{name}_table")
         vocabs[name] = Vocab(sym for sym in symbols if sym in table.vocab)
         kept = table.rows.data[[table.vocab.index(sym) for sym in vocabs[name].symbols()]]
-        arrays[table.rows.name] = const(kept.astype("<f4").astype(dtype_name), table.rows.name)
+        arrays[table.rows.name] = const(kept.astype("<f4"), table.rows.name)
     for p in model.parameters():
         if p.name not in arrays:
             arrays[p.name] = const(p.data.astype("<f4").astype(dtype_name), p.name)
@@ -153,25 +149,43 @@ def _probe_model(model: SegmenterModel, lines: list[str], chars: str, out: Path)
 
 
 def save_checkpoint(model: SegmenterModel, out_dir, probe_chars: str) -> None:
-    """Write vocabularies, tensors, and a manifest with a verification probe."""
+    """Write vocabularies, tensors, and a manifest with a verification probe.
+
+    The files go into a new sibling directory, which then takes the place of
+    ``out_dir``: an existing checkpoint there is renamed aside, the new one is
+    renamed into place, and only then is the old one removed.
+    """
     if not probe_chars:
         raise UsageError("checkpoint probe sentence must be non-empty")
-    check_out_dir(model, out_dir)
-    out = Path(out_dir)
-    dtype_name = np.dtype(model.unigram_table.rows.data.dtype).name
-    lines = _manifest_lines(model, dtype_name)
+    check_out_dir(out_dir)
+    out = Path(out_dir).resolve()
+    lines = _manifest_lines(model, model.fwd.gates_b.data.dtype.name)  # a loaded model's tables are float32
 
     lines.append(f"probe_chars={probe_chars}")
     lines.append(f"probe_emissions={_probe_hex(_probe_model(model, lines, probe_chars, out), probe_chars)}")
 
-    out.mkdir(parents=True, exist_ok=True)
-    _write_vocab(out / "unigram.vocab", model.unigram_table.vocab)
-    _write_vocab(out / "bigram.vocab", model.bigram_table.vocab)
-    if model.lexicon_table is not None:
-        _write_vocab(out / "lexicon.vocab", model.lexicon_table.vocab)
-    for p in model.parameters():
-        _write_tensor(out / f"{p.name}{TENSOR_SUFFIX}", p.data)
-    (out / MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    work = Path(tempfile.mkdtemp(prefix=f".{out.name}.", dir=out.parent))
+    new, old = work / "new", work / "old"
+    try:
+        new.mkdir()
+        _write_vocab(new / "unigram.vocab", model.unigram_table.vocab)
+        _write_vocab(new / "bigram.vocab", model.bigram_table.vocab)
+        if model.lexicon_table is not None:
+            _write_vocab(new / "lexicon.vocab", model.lexicon_table.vocab)
+        for p in model.parameters():
+            _write_tensor(new / f"{p.name}{TENSOR_SUFFIX}", p.data)
+        (new / MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if out.exists():
+            out.rename(old)
+        try:
+            new.rename(out)
+        except OSError:
+            if old.exists():
+                old.rename(out)
+            raise
+    finally:
+        shutil.rmtree(work, ignore_errors=True)
 
 
 def _parse_manifest(lines: list[str]) -> tuple[dict[str, str], list[tuple[str, tuple[int, ...]]]]:
@@ -273,7 +287,8 @@ def _load(ckpt: Path) -> SegmenterModel:
         raise CheckpointError(f"{ckpt}: no {MANIFEST}")
     # Split on "\n" only: str.splitlines() would also split a probe sentence
     # at characters such as U+2028.
-    values, tensor_list = _parse_manifest(manifest.read_text(encoding="utf-8").split("\n"))
+    with open_text(manifest) as fh:
+        values, tensor_list = _parse_manifest(fh.read().split("\n"))
     if values.get("format") != FORMAT:
         raise CheckpointError(f"{ckpt}: unsupported format {values.get('format')!r}")
 
@@ -287,7 +302,8 @@ def _load(ckpt: Path) -> SegmenterModel:
     dtype = np.dtype(values["dtype"])
     arrays: dict[str, Tensor] = {}
     for name, shape in tensor_list:
-        arrays[name] = const(_read_tensor(ckpt / f"{name}{TENSOR_SUFFIX}", shape, dtype), name)
+        stored = np.float32 if name.endswith("_embeddings") else dtype  # tables stay float32 (module docstring)
+        arrays[name] = const(_read_tensor(ckpt / f"{name}{TENSOR_SUFFIX}", shape, stored), name)
 
     uvocab = _read_vocab(ckpt / "unigram.vocab", int(values["unigram_vocab_size"]))
     bvocab = _read_vocab(ckpt / "bigram.vocab", int(values["bigram_vocab_size"]))
@@ -315,5 +331,5 @@ def load_train_words(ckpt_dir) -> set[str]:
     path = Path(ckpt_dir) / "train_words.txt"
     if not path.is_file():
         return set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return {line.rstrip("\n") for line in fh if line.rstrip("\n")}

@@ -21,6 +21,7 @@ from .data import (
     check_raw_text,
     from_bmes,
     load_embeddings,
+    open_text,
     read_corpus,
     read_raw_sentences,
     word_set,
@@ -55,7 +56,7 @@ def _parse_config_value(key: str, raw: str):
 def load_config_file(path) -> dict:
     """line-oriented key=value config; '#' starts a comment line."""
     values: dict = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             raw = line.strip()
             if not raw or raw.startswith("#"):
@@ -122,11 +123,11 @@ def cmd_train(args) -> int:
 
     rng = np.random.default_rng(config.seed)
     model = _build_model(config, train_sentences, args.lexicon, emb_paths, rng)
-    check_out_dir(model, args.out)  # before training, not after it
+    check_out_dir(args.out)  # before training, not after it
     training_words = word_set(train_sentences)
     result = train(config, train_sentences, dev_sentences, model, training_words, log=print)
 
-    out = Path(args.out)
+    out = Path(args.out).resolve()  # the save may swap out the working directory
     save_checkpoint(model, out, "".join(dev_sentences[0].chars))
     save_train_words(sorted(training_words), out)
     write_reports(result, config, out / "report.tsv", out / "report.txt")
@@ -265,7 +266,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (LatsegError, OSError, UnicodeDecodeError) as exc:  # a missing, unreadable or non-UTF-8 file: data error
+    except (LatsegError, OSError) as exc:  # a missing or unreadable file: data error
         print(f"latseg: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, LatsegError) else DataError.exit_code
 

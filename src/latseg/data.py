@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
@@ -108,11 +109,13 @@ class Vocab:
     """Dense symbol -> index map; index 0 is the unknown symbol.
 
     Symbols are numbered in order of first appearance, after :data:`RESERVED`.
+    ``symbols`` is read once, so a file can be streamed into it.
     """
 
     def __init__(self, symbols: Iterable[str] = ()):
-        keys = dict.fromkeys(chain(RESERVED, symbols))
-        self._index: dict[str, int] = dict(zip(keys, range(len(keys))))
+        self._index: dict[str, int] = dict.fromkeys(chain(RESERVED, symbols))
+        for i, sym in enumerate(self._index):  # numbered in place: no second dict
+            self._index[sym] = i
 
     def index(self, sym: str) -> int:
         return self._index.get(sym, 0)
@@ -183,7 +186,7 @@ def load_embeddings(
     a value that is not finite, raises FormatError naming the row.
     """
     table = EmbeddingTable.random(vocab, dim, rng, dtype=dtype, name=name)
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
@@ -206,6 +209,20 @@ def load_embeddings(
     return table
 
 
+@contextmanager
+def open_text(path):
+    """``path`` open for reading as UTF-8 text; bytes that are not UTF-8 raise a DataError naming it.
+
+    The codec's message says where in its chunk the bad byte is; text mode
+    decodes in chunks, so the line is not known.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 class _Interned(dict):
     """Maps each key to the first equal ``str`` it was given."""
 
@@ -221,7 +238,7 @@ def read_corpus(path) -> list[LabeledSentence]:
     """
     sentences: list[LabeledSentence] = []
     interned = _Interned().__getitem__
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             raw = line.rstrip("\n").rstrip("\r")
             if not raw.strip():
@@ -239,7 +256,7 @@ def read_corpus(path) -> list[LabeledSentence]:
 
 def read_raw_sentences(path) -> list[str]:
     """Unsegmented input, one sentence per line; empty lines are preserved."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         return [line.rstrip("\n").rstrip("\r") for line in fh]
 
 

@@ -13,6 +13,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .data import open_text
+
 
 class TrieNode:
     __slots__ = ("children", "entry")
@@ -93,7 +95,7 @@ def match_sentence(
 def read_lexicon(path) -> list[str]:
     """One symbol per line; an optional tab-separated frequency is ignored."""
     symbols: list[str] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for line in fh:
             raw = line.rstrip("\n").rstrip("\r")
             if not raw:

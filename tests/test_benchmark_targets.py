@@ -102,3 +102,35 @@ def test_ab_bench_refuses_a_single_seed_before_running(monkeypatch, capsys, tmp_
     assert exit_.value.code == 2
     assert "--seeds 4: quartiles need at least two seeds" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _runs(metric: str, parent: list[float], change: list[float]) -> list[dict]:
+    """Synthetic runs of one workload: ``metric`` as given, every other end-to-end metric 1.0."""
+    runs = []
+    for tree, values in (("parent", parent), ("change", change)):
+        for seed, value in enumerate(values, start=1):
+            metrics = {name: {"value": 1.0} for name in ("chars_per_s", "f1", "peak_rss_mb", "setup_s")}
+            metrics[metric] = {"value": value}
+            runs.append({"tree": tree, "workload": "w", "seed": seed, "result": {"metrics": metrics, "failed": 0}})
+    return runs
+
+
+@pytest.mark.parametrize(
+    "metric, change, gain_shown, worse_beyond_bound",
+    [
+        ("peak_rss_mb", [80.0] * 9 + [110.0], True, False),  # 9 of 10 pairs and a gap past the quartiles
+        ("peak_rss_mb", [80.0] * 8 + [110.0] * 2, False, False),  # 8 of 10 pairs
+        ("peak_rss_mb", [89.0 + 2 * k for k in range(10)], False, False),  # every pair, but within the spread
+        ("chars_per_s", [1.5] * 10, True, False),
+        ("chars_per_s", [0.8] * 10, False, False),  # 20 % slower is inside the 0.24 bound
+        ("chars_per_s", [0.7] * 10, False, True),
+        ("peak_rss_mb", [111.0] * 10, False, True),  # 11 % more memory is past the 0.1 bound
+    ],
+)
+def test_ab_bench_summary_judges_gains_and_bounds(metric, change, gain_shown, worse_beyond_bound):
+    ab_bench = load(AB_BENCH)
+    # medians 99 MB and 0.99, interquartile distances 9 MB and 0.09
+    scale = 100.0 if metric == "peak_rss_mb" else 1.0
+    parent = [scale * (1.0 + 0.02 * k) for k in range(-5, 5)]
+    got = ab_bench.summarize(_runs(metric, parent, change), "w")[metric]
+    assert (got["gain_shown"], got["worse_beyond_bound"]) == (gain_shown, worse_beyond_bound)

@@ -9,9 +9,15 @@ Run from the root of a source checkout. The parent is exported with
 ``bench/run.py``, untraced, once per (seed, workload). The two runs of a
 (seed, workload) pair go back to back, and which tree runs first alternates
 from one pair to the next. The output has a ``summary`` per workload (per
-end-to-end metric: medians, inclusive quartiles, pairs won and lost; the
-chars/s and peak RSS ratio per seed; whether ``f1`` is equal for every seed;
-failed operations per tree) and every run's environment and result.
+end-to-end metric: medians, inclusive quartiles, pairs won and lost, and two
+verdicts; the chars/s and peak RSS ratio per seed; whether ``f1`` is equal for
+every seed; failed operations per tree) and every run's environment and result.
+
+The verdicts: ``gain_shown`` holds when the change is better in at least nine
+tenths of the pairs and its median is better than the parent's by more than
+the parent's interquartile distance; ``worse_beyond_bound`` holds when the
+change's median is worse than the parent's by more than the metric's
+``BENCHMARK.json`` bound, a fraction of the parent's median.
 """
 
 from __future__ import annotations
@@ -74,6 +80,8 @@ def summarize(runs: list[dict], workload: str) -> dict:
         change_median = statistics.median(values["change"])
         better = sum((c > p) if higher else (c < p) for p, c in zip(values["parent"], values["change"]))
         worse = sum((c < p) if higher else (c > p) for p, c in zip(values["parent"], values["change"]))
+        low, high = quartiles(values["parent"])
+        gain = (change_median - parent_median) * (1 if higher else -1)
         out[name] = {
             "parent_median": parent_median,
             "change_median": change_median,
@@ -83,6 +91,8 @@ def summarize(runs: list[dict], workload: str) -> dict:
             "pairs": len(seeds),
             "change_better_pairs": better,
             "change_worse_pairs": worse,
+            "gain_shown": 10 * better >= 9 * len(seeds) and gain > high - low,
+            "worse_beyond_bound": -gain > metric["bound"] * abs(parent_median),
         }
     for name in ("chars_per_s", "peak_rss_mb"):
         out[f"{name}_ratio_per_seed"] = {
