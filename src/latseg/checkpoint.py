@@ -112,14 +112,24 @@ def check_out_dir(out_dir) -> None:
     """Refuse an ``out_dir`` that a checkpoint could not be saved into.
 
     Its nearest existing path must be a directory. A save replaces ``out_dir``
-    whole, so an existing one must be empty or hold a checkpoint manifest.
+    whole, so an existing one must be empty or a checkpoint: a manifest of
+    this format, beside only files that a save or a train writes.
     """
     out = Path(out_dir)
     nearest = next(d for d in (out, *out.parents) if d.exists())
     if not nearest.is_dir():
         raise CheckpointError(f"{nearest}: not a directory")
-    if nearest == out and not (out / MANIFEST).is_file() and any(out.iterdir()):
-        raise CheckpointError(f"{out}: holds files but no checkpoint {MANIFEST}, so a save would not replace it")
+    if nearest != out or not any(out.iterdir()):
+        return
+    if not (out / MANIFEST).is_file() or _read_manifest(out / MANIFEST)[0].get("format") != FORMAT:
+        raise CheckpointError(f"{out}: holds files but no {FORMAT} {MANIFEST}, so a save would not replace it")
+    written = {MANIFEST, "train_words.txt", "report.tsv", "report.txt"}
+    foreign = sorted(
+        f.name for f in out.iterdir()
+        if not (f.is_file() and (f.name in written or f.suffix in (".vocab", TENSOR_SUFFIX)))
+    )
+    if foreign:
+        raise CheckpointError(f"{out}: holds {', '.join(foreign)} beside its checkpoint; a save would remove them")
 
 
 def _probe_model(model: SegmenterModel, lines: list[str], chars: str, out: Path) -> SegmenterModel:
@@ -153,7 +163,8 @@ def save_checkpoint(model: SegmenterModel, out_dir, probe_chars: str) -> None:
 
     The files go into a new sibling directory, which then takes the place of
     ``out_dir``: an existing checkpoint there is renamed aside, the new one is
-    renamed into place, and only then is the old one removed.
+    renamed into place, and only then is the old one removed. If neither
+    can be put back in place, the old one is kept where it was renamed to.
     """
     if not probe_chars:
         raise UsageError("checkpoint probe sentence must be non-empty")
@@ -180,12 +191,24 @@ def save_checkpoint(model: SegmenterModel, out_dir, probe_chars: str) -> None:
             out.rename(old)
         try:
             new.rename(out)
-        except OSError:
+        except BaseException:
             if old.exists():
                 old.rename(out)
             raise
+    except BaseException as exc:
+        if old.exists() and not out.exists():
+            raise CheckpointError(f"{out}: save failed; the old checkpoint is kept at {old}") from exc
+        raise
     finally:
-        shutil.rmtree(work, ignore_errors=True)
+        if out.exists() or not old.exists():
+            shutil.rmtree(work, ignore_errors=True)
+
+
+def _read_manifest(path: Path) -> tuple[dict[str, str], list[tuple[str, tuple[int, ...]]]]:
+    # Split on "\n" only: str.splitlines() would also split a probe sentence
+    # at characters such as U+2028.
+    with open_text(path) as fh:
+        return _parse_manifest(fh.read().split("\n"))
 
 
 def _parse_manifest(lines: list[str]) -> tuple[dict[str, str], list[tuple[str, tuple[int, ...]]]]:
@@ -285,10 +308,7 @@ def _load(ckpt: Path) -> SegmenterModel:
     manifest = ckpt / MANIFEST
     if not manifest.is_file():
         raise CheckpointError(f"{ckpt}: no {MANIFEST}")
-    # Split on "\n" only: str.splitlines() would also split a probe sentence
-    # at characters such as U+2028.
-    with open_text(manifest) as fh:
-        values, tensor_list = _parse_manifest(fh.read().split("\n"))
+    values, tensor_list = _read_manifest(manifest)
     if values.get("format") != FORMAT:
         raise CheckpointError(f"{ckpt}: unsupported format {values.get('format')!r}")
 

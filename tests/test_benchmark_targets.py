@@ -134,3 +134,18 @@ def test_ab_bench_summary_judges_gains_and_bounds(metric, change, gain_shown, wo
     parent = [scale * (1.0 + 0.02 * k) for k in range(-5, 5)]
     got = ab_bench.summarize(_runs(metric, parent, change), "w")[metric]
     assert (got["gain_shown"], got["worse_beyond_bound"]) == (gain_shown, worse_beyond_bound)
+
+
+@pytest.mark.parametrize(
+    "change, worse_beyond_bound",
+    [
+        ([1.05] * 10, None),  # the parent's own spread is wider than the bound
+        ([0.5] * 10, None),
+        ([1.6] * 10, False),  # every change run is faster than every parent run
+    ],
+)
+def test_ab_bench_summary_leaves_a_bound_inside_the_parents_spread_unresolved(change, worse_beyond_bound):
+    ab_bench = load(AB_BENCH)
+    parent = [0.6 + 0.1 * k for k in range(10)]  # median 1.05, interquartile distance 0.45, bound 0.252
+    got = ab_bench.summarize(_runs("chars_per_s", parent, change), "w")["chars_per_s"]
+    assert got["worse_beyond_bound"] is worse_beyond_bound

@@ -4,6 +4,7 @@ import filecmp
 import re
 import shutil
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -273,6 +274,64 @@ class TestTrainCommand:
         assert captured.err.startswith(f"latseg: {taken}: ") and captured.err.count("\n") == 1
         assert {p: p.read_bytes() for p in taken.rglob("*") if p.is_file()} == before
         assert sorted(p.name for p in taken.rglob("*")) == ["notes.txt", "sub", "unigram_embeddings.f32"]
+
+    @pytest.mark.parametrize("kind", ["foreign manifest", "checkpoint with more files"])
+    def test_out_that_is_not_only_a_checkpoint_is_refused_before_training(
+        self, corpus_dir, trained, tmp_path, capsys, kind
+    ):
+        taken = tmp_path / "taken"
+        if kind == "foreign manifest":
+            taken.mkdir()
+            (taken / "manifest.txt").write_text("name=a project\nversion=2\n", encoding="utf-8")
+            (taken / "unigram.vocab").write_text("not a vocabulary\n", encoding="utf-8")
+        else:
+            shutil.copytree(trained, taken)
+            (taken / "segmented.txt").write_text("人民 中国\n", encoding="utf-8")
+            (taken / "runs").mkdir()
+        before = {p: p.read_bytes() if p.is_file() else None for p in taken.rglob("*")}
+        rc = run(["train", "--train", corpus_dir / "train.txt", "--dev", corpus_dir / "dev.txt",
+                  "--mode", "baseline", "--config", corpus_dir / "config.txt", "--out", taken, "--epochs", "1"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "epoch " not in captured.out
+        assert captured.err.startswith(f"latseg: {taken}: ") and captured.err.count("\n") == 1
+        if kind != "foreign manifest":
+            assert "runs, segmented.txt" in captured.err
+        assert {p: p.read_bytes() if p.is_file() else None for p in taken.rglob("*")} == before
+        with pytest.raises(CheckpointError, match="segmented.txt" if kind != "foreign manifest" else "manifest"):
+            save_checkpoint(load_checkpoint(trained), taken, "人民")
+        assert {p: p.read_bytes() if p.is_file() else None for p in taken.rglob("*")} == before
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+
+    @pytest.mark.parametrize("putting_back_fails", [False, True])
+    def test_a_save_interrupted_between_its_renames_keeps_the_old_checkpoint(
+        self, trained, tmp_path, monkeypatch, putting_back_fails
+    ):
+        out = tmp_path / "m"
+        shutil.copytree(trained, out)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        rename, calls = checkpoint.Path.rename, []
+
+        def interrupted(self, target):  # out aside succeeds; new into place is interrupted
+            calls.append(self)
+            if len(calls) == 2:
+                raise RuntimeError("interrupted")
+            if len(calls) == 3 and putting_back_fails:
+                raise OSError(f"{self}: device busy")
+            return rename(self, target)
+
+        monkeypatch.setattr(checkpoint.Path, "rename", interrupted)
+        expected = CheckpointError if putting_back_fails else RuntimeError
+        with pytest.raises(expected, match="old checkpoint is kept at" if putting_back_fails else "interrupted") as exc:
+            save_checkpoint(load_checkpoint(trained), out, "人民")
+        monkeypatch.undo()
+        assert len(calls) == 3
+        kept = Path(str(exc.value).rsplit(" at ", 1)[1]) if putting_back_fails else out
+        assert out.exists() != putting_back_fails
+        assert {p.name: p.read_bytes() for p in kept.iterdir()} == before
+        assert load_checkpoint(kept).mode == "lattice-word"  # probe verified
+        if not putting_back_fails:
+            assert [p.name for p in tmp_path.iterdir()] == ["m"]
 
     @pytest.mark.parametrize("under", [False, True])
     def test_out_that_is_a_file_is_refused_before_training(self, corpus_dir, tmp_path, capsys, under):

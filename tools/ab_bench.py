@@ -17,7 +17,9 @@ The verdicts: ``gain_shown`` holds when the change is better in at least nine
 tenths of the pairs and its median is better than the parent's by more than
 the parent's interquartile distance; ``worse_beyond_bound`` holds when the
 change's median is worse than the parent's by more than the metric's
-``BENCHMARK.json`` bound, a fraction of the parent's median.
+``BENCHMARK.json`` bound, a fraction of the parent's median. It is null
+(unresolved) when the parent's interquartile distance is itself wider than
+the bound, unless every change run is better than every parent run.
 """
 
 from __future__ import annotations
@@ -82,17 +84,20 @@ def summarize(runs: list[dict], workload: str) -> dict:
         worse = sum((c < p) if higher else (c > p) for p, c in zip(values["parent"], values["change"]))
         low, high = quartiles(values["parent"])
         gain = (change_median - parent_median) * (1 if higher else -1)
+        bound = metric["bound"] * abs(parent_median)
+        worst_change, best_parent = (min, max) if higher else (max, min)
+        clear = (worst_change(values["change"]) - best_parent(values["parent"])) * (1 if higher else -1) > 0
         out[name] = {
             "parent_median": parent_median,
             "change_median": change_median,
             "change_over_parent": change_median / parent_median if parent_median else None,
-            "parent_quartiles": quartiles(values["parent"]),
+            "parent_quartiles": [low, high],
             "change_quartiles": quartiles(values["change"]),
             "pairs": len(seeds),
             "change_better_pairs": better,
             "change_worse_pairs": worse,
             "gain_shown": 10 * better >= 9 * len(seeds) and gain > high - low,
-            "worse_beyond_bound": -gain > metric["bound"] * abs(parent_median),
+            "worse_beyond_bound": None if high - low > bound and not clear else -gain > bound,
         }
     for name in ("chars_per_s", "peak_rss_mb"):
         out[f"{name}_ratio_per_seed"] = {
