@@ -17,7 +17,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .data import open_text
+from .data import read_lines, write_lines
 from .errors import ConfigError, DataError, FormatError
 
 Pair = tuple[str, str]
@@ -148,28 +148,24 @@ def extract_lexicon(model: BpeModel) -> list[tuple[str, int]]:
 
 
 def save_bpe_model(model: BpeModel, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{MODEL_MAGIC} {model.merge_count}\n")
-        for left, right in model.merges:
-            fh.write(f"{left}\t{right}\n")
+    write_lines(path, [f"{MODEL_MAGIC} {model.merge_count}", *map("\t".join, model.merges)])
 
 
 def load_bpe_model(path) -> BpeModel:
     """Reload a merge list; corpus frequencies are not persisted."""
-    with open_text(path) as fh:
-        header = fh.readline().split()
-        if len(header) != 2 or header[0] != MODEL_MAGIC or not header[1].isdigit():
-            raise FormatError(f"{path}: not a {MODEL_MAGIC} model file")
-        declared = int(header[1])
-        merges: list[Pair] = []
-        for lineno, line in enumerate(fh, start=2):
-            raw = line.rstrip("\n")
-            if not raw:
-                continue
-            parts = raw.split("\t")
-            if len(parts) != 2 or not all(parts):
-                raise FormatError(f"{path}: line {lineno}: expected non-empty 'left<TAB>right'")
-            merges.append((parts[0], parts[1]))
+    lines = read_lines(path)
+    header = next(lines, "").split()
+    if len(header) != 2 or header[0] != MODEL_MAGIC or not header[1].isdigit():
+        raise FormatError(f"{path}: not a {MODEL_MAGIC} model file")
+    declared = int(header[1])
+    merges: list[Pair] = []
+    for lineno, raw in enumerate(lines, start=2):
+        if not raw:
+            continue
+        parts = raw.split("\t")
+        if len(parts) != 2 or not all(parts):
+            raise FormatError(f"{path}: line {lineno}: expected non-empty 'left<TAB>right'")
+        merges.append((parts[0], parts[1]))
     if len(merges) != declared:
         raise FormatError(
             f"{path}: header declares {declared} merges but file has {len(merges)}"
@@ -178,6 +174,4 @@ def load_bpe_model(path) -> BpeModel:
 
 
 def save_lexicon(entries: Iterable[tuple[str, int]], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sym, freq in entries:
-            fh.write(f"{sym}\t{freq}\n")
+    write_lines(path, (f"{sym}\t{freq}" for sym, freq in entries))

@@ -17,12 +17,12 @@ import shutil
 import tempfile
 from itertools import islice
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .crf import CrfParams, N_LABELS, N_STATES
-from .data import RESERVED, EmbeddingTable, Vocab, bigrams_of, open_text
+from .data import RESERVED, EmbeddingTable, Vocab, bigrams_of, read_lines, write_lines
 from .encoder import DirectionParams
 from .errors import CheckpointError, UsageError
 from .lexicon import build_trie
@@ -63,17 +63,11 @@ def _read_tensor(path: Path, shape: tuple[int, ...], dtype) -> np.ndarray:
     return out.reshape(shape).astype(dtype, copy=False)
 
 
-def _write_vocab(path: Path, vocab: Vocab) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for sym in vocab.symbols():
-            fh.write(sym + "\n")
-
-
 def _read_vocab(path: Path, expected_size: int) -> Vocab:
-    with open_text(path) as fh:
-        if tuple(line.rstrip("\n") for line in islice(fh, len(RESERVED))) != RESERVED:
-            raise CheckpointError(f"{path}: missing reserved vocabulary entries")
-        vocab = Vocab(line.rstrip("\n") for line in fh)
+    lines = read_lines(path)
+    if tuple(islice(lines, len(RESERVED))) != RESERVED:
+        raise CheckpointError(f"{path}: missing reserved vocabulary entries")
+    vocab = Vocab(lines)
     if len(vocab) != expected_size:
         raise CheckpointError(
             f"{path}: manifest declares {expected_size} symbols, file has {len(vocab)}"
@@ -180,13 +174,13 @@ def save_checkpoint(model: SegmenterModel, out_dir, probe_chars: str) -> None:
     new, old = work / "new", work / "old"
     try:
         new.mkdir()
-        _write_vocab(new / "unigram.vocab", model.unigram_table.vocab)
-        _write_vocab(new / "bigram.vocab", model.bigram_table.vocab)
+        write_lines(new / "unigram.vocab", model.unigram_table.vocab.symbols())
+        write_lines(new / "bigram.vocab", model.bigram_table.vocab.symbols())
         if model.lexicon_table is not None:
-            _write_vocab(new / "lexicon.vocab", model.lexicon_table.vocab)
+            write_lines(new / "lexicon.vocab", model.lexicon_table.vocab.symbols())
         for p in model.parameters():
             _write_tensor(new / f"{p.name}{TENSOR_SUFFIX}", p.data)
-        (new / MANIFEST).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        write_lines(new / MANIFEST, lines)
         if out.exists():
             out.rename(old)
         try:
@@ -205,13 +199,10 @@ def save_checkpoint(model: SegmenterModel, out_dir, probe_chars: str) -> None:
 
 
 def _read_manifest(path: Path) -> tuple[dict[str, str], list[tuple[str, tuple[int, ...]]]]:
-    # Split on "\n" only: str.splitlines() would also split a probe sentence
-    # at characters such as U+2028.
-    with open_text(path) as fh:
-        return _parse_manifest(fh.read().split("\n"))
+    return _parse_manifest(read_lines(path))
 
 
-def _parse_manifest(lines: list[str]) -> tuple[dict[str, str], list[tuple[str, tuple[int, ...]]]]:
+def _parse_manifest(lines: Iterable[str]) -> tuple[dict[str, str], list[tuple[str, tuple[int, ...]]]]:
     values: dict[str, str] = {}
     tensors: list[tuple[str, tuple[int, ...]]] = []
     for raw in lines:
@@ -341,15 +332,9 @@ def _load(ckpt: Path) -> SegmenterModel:
 
 
 def save_train_words(words: Sequence[str], ckpt_dir) -> None:
-    path = Path(ckpt_dir) / "train_words.txt"
-    with open(path, "w", encoding="utf-8") as fh:
-        for w in sorted(words):
-            fh.write(w + "\n")
+    write_lines(Path(ckpt_dir) / "train_words.txt", sorted(words))
 
 
 def load_train_words(ckpt_dir) -> set[str]:
-    path = Path(ckpt_dir) / "train_words.txt"
-    if not path.is_file():
-        return set()
-    with open_text(path) as fh:
-        return {line.rstrip("\n") for line in fh if line.rstrip("\n")}
+    """The training words saved beside a checkpoint; a missing file is an OSError."""
+    return {w for w in read_lines(Path(ckpt_dir) / "train_words.txt") if w}

@@ -21,10 +21,10 @@ from .data import (
     check_raw_text,
     from_bmes,
     load_embeddings,
-    open_text,
     read_corpus,
-    read_raw_sentences,
+    read_lines,
     word_set,
+    write_lines,
 )
 from .errors import ConfigError, DataError, LatsegError, UsageError
 from .lexicon import read_lexicon
@@ -32,7 +32,6 @@ from .model import MODES, SegmenterModel, prepare_lexicon
 from .train import (
     TrainConfig,
     coverage_report,
-    decode_all,
     evaluate_f1,
     length_bucket_f1,
     train,
@@ -56,19 +55,18 @@ def _parse_config_value(key: str, raw: str):
 def load_config_file(path) -> dict:
     """line-oriented key=value config; '#' starts a comment line."""
     values: dict = {}
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            raw = line.strip()
-            if not raw or raw.startswith("#"):
-                continue
-            key, sep, val = raw.partition("=")
-            key = key.strip()
-            if not sep or key not in _CONFIG_TYPES:
-                raise UsageError(f"{path}: line {lineno}: unknown config entry {raw!r}")
-            try:
-                values[key] = _parse_config_value(key, val.strip())
-            except ValueError as exc:
-                raise UsageError(f"{path}: line {lineno}: {exc}") from None
+    for lineno, line in enumerate(read_lines(path), start=1):
+        raw = line.strip()
+        if not raw or raw.startswith("#"):
+            continue
+        key, sep, val = raw.partition("=")
+        key = key.strip()
+        if not sep or key not in _CONFIG_TYPES:
+            raise UsageError(f"{path}: line {lineno}: unknown config entry {raw!r}")
+        try:
+            values[key] = _parse_config_value(key, val.strip())
+        except ValueError as exc:
+            raise UsageError(f"{path}: line {lineno}: {exc}") from None
     return values
 
 
@@ -137,17 +135,15 @@ def cmd_train(args) -> int:
 
 def cmd_segment(args) -> int:
     model = load_checkpoint(args.model)
-    sentences = read_raw_sentences(args.input)
+    sentences = list(read_lines(args.input))  # empty lines stay, to come out empty
     for lineno, text in enumerate(sentences, start=1):  # every line, before the output opens
         try:
             check_raw_text(text)
         except DataError as exc:
             raise DataError(f"{args.input}: line {lineno}: {exc}") from None
-    texts = [tuple(text) for text in sentences if text]
-    labels = iter(decode_all(model, texts))
-    with open(args.output, "w", encoding="utf-8") as fh:
-        for text in sentences:
-            fh.write(" ".join(from_bmes(tuple(text), next(labels)) if text else []) + "\n")
+    labels = iter(model.decode_many([tuple(text) for text in sentences if text]))
+    words = (from_bmes(tuple(text), next(labels)) if text else [] for text in sentences)
+    write_lines(args.output, map(" ".join, words))
     return 0
 
 
@@ -155,7 +151,7 @@ def cmd_eval(args) -> int:
     model = load_checkpoint(args.model)
     gold = read_corpus(args.gold)
     training_words = load_train_words(args.model)
-    predicted = decode_all(model, [s.chars for s in gold])
+    predicted = model.decode_many([s.chars for s in gold])
     report = evaluate_f1(gold, predicted, training_words)
     report.bucket_f1 = length_bucket_f1(gold, predicted, args.bucket_width)
     for line in report.lines():
@@ -164,7 +160,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_bpe_learn(args) -> int:
-    lines = ["".join(line.split()) for line in read_raw_sentences(args.corpus)]
+    lines = ["".join(line.split()) for line in read_lines(args.corpus)]
     lines = [line for line in lines if line]
     model = bpe_mod.learn_bpe(lines, args.merges)
     bpe_mod.save_bpe_model(model, args.out)
@@ -195,10 +191,7 @@ def cmd_synth(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     synth.write_corpus(out / "train.txt", tr)
     synth.write_corpus(out / "dev.txt", dev)
-    with open(out / "lexicon.txt", "w", encoding="utf-8") as fh:
-        for w in vocab:
-            if len(w) >= 2:
-                fh.write(w + "\n")
+    write_lines(out / "lexicon.txt", (w for w in vocab if len(w) >= 2))
     print(f"wrote {len(tr)} train / {len(dev)} dev sentences to {out}")
     return 0
 

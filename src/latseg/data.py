@@ -1,4 +1,7 @@
-"""Corpus ingestion, BMES label handling, vocabularies, and embedding tables.
+"""Text file I/O, corpus ingestion, BMES label handling, vocabularies, and embedding tables.
+
+Every text file latseg reads or writes goes through :func:`read_lines` and
+:func:`write_lines`: UTF-8, one line per record, each ended by a newline.
 
 Corpus format: UTF-8 text, one sentence per line, words separated by single
 spaces (a line with any other whitespace is refused); blank lines are skipped.
@@ -9,12 +12,11 @@ from __future__ import annotations
 
 import math
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from operator import add
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -186,41 +188,50 @@ def load_embeddings(
     a value that is not finite, raises FormatError naming the row.
     """
     table = EmbeddingTable.random(vocab, dim, rng, dtype=dtype, name=name)
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if lineno == 1 and len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
-                continue  # "count dim" header
-            if len(parts) - 1 != dim:
-                raise FormatError(
-                    f"{path}: row {lineno}: expected {dim} values, got {len(parts) - 1}"
-                )
-            token = parts[0]
-            if token in vocab:
-                try:
-                    vec = np.array([float(v) for v in parts[1:]], dtype=dtype)
-                except ValueError as exc:
-                    raise FormatError(f"{path}: row {lineno}: {exc}") from None
-                if not np.isfinite(vec).all():
-                    raise FormatError(f"{path}: row {lineno}: {token} has a value that is not finite")
-                table.rows.data[vocab.index(token)] = vec
+    for lineno, line in enumerate(read_lines(path), start=1):
+        parts = line.split()
+        if not parts:
+            continue
+        if lineno == 1 and len(parts) == 2 and all(p.lstrip("-").isdigit() for p in parts):
+            continue  # "count dim" header
+        if len(parts) - 1 != dim:
+            raise FormatError(
+                f"{path}: row {lineno}: expected {dim} values, got {len(parts) - 1}"
+            )
+        token = parts[0]
+        if token in vocab:
+            try:
+                vec = np.array([float(v) for v in parts[1:]], dtype=dtype)
+            except ValueError as exc:
+                raise FormatError(f"{path}: row {lineno}: {exc}") from None
+            if not np.isfinite(vec).all():
+                raise FormatError(f"{path}: row {lineno}: {token} has a value that is not finite")
+            table.rows.data[vocab.index(token)] = vec
     return table
 
 
-@contextmanager
-def open_text(path):
-    """``path`` open for reading as UTF-8 text; bytes that are not UTF-8 raise a DataError naming it.
+def read_lines(path) -> Iterator[str]:
+    """Each line of the UTF-8 text file ``path``, without its newline.
 
-    The codec's message says where in its chunk the bad byte is; text mode
-    decodes in chunks, so the line is not known.
+    A line ends at a line feed only (text mode reads CR LF and a lone CR as
+    one), not at the other boundaries of ``str.splitlines()``, such as U+2028.
+    Bytes that are not UTF-8 raise a DataError naming the file. The codec's
+    message says where in its chunk the bad byte is; text mode decodes in
+    chunks, so the line is not known.
     """
     try:
         with open(path, encoding="utf-8") as fh:
-            yield fh
+            for line in fh:
+                yield line.rstrip("\n")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: {exc}") from None
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Write each of ``lines`` and a newline to ``path`` as UTF-8."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in lines:
+            fh.write(line + "\n")
 
 
 class _Interned(dict):
@@ -238,26 +249,18 @@ def read_corpus(path) -> list[LabeledSentence]:
     """
     sentences: list[LabeledSentence] = []
     interned = _Interned().__getitem__
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            raw = line.rstrip("\n").rstrip("\r")
-            if not raw.strip():
-                continue
-            words = raw.split(" ")
-            other = _OTHER_SPACE.search(raw)
-            if other:
-                reason = f"U+{ord(other[0]):04X} is not a single space between words"
-                raise DataError(f"{path}: line {lineno}: {reason}")
-            if "" in words:
-                raise DataError(f"{path}: line {lineno}: empty word")
-            sentences.append(LabeledSentence(tuple(map(interned, "".join(words))), _labels(words)))
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        if not raw.strip():
+            continue
+        words = raw.split(" ")
+        other = _OTHER_SPACE.search(raw)
+        if other:
+            reason = f"U+{ord(other[0]):04X} is not a single space between words"
+            raise DataError(f"{path}: line {lineno}: {reason}")
+        if "" in words:
+            raise DataError(f"{path}: line {lineno}: empty word")
+        sentences.append(LabeledSentence(tuple(map(interned, "".join(words))), _labels(words)))
     return sentences
-
-
-def read_raw_sentences(path) -> list[str]:
-    """Unsegmented input, one sentence per line; empty lines are preserved."""
-    with open_text(path) as fh:
-        return [line.rstrip("\n").rstrip("\r") for line in fh]
 
 
 def check_raw_text(text: str) -> None:

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import open_text
+from .data import read_lines
 
 
 class TrieNode:
@@ -94,11 +94,4 @@ def match_sentence(
 
 def read_lexicon(path) -> list[str]:
     """One symbol per line; an optional tab-separated frequency is ignored."""
-    symbols: list[str] = []
-    with open_text(path) as fh:
-        for line in fh:
-            raw = line.rstrip("\n").rstrip("\r")
-            if not raw:
-                continue
-            symbols.append(raw.split("\t", 1)[0])
-    return symbols
+    return [raw.split("\t", 1)[0] for raw in read_lines(path) if raw]

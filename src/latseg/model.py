@@ -3,7 +3,9 @@
 A model owns every trainable tensor, the vocabularies, and (in lattice
 modes) the lexicon trie. Training drives :meth:`loss` under an active tape,
 with an rng for dropout; decoding and the checkpoint probe run the same
-forward tape-free and without one.
+forward tape-free and without one. :meth:`SegmenterModel.decode_many` is the
+one batch decoder: training's dev evaluation, ``latseg segment`` and
+``latseg eval`` all call it, and it bounds each encoder call's walk buffers.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ from typing import Sequence
 import numpy as np
 
 from . import crf as crf_ops
-from .data import RESERVED, EmbeddingTable, LabeledSentence, Vocab, check_raw_text, from_bmes
+from .data import RESERVED, EmbeddingTable, LabeledSentence, Vocab
 from .encoder import DirectionParams, char_repr, encode_bidirectional
 from .errors import UsageError
 from .lexicon import LatticeMatchSet, Trie, build_trie, match_sentence
 from .tensor import Tensor
 
 MODES = ("baseline", "lattice-word", "lattice-subword")
+DECODE_CELLS = 2048  # sentences x longest sentence per encoder call of SegmenterModel.decode_many
 
 
 def prepare_lexicon(symbols: Sequence[str]) -> tuple[Trie, Vocab]:
@@ -152,25 +155,29 @@ class SegmenterModel:
         return crf_ops.nll_loss(hs, sentence.labels, self.crf)
 
     def decode_many(self, sentences: Sequence[Sequence[str]]) -> list[tuple[str, ...]]:
-        """The Viterbi labels of each sentence, all decoded as the lanes of one encoder call.
+        """The Viterbi labels of each sentence, decoded in batches of sentences of similar length.
 
+        Each batch is the lanes of one encoder call, whose walk buffers hold
+        its longest sentence's steps for every sentence. So a batch takes
+        sentences in order of length while their count times the longest
+        stays within :data:`DECODE_CELLS`; a longer sentence decodes alone.
         Each sentence's labels are those it gets decoded alone.
         """
-        if not sentences:
-            return []
-        hs, _ = self.hidden_states(sentences)
-        return crf_ops.viterbi(hs, self.crf, [len(s) for s in sentences])
+        batches: list[list[int]] = []
+        for i in sorted(range(len(sentences)), key=lambda i: len(sentences[i])):
+            if not batches or (len(batches[-1]) + 1) * len(sentences[i]) > DECODE_CELLS:
+                batches.append([])
+            batches[-1].append(i)
+        labels: list = [None] * len(sentences)
+        for batch in batches:
+            group = [sentences[i] for i in batch]
+            hs, _ = self.hidden_states(group)
+            for i, decoded in zip(batch, crf_ops.viterbi(hs, self.crf, [len(s) for s in group])):
+                labels[i] = decoded
+        return labels
 
     def decode(self, chars: Sequence[str]) -> crf_ops.LabelPath:
         return crf_ops.LabelPath(self.decode_many([chars])[0])
-
-    def segment(self, text: str) -> list[str]:
-        """The words of unsegmented ``text``; whitespace in it is a :class:`DataError`."""
-        check_raw_text(text)
-        if not text:
-            return []
-        chars = tuple(text)
-        return from_bmes(chars, self.decode(chars).labels)
 
     def emission_matrix(self, chars: Sequence[str]) -> np.ndarray:
         """Per-position label scores without dropout; the checkpoint probe output."""

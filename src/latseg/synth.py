@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import write_lines
 from .errors import ConfigError
 
 ALPHABET = "天地人山水火风云雨雪日月星光年石田车马牛羊鱼鸟虫花草木金竹言"
@@ -79,6 +80,4 @@ def split_corpus(
 
 
 def write_corpus(path, sentences: list[list[str]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for words in sentences:
-            fh.write(" ".join(words) + "\n")
+    write_lines(path, map(" ".join, sentences))

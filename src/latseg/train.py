@@ -3,7 +3,9 @@
 Training is per-sentence SGD with a decaying learning rate
 lr_t = lr0 / (1 + decay * t). The best checkpoint is chosen by dev F1, with
 ties going to the earlier epoch. Everything is driven by one seeded RNG, so
-a fixed seed reproduces the run exactly.
+a fixed seed reproduces the run exactly. Each epoch's dev evaluation decodes
+through :meth:`~latseg.model.SegmenterModel.decode_many`, and the reports are
+written through :func:`~latseg.data.write_lines`.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .data import LabeledSentence, label_spans, word_set
+from .data import LabeledSentence, label_spans, word_set, write_lines
 from .errors import ConfigError, DataError, NumericError
 from .model import MODES, SegmenterModel
 from .tensor import Tape, backward, sgd_step
@@ -190,29 +192,6 @@ def coverage_report(sentences: Iterable[LabeledSentence], lexicon) -> CoverageRe
     return CoverageReport(word_count=total, matched_count=matched)
 
 
-DECODE_CELLS = 2048  # sentences x longest sentence per SegmenterModel.decode_many call
-
-
-def decode_all(model: SegmenterModel, sentences: Sequence[Sequence[str]]) -> list[tuple[str, ...]]:
-    """Each sentence's Viterbi labels, decoded in batches of sentences of similar length.
-
-    A batch's walk buffers hold its longest sentence's steps for every
-    sentence, so a batch takes sentences in order of length while their count
-    times the longest stays within :data:`DECODE_CELLS`; a longer sentence
-    decodes alone.
-    """
-    batches: list[list[int]] = []
-    for i in sorted(range(len(sentences)), key=lambda i: len(sentences[i])):
-        if not batches or (len(batches[-1]) + 1) * len(sentences[i]) > DECODE_CELLS:
-            batches.append([])
-        batches[-1].append(i)
-    labels: list = [None] * len(sentences)
-    for batch in batches:
-        for i, decoded in zip(batch, model.decode_many([sentences[i] for i in batch])):
-            labels[i] = decoded
-    return labels
-
-
 @dataclass
 class TrainResult:
     best_epoch: int
@@ -265,7 +244,7 @@ def train(
             sgd_step(params, lr)
             total_loss += value
 
-        pred = decode_all(model, [s.chars for s in dev_set])
+        pred = model.decode_many([s.chars for s in dev_set])
         report = evaluate_f1(dev_set, pred, training_words)
         report.epoch = epoch
         result.reports.append(report)
@@ -290,14 +269,13 @@ def train(
 
 def write_reports(result: TrainResult, config: TrainConfig, tsv_path, txt_path) -> None:
     """Per-epoch TSV for plotting plus a key=value summary."""
-    with open(tsv_path, "w", encoding="utf-8") as fh:
-        fh.write("epoch\tlr\tmean_loss\tprecision\trecall\tf1\tr_iv\tr_oov\tbest\n")
-        for r, loss, lr in zip(result.reports, result.mean_losses, result.learning_rates):
-            fh.write(
-                f"{r.epoch}\t{lr:.8f}\t{loss:.6f}\t{r.precision:.6f}\t{r.recall:.6f}"
-                f"\t{r.f1:.6f}\t{r.r_iv:.6f}\t{r.r_oov:.6f}"
-                f"\t{int(r.epoch == result.best_epoch)}\n"
-            )
+    rows = [
+        f"{r.epoch}\t{lr:.8f}\t{loss:.6f}\t{r.precision:.6f}\t{r.recall:.6f}"
+        f"\t{r.f1:.6f}\t{r.r_iv:.6f}\t{r.r_oov:.6f}"
+        f"\t{int(r.epoch == result.best_epoch)}"
+        for r, loss, lr in zip(result.reports, result.mean_losses, result.learning_rates)
+    ]
+    write_lines(tsv_path, ["epoch\tlr\tmean_loss\tprecision\trecall\tf1\tr_iv\tr_oov\tbest", *rows])
     lines = [f"{f.name}={getattr(config, f.name)}" for f in fields(config)]
     lines += [
         f"best_epoch={result.best_epoch}",
@@ -305,5 +283,4 @@ def write_reports(result: TrainResult, config: TrainConfig, tsv_path, txt_path) 
         f"epochs_run={len(result.reports)}",
         f"wall_seconds={result.wall_seconds:.2f}",
     ]
-    with open(txt_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_lines(txt_path, lines)

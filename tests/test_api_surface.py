@@ -110,3 +110,53 @@ def test_every_public_field_is_read():
 def test_field_allowlist_names_only_unread_fields():
     fields, loaded = public_fields(), loaded_attributes()
     assert all(f in fields and f.split(".")[1] not in loaded for f in FIELDS_ALLOWED), FIELDS_ALLOWED
+
+
+def public_methods() -> set[str]:
+    """``Class.method`` for each public method, property or classmethod of a public class."""
+    return {
+        f"{cls.name}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for cls in ast.parse(path.read_text(encoding="utf-8")).body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+
+
+def test_every_public_method_is_called():
+    # Only attribute loads count: a method is reached as ``obj.method``, and a
+    # string such as the "segment" subcommand's name says nothing about one.
+    loaded = loaded_attributes()
+    uncalled = sorted(m for m in public_methods() if m.split(".")[1] not in loaded)
+    assert not uncalled, f"methods that neither src/latseg nor bench/ calls: {uncalled}"
+
+
+def text_file_calls(tree: ast.AST) -> list[int]:
+    """The lines of calls that open a file in text mode or read or write one as text."""
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("read_text", "write_text"):
+            lines.append(node.lineno)
+        elif name == "open":
+            # open(path, mode) or path.open(mode); the mode defaults to text
+            at = 1 if isinstance(func, ast.Name) else 0
+            mode = node.args[at] if len(node.args) > at else None
+            mode = next((k.value for k in node.keywords if k.arg == "mode"), mode)
+            if not (isinstance(mode, ast.Constant) and "b" in mode.value):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_only_data_opens_text_files():
+    # every text file goes through data.read_lines and data.write_lines
+    found = {
+        path.name: text_file_calls(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "data"
+    }
+    assert not {name: lines for name, lines in found.items() if lines}

@@ -96,12 +96,18 @@ def test_ab_bench_refuses_a_single_seed_before_running(monkeypatch, capsys, tmp_
 
     monkeypatch.setattr(ab_bench, "export", never)
     monkeypatch.setattr(ab_bench, "run_bench", never)
+    monkeypatch.setattr(ab_bench.subprocess, "run", never)  # git rev-parse
     out = tmp_path / "ab.json"
-    with pytest.raises(SystemExit) as exit_:
-        ab_bench.main(["--parent", "HEAD", "--out", str(out), "--seeds", "4"])
-    assert exit_.value.code == 2
-    assert "--seeds 4: quartiles need at least two seeds" in capsys.readouterr().err
-    assert not out.exists()
+    for seeds, reason in [
+        ("4", "quartiles need at least two seeds"),
+        ("abc", "not a seed or an inclusive range of seeds"),  # these two used to raise a ValueError
+        ("3-x", "not a seed or an inclusive range of seeds"),
+    ]:
+        with pytest.raises(SystemExit) as exit_:
+            ab_bench.main(["--parent", "HEAD", "--out", str(out), "--seeds", seeds])
+        assert exit_.value.code == 2
+        assert f"--seeds {seeds}: {reason}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def _runs(metric: str, parent: list[float], change: list[float]) -> list[dict]:

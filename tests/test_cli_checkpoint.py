@@ -12,8 +12,8 @@ import pytest
 from latseg import bpe, checkpoint, synth
 from latseg.checkpoint import load_checkpoint, load_train_words, save_checkpoint
 from latseg.cli import _build_model, main
-from latseg.data import EmbeddingTable, build_vocabs, read_corpus, to_bmes, word_set
-from latseg.errors import CheckpointError, ConfigError, DataError
+from latseg.data import EmbeddingTable, build_vocabs, from_bmes, read_corpus, to_bmes, word_set
+from latseg.errors import CheckpointError, ConfigError
 from latseg.lexicon import read_lexicon
 from latseg.model import SegmenterModel, prepare_lexicon
 from latseg.train import TrainConfig
@@ -407,13 +407,6 @@ class TestSegmentCommand:
         assert err.startswith(f"latseg: {inp}: line 2: ") and err.count("\n") == 1
         assert not out.exists()
 
-    @pytest.mark.parametrize("space", [" ", "\t", "\u3000"], ids=["space", "tab", "ideographic"])
-    def test_segment_method_refuses_whitespace(self, trained, space):
-        # it used to return a word holding the space, e.g. ['ab', ' cd']
-        model = load_checkpoint(trained)
-        with pytest.raises(DataError, match=f"^U[+]{ord(space):04X} in raw text$"):
-            model.segment(f"ab{space}cd")
-
     def test_empty_probe_sentence_is_checkpoint_error(self, corpus_dir, trained, tmp_path, capsys):
         ckpt = tmp_path / "model"
         shutil.copytree(trained, ckpt)
@@ -514,6 +507,17 @@ class TestEvalCommand:
         assert run(["eval", "--model", trained, "--gold", tmp_path / "nope.txt"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("latseg: ") and err.count("\n") == 1
+
+    def test_checkpoint_without_train_words_is_data_error(self, corpus_dir, trained, tmp_path, capsys):
+        # it used to exit 0 and report every gold word as out of vocabulary (r_iv=0, n_iv=0)
+        ckpt = tmp_path / "model"
+        shutil.copytree(trained, ckpt)
+        (ckpt / "train_words.txt").unlink()
+        assert run(["eval", "--model", ckpt, "--gold", corpus_dir / "dev.txt"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("latseg: ") and captured.err.count("\n") == 1
+        assert str(ckpt / "train_words.txt") in captured.err
 
     def test_identical_gold_prediction_f1_one(self, trained, tmp_path, capsys):
         # segment dev, then score the model against its own output
@@ -814,5 +818,7 @@ def test_segment_decodes_mixed_chunks_as_per_line_segment(corpus_dir, trained, t
     inp.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     assert run(["segment", "--model", trained, "--input", inp, "--output", out]) == 0
     model = load_checkpoint(trained)
-    expect = "".join(" ".join(model.segment(line)) + "\n" for line in lines)
+    # each line decoded alone, as the command would without batches
+    words = [from_bmes(line, model.decode(tuple(line)).labels) if line else [] for line in lines]
+    expect = "".join(" ".join(w) + "\n" for w in words)
     assert out.read_text(encoding="utf-8") == expect

@@ -11,14 +11,12 @@ from latseg import bpe, encoder, synth
 from latseg import train as train_module
 from latseg.data import EmbeddingTable, Vocab, build_vocabs, to_bmes, word_set
 from latseg.errors import ConfigError, DataError, NumericError, UsageError
-from latseg.model import SegmenterModel, prepare_lexicon
+from latseg.model import DECODE_CELLS, SegmenterModel, prepare_lexicon
 from latseg.tensor import Tape, backward, sgd_step
 from latseg.train import (
-    DECODE_CELLS,
     CoverageReport,
     TrainConfig,
     coverage_report,
-    decode_all,
     error_reduction,
     evaluate_f1,
     length_bucket_f1,
@@ -427,8 +425,8 @@ def test_a_sentence_without_matches_leaves_the_lexicon_table_alone():
     assert not np.array_equal(model.crf.emit_w.data, emit_w)  # the step updated the rest
 
 
-def test_decode_all_bounds_its_walk_buffers():
-    # Each decode_many call's walk holds [x; h] and c for its longest sentence's
+def test_decode_many_bounds_its_walk_buffers():
+    # Each encoder call's walk holds [x; h] and c for its longest sentence's
     # steps in every lane. Batches of 200-character sentences, and 1-character
     # sentences ahead of one 200-character sentence, must stay near the bytes
     # of DECODE_CELLS sentence steps and decode as each sentence alone.
@@ -442,7 +440,7 @@ def test_decode_all_bounds_its_walk_buffers():
     for batch in (long, [("中",)] * 63 + [long[0]]):
         tracemalloc.start()
         try:
-            labels = decode_all(model, batch)
+            labels = model.decode_many(batch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -126,7 +126,11 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", choices=[w["name"] for w in SPEC["workloads"]],
                         help="workload to run (repeatable; default every one)")
     args = parser.parse_args(argv)
-    if len(seed_range(args.seeds)) < 2:
+    try:
+        seeds = seed_range(args.seeds)
+    except ValueError:
+        parser.error(f"--seeds {args.seeds}: not a seed or an inclusive range of seeds")
+    if len(seeds) < 2:
         parser.error(f"--seeds {args.seeds}: quartiles need at least two seeds")
     workloads = args.workload or [w["name"] for w in SPEC["workloads"]]
     parent_rev = subprocess.run(["git", "rev-parse", "--short", args.parent], cwd=ROOT,
@@ -136,7 +140,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         trees = {"parent": export(args.parent, Path(tmp)), "change": ROOT}
         pair = 0
-        for seed in seed_range(args.seeds):
+        for seed in seeds:
             for workload in workloads:
                 order = TREES if pair % 2 == 0 else TREES[::-1]
                 for i, tree in enumerate(order):
