@@ -5,15 +5,21 @@ merges never cross line boundaries. A pair's frequency is its number of
 adjacent occurrences in the current segmentation; one merge performs a single
 left-to-right non-overlapping replacement pass per line.
 
-Learning is incremental: the best pair comes off a lazy max-heap, and a merge
-updates the pair counts only around its merge sites, so its cost grows with the
-occurrences it rewrites, not with the number of distinct pairs.
+Learning is incremental and works on integer ids. Each distinct symbol string
+has one id, so two merges that spell the same string make the same symbol; a
+line is a list of ids and a pair is one int key, ``left << 32 | right``. Each
+pair records the lines it occurs in: a bare line number while it occurs in one
+line only, a ``{line: count}`` dict once it occurs in more. The best pair comes
+off a lazy max-heap that is rebuilt from the live counts whenever its stale
+entries outnumber them, and a merge updates the pair counts only around its
+merge sites, so its cost grows with the occurrences it rewrites, not with the
+number of distinct pairs.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -24,6 +30,7 @@ Pair = tuple[str, str]
 
 MODEL_MAGIC = "bpe-v1"
 DEFAULT_MERGES = 10_000  # desk-scale default budget
+_RIGHT = (1 << 32) - 1  # a pair key's right id: key & _RIGHT; its left id: key >> 32
 
 
 @dataclass
@@ -38,24 +45,31 @@ class BpeModel:
         return len(self.merges)
 
 
-def _merge_pass(symbols: list[str], pair: Pair) -> tuple[list[str], list[int]]:
-    """One left-to-right non-overlapping replacement of `pair` in a line.
+def _merge_pass(line: list[int], left: int, right: int, joined: int) -> tuple[list[int], list[int]]:
+    """One left-to-right non-overlapping replacement of ``left right`` by ``joined``.
 
     Returns the new line and the old index of each merged pair's left symbol.
     """
-    left, right = pair
-    out: list[str] = []
     sites: list[int] = []
+    last = len(line) - 1
     i = 0
-    n = len(symbols)
-    while i < n:
-        if i + 1 < n and symbols[i] == left and symbols[i + 1] == right:
-            out.append(left + right)
-            sites.append(i)
-            i += 2
-        else:
-            out.append(symbols[i])
-            i += 1
+    try:
+        while True:
+            i = line.index(left, i)
+            if i < last and line[i + 1] == right:
+                sites.append(i)
+                i += 2
+            else:
+                i += 1
+    except ValueError:
+        pass
+    out: list[int] = []
+    start = 0
+    for i in sites:
+        out += line[start:i]
+        out.append(joined)
+        start = i + 2
+    out += line[start:]
     return out, sites
 
 
@@ -63,81 +77,114 @@ def learn_bpe(corpus: Iterable[Sequence[str]], k: int) -> BpeModel:
     """Perform up to k greedy merges of the most frequent adjacent pair.
 
     Ties break on lexicographic (left, right) order; learning stops early
-    once the best pair occurs fewer than twice. The best pair comes off a heap
-    keyed (-count, left, right) with lazy deletion: an entry whose count is
-    out of date is skipped, and each pair whose count a merge changed is
-    pushed again. Each pair keeps its count per line, so a merge rewrites only
-    the lines that hold its pair. At each merge site, the old pairs that touch
-    a merged symbol lose a count and the new pairs that touch the joined
-    symbol gain one; every other pair is the same before and after. So a
-    merge costs time in proportion to the occurrences it rewrites and their
-    lines, not to the number of distinct pairs.
+    once the best pair occurs fewer than twice.
+
+    Symbols are interned as ids (module docstring). The best pair comes off a
+    heap of ``(-count, left, right, key)`` entries with lazy deletion: an
+    entry whose count is out of date is skipped, each pair whose count a
+    merge changed is pushed again, and the heap is rebuilt from ``counts``
+    once it holds more stale entries than live pairs. Each pair keeps the
+    lines it occurs in, so a merge rewrites only the lines that hold its
+    pair; while those are one line, the pair's count in it is its total
+    count, so a line number is all it keeps. At each merge site, the old
+    pairs that touch a merged symbol lose a count and the new pairs that
+    touch the joined symbol gain one; every other pair is the same before
+    and after. So a merge costs time in proportion to the occurrences it
+    rewrites and their lines, not to the number of distinct pairs.
     """
     if k < 0:
         raise ConfigError(f"merge budget must be >= 0, got {k}")
-    lines = [list(seq) for seq in corpus]
+    ids: dict[str, int] = {}  # symbol -> id
+    spelled: list[str] = []  # id -> symbol
+
+    def intern(symbol: str) -> int:
+        sid = ids.get(symbol)
+        if sid is None:
+            sid = ids[symbol] = len(spelled)
+            spelled.append(symbol)
+        return sid
+
+    lines = [[intern(s) for s in seq] for seq in corpus]
     if not lines:
         raise DataError("cannot learn BPE from an empty corpus")
 
-    counts: dict[Pair, int] = {}
-    where: defaultdict[Pair, dict[int, int]] = defaultdict(dict)  # line -> the pair's count in it
-    for li, line in enumerate(lines):
-        for pair in zip(line, line[1:]):
-            counts[pair] = counts.get(pair, 0) + 1
-            at = where[pair]
-            at[li] = at.get(li, 0) + 1
-    heap = [(-c, pair) for pair, c in counts.items()]
-    heapq.heapify(heap)
-    changed: set[Pair] = set()  # the pairs whose count the current merge changed
+    counts: dict[int, int] = {}
+    where: dict[int, int | dict[int, int]] = {}  # the pair's line, or line -> the pair's count in it
+    changed: set[int] = set()  # the pairs whose count the current merge changed
 
-    def swap(lost: Pair, made: Pair, li: int) -> None:
+    def gain(key: int, li: int) -> None:
+        """Line li holds one `key` pair more."""
+        count, at = counts.get(key, 0), where.get(key)
+        if not count or at == li:
+            where[key] = li
+        elif type(at) is int:
+            where[key] = {at: count, li: 1}
+        else:
+            at[li] = at.get(li, 0) + 1
+        counts[key] = count + 1
+
+    def swap(lost: int, made: int, li: int) -> None:
         """Line li holds one `lost` pair fewer and one `made` pair more."""
         counts[lost] -= 1
-        counts[made] = counts.get(made, 0) + 1
-        at = where.get(lost)  # None for the pair being merged, whose lines are already taken
-        if at is not None:
+        at = where.get(lost)  # None for the pair being merged, a line number while `lost` sits in li only
+        if type(at) is dict:
             if at[li] == 1:
                 del at[li]  # so that a merge of `lost` never visits this line for nothing
             else:
                 at[li] -= 1
-        at = where[made]
-        at[li] = at.get(li, 0) + 1
-        changed.update((lost, made))
+        gain(made, li)
+        changed.add(lost)
+        changed.add(made)
+
+    for li, line in enumerate(lines):
+        for left, right in zip(line, line[1:]):
+            gain(left << 32 | right, li)
+
+    def entry(key: int) -> tuple[int, str, str, int]:
+        return -counts[key], spelled[key >> 32], spelled[key & _RIGHT], key
+
+    heap = [entry(key) for key in counts]
+    heapq.heapify(heap)
 
     merges: list[Pair] = []
     while heap and len(merges) < k:
-        neg_count, best = heapq.heappop(heap)
+        neg_count, left, right, best = heapq.heappop(heap)
         if counts.get(best) != -neg_count:
             continue  # stale
         if -neg_count < 2:
             break
-        merges.append(best)
+        merges.append((left, right))
 
         changed.add(best)
-        for li in sorted(where.pop(best)):  # each line holds the pair at least once
+        joined = intern(left + right)
+        at = where.pop(best)
+        for li in at if type(at) is dict else (at,):  # each line holds the pair at least once
             old = lines[li]
-            new, sites = _merge_pass(old, best)
+            new, sites = _merge_pass(old, best >> 32, best & _RIGHT, joined)
             lines[li] = new
             counts[best] -= len(sites)
             for t, i in enumerate(sites):
                 j = i - t  # the joined symbol's index in the new line
                 # The pair left of a site right after another is that one's right pair.
                 if i and (t == 0 or sites[t - 1] < i - 2):
-                    swap((old[i - 1], old[i]), (new[j - 1], new[j]), li)
+                    swap(old[i - 1] << 32 | old[i], new[j - 1] << 32 | joined, li)
                 if i + 2 < len(old):
-                    swap((old[i + 1], old[i + 2]), (new[j], new[j + 1]), li)
-        for pair in changed:
-            if counts[pair]:
-                heapq.heappush(heap, (-counts[pair], pair))
+                    swap(old[i + 1] << 32 | old[i + 2], joined << 32 | new[j + 1], li)
+        for key in changed:
+            if counts[key]:
+                heapq.heappush(heap, entry(key))
             else:
-                del counts[pair]
-                where.pop(pair, None)
+                del counts[key]
+                where.pop(key, None)
         changed.clear()
+        if len(heap) > 2 * len(counts):  # more stale entries than live ones
+            heap = [entry(key) for key in counts]
+            heapq.heapify(heap)
 
-    vocab: Counter = Counter()
+    id_counts = Counter()
     for line in lines:
-        vocab.update(line)
-    return BpeModel(merges=merges, vocab=vocab)
+        id_counts.update(line)
+    return BpeModel(merges=merges, vocab=Counter({spelled[sid]: c for sid, c in id_counts.items()}))
 
 
 def extract_lexicon(model: BpeModel) -> list[tuple[str, int]]:

@@ -32,6 +32,8 @@ from .tensor import Tensor, const
 FORMAT = "latseg-ckpt-v1"
 MANIFEST = "manifest.txt"
 TENSOR_SUFFIX = ".f32"
+TRAIN_WORDS = "train_words.txt"
+REPORTS = ("report.tsv", "report.txt")
 BLOCK = 1 << 18  # tensor values converted and written at a time
 
 
@@ -107,7 +109,7 @@ def check_out_dir(out_dir) -> None:
 
     Its nearest existing path must be a directory. A save replaces ``out_dir``
     whole, so an existing one must be empty or a checkpoint: a manifest of
-    this format, beside only files that a save or a train writes.
+    this format, beside only files that a save writes.
     """
     out = Path(out_dir)
     nearest = next(d for d in (out, *out.parents) if d.exists())
@@ -117,7 +119,7 @@ def check_out_dir(out_dir) -> None:
         return
     if not (out / MANIFEST).is_file() or _read_manifest(out / MANIFEST)[0].get("format") != FORMAT:
         raise CheckpointError(f"{out}: holds files but no {FORMAT} {MANIFEST}, so a save would not replace it")
-    written = {MANIFEST, "train_words.txt", "report.tsv", "report.txt"}
+    written = {MANIFEST, TRAIN_WORDS, *REPORTS}
     foreign = sorted(
         f.name for f in out.iterdir()
         if not (f.is_file() and (f.name in written or f.suffix in (".vocab", TENSOR_SUFFIX)))
@@ -152,9 +154,17 @@ def _probe_model(model: SegmenterModel, lines: list[str], chars: str, out: Path)
     return _assemble(values, arrays, vocabs["unigram"], vocabs["bigram"], vocabs.get("lexicon"), out)
 
 
-def save_checkpoint(model: SegmenterModel, out_dir, probe_chars: str) -> None:
+def save_checkpoint(
+    model: SegmenterModel,
+    out_dir,
+    probe_chars: str,
+    train_words: Iterable[str] | None = None,
+    reports: Sequence[Sequence[str]] = (),
+) -> None:
     """Write vocabularies, tensors, and a manifest with a verification probe.
 
+    Given ``train_words``, they go sorted into ``train_words.txt``, which
+    ``eval`` needs; ``reports`` holds the lines of :data:`REPORTS`, in turn.
     The files go into a new sibling directory, which then takes the place of
     ``out_dir``: an existing checkpoint there is renamed aside, the new one is
     renamed into place, and only then is the old one removed. If neither
@@ -181,6 +191,10 @@ def save_checkpoint(model: SegmenterModel, out_dir, probe_chars: str) -> None:
         for p in model.parameters():
             _write_tensor(new / f"{p.name}{TENSOR_SUFFIX}", p.data)
         write_lines(new / MANIFEST, lines)
+        if train_words is not None:
+            write_lines(new / TRAIN_WORDS, sorted(train_words))
+        for name, report in zip(REPORTS, reports):
+            write_lines(new / name, report)
         if out.exists():
             out.rename(old)
         try:
@@ -331,10 +345,6 @@ def _load(ckpt: Path) -> SegmenterModel:
     return model
 
 
-def save_train_words(words: Sequence[str], ckpt_dir) -> None:
-    write_lines(Path(ckpt_dir) / "train_words.txt", sorted(words))
-
-
 def load_train_words(ckpt_dir) -> set[str]:
     """The training words saved beside a checkpoint; a missing file is an OSError."""
-    return {w for w in read_lines(Path(ckpt_dir) / "train_words.txt") if w}
+    return {w for w in read_lines(Path(ckpt_dir) / TRAIN_WORDS) if w}

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import bpe as bpe_mod
 from . import synth
-from .checkpoint import check_out_dir, load_checkpoint, load_train_words, save_checkpoint, save_train_words
+from .checkpoint import check_out_dir, load_checkpoint, load_train_words, save_checkpoint
 from .data import (
     EmbeddingTable,
     build_vocabs,
@@ -34,8 +34,8 @@ from .train import (
     coverage_report,
     evaluate_f1,
     length_bucket_f1,
+    report_lines,
     train,
-    write_reports,
 )
 
 _CONFIG_TYPES = {f.name: f.type for f in fields(TrainConfig)}
@@ -126,9 +126,9 @@ def cmd_train(args) -> int:
     result = train(config, train_sentences, dev_sentences, model, training_words, log=print)
 
     out = Path(args.out).resolve()  # the save may swap out the working directory
-    save_checkpoint(model, out, "".join(dev_sentences[0].chars))
-    save_train_words(sorted(training_words), out)
-    write_reports(result, config, out / "report.tsv", out / "report.txt")
+    save_checkpoint(
+        model, out, "".join(dev_sentences[0].chars), training_words, report_lines(result, config)
+    )
     print(f"best dev F1 {result.best_f1:.4f} at epoch {result.best_epoch}; saved to {out}")
     return 0
 

@@ -4,8 +4,8 @@ Training is per-sentence SGD with a decaying learning rate
 lr_t = lr0 / (1 + decay * t). The best checkpoint is chosen by dev F1, with
 ties going to the earlier epoch. Everything is driven by one seeded RNG, so
 a fixed seed reproduces the run exactly. Each epoch's dev evaluation decodes
-through :meth:`~latseg.model.SegmenterModel.decode_many`, and the reports are
-written through :func:`~latseg.data.write_lines`.
+through :meth:`~latseg.model.SegmenterModel.decode_many`, and the report
+lines go into the checkpoint with :func:`~latseg.checkpoint.save_checkpoint`.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .data import LabeledSentence, label_spans, word_set, write_lines
+from .data import LabeledSentence, label_spans, word_set
 from .errors import ConfigError, DataError, NumericError
 from .model import MODES, SegmenterModel
 from .tensor import Tape, backward, sgd_step
@@ -267,15 +267,14 @@ def train(
     return result
 
 
-def write_reports(result: TrainResult, config: TrainConfig, tsv_path, txt_path) -> None:
-    """Per-epoch TSV for plotting plus a key=value summary."""
+def report_lines(result: TrainResult, config: TrainConfig) -> tuple[list[str], list[str]]:
+    """The lines of ``report.tsv``, per epoch for plotting, and of ``report.txt``, a key=value summary."""
     rows = [
         f"{r.epoch}\t{lr:.8f}\t{loss:.6f}\t{r.precision:.6f}\t{r.recall:.6f}"
         f"\t{r.f1:.6f}\t{r.r_iv:.6f}\t{r.r_oov:.6f}"
         f"\t{int(r.epoch == result.best_epoch)}"
         for r, loss, lr in zip(result.reports, result.mean_losses, result.learning_rates)
     ]
-    write_lines(tsv_path, ["epoch\tlr\tmean_loss\tprecision\trecall\tf1\tr_iv\tr_oov\tbest", *rows])
     lines = [f"{f.name}={getattr(config, f.name)}" for f in fields(config)]
     lines += [
         f"best_epoch={result.best_epoch}",
@@ -283,4 +282,4 @@ def write_reports(result: TrainResult, config: TrainConfig, tsv_path, txt_path) 
         f"epochs_run={len(result.reports)}",
         f"wall_seconds={result.wall_seconds:.2f}",
     ]
-    write_lines(txt_path, lines)
+    return ["epoch\tlr\tmean_loss\tprecision\trecall\tf1\tr_iv\tr_oov\tbest", *rows], lines

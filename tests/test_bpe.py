@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import tracemalloc
 from collections import Counter
 from itertools import chain
 
@@ -111,6 +112,16 @@ class TestLearn:
             learn_bpe(["ab"], -1)
 
 
+class TestSharedSpelling:
+    def test_two_merges_that_spell_one_string_make_one_symbol(self):
+        # ("a", "bc") and ("ab", "c") both spell "abc": its pairs with "d" from either
+        # merge count together, so ("abc", "d") occurs 4 times and merges once
+        corpus = [["a", "bc", "d"], ["ab", "c", "d"]] * 2
+        model = learn_bpe(corpus, 4)
+        assert model.merges == [("a", "bc"), ("ab", "c"), ("abc", "d")] == naive_learn(corpus, 4)[0]
+        assert model.vocab == Counter({"abcd": 4}) == naive_vocab(corpus, 4)
+
+
 class TestApply:
     """Each learned merge rewrites the training lines in one left-to-right,
     non-overlapping pass; ``model.vocab`` counts the final segmentation."""
@@ -204,6 +215,22 @@ class TestIncrementalLearner:
             assert cli.main(["synth", "--out-dir", str(tmp_path), "--seed", "7"]) == 0
         lines = ["".join(s.chars) for s in read_corpus(tmp_path / "train.txt")[:300]]
         assert_matches_naive(lines, 200)
+
+
+class TestLearnerMemory:
+    def test_desk_corpus_peak_stays_bounded(self, tmp_path):
+        # a {line: count} dict per pair, tuple-of-string keys and a heap that only grew peaked near 9 MB
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["synth", "--out-dir", str(tmp_path), "--seed", "1"]) == 0
+        lines = ["".join(s.chars) for s in read_corpus(tmp_path / "train.txt")]
+        tracemalloc.start()
+        try:
+            model = learn_bpe(lines, 2000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.merge_count > 1000
+        assert peak < 6.5e6, f"learn_bpe peaked at {peak / 1e6:.1f} MB"
 
 
 class TestModelFile:

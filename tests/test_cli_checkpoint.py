@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latseg import bpe, checkpoint, synth
+from latseg import bpe, checkpoint, encoder, synth
 from latseg.checkpoint import load_checkpoint, load_train_words, save_checkpoint
 from latseg.cli import _build_model, main
 from latseg.data import EmbeddingTable, build_vocabs, from_bmes, read_corpus, to_bmes, word_set
@@ -260,6 +260,33 @@ class TestTrainCommand:
         assert load_checkpoint(out).mode == "lattice-word"  # probe verified
         assert [p.name for p in tmp_path.iterdir()] == ["m"]
 
+    def test_a_report_write_that_fails_leaves_the_old_checkpoint_whole(
+        self, corpus_dir, tmp_path, capsys, monkeypatch
+    ):
+        # the reports and train_words.txt used to be written into the live checkpoint after its swap
+        out = tmp_path / "m"
+        common = ["train", "--train", corpus_dir / "train.txt", "--dev", corpus_dir / "dev.txt",
+                  "--config", corpus_dir / "config.txt", "--out", out, "--epochs", "1"]
+        assert run(common + ["--mode", "lattice-word", "--lexicon", corpus_dir / "lexicon.txt"]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert {"train_words.txt", "report.tsv", "report.txt"} <= set(before)
+        write = checkpoint.write_lines
+
+        def report_fails(path, lines):
+            if Path(path).name == "report.txt":
+                raise OSError(f"{path}: no space left on device")
+            write(path, lines)
+
+        monkeypatch.setattr(checkpoint, "write_lines", report_fails)
+        capsys.readouterr()
+        assert run(common + ["--mode", "baseline"]) == 2
+        assert capsys.readouterr().err.endswith("no space left on device\n")
+        monkeypatch.undo()
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m"]
+        assert run(["eval", "--model", out, "--gold", corpus_dir / "dev.txt"]) == 0
+        assert "f1=" in capsys.readouterr().out
+
     def test_out_that_holds_no_checkpoint_is_refused_before_training(self, corpus_dir, tmp_path, capsys):
         taken = tmp_path / "taken"
         (taken / "sub").mkdir(parents=True)
@@ -406,6 +433,25 @@ class TestSegmentCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"latseg: {inp}: line 2: ") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_a_lone_cr_in_a_raw_line_is_data_error(self, trained, tmp_path, capsys):
+        # a CR used to end the line: segment exited 0 and wrote 3 lines for 2
+        inp = tmp_path / "raw.txt"
+        inp.write_bytes("天地人山\r水火\n天地\n".encode("utf-8"))
+        out = tmp_path / "o.txt"
+        assert run(["segment", "--model", trained, "--input", inp, "--output", out]) == 2
+        err = capsys.readouterr().err
+        assert err == f"latseg: {inp}: line 1: U+000D in raw text\n"
+        assert not out.exists()
+
+    def test_cr_lf_input_segments_as_lf_input(self, trained, tmp_path):
+        outs = []
+        for newline in ("\n", "\r\n"):
+            inp, out = tmp_path / f"raw{len(outs)}.txt", tmp_path / f"seg{len(outs)}.txt"
+            inp.write_bytes(newline.join(["天地人山", "", "水火"]).encode("utf-8") + newline.encode())
+            assert run(["segment", "--model", trained, "--input", inp, "--output", out]) == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] and outs[0].count(b"\n") == 3 and b"\r" not in outs[0]
 
     def test_empty_probe_sentence_is_checkpoint_error(self, corpus_dir, trained, tmp_path, capsys):
         ckpt = tmp_path / "model"
@@ -563,6 +609,13 @@ class TestBpeAndCoverage:
         assert symbols == [sym for sym, _ in bpe.extract_lexicon(model)]
         assert symbols and not any(ch.isspace() for sym in symbols for ch in sym)
 
+    def test_bpe_learn_keeps_a_line_with_a_lone_cr_whole(self, tmp_path):
+        # split at its CR, each line held one character and no pair
+        corpus, out = tmp_path / "raw.txt", tmp_path / "model.bpe"
+        corpus.write_bytes(b"a\rb\na\rb\n")
+        assert run(["bpe-learn", "--corpus", corpus, "--merges", "5", "--out", out]) == 0
+        assert bpe.load_bpe_model(out).merges == [("a", "b")]
+
     def test_bpe_learn_writes_lexicon(self, corpus_dir, tmp_path):
         out = tmp_path / "model.bpe"
         lex = tmp_path / "lex.tsv"
@@ -697,6 +750,29 @@ def _tiny_float64_model(rng, mode="baseline"):
     ut = EmbeddingTable.random(uni, 4, rng, name="unigram_embeddings")
     bt = EmbeddingTable.random(bi, 4, rng, name="bigram_embeddings")
     return SegmenterModel.create(mode, ut, bt, 5, rng)
+
+
+def test_both_directions_gates_w_are_rows_of_one_array(trained, corpus_dir, rng):
+    # lattice_forward used to copy both into a new stack on every call
+    chars = read_corpus(corpus_dir / "dev.txt")[0].chars
+    for model in (_tiny_float64_model(rng), load_checkpoint(trained)):
+        stack = model.fwd.gates_w.data.base
+        assert stack is not None and stack is model.bwd.gates_w.data.base
+        assert stack.shape == (2, *model.fwd.gates_w.shape) and stack.flags.c_contiguous
+        assert stack[0].ctypes.data == model.fwd.gates_w.data.ctypes.data
+        assert stack[1].ctypes.data == model.bwd.gates_w.data.ctypes.data
+        model.hidden_states([chars])
+        assert model.fwd.gates_w.data.base is stack and model.bwd.gates_w.data.base is stack
+        assert encoder.stack_gates((model.fwd, model.bwd)) is stack is model._gates_w  # what lattice_forward gets
+
+
+def test_models_that_share_their_directions_share_one_stack(rng):
+    # a second model over the same tensors must not leave the first one multiplying by a stale copy
+    first = _tiny_float64_model(rng)
+    second = SegmenterModel("baseline", first.unigram_table, first.bigram_table, first.fwd, first.bwd, first.crf)
+    first.fwd.gates_w.data[...] += 0.5  # in place, as sgd_step and restore write
+    chars = ("中", "国", "人")
+    assert first.hidden_states([chars])[0].data.tobytes() == second.hidden_states([chars])[0].data.tobytes()
 
 
 def test_probe_with_line_separator_round_trips(tmp_path, rng):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latseg import data
 from latseg.data import (
     SENTINEL,
     UNK,
@@ -19,6 +20,7 @@ from latseg.data import (
     label_spans,
     load_embeddings,
     read_corpus,
+    read_lines,
     to_bmes,
     word_set,
 )
@@ -211,6 +213,13 @@ class TestCorpusIO:
         with pytest.raises(DataError, match=f"line 2: {code.replace('+', '[+]')}"):
             read_corpus(path)
 
+    def test_a_cr_inside_a_line_reports_the_line(self, tmp_path):
+        # a lone CR used to end the line, which split the sentence in two
+        path = tmp_path / "corpus.txt"
+        path.write_bytes("好 的\r\n中国\r人\n".encode("utf-8"))
+        with pytest.raises(DataError, match="line 2: U[+]000D"):
+            read_corpus(path)
+
     def test_sentence_invariants(self):
         with pytest.raises(DataError):
             LabeledSentence(("a",), ("B", "E"))
@@ -219,3 +228,18 @@ class TestCorpusIO:
 
     def test_bigrams_use_sentinel(self):
         assert bigrams_of("ab") == ["ab", "b" + SENTINEL]
+
+
+class TestReadLines:
+    def test_a_line_ends_only_at_a_line_feed(self, tmp_path):
+        path = tmp_path / "text.txt"
+        path.write_bytes(b"ab\rcd\nef\n")
+        assert list(read_lines(path)) == ["ab\rcd", "ef"]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 12])
+    def test_cr_lf_reads_as_lf_at_any_chunk_edge(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(data, "READ_CHARS", chunk)
+        crlf, lf = tmp_path / "crlf.txt", tmp_path / "lf.txt"
+        crlf.write_bytes("中国\r\n\r\nab\rc\r\n人\r".encode("utf-8"))
+        lf.write_bytes("中国\n\nab\rc\n人".encode("utf-8"))
+        assert list(read_lines(crlf)) == list(read_lines(lf)) == ["中国", "", "ab\rc", "人"]
