@@ -30,7 +30,6 @@ SENTINEL = "</s>"  # closes the final character bigram
 RESERVED = (UNK, SENTINEL)  # the first rows of every vocabulary, in this order
 _OTHER_SPACE = re.compile(r"[^\S ]")  # whitespace other than the word separator
 _SPACE = re.compile(r"\s")
-READ_CHARS = 1 << 12  # characters decoded at a time by read_lines
 
 
 @dataclass
@@ -218,24 +217,15 @@ def read_lines(path) -> Iterator[str]:
     LF files read the same. A CR anywhere else stays in its line, as do the
     other boundaries of ``str.splitlines()``, such as U+2028. Bytes that are
     not UTF-8 raise a DataError naming the file. The codec's message says
-    where in its chunk the bad byte is; the file is decoded in chunks, so the
+    where in its chunk the bad byte is; text mode decodes in chunks, so the
     line is not known.
     """
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            rest = ""
-            for chunk in iter(lambda: fh.read(READ_CHARS), ""):
-                text = rest + chunk
-                *lines, rest = text.split("\n")
-                yield from map(_drop_cr, lines) if "\r" in text else lines
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            for line in fh:
+                yield line.removesuffix("\n").removesuffix("\r")
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: {exc}") from None
-    if rest:
-        yield _drop_cr(rest)
-
-
-def _drop_cr(line: str) -> str:
-    return line[:-1] if line[-1:] == "\r" else line
 
 
 def write_lines(path, lines: Iterable[str]) -> None:

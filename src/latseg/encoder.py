@@ -108,24 +108,6 @@ class DirectionParams:
         return out
 
 
-def stack_gates(p: tuple[DirectionParams, DirectionParams]) -> np.ndarray:
-    """The (2, 3H, x_dim + H) array whose rows both directions' ``gates_w`` are views of.
-
-    Unless they already are (as when two models share their directions), both
-    are copied into a new one and rebound to its rows. Updates and restores
-    write ``gates_w`` in place, so the stack stays their value, and
-    :func:`lattice_forward`, given it, multiplies by it without a copy.
-    """
-    stacked = p[0].gates_w.data.base
-    if stacked is None or stacked.shape != (2, *p[0].gates_w.shape) or any(
-        q.gates_w.data.ctypes.data != w.ctypes.data for q, w in zip(p, stacked)
-    ):
-        stacked = np.array([q.gates_w.data for q in p])
-        for q, w in zip(p, stacked):
-            q.gates_w.data = w
-    return stacked
-
-
 def char_repr(
     chars: Sequence[str],
     unigram_table: EmbeddingTable,
@@ -250,7 +232,6 @@ def lattice_forward(
     lengths: Sequence[int],
     lattice_dropout: float = 0.0,
     rng: np.random.Generator | None = None,
-    gates_w: np.ndarray | None = None,
 ):
     """Run the bidirectional lattice LSTM over sentences as the lanes of one recorded op.
 
@@ -268,8 +249,6 @@ def lattice_forward(
     fuses matches at their end; the backward direction walks m..1 and fuses
     them at their start, each position's matches in order of their source
     position. Given an ``rng``, the match embeddings are dropout-masked.
-    ``gates_w`` is the directions' :func:`stack_gates` array, if they have
-    one; without it, the two are copied into one.
 
     Lanes are sorted by length, so the lanes still walking at any step are a
     prefix of the walk's buffers. A step is one stacked gate product of every
@@ -366,7 +345,7 @@ def lattice_forward(
 
     # Each step's gate product: the lanes' [x; h] columns as (sentence, direction)
     # stacks of column vectors, times their direction's weights.
-    w_stack = np.array([q.gates_w.data for q in params]) if gates_w is None else gates_w
+    w_stack = np.array([q.gates_w.data for q in params])
     bias = np.array([q.gates_b.data for q in params] * len(order)).T.copy()  # column per lane
     u_in = u.transpose(0, 2, 1).reshape(steps + 1, len(order), 2, x_dim + n)[..., None]
     g_out = gates.transpose(0, 2, 1).reshape(steps, len(order), 2, 3 * n)[..., None]
@@ -466,7 +445,7 @@ def lattice_forward(
         dz = np.empty((steps, n_lanes, 3, n), dtype)  # walk order
         dz_cell = np.empty((n_cells, 3, n), dtype)  # shortcut cells, walk order
         dz_gate = np.empty((n_cells, n), dtype)  # match gates, walk order
-        w_h = w_stack[:, :, x_dim:]
+        w_h = np.array([q.gates_w.data[:, x_dim:] for q in params])
         dh_prev = np.empty((n_lanes, 1, n), dtype)
         dz_rows, dh_prev_row = dz.reshape(steps, n_lanes, 1, 3 * n), dh_prev[:, 0]
         for k in range(steps - 1, -1, -1):

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import crf as crf_ops
 from .data import RESERVED, EmbeddingTable, LabeledSentence, Vocab
-from .encoder import DirectionParams, char_repr, encode_bidirectional, stack_gates
+from .encoder import DirectionParams, char_repr, encode_bidirectional
 from .errors import UsageError
 from .lexicon import LatticeMatchSet, Trie, build_trie, match_sentence
 from .tensor import Tensor
@@ -67,7 +67,6 @@ class SegmenterModel:
         self.lattice_dropout = lattice_dropout
         self.max_word_len = max_word_len
         self.hidden = forward_params.hidden
-        self._gates_w = stack_gates((self.fwd, self.bwd))
 
         if mode != "baseline" and lexicon_table.vocab.symbols()[len(RESERVED) :] != trie.symbols:
             raise UsageError("lexicon table rows must follow the trie's entries (see prepare_lexicon)")
@@ -144,8 +143,7 @@ class SegmenterModel:
         )
         matches = [self.match(s) for s in sentences]
         return encode_bidirectional(
-            x, matches, self.lexicon_table, (self.fwd, self.bwd), lengths, self.lattice_dropout, rng,
-            gates_w=self._gates_w,
+            x, matches, self.lexicon_table, (self.fwd, self.bwd), lengths, self.lattice_dropout, rng
         )
 
     def loss(self, sentence: LabeledSentence, rng: np.random.Generator | None = None) -> Tensor:

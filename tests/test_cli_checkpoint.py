@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latseg import bpe, checkpoint, encoder, synth
+from latseg import bpe, checkpoint, synth
 from latseg.checkpoint import load_checkpoint, load_train_words, save_checkpoint
 from latseg.cli import _build_model, main
 from latseg.data import EmbeddingTable, build_vocabs, from_bmes, read_corpus, to_bmes, word_set
@@ -750,29 +750,6 @@ def _tiny_float64_model(rng, mode="baseline"):
     ut = EmbeddingTable.random(uni, 4, rng, name="unigram_embeddings")
     bt = EmbeddingTable.random(bi, 4, rng, name="bigram_embeddings")
     return SegmenterModel.create(mode, ut, bt, 5, rng)
-
-
-def test_both_directions_gates_w_are_rows_of_one_array(trained, corpus_dir, rng):
-    # lattice_forward used to copy both into a new stack on every call
-    chars = read_corpus(corpus_dir / "dev.txt")[0].chars
-    for model in (_tiny_float64_model(rng), load_checkpoint(trained)):
-        stack = model.fwd.gates_w.data.base
-        assert stack is not None and stack is model.bwd.gates_w.data.base
-        assert stack.shape == (2, *model.fwd.gates_w.shape) and stack.flags.c_contiguous
-        assert stack[0].ctypes.data == model.fwd.gates_w.data.ctypes.data
-        assert stack[1].ctypes.data == model.bwd.gates_w.data.ctypes.data
-        model.hidden_states([chars])
-        assert model.fwd.gates_w.data.base is stack and model.bwd.gates_w.data.base is stack
-        assert encoder.stack_gates((model.fwd, model.bwd)) is stack is model._gates_w  # what lattice_forward gets
-
-
-def test_models_that_share_their_directions_share_one_stack(rng):
-    # a second model over the same tensors must not leave the first one multiplying by a stale copy
-    first = _tiny_float64_model(rng)
-    second = SegmenterModel("baseline", first.unigram_table, first.bigram_table, first.fwd, first.bwd, first.crf)
-    first.fwd.gates_w.data[...] += 0.5  # in place, as sgd_step and restore write
-    chars = ("中", "国", "人")
-    assert first.hidden_states([chars])[0].data.tobytes() == second.hidden_states([chars])[0].data.tobytes()
 
 
 def test_probe_with_line_separator_round_trips(tmp_path, rng):

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latseg import data
 from latseg.data import (
     SENTINEL,
     UNK,
@@ -236,10 +235,14 @@ class TestReadLines:
         path.write_bytes(b"ab\rcd\nef\n")
         assert list(read_lines(path)) == ["ab\rcd", "ef"]
 
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 1 << 12])
-    def test_cr_lf_reads_as_lf_at_any_chunk_edge(self, tmp_path, monkeypatch, chunk):
-        monkeypatch.setattr(data, "READ_CHARS", chunk)
+    def test_cr_lf_reads_as_lf(self, tmp_path):
         crlf, lf = tmp_path / "crlf.txt", tmp_path / "lf.txt"
         crlf.write_bytes("中国\r\n\r\nab\rc\r\n人\r".encode("utf-8"))
         lf.write_bytes("中国\n\nab\rc\n人".encode("utf-8"))
         assert list(read_lines(crlf)) == list(read_lines(lf)) == ["中国", "", "ab\rc", "人"]
+
+    def test_a_line_of_several_megabytes_reads_whole(self, tmp_path):
+        path = tmp_path / "long.txt"
+        line = "天地人" * 1_000_000 + "\r" + "ab" * 500_000
+        path.write_bytes(f"{line}\r\nef".encode("utf-8"))
+        assert list(read_lines(path)) == [line, "ef"]
