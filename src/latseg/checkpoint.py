@@ -77,18 +77,18 @@ def _read_vocab(path: Path, expected_size: int) -> Vocab:
     return vocab
 
 
-def _manifest_lines(model: SegmenterModel, dtype_name: str) -> list[str]:
+def _manifest_lines(model: SegmenterModel) -> list[str]:
     lines = [
         f"format={FORMAT}",
         f"mode={model.mode}",
-        f"hidden={model.hidden}",
+        f"hidden={model.fwd.hidden}",
         f"unigram_dim={model.unigram_table.dim}",
         f"bigram_dim={model.bigram_table.dim}",
         f"lexicon_dim={model.lexicon_table.dim if model.lexicon_table else 0}",
         f"char_dropout={model.char_dropout}",
         f"lattice_dropout={model.lattice_dropout}",
         f"max_word_len={model.max_word_len or 0}",
-        f"dtype={dtype_name}",
+        f"dtype={model.fwd.gates_b.data.dtype.name}",  # a loaded model's tables are float32
         f"unigram_vocab_size={len(model.unigram_table.vocab)}",
         f"bigram_vocab_size={len(model.bigram_table.vocab)}",
         f"lexicon_vocab_size={len(model.lexicon_table.vocab) if model.lexicon_table else 0}",
@@ -117,7 +117,7 @@ def check_out_dir(out_dir) -> None:
         raise CheckpointError(f"{nearest}: not a directory")
     if nearest != out or not any(out.iterdir()):
         return
-    if not (out / MANIFEST).is_file() or _read_manifest(out / MANIFEST)[0].get("format") != FORMAT:
+    if not (out / MANIFEST).is_file() or _parse_manifest(read_lines(out / MANIFEST))[0].get("format") != FORMAT:
         raise CheckpointError(f"{out}: holds files but no {FORMAT} {MANIFEST}, so a save would not replace it")
     written = {MANIFEST, TRAIN_WORDS, *REPORTS}
     foreign = sorted(
@@ -174,7 +174,7 @@ def save_checkpoint(
         raise UsageError("checkpoint probe sentence must be non-empty")
     check_out_dir(out_dir)
     out = Path(out_dir).resolve()
-    lines = _manifest_lines(model, model.fwd.gates_b.data.dtype.name)  # a loaded model's tables are float32
+    lines = _manifest_lines(model)
 
     lines.append(f"probe_chars={probe_chars}")
     lines.append(f"probe_emissions={_probe_hex(_probe_model(model, lines, probe_chars, out), probe_chars)}")
@@ -210,10 +210,6 @@ def save_checkpoint(
     finally:
         if out.exists() or not old.exists():
             shutil.rmtree(work, ignore_errors=True)
-
-
-def _read_manifest(path: Path) -> tuple[dict[str, str], list[tuple[str, tuple[int, ...]]]]:
-    return _parse_manifest(read_lines(path))
 
 
 def _parse_manifest(lines: Iterable[str]) -> tuple[dict[str, str], list[tuple[str, tuple[int, ...]]]]:
@@ -313,7 +309,7 @@ def _load(ckpt: Path) -> SegmenterModel:
     manifest = ckpt / MANIFEST
     if not manifest.is_file():
         raise CheckpointError(f"{ckpt}: no {MANIFEST}")
-    values, tensor_list = _read_manifest(manifest)
+    values, tensor_list = _parse_manifest(read_lines(manifest))
     if values.get("format") != FORMAT:
         raise CheckpointError(f"{ckpt}: unsupported format {values.get('format')!r}")
 

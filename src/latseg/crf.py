@@ -18,7 +18,6 @@ sentences' stacked states as lanes sorted by length into label tuples.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from .data import LABELS, LABEL_INDEX
 from .errors import ShapeError, UsageError
-from .tensor import Tensor, _acc, _out, param
+from .tensor import Tensor, _acc, _out, param, uniform
 
 N_LABELS = len(LABELS)  # B, M, E, S
 START = 4
@@ -51,15 +50,11 @@ class CrfParams:
     transitions: Tensor  # (6, 6), rows = previous label, columns = next label
 
     @classmethod
-    def create(cls, input_dim: int, rng: np.random.Generator, dtype=np.float64, name: str = "crf") -> "CrfParams":
-        bound = math.sqrt(3.0 / input_dim)
+    def create(cls, input_dim: int, rng: np.random.Generator, dtype=np.float64) -> "CrfParams":
         return cls(
-            emit_w=param(
-                rng.uniform(-bound, bound, size=(N_LABELS, input_dim)).astype(dtype),
-                f"{name}_emit_w",
-            ),
-            emit_b=param(np.zeros(N_LABELS, dtype=dtype), f"{name}_emit_b"),
-            transitions=param(np.zeros((N_STATES, N_STATES), dtype=dtype), f"{name}_transitions"),
+            emit_w=uniform(rng, (N_LABELS, input_dim), input_dim, dtype, "crf_emit_w"),
+            emit_b=param(np.zeros(N_LABELS, dtype=dtype), "crf_emit_b"),
+            transitions=param(np.zeros((N_STATES, N_STATES), dtype=dtype), "crf_transitions"),
         )
 
     def tensors(self) -> list[Tensor]:

@@ -10,7 +10,6 @@ Characters are Unicode scalar values (no grapheme clustering).
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -21,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import DataError, FormatError
-from .tensor import Tensor, param
+from .tensor import Tensor, uniform
 
 LABELS = ("B", "M", "E", "S")
 LABEL_INDEX = {lab: i for i, lab in enumerate(LABELS)}
@@ -167,9 +166,7 @@ class EmbeddingTable:
         dtype=np.float64,
         name: str = "embeddings",
     ) -> "EmbeddingTable":
-        bound = math.sqrt(3.0 / dim)
-        data = rng.uniform(-bound, bound, size=(len(vocab), dim)).astype(dtype, copy=False)
-        return cls(vocab=vocab, rows=param(data, name))
+        return cls(vocab=vocab, rows=uniform(rng, (len(vocab), dim), dim, dtype, name))
 
 
 def load_embeddings(

@@ -7,8 +7,8 @@ match's first character in reading order. At its last character in reading
 order, the candidate memory and all arriving shortcut memories are fused
 with exp-normalized gates. The backward direction reads right to left.
 
-A batch of sentences enters as one (sum m, x_dim) matrix of character
-representations: one gather per embedding table (:func:`char_repr`).
+:func:`char_repr` turns a batch of sentences into one (sum m, x_dim) matrix
+of character representations, one gather per embedding table.
 :func:`lattice_forward`, the encoder's one entry point, walks both directions
 of every sentence as lanes, one per (sentence, direction), sorted by length
 so that the lanes still walking at any step are a prefix. One set-up pass
@@ -37,7 +37,6 @@ dropped out.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import NamedTuple, Sequence
@@ -48,13 +47,8 @@ from numpy.lib.stride_tricks import as_strided
 from .data import RESERVED, EmbeddingTable, bigrams_of
 from .errors import UsageError
 from .lexicon import LatticeMatchSet
-from .tensor import Tensor, _acc, _out, concat, param, recording, rows
+from .tensor import Tensor, _acc, _out, concat, param, recording, rows, uniform
 from .tensor import dropout as _dropout  # char_repr's ``dropout`` keyword shadows the name
-
-
-def _uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype):
-    bound = math.sqrt(3.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
 @dataclass
@@ -87,17 +81,13 @@ class DirectionParams:
         h3 = 3 * hidden
         p = cls(
             hidden=hidden,
-            gates_w=param(_uniform(rng, (h3, x_dim + hidden), x_dim + hidden, dtype), f"{name}_gates_w"),
+            gates_w=uniform(rng, (h3, x_dim + hidden), x_dim + hidden, dtype, f"{name}_gates_w"),
             gates_b=param(np.zeros(h3, dtype=dtype), f"{name}_gates_b"),
         )
         if word_dim is not None:
-            p.shortcut_w = param(
-                _uniform(rng, (h3, word_dim + hidden), word_dim + hidden, dtype), f"{name}_shortcut_w"
-            )
+            p.shortcut_w = uniform(rng, (h3, word_dim + hidden), word_dim + hidden, dtype, f"{name}_shortcut_w")
             p.shortcut_b = param(np.zeros(h3, dtype=dtype), f"{name}_shortcut_b")
-            p.match_gate_w = param(
-                _uniform(rng, (hidden, x_dim + hidden), x_dim + hidden, dtype), f"{name}_match_gate_w"
-            )
+            p.match_gate_w = uniform(rng, (hidden, x_dim + hidden), x_dim + hidden, dtype, f"{name}_match_gate_w")
             p.match_gate_b = param(np.zeros(hidden, dtype=dtype), f"{name}_match_gate_b")
         return p
 
@@ -109,29 +99,23 @@ class DirectionParams:
 
 
 def char_repr(
-    chars: Sequence[str],
+    sentences: Sequence[Sequence[str]],
     unigram_table: EmbeddingTable,
     bigram_table: EmbeddingTable,
     dropout: float = 0.0,
     rng: np.random.Generator | None = None,
-    lengths: Sequence[int] | None = None,
 ) -> Tensor:
-    """x_i = unigram(c_i) ++ bigram(c_i c_{i+1}) as the rows of one (m, x_dim) tensor.
+    """x_i = unigram(c_i) ++ bigram(c_i c_{i+1}) for each character of ``sentences``: one (sum m, x_dim) tensor.
 
-    Given ``lengths``, ``chars`` is several sentences back to back. Each
-    sentence's final position pairs its bigram with the sentence-end
+    Each sentence's final position pairs its bigram with the sentence-end
     sentinel; unseen symbols map to the unknown row. Given an ``rng``, the
     matrix is dropout-masked elementwise.
     """
     uvocab, bvocab = unigram_table.vocab, bigram_table.vocab
-    ends = [len(chars)] if lengths is None else list(accumulate(lengths))
     x = concat(
         [
-            rows(unigram_table.rows, [uvocab.index(c) for c in chars]),
-            rows(
-                bigram_table.rows,
-                [bvocab.index(bg) for start, end in zip([0, *ends], ends) for bg in bigrams_of(chars[start:end])],
-            ),
+            rows(unigram_table.rows, [uvocab.index(c) for s in sentences for c in s]),
+            rows(bigram_table.rows, [bvocab.index(bg) for s in sentences for bg in bigrams_of(s)]),
         ]
     )
     return _dropout(x, dropout, rng)

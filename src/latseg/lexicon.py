@@ -13,7 +13,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import read_lines
+from .data import check_raw_text, read_lines
+from .errors import DataError
 
 
 class TrieNode:
@@ -93,5 +94,15 @@ def match_sentence(
 
 
 def read_lexicon(path) -> list[str]:
-    """One symbol per line; an optional tab-separated frequency is ignored."""
-    return [raw.split("\t", 1)[0] for raw in read_lines(path) if raw]
+    """One symbol per line; an optional tab-separated frequency is ignored.
+
+    A symbol holding whitespace is refused with its line: no raw text holds
+    any, and a checkpoint's ``lexicon.vocab`` would not read it back.
+    """
+    symbols = [raw.split("\t", 1)[0] for raw in read_lines(path)]
+    for lineno, symbol in enumerate(symbols, start=1):
+        try:
+            check_raw_text(symbol)
+        except DataError as exc:
+            raise DataError(f"{path}: line {lineno}: {exc}") from None
+    return [symbol for symbol in symbols if symbol]

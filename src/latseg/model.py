@@ -1,15 +1,17 @@
 """The full segmenter: embeddings + (lattice) BiLSTM encoder + CRF.
 
-A model owns every trainable tensor, the vocabularies, and (in lattice
-modes) the lexicon trie. Training drives :meth:`loss` under an active tape,
-with an rng for dropout; decoding and the checkpoint probe run the same
-forward tape-free and without one. :meth:`SegmenterModel.decode_many` is the
-one batch decoder: training's dev evaluation, ``latseg segment`` and
-``latseg eval`` all call it, and it bounds each encoder call's walk buffers.
+A model is a dataclass of its trainable tensors, vocabularies, lexicon trie
+(lattice modes) and settings; :meth:`~SegmenterModel.create` draws fresh
+weights. Training drives :meth:`loss` under an active tape, with an rng for
+dropout; decoding and the checkpoint probe run the same forward tape-free
+and without one. :meth:`SegmenterModel.decode_many` is the one batch
+decoder: training's dev evaluation, ``latseg segment`` and ``latseg eval``
+all call it, and it bounds each encoder call's walk buffers.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -36,44 +38,31 @@ def prepare_lexicon(symbols: Sequence[str]) -> tuple[Trie, Vocab]:
     return trie, Vocab(trie.symbols)
 
 
+@dataclass(eq=False)
 class SegmenterModel:
-    def __init__(
-        self,
-        mode: str,
-        unigram_table: EmbeddingTable,
-        bigram_table: EmbeddingTable,
-        forward_params: DirectionParams,
-        backward_params: DirectionParams,
-        crf_params: crf_ops.CrfParams,
-        lexicon_table: EmbeddingTable | None = None,
-        trie: Trie | None = None,
-        char_dropout: float = 0.0,
-        lattice_dropout: float = 0.0,
-        max_word_len: int | None = None,
-    ):
-        if mode not in MODES:
-            raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
-        if mode != "baseline" and (lexicon_table is None or trie is None):
-            raise UsageError(f"{mode} mode requires a lexicon table and trie")
-        self.mode = mode
-        self.unigram_table = unigram_table
-        self.bigram_table = bigram_table
-        self.lexicon_table = lexicon_table
-        self.trie = trie
-        self.fwd = forward_params
-        self.bwd = backward_params
-        self.crf = crf_params
-        self.char_dropout = char_dropout
-        self.lattice_dropout = lattice_dropout
-        self.max_word_len = max_word_len
-        self.hidden = forward_params.hidden
+    mode: str
+    unigram_table: EmbeddingTable
+    bigram_table: EmbeddingTable
+    fwd: DirectionParams
+    bwd: DirectionParams
+    crf: crf_ops.CrfParams
+    lexicon_table: EmbeddingTable | None = None
+    trie: Trie | None = None
+    char_dropout: float = 0.0
+    lattice_dropout: float = 0.0
+    max_word_len: int | None = None
 
-        if mode != "baseline" and lexicon_table.vocab.symbols()[len(RESERVED) :] != trie.symbols:
+    def __post_init__(self):
+        if self.mode not in MODES:
+            raise UsageError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.mode != "baseline" and (self.lexicon_table is None or self.trie is None):
+            raise UsageError(f"{self.mode} mode requires a lexicon table and trie")
+        if self.mode != "baseline" and self.lexicon_table.vocab.symbols()[len(RESERVED) :] != self.trie.symbols:
             raise UsageError("lexicon table rows must follow the trie's entries (see prepare_lexicon)")
 
-        self._params: list[Tensor] = [unigram_table.rows, bigram_table.rows]
-        if lexicon_table is not None:
-            self._params.append(lexicon_table.rows)
+        self._params: list[Tensor] = [self.unigram_table.rows, self.bigram_table.rows]
+        if self.lexicon_table is not None:
+            self._params.append(self.lexicon_table.rows)
         self._params += self.fwd.tensors() + self.bwd.tensors() + self.crf.tensors()
 
     @classmethod
@@ -86,29 +75,22 @@ class SegmenterModel:
         rng: np.random.Generator,
         lexicon_table: EmbeddingTable | None = None,
         trie: Trie | None = None,
-        char_dropout: float = 0.0,
-        lattice_dropout: float = 0.0,
-        max_word_len: int | None = None,
         dtype=np.float64,
+        **options,
     ) -> "SegmenterModel":
+        """A model with freshly drawn encoder and CRF weights; ``options`` go to the constructor.
+
+        A baseline model drops any lexicon it is given. The weights are
+        drawn from ``rng`` in order: forward direction, backward, CRF.
+        """
+        if mode == "baseline":
+            lexicon_table = trie = None
         x_dim = unigram_table.dim + bigram_table.dim
-        word_dim = lexicon_table.dim if (mode != "baseline" and lexicon_table) else None
+        word_dim = lexicon_table.dim if lexicon_table else None
         fwd = DirectionParams.create(x_dim, hidden, rng, word_dim=word_dim, dtype=dtype, name="fwd")
         bwd = DirectionParams.create(x_dim, hidden, rng, word_dim=word_dim, dtype=dtype, name="bwd")
-        crf_params = crf_ops.CrfParams.create(2 * hidden, rng, dtype=dtype)
-        return cls(
-            mode,
-            unigram_table,
-            bigram_table,
-            fwd,
-            bwd,
-            crf_params,
-            lexicon_table=lexicon_table if mode != "baseline" else None,
-            trie=trie if mode != "baseline" else None,
-            char_dropout=char_dropout,
-            lattice_dropout=lattice_dropout,
-            max_word_len=max_word_len,
-        )
+        crf = crf_ops.CrfParams.create(2 * hidden, rng, dtype=dtype)
+        return cls(mode, unigram_table, bigram_table, fwd, bwd, crf, lexicon_table, trie, **options)
 
     # -- parameters ---------------------------------------------------------
 
@@ -136,11 +118,8 @@ class SegmenterModel:
         without one, no dropout applies. Under an active tape only one
         sentence is accepted (see :func:`~latseg.encoder.lattice_forward`).
         """
+        x = char_repr(sentences, self.unigram_table, self.bigram_table, self.char_dropout, rng)
         lengths = [len(s) for s in sentences]
-        x = char_repr(
-            [c for s in sentences for c in s], self.unigram_table, self.bigram_table,
-            dropout=self.char_dropout, rng=rng, lengths=lengths,
-        )
         matches = [self.match(s) for s in sentences]
         return encode_bidirectional(
             x, matches, self.lexicon_table, (self.fwd, self.bwd), lengths, self.lattice_dropout, rng

@@ -14,7 +14,8 @@ which runs both directions; when the forward is given an rng, a
 :func:`dropout` of the character representations and of the lexicon
 gather; and the CRF loss, which computes the emissions itself. The encoder
 op and the loss have hand-written backwards built on :func:`_out` and
-:func:`_acc` (in ``encoder`` and ``crf``).
+:func:`_acc` (in ``encoder`` and ``crf``). Every random starting weight is
+one :func:`uniform` draw.
 
 Gradient buffers are lazy. A parameter owns a dense, same-shape buffer from
 the start, allocated zeroed by the allocator so that only the pages a
@@ -79,6 +80,12 @@ class Tensor:
 def param(data, name: str) -> Tensor:
     """A trainable leaf: gradient buffer allocated up front."""
     return Tensor(np.asarray(data), trainable=True, name=name)
+
+
+def uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, dtype, name: str) -> Tensor:
+    """A trainable leaf drawn from [-sqrt(3/fan_in), sqrt(3/fan_in)]: every random starting weight."""
+    bound = math.sqrt(3.0 / fan_in)
+    return param(rng.uniform(-bound, bound, size=shape).astype(dtype, copy=False), name)
 
 
 def const(data, name: str | None = None) -> Tensor:

@@ -87,8 +87,6 @@ class EvalReport:
             f"n_iv={self.n_iv}",
             f"n_oov={self.n_oov}",
         ]
-        if self.epoch is not None:
-            out.insert(0, f"epoch={self.epoch}")
         if self.bucket_f1:
             for (lo, hi), f1 in sorted(self.bucket_f1.items()):
                 out.append(f"bucket_f1[{lo}-{hi}]={f1:.6f}")
@@ -198,7 +196,6 @@ class TrainResult:
     best_f1: float
     reports: list[EvalReport] = field(default_factory=list)
     mean_losses: list[float] = field(default_factory=list)
-    learning_rates: list[float] = field(default_factory=list)
     wall_seconds: float = 0.0
 
 
@@ -249,7 +246,6 @@ def train(
         report.epoch = epoch
         result.reports.append(report)
         result.mean_losses.append(total_loss / len(train_set))
-        result.learning_rates.append(lr)
         if report.f1 > result.best_f1:
             result.best_f1 = report.f1
             result.best_epoch = epoch
@@ -270,10 +266,10 @@ def train(
 def report_lines(result: TrainResult, config: TrainConfig) -> tuple[list[str], list[str]]:
     """The lines of ``report.tsv``, per epoch for plotting, and of ``report.txt``, a key=value summary."""
     rows = [
-        f"{r.epoch}\t{lr:.8f}\t{loss:.6f}\t{r.precision:.6f}\t{r.recall:.6f}"
+        f"{r.epoch}\t{config.learning_rate(r.epoch):.8f}\t{loss:.6f}\t{r.precision:.6f}\t{r.recall:.6f}"
         f"\t{r.f1:.6f}\t{r.r_iv:.6f}\t{r.r_oov:.6f}"
         f"\t{int(r.epoch == result.best_epoch)}"
-        for r, loss, lr in zip(result.reports, result.mean_losses, result.learning_rates)
+        for r, loss in zip(result.reports, result.mean_losses)
     ]
     lines = [f"{f.name}={getattr(config, f.name)}" for f in fields(config)]
     lines += [

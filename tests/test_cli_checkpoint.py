@@ -109,6 +109,18 @@ class TestTrainCommand:
         assert capsys.readouterr().err == f"latseg: {emb}: row 2: 天地 has a value that is not finite\n"
         assert not (tmp_path / "m").exists()
 
+    def test_a_lexicon_symbol_ending_in_cr_is_refused_before_training(self, corpus_dir, tmp_path, capsys):
+        # lexicon.vocab would keep the CR, and a load would read the symbol back without it
+        lexicon = tmp_path / "lex.txt"
+        lexicon.write_bytes((corpus_dir / "lexicon.txt").read_bytes() + "羊地\r\t5\n".encode())
+        line = len(read_lexicon(corpus_dir / "lexicon.txt")) + 1
+        rc = run(["train", "--train", corpus_dir / "train.txt", "--dev", corpus_dir / "dev.txt",
+                  "--mode", "lattice-word", "--lexicon", lexicon,
+                  "--config", corpus_dir / "config.txt", "--out", tmp_path / "m", "--epochs", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(f"latseg: {lexicon}: line {line}: U+000D")
+        assert not (tmp_path / "m").exists()
+
     def test_malformed_corpus_is_data_error(self, corpus_dir, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("好  的\n", encoding="utf-8")  # double space

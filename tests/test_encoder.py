@@ -330,7 +330,7 @@ class TestDefaultDimensions:
         uni, bi = build_vocabs(["中国人"])
         ut = EmbeddingTable.random(uni, 50, rng, name="unigram_embeddings")
         bt = EmbeddingTable.random(bi, 50, rng, name="bigram_embeddings")
-        x = char_repr("中国人", ut, bt)
+        x = char_repr(["中国人"], ut, bt)
         assert x.data.shape == (3, 100)
         p_f = DirectionParams.create(100, 200, rng, word_dim=50, name="fwd")
         p_b = DirectionParams.create(100, 200, rng, word_dim=50, name="bwd")
@@ -350,24 +350,30 @@ class TestCharRepr:
 
     def test_width_is_sum_of_dims(self, rng):
         ut, bt = self._tables(rng)
-        x = char_repr("中国人", ut, bt)
+        x = char_repr(["中国人"], ut, bt)
         assert x.data.shape == (3, 10)
 
     def test_unseen_char_uses_row_zero(self, rng):
         ut, bt = self._tables(rng)
-        x = char_repr("火", ut, bt)
+        x = char_repr(["火"], ut, bt)
         np.testing.assert_array_equal(x.data[0, :5], ut.rows.data[0])
 
     def test_eval_dropout_identity(self, rng):
         ut, bt = self._tables(rng)
-        plain = char_repr("中国", ut, bt)
-        dropped = char_repr("中国", ut, bt, dropout=0.9)
+        plain = char_repr(["中国"], ut, bt)
+        dropped = char_repr(["中国"], ut, bt, dropout=0.9)
         np.testing.assert_array_equal(plain.data, dropped.data)
+
+    def test_each_sentence_ends_at_the_sentinel(self, rng):
+        ut, bt = self._tables(rng)
+        alone = [char_repr([s], ut, bt).data for s in ("中国", "人")]
+        np.testing.assert_array_equal(char_repr(["中国", "人"], ut, bt).data, np.concatenate(alone))
+        assert not np.array_equal(alone[0], char_repr(["中国人"], ut, bt).data[:2])
 
     def test_train_dropout_scales(self, rng):
         ut, bt = self._tables(rng)
-        x = char_repr("中国", ut, bt, dropout=0.5, rng=rng)
-        base = char_repr("中国", ut, bt)
+        x = char_repr(["中国"], ut, bt, dropout=0.5, rng=rng)
+        base = char_repr(["中国"], ut, bt)
         kept = x.data != 0
         np.testing.assert_allclose(x.data[kept], 2.0 * base.data[kept], atol=1e-15)
 

@@ -1,9 +1,11 @@
 """Trie construction and exhaustive matching vs a brute-force substring scan."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latseg.errors import DataError
 from latseg.lexicon import build_trie, match_sentence, read_lexicon
 
 
@@ -101,3 +103,12 @@ class TestLexiconFile:
         path = tmp_path / "lex.txt"
         path.write_text("中国\t42\n人民\n\n学院\t7\n", encoding="utf-8")
         assert read_lexicon(path) == ["中国", "人民", "学院"]
+
+    @pytest.mark.parametrize("line, code", [("ab\r\t3", "U+000D"), ("a b", "U+0020")])
+    def test_whitespace_in_a_symbol_is_refused(self, tmp_path, line, code):
+        # no raw sentence holds whitespace, so such a symbol could never match
+        path = tmp_path / "lex.txt"
+        path.write_bytes(f"中国\n{line}\n".encode())
+        with pytest.raises(DataError) as refused:
+            read_lexicon(path)
+        assert str(refused.value).startswith(f"{path}: line 2: {code}")

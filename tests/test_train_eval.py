@@ -1,5 +1,6 @@
 """Trainer/evaluator: metrics, schedules, determinism, coverage."""
 
+import hashlib
 import threading
 import tracemalloc
 from collections import Counter
@@ -376,6 +377,36 @@ def test_lexicon_table_out_of_trie_order_is_rejected():
     swapped = EmbeddingTable.random(Vocab(["人民", "中国"]), 4, rng, name="lexicon_embeddings")
     with pytest.raises(UsageError, match="trie"):
         SegmenterModel.create("lattice-word", ut, bt, 6, rng, lexicon_table=swapped, trie=trie)
+
+
+# The sha256 of a fixed-seed baseline model's parameters (names, shapes and
+# bytes, in parameter order), as first recorded: the lattice modes' fixed-seed
+# bits are pinned by the golden fixtures, the baseline's by this.
+BASELINE_SHA256 = {
+    "float32": "929bcb2011e9e5a323c8bc6ccc791c6f973815cade54f4405f453254cf83f1c0",
+    "float64": "899528d51d48764e6e30d1900c16f65cf1117364af29a718f0a9dfbd68cf1309",
+}
+
+
+@pytest.mark.parametrize("with_lexicon", [False, True])
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_baseline_construction_draws_fixed_bits(dtype, with_lexicon):
+    # a lexicon given to a baseline model is dropped before any weight is drawn
+    lexicon = {}
+    if with_lexicon:
+        trie, lvocab = prepare_lexicon(["中国", "人民"])
+        table = EmbeddingTable.random(lvocab, 4, np.random.default_rng(0), name="lexicon_embeddings")
+        lexicon = {"lexicon_table": table, "trie": trie}
+    rng = np.random.default_rng(8)
+    uni, bi = build_vocabs([s.chars for s in tiny_corpus()])
+    ut = EmbeddingTable.random(uni, 4, rng, dtype=dtype, name="unigram_embeddings")
+    bt = EmbeddingTable.random(bi, 3, rng, dtype=dtype, name="bigram_embeddings")
+    model = SegmenterModel.create("baseline", ut, bt, 5, rng, dtype=np.dtype(dtype), **lexicon)
+    assert model.lexicon_table is None and model.trie is None
+    digest = hashlib.sha256()
+    for p in model.parameters():
+        digest.update(f"{p.name}:{p.data.shape}:".encode() + p.data.tobytes())
+    assert digest.hexdigest() == BASELINE_SHA256[dtype]
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
