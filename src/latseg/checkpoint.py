@@ -2,12 +2,15 @@
 
 Tensor files hold an 8-byte little-endian value count followed by the values
 as little-endian float32, row-major. A save converts and writes them
-:data:`BLOCK` values at a time; a load reads each file in one pass into its
-final array. A loaded model keeps its embedding tables float32, since they are
-only gathered and a float64 walk widens their rows exactly, and its other
-tensors at the manifest's ``dtype``. The manifest records the probe sentence
-and its emission bytes as computed from the stored (rounded) parameters, so a
-reload must reproduce them bit for bit.
+:data:`BLOCK` values at a time; a load maps each file read-only, in the same
+format. A loaded model keeps its embedding tables float32, since they are only
+gathered and a float64 walk widens their rows exactly, and its other tensors
+at the manifest's ``dtype``: a float32 tensor is a view of its file, and only
+a float64 one is widened into memory. Each live view holds a file descriptor,
+and a file rewritten in place under a loaded model may fault with SIGBUS (a
+save renames a new directory in, and an unlinked file stays mapped). The
+manifest records the probe sentence and its emission bytes as computed from
+the stored (rounded) parameters, so a reload must reproduce them bit for bit.
 """
 
 from __future__ import annotations
@@ -59,10 +62,7 @@ def _read_tensor(path: Path, shape: tuple[int, ...], dtype) -> np.ndarray:
             raise CheckpointError(
                 f"{path}: expected {expected} values, header says {count}, file has {has}"
             )
-        out = np.empty(count, "<f4")
-        if fh.readinto(out) != out.nbytes:
-            raise CheckpointError(f"{path}: truncated tensor file")
-    return out.reshape(shape).astype(dtype, copy=False)
+        return np.memmap(fh, "<f4", "r", offset=8, shape=shape).astype(dtype, copy=False)
 
 
 def _read_vocab(path: Path, expected_size: int) -> Vocab:
@@ -290,8 +290,8 @@ def _assemble(
 def load_checkpoint(ckpt_dir) -> SegmenterModel:
     """Rebuild a model for decoding from disk and verify the manifest probe.
 
-    Its tensors are constants: they hold no gradient buffers, so the model
-    is not for training.
+    Its tensors are constants without gradient buffers, and its float32 ones
+    read-only maps of their files: the model is not for training.
 
     Any missing or unparsable manifest value or tensor raises
     :class:`CheckpointError` naming the directory.

@@ -1,6 +1,8 @@
 """CLI flows and checkpoint persistence on a small synthetic corpus."""
 
+import contextlib
 import filecmp
+import io
 import re
 import shutil
 import tracemalloc
@@ -8,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latseg import bpe, checkpoint, synth
 from latseg.checkpoint import load_checkpoint, load_train_words, save_checkpoint
@@ -456,6 +460,34 @@ class TestSegmentCommand:
         assert err == f"latseg: {inp}: line 1: U+000D in raw text\n"
         assert not out.exists()
 
+    # corpus characters and characters outside the vocabulary, in lines of
+    # length 0, 1, 200 or a few, each maybe holding one separator or lone CR
+    _char = st.sampled_from(synth.ALPHABET + "龘x😀")
+    _line = st.tuples(
+        st.one_of(st.just(""), st.text(_char, min_size=1, max_size=1),
+                  st.text(_char, min_size=200, max_size=200), st.text(_char, max_size=12)),
+        st.one_of(st.just(""), st.sampled_from("\u3000\u00a0\u2028\r")),
+        st.integers(0, 200),
+    )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(_line, min_size=1, max_size=5))
+    def test_fuzzed_input_segments_whole_or_is_data_error(self, trained, tmp_path_factory, drawn):
+        lines = [text[:at] + odd + text[at:] for text, odd, at in drawn]
+        work = tmp_path_factory.mktemp("fuzz")
+        inp, out = work / "raw.txt", work / "seg.txt"
+        inp.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = run(["segment", "--model", trained, "--input", inp, "--output", out])
+        kept = [line.removesuffix("\r") for line in lines]  # a CR before the line feed ends the line
+        if any(c.isspace() for line in kept for c in line):
+            assert rc == 2 and err.getvalue().count("\n") == 1 and not out.exists()
+        else:
+            assert rc == 0 and err.getvalue() == ""
+            got = out.read_text(encoding="utf-8").split("\n")
+            assert [seg.replace(" ", "") for seg in got[:-1]] == kept and got[-1] == ""
+
     def test_cr_lf_input_segments_as_lf_input(self, trained, tmp_path):
         outs = []
         for newline in ("\n", "\r\n"):
@@ -842,12 +874,8 @@ def test_tensor_file_refusals(tmp_path, monkeypatch, body, message):
         checkpoint._read_tensor(path, (3, 3), np.float64)
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64])
-def test_save_and_load_hold_the_parameters_once(tmp_path, dtype):
-    # 514 x 2,048 unigram values dominate the parameters; a load may hold them
-    # once, as the stored float32 even for a float64 model, and no bytes or
-    # widened copy. A save holds no copy of them at all: blocks, and a probe
-    # model of the rows the probe sentence reads
+def _wide_table_model(dtype):
+    """A baseline model whose 514 x 2,048 unigram values dominate its parameters."""
     rng = np.random.default_rng(5)
     chars = tuple(chr(0x4E00 + k) for k in range(512))
     uni, bi = build_vocabs([chars])
@@ -855,6 +883,15 @@ def test_save_and_load_hold_the_parameters_once(tmp_path, dtype):
     bt = EmbeddingTable.random(bi, 2, rng, dtype=dtype, name="bigram_embeddings")
     model = SegmenterModel.create("baseline", ut, bt, 1, rng, dtype=dtype)
     assert ut.rows.data.size >= 1 << 20
+    return model, chars
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_save_and_load_hold_the_parameters_once(tmp_path, dtype):
+    # a load may hold the unigram values once, as the stored float32 even for
+    # a float64 model, and no bytes or widened copy. A save holds no copy of
+    # them at all: blocks, and a probe model of the rows the probe sentence reads
+    model, chars = _wide_table_model(dtype)
     param_bytes = sum(p.data.nbytes for p in model.parameters())
     stored_bytes = 4 * sum(p.data.size for p in model.parameters())
     tracemalloc.start()
@@ -871,6 +908,58 @@ def test_save_and_load_hold_the_parameters_once(tmp_path, dtype):
     # a loaded model is for decoding: its tensors hold no gradient buffers
     assert all(p.grad is None for p in loaded.parameters())
     assert load_peak - before_load < 1.1 * stored_bytes
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_load_maps_float32_tensors_without_copying(tmp_path, dtype):
+    # a load maps each tensor file: the tables are read-only views of their
+    # files, and only a float64 model's small direction and CRF tensors are
+    # widened into memory (copying every file peaked at 1.05x and 1.09x)
+    model, chars = _wide_table_model(dtype)
+    stored_bytes = 4 * sum(p.data.size for p in model.parameters())
+    save_checkpoint(model, tmp_path / "ck", chars[0])
+    tracemalloc.start()
+    try:
+        before_load, _ = tracemalloc.get_traced_memory()
+        loaded = load_checkpoint(tmp_path / "ck")
+        _, load_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert load_peak - before_load < 0.25 * stored_bytes
+    for table in (loaded.unigram_table, loaded.bigram_table):
+        assert table.rows.data.dtype == np.float32 and not table.rows.data.flags.writeable
+        with pytest.raises(ValueError):
+            table.rows.data[0, 0] = 1.0
+
+
+def _tiny_float32_lattice_model(rng, chars):
+    uni, bi = build_vocabs([chars])
+    ut = EmbeddingTable.random(uni, 4, rng, dtype=np.float32, name="unigram_embeddings")
+    bt = EmbeddingTable.random(bi, 4, rng, dtype=np.float32, name="bigram_embeddings")
+    trie, lvocab = prepare_lexicon(["中国", "学院", "国人"])
+    lt = EmbeddingTable.random(lvocab, 4, rng, dtype=np.float32, name="lexicon_embeddings")
+    return SegmenterModel.create(
+        "lattice-word", ut, bt, 5, rng, lexicon_table=lt, trie=trie, dtype=np.float32
+    )
+
+
+def test_a_loaded_model_outlives_a_save_into_its_directory(tmp_path, rng):
+    # every tensor of a float32 model maps its file; the save renames the
+    # directory aside and removes it, and the unlinked files stay mapped
+    chars = tuple("中国人学院")
+    first, second = (_tiny_float32_lattice_model(rng, chars) for _ in range(2))
+    ck = tmp_path / "ck"
+    save_checkpoint(first, ck, "".join(chars))
+    loaded = load_checkpoint(ck)
+    assert not any(p.data.flags.writeable for p in loaded.parameters())
+    emissions = loaded.emission_matrix(chars).tobytes()
+    labels = loaded.decode_many([chars, chars[:2]])
+    save_checkpoint(second, ck, "".join(chars))
+    assert list(tmp_path.iterdir()) == [ck]
+    assert loaded.emission_matrix(chars).tobytes() == emissions
+    assert loaded.decode_many([chars, chars[:2]]) == labels
+    swapped = load_checkpoint(ck)  # verifies its own probe
+    assert swapped.emission_matrix(chars).tobytes() != emissions
 
 
 def test_segment_decodes_mixed_chunks_as_per_line_segment(corpus_dir, trained, tmp_path):
