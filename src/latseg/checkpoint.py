@@ -170,8 +170,8 @@ def save_checkpoint(
     renamed into place, and only then is the old one removed. If neither
     can be put back in place, the old one is kept where it was renamed to.
     """
-    if not probe_chars:
-        raise UsageError("checkpoint probe sentence must be non-empty")
+    if not probe_chars or "\n" in probe_chars or "\r" in probe_chars:
+        raise UsageError(f"checkpoint probe sentence must be one non-empty line, got {probe_chars!r}")
     check_out_dir(out_dir)
     out = Path(out_dir).resolve()
     lines = _manifest_lines(model)

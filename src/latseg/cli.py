@@ -147,9 +147,19 @@ def cmd_segment(args) -> int:
     return 0
 
 
+def _read_gold(path) -> list:
+    """The gold corpus at ``path``, refused if it holds no sentence."""
+    gold = read_corpus(path)
+    if not gold:
+        raise DataError(f"{path}: no gold sentences")
+    return gold
+
+
 def cmd_eval(args) -> int:
+    if args.bucket_width < 1:  # refused before the checkpoint load and the decode
+        raise ConfigError(f"bucket width must be >= 1, got {args.bucket_width}")
+    gold = _read_gold(args.gold)
     model = load_checkpoint(args.model)
-    gold = read_corpus(args.gold)
     training_words = load_train_words(args.model)
     predicted = model.decode_many([s.chars for s in gold])
     report = evaluate_f1(gold, predicted, training_words)
@@ -172,7 +182,7 @@ def cmd_bpe_learn(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    gold = read_corpus(args.gold)
+    gold = _read_gold(args.gold)
     lexicon = set(read_lexicon(args.lexicon))
     report = coverage_report(gold, lexicon)
     print(f"word_count={report.word_count}")

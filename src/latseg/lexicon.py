@@ -1,9 +1,12 @@
-"""Trie over lexicon symbols and exhaustive subsequence matching.
+"""Lexicon prefix map and exhaustive subsequence matching.
 
 A match is a sentence span (b, e), 1-based and inclusive, whose characters
 spell a lexicon entry. Only multi-character entries participate: single
-characters already flow through the character path of the encoder. A
-sentence's matches are three parallel index arrays in (b, e) order.
+characters already flow through the character path of the encoder. The
+trie is one flat dict holding each entry and every shorter prefix of one;
+matching extends one key per start position and stops at the first key the
+dict lacks. A sentence's matches are three parallel index arrays in (b, e)
+order.
 """
 
 from __future__ import annotations
@@ -17,45 +20,27 @@ from .data import check_raw_text, read_lines
 from .errors import DataError
 
 
-class TrieNode:
-    __slots__ = ("children", "entry")
-
-    def __init__(self):
-        self.children: dict[str, TrieNode] = {}
-        self.entry: int | None = None  # lexicon entry id at terminal nodes
-
-
 class Trie:
-    """Immutable-after-build prefix tree; terminals carry dense entry ids."""
+    """Immutable after build: ``prefixes`` maps each entry to its id, each shorter prefix to -1."""
 
     def __init__(self):
-        self.root = TrieNode()
         self.symbols: list[str] = []  # entry id -> symbol
+        self.prefixes: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self.symbols)
-
-    def insert(self, symbol: str) -> int | None:
-        if len(symbol) < 2:
-            return None
-        node = self.root
-        for ch in symbol:
-            nxt = node.children.get(ch)
-            if nxt is None:
-                nxt = TrieNode()
-                node.children[ch] = nxt
-            node = nxt
-        if node.entry is None:
-            node.entry = len(self.symbols)
-            self.symbols.append(symbol)
-        return node.entry
 
 
 def build_trie(symbols: Iterable[str]) -> Trie:
     """Trie containing exactly the multi-character input symbols, deduplicated."""
     trie = Trie()
     for sym in symbols:
-        trie.insert(sym)
+        if len(sym) < 2 or trie.prefixes.get(sym, -1) >= 0:
+            continue
+        for k in range(1, len(sym)):
+            trie.prefixes.setdefault(sym[:k], -1)
+        trie.prefixes[sym] = len(trie.symbols)
+        trie.symbols.append(sym)
     return trie
 
 
@@ -74,7 +59,7 @@ class LatticeMatchSet:
 def match_sentence(
     trie: Trie, chars: Sequence[str], max_len: int | None = None
 ) -> LatticeMatchSet:
-    """Walk the trie from every start position, emitting a match per terminal.
+    """Extend one key from every start position, emitting a match per entry it spells.
 
     Equivalent to scanning all O(n^2) substrings against the lexicon. The
     optional max_len caps match length to bound lattice density.
@@ -82,14 +67,14 @@ def match_sentence(
     m = len(chars)
     spans = []
     for b0 in range(m):
-        node = trie.root
-        limit = m if max_len is None else min(m, b0 + max_len)
-        for j in range(b0, limit):
-            node = node.children.get(chars[j])
-            if node is None:
+        key = ""
+        for j in range(b0, m if max_len is None else min(m, b0 + max_len)):
+            key += chars[j]
+            entry = trie.prefixes.get(key)
+            if entry is None:
                 break
-            if node.entry is not None:
-                spans.append((b0 + 1, j + 1, node.entry))
+            if entry >= 0:
+                spans.append((b0 + 1, j + 1, entry))
     return LatticeMatchSet(*np.array(spans, np.intp).reshape(-1, 3).T)
 
 

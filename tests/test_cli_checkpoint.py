@@ -17,7 +17,7 @@ from latseg import bpe, checkpoint, synth
 from latseg.checkpoint import load_checkpoint, load_train_words, save_checkpoint
 from latseg.cli import _build_model, main
 from latseg.data import EmbeddingTable, build_vocabs, from_bmes, read_corpus, to_bmes, word_set
-from latseg.errors import CheckpointError, ConfigError
+from latseg.errors import CheckpointError, ConfigError, UsageError
 from latseg.lexicon import read_lexicon
 from latseg.model import SegmenterModel, prepare_lexicon
 from latseg.train import TrainConfig
@@ -624,6 +624,58 @@ class TestEvalCommand:
         )
         assert float(values["f1"]) == 1.0
 
+    def test_bucket_width_below_one_is_refused_before_the_load(self, corpus_dir, tmp_path, capsys):
+        # the width used to be checked after the load and the decode: a missing model exited 2
+        rc = run(["eval", "--model", tmp_path / "nope", "--gold", corpus_dir / "dev.txt", "--bucket-width", "0"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == "latseg: bucket width must be >= 1, got 0\n"
+
+    # gold files of up to three well-formed lines of corpus characters and
+    # characters outside the vocabulary, and maybe one odd line: words joined
+    # by other whitespace, leading or trailing spaces, tabs, U+3000, U+00A0
+    # or a lone CR, or a blank line
+    _word = st.text(st.sampled_from(synth.ALPHABET + "龘x😀"), min_size=1, max_size=4)
+    _odd = st.sampled_from(["  ", "   ", "\t", "\u3000", "\u00a0", "\r", " \r"])
+    _odd_line = st.one_of(
+        st.tuples(st.sampled_from(["", " ", "\t", "\u3000"]), st.lists(st.tuples(_word, st.one_of(st.just(" "), _odd)),
+                  min_size=1, max_size=4), st.sampled_from(["", " ", "\r", "\u00a0"]))
+        .map(lambda t: t[0] + "".join(w + sep for w, sep in t[1])[:-1] + t[2]),
+        st.sampled_from(["", " ", "\r", "\u3000"]),
+    )
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.lists(_word, min_size=1, max_size=5).map(" ".join), max_size=3),
+           st.one_of(st.none(), _odd_line), st.integers(0, 3))
+    def test_fuzzed_gold_reports_every_word_or_is_data_error(self, trained, tmp_path_factory, lines, odd, at):
+        lines = lines[:at] + [odd] * (odd is not None) + lines[at:]
+        gold = tmp_path_factory.mktemp("fuzz") / "gold.txt"
+        gold.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = run(["eval", "--model", trained, "--gold", gold])
+        kept = [line for line in (line.removesuffix("\r") for line in lines) if line.strip()]
+        words = [line.split(" ") for line in kept]
+        if kept and all("" not in ws and not any(c.isspace() for w in ws for c in w) for ws in words):
+            assert rc == 0 and err.getvalue() == ""
+            values = dict(line.split("=", 1) for line in out.getvalue().splitlines())
+            assert 0.0 <= float(values["f1"]) <= 1.0
+            assert int(values["n_iv"]) + int(values["n_oov"]) == sum(map(len, words))
+        else:
+            assert rc == 2 and out.getvalue() == "" and err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["eval", "coverage"])
+@pytest.mark.parametrize("text", ["", "\n \n\t\n"], ids=["empty", "blank-lines"])
+def test_gold_without_sentences_is_data_error(corpus_dir, trained, tmp_path, capsys, command, text):
+    # both used to exit 0 with f1=0.000000 or ratio=0.0000
+    gold = tmp_path / "gold.txt"
+    gold.write_text(text, encoding="utf-8")
+    other = ["--model", trained] if command == "eval" else ["--lexicon", corpus_dir / "lexicon.txt"]
+    assert run([command, "--gold", gold, *other]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"latseg: {gold}: no gold sentences\n"
+
 
 class TestBpeAndCoverage:
     def test_bpe_learn_zero_merges(self, corpus_dir, tmp_path):
@@ -804,6 +856,19 @@ def test_probe_with_line_separator_round_trips(tmp_path, rng):
     load_checkpoint(tmp_path / "ck")  # verifies the probe
     manifest = (tmp_path / "ck" / "manifest.txt").read_text(encoding="utf-8")
     assert f"probe_chars={probe}\n" in manifest
+
+
+@pytest.mark.parametrize("probe", ["中国\r", "中\n国"], ids=["trailing-cr", "line-feed"])
+def test_probe_holding_a_line_break_is_refused_before_writing(tmp_path, rng, probe):
+    # the line-based manifest would read it back cut or stripped, and the save would never load
+    model = _tiny_float64_model(rng)
+    ck = tmp_path / "ck"
+    save_checkpoint(model, ck, "中国人")
+    before = {f.name: f.read_bytes() for f in ck.iterdir()}
+    with pytest.raises(UsageError, match="probe"):
+        save_checkpoint(model, ck, probe)
+    assert list(tmp_path.iterdir()) == [ck]
+    assert {f.name: f.read_bytes() for f in ck.iterdir()} == before
 
 
 def test_save_leaves_model_unchanged(tmp_path, rng):

@@ -1,5 +1,8 @@
 """Trie construction and exhaustive matching vs a brute-force substring scan."""
 
+import random
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,14 +12,14 @@ from latseg.errors import DataError
 from latseg.lexicon import build_trie, match_sentence, read_lexicon
 
 
-def brute_force_matches(lexicon, chars):
-    """All (b, e) with chars[b..e] in the lexicon and length >= 2, 1-based."""
+def brute_force_matches(lexicon, chars, max_len=None):
+    """All (b, e) with chars[b..e] in the lexicon and length in [2, max_len], 1-based."""
     words = {w for w in lexicon if len(w) >= 2}
     out = set()
     m = len(chars)
     for b in range(m):
         for e in range(b + 1, m):
-            if "".join(chars[b : e + 1]) in words:
+            if "".join(chars[b : e + 1]) in words and (max_len is None or e - b + 1 <= max_len):
                 out.add((b + 1, e + 1))
     return out
 
@@ -30,7 +33,7 @@ class TestBuildTrie:
         trie = build_trie(["科学", "科学院", "学院"])
         assert len(trie) == 3
         assert trie.symbols == ["科学", "科学院", "学院"]
-        assert trie.root.children["科"].entry is None  # a shared prefix is no entry
+        assert trie.prefixes["科"] == -1  # a shared prefix is no entry
 
     def test_empty_lexicon(self):
         trie = build_trie([])
@@ -44,6 +47,19 @@ class TestBuildTrie:
     def test_short_symbols_rejected_with_count(self):
         trie = build_trie(["中", "中国", "人"])
         assert len(trie) == 1
+
+    def test_trie_memory_per_entry(self):
+        # a node object and a child dict per prefix take about 750 bytes an entry
+        draw = random.Random(7)
+        alphabet = [chr(0x4E00 + k) for k in range(3500)]
+        words = ["".join(draw.choices(alphabet, k=draw.randint(2, 5))) for _ in range(20_000)]
+        tracemalloc.start()
+        try:
+            trie = build_trie(words)
+            used = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert used / len(trie) < 400
 
 
 class TestMatchSentence:
@@ -87,14 +103,16 @@ class TestMatchSentence:
     @given(
         st.text(alphabet="abc", min_size=0, max_size=64),
         st.lists(st.text(alphabet="abc", min_size=1, max_size=5), max_size=20),
+        st.one_of(st.none(), st.integers(1, 5)),
     )
     @settings(max_examples=300, deadline=None)
-    def test_equals_brute_force_scan(self, sentence, lexicon):
+    def test_equals_brute_force_scan(self, sentence, lexicon, max_len):
         trie = build_trie(lexicon)
-        got = spans(match_sentence(trie, sentence))
-        assert got == brute_force_matches(lexicon, sentence)
+        ms = match_sentence(trie, sentence, max_len)
+        got = spans(ms)
+        assert got == brute_force_matches(lexicon, sentence, max_len)
         # exhaustive and unique
-        assert len(got) == len(match_sentence(trie, sentence))
+        assert len(got) == len(ms)
         assert all(e - b + 1 >= 2 for b, e in got)
 
 
