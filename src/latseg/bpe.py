@@ -23,8 +23,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .data import read_lines, write_lines
-from .errors import ConfigError, DataError, FormatError
+from .data import write_lines
+from .errors import ConfigError, DataError
 
 Pair = tuple[str, str]
 
@@ -196,28 +196,6 @@ def extract_lexicon(model: BpeModel) -> list[tuple[str, int]]:
 
 def save_bpe_model(model: BpeModel, path) -> None:
     write_lines(path, [f"{MODEL_MAGIC} {model.merge_count}", *map("\t".join, model.merges)])
-
-
-def load_bpe_model(path) -> BpeModel:
-    """Reload a merge list; corpus frequencies are not persisted."""
-    lines = read_lines(path)
-    header = next(lines, "").split()
-    if len(header) != 2 or header[0] != MODEL_MAGIC or not header[1].isdigit():
-        raise FormatError(f"{path}: not a {MODEL_MAGIC} model file")
-    declared = int(header[1])
-    merges: list[Pair] = []
-    for lineno, raw in enumerate(lines, start=2):
-        if not raw:
-            continue
-        parts = raw.split("\t")
-        if len(parts) != 2 or not all(parts):
-            raise FormatError(f"{path}: line {lineno}: expected non-empty 'left<TAB>right'")
-        merges.append((parts[0], parts[1]))
-    if len(merges) != declared:
-        raise FormatError(
-            f"{path}: header declares {declared} merges but file has {len(merges)}"
-        )
-    return BpeModel(merges=merges, vocab=Counter())
 
 
 def save_lexicon(entries: Iterable[tuple[str, int]], path) -> None:

@@ -10,7 +10,8 @@ a float64 one is widened into memory. Each live view holds a file descriptor,
 and a file rewritten in place under a loaded model may fault with SIGBUS (a
 save renames a new directory in, and an unlinked file stays mapped). The
 manifest records the probe sentence and its emission bytes as computed from
-the stored (rounded) parameters, so a reload must reproduce them bit for bit.
+the stored (rounded) parameters, so a reload must reproduce them bit for bit;
+a manifest without them is refused.
 """
 
 from __future__ import annotations
@@ -279,7 +280,7 @@ def _assemble(
             trie=trie,
             char_dropout=float(values["char_dropout"]),
             lattice_dropout=float(values["lattice_dropout"]),
-            max_word_len=int(values.get("max_word_len", "0")) or None,
+            max_word_len=int(values["max_word_len"]) or None,
         )
     except UsageError as exc:
         if mode in MODES:  # then the only thing the constructor can refuse is the lexicon table
@@ -333,11 +334,11 @@ def _load(ckpt: Path) -> SegmenterModel:
         lvocab = _read_vocab(ckpt / "lexicon.vocab", int(values["lexicon_vocab_size"]))
     model = _assemble(values, arrays, uvocab, bvocab, lvocab, ckpt)
 
-    if "probe_emissions" in values:
-        if not values.get("probe_chars"):
-            raise CheckpointError(f"{ckpt}: manifest has probe emissions but no probe sentence")
-        if _probe_hex(model, values["probe_chars"]) != values["probe_emissions"]:
-            raise CheckpointError(f"{ckpt}: probe forward pass does not match manifest")
+    probe, emissions = values["probe_chars"], values["probe_emissions"]  # every save writes both
+    if not probe:
+        raise CheckpointError(f"{ckpt}: manifest has probe emissions but no probe sentence")
+    if _probe_hex(model, probe) != emissions:
+        raise CheckpointError(f"{ckpt}: probe forward pass does not match manifest")
     return model
 
 

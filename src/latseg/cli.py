@@ -1,6 +1,7 @@
 """Command-line entry points: train, segment, eval, bpe-learn, coverage, synth.
 
 Exit codes: 0 success, 1 usage/config error, 2 data error, 3 numeric failure.
+Running out of memory, as a config too large for the machine does, exits 1.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .checkpoint import check_out_dir, load_checkpoint, load_train_words, save_c
 from .data import (
     EmbeddingTable,
     build_vocabs,
-    check_raw_text,
+    check_raw_lines,
     from_bmes,
     load_embeddings,
     read_corpus,
@@ -136,11 +137,7 @@ def cmd_train(args) -> int:
 def cmd_segment(args) -> int:
     model = load_checkpoint(args.model)
     sentences = list(read_lines(args.input))  # empty lines stay, to come out empty
-    for lineno, text in enumerate(sentences, start=1):  # every line, before the output opens
-        try:
-            check_raw_text(text)
-        except DataError as exc:
-            raise DataError(f"{args.input}: line {lineno}: {exc}") from None
+    check_raw_lines(args.input, sentences)  # every line, before the output opens
     labels = iter(model.decode_many([tuple(text) for text in sentences if text]))
     words = (from_bmes(tuple(text), next(labels)) if text else [] for text in sentences)
     write_lines(args.output, map(" ".join, words))
@@ -272,6 +269,9 @@ def main(argv=None) -> int:
     except (LatsegError, OSError) as exc:  # a missing or unreadable file: data error
         print(f"latseg: {exc}", file=sys.stderr)
         return exc.exit_code if isinstance(exc, LatsegError) else DataError.exit_code
+    except MemoryError as exc:  # numpy's message names the allocation that failed
+        print(f"latseg: out of memory: {exc}", file=sys.stderr)
+        return UsageError.exit_code
 
 
 if __name__ == "__main__":

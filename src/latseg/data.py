@@ -1,10 +1,12 @@
 """Text file I/O, corpus ingestion, BMES label handling, vocabularies, and embedding tables.
 
 Every text file latseg reads or writes goes through :func:`read_lines` and
-:func:`write_lines`: UTF-8, one line per record, each ended by a newline.
+:func:`write_lines`: UTF-8, one line per record, each ended by a newline. A
+byte-order mark that starts a file is not part of its first line.
 
 Corpus format: UTF-8 text, one sentence per line, words separated by single
-spaces (a line with any other whitespace is refused); blank lines are skipped.
+spaces. A line with words and any other whitespace is refused; a line of only
+whitespace (spaces, tabs, U+3000, a lone CR and the like) is skipped as blank.
 Characters are Unicode scalar values (no grapheme clustering).
 """
 
@@ -210,15 +212,16 @@ def load_embeddings(
 def read_lines(path) -> Iterator[str]:
     """Each line of the UTF-8 text file ``path``, without its line feed.
 
-    A line ends at a line feed only, and one CR at its end is dropped, so CR
-    LF files read the same. A CR anywhere else stays in its line, as do the
-    other boundaries of ``str.splitlines()``, such as U+2028. Bytes that are
-    not UTF-8 raise a DataError naming the file. The codec's message says
-    where in its chunk the bad byte is; text mode decodes in chunks, so the
-    line is not known.
+    A byte-order mark (U+FEFF) at the start of the file is dropped, so a file
+    saved with one reads as the same file without it. A line ends at a line
+    feed only, and one CR at its end is dropped, so CR LF files read the
+    same. A CR anywhere else stays in its line, as do the other boundaries of
+    ``str.splitlines()``, such as U+2028. Bytes that are not UTF-8 raise a
+    DataError naming the file. The codec's message says where in its chunk
+    the bad byte is; text mode decodes in chunks, so the line is not known.
     """
     try:
-        with open(path, encoding="utf-8", newline="\n") as fh:
+        with open(path, encoding="utf-8-sig", newline="\n") as fh:
             for line in fh:
                 yield line.removesuffix("\n").removesuffix("\r")
     except UnicodeDecodeError as exc:
@@ -261,11 +264,12 @@ def read_corpus(path) -> list[LabeledSentence]:
     return sentences
 
 
-def check_raw_text(text: str) -> None:
+def check_raw_lines(path, lines: Iterable[str]) -> None:
     """Refuse whitespace in unsegmented text: joined by spaces, its words would read back split."""
-    space = _SPACE.search(text)
-    if space:
-        raise DataError(f"U+{ord(space[0]):04X} in raw text")
+    for lineno, text in enumerate(lines, start=1):
+        space = _SPACE.search(text)
+        if space:
+            raise DataError(f"{path}: line {lineno}: U+{ord(space[0]):04X} in raw text")
 
 
 def word_set(sentences: Iterable[LabeledSentence]) -> set[str]:

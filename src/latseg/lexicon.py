@@ -16,8 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import check_raw_text, read_lines
-from .errors import DataError
+from .data import check_raw_lines, read_lines
 
 
 class Trie:
@@ -85,9 +84,5 @@ def read_lexicon(path) -> list[str]:
     any, and a checkpoint's ``lexicon.vocab`` would not read it back.
     """
     symbols = [raw.split("\t", 1)[0] for raw in read_lines(path)]
-    for lineno, symbol in enumerate(symbols, start=1):
-        try:
-            check_raw_text(symbol)
-        except DataError as exc:
-            raise DataError(f"{path}: line {lineno}: {exc}") from None
+    check_raw_lines(path, symbols)
     return [symbol for symbol in symbols if symbol]

@@ -16,7 +16,6 @@ PACKAGE = ROOT / "src" / "latseg"
 # Public names kept although neither the package nor the benchmark uses them yet.
 ALLOWED = {
     "error_reduction": "the paper's error reduction against a baseline, for a coming `eval --baseline`",
-    "load_bpe_model": "the reader of the .bpe file that `bpe-learn --out` writes",
     "zero_grads": "the gradient checks' reset, which must know the tape's row records",
 }
 

@@ -3,6 +3,7 @@
 import contextlib
 import filecmp
 import io
+import math
 import re
 import shutil
 import tracemalloc
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 
 from latseg import bpe, checkpoint, synth
 from latseg.checkpoint import load_checkpoint, load_train_words, save_checkpoint
-from latseg.cli import _build_model, main
+from latseg.cli import _build_model, load_config_file, main
 from latseg.data import EmbeddingTable, build_vocabs, from_bmes, read_corpus, to_bmes, word_set
 from latseg.errors import CheckpointError, ConfigError, UsageError
 from latseg.lexicon import read_lexicon
@@ -65,6 +66,28 @@ class TestTrainCommand:
         for name in ("manifest.txt", "report.tsv", "report.txt", "train_words.txt"):
             assert (out / name).is_file()
         assert "best dev F1" in capsys.readouterr().out
+
+    def test_a_config_with_a_byte_order_mark_reads_as_without(self, corpus_dir, tmp_path):
+        # the BOM joined the first line, which was then refused as an unknown entry
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + (corpus_dir / "config.txt").read_bytes())
+        values = load_config_file(corpus_dir / "config.txt")
+        assert load_config_file(bom) == values and values["hidden"] == 8
+
+    def test_out_of_memory_is_one_line_and_exit_one(self, corpus_dir, tmp_path, capsys, monkeypatch):
+        # it was a traceback; a real one comes from, say, hidden=100000 (a 224 GiB table)
+        def train(*args, **kwargs):
+            raise MemoryError("Unable to allocate 224. GiB for an array")
+
+        monkeypatch.setattr("latseg.cli.train", train)
+        rc = run([
+            "train", "--train", corpus_dir / "train.txt", "--dev", corpus_dir / "dev.txt",
+            "--config", corpus_dir / "config.txt", "--out", tmp_path / "m",
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "latseg: out of memory: Unable to allocate 224. GiB for an array\n"
+        assert not (tmp_path / "m").exists()
 
     def test_lattice_requires_lexicon(self, corpus_dir, tmp_path):
         rc = run([
@@ -450,6 +473,15 @@ class TestSegmentCommand:
         assert err.startswith(f"latseg: {inp}: line 2: ") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_a_byte_order_mark_is_not_part_of_the_first_line(self, trained, tmp_path):
+        # it was segmented as a character of line 1
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_bytes("天地人山\n水火\n".encode("utf-8"))
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for inp in (plain, bom):
+            assert run(["segment", "--model", trained, "--input", inp, "--output", inp.with_suffix(".seg")]) == 0
+        assert bom.with_suffix(".seg").read_bytes() == plain.with_suffix(".seg").read_bytes()
+
     def test_a_lone_cr_in_a_raw_line_is_data_error(self, trained, tmp_path, capsys):
         # a CR used to end the line: segment exited 0 and wrote 3 lines for 2
         inp = tmp_path / "raw.txt"
@@ -513,8 +545,10 @@ class TestSegmentCommand:
     @pytest.mark.parametrize(
         "prefix, replacement",
         [("tensor=fwd_shortcut_w:", None), ("hidden=", None), ("hidden=", "hidden=x"),
-         ("mode=", "mode=bogus")],
-        ids=["missing-tensor", "missing-hidden", "unparsable-hidden", "unknown-mode"],
+         ("mode=", "mode=bogus"), ("max_word_len=", None), ("probe_chars=", None),
+         ("probe_emissions=", None), ("probe_", None)],
+        ids=["missing-tensor", "missing-hidden", "unparsable-hidden", "unknown-mode", "missing-max-word-len",
+             "missing-probe-chars", "missing-probe-emissions", "missing-probe"],
     )
     def test_malformed_manifest_is_checkpoint_error(
         self, corpus_dir, trained, tmp_path, capsys, prefix, replacement
@@ -700,7 +734,9 @@ class TestBpeAndCoverage:
         rc = run(["bpe-learn", "--corpus", corpus, "--merges", "10", "--out", out, "--lexicon-out", lex])
         assert rc == 0
         model = bpe.learn_bpe(["ababab"] * 9, 10)
-        assert bpe.load_bpe_model(out).merges == model.merges
+        assert out.read_text(encoding="utf-8").split("\n") == [
+            f"bpe-v1 {model.merge_count}", *map("\t".join, model.merges), ""
+        ]
         symbols = read_lexicon(lex)
         assert symbols == [sym for sym, _ in bpe.extract_lexicon(model)]
         assert symbols and not any(ch.isspace() for sym in symbols for ch in sym)
@@ -710,7 +746,7 @@ class TestBpeAndCoverage:
         corpus, out = tmp_path / "raw.txt", tmp_path / "model.bpe"
         corpus.write_bytes(b"a\rb\na\rb\n")
         assert run(["bpe-learn", "--corpus", corpus, "--merges", "5", "--out", out]) == 0
-        assert bpe.load_bpe_model(out).merges == [("a", "b")]
+        assert out.read_text(encoding="utf-8") == "bpe-v1 1\na\tb\n"
 
     def test_bpe_learn_writes_lexicon(self, corpus_dir, tmp_path):
         out = tmp_path / "model.bpe"
@@ -1041,3 +1077,92 @@ def test_segment_decodes_mixed_chunks_as_per_line_segment(corpus_dir, trained, t
     words = [from_bmes(line, model.decode(tuple(line)).labels) if line else [] for line in lines]
     expect = "".join(" ".join(w) + "\n" for w in words)
     assert out.read_text(encoding="utf-8") == expect
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(-2, 60), st.integers(-2, 1_000),
+       st.sampled_from([math.nan, math.inf, 0.0, 1e-9, 0.5, 0.999999, 1.0]), st.integers(-2, 2**70))
+def test_fuzzed_synth_writes_a_readable_split_or_is_config_error(tmp_path_factory, sentences, vocab_size, fraction, seed):
+    # vocabulary sizes stay small: make_vocab draws words by rejection, so a size
+    # near its 837,930-word limit needs on the order of 10^8 draws
+    out = tmp_path_factory.mktemp("synth") / "c"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = run(["synth", "--out-dir", out, "--sentences", sentences, "--vocab-size", vocab_size,
+                  "--dev-fraction", fraction, "--seed", seed])
+    if rc == 0:
+        assert read_corpus(out / "train.txt") and read_corpus(out / "dev.txt")
+    else:
+        assert rc == 1 and err.getvalue().startswith("latseg: ") and err.getvalue().count("\n") == 1
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_corpus(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz-corpus")
+    vocab = synth.make_vocab(20, seed=21)
+    tr, dev = synth.split_corpus(synth.make_corpus(vocab, 12, seed=22, min_words=2, max_words=5), 0.25, seed=23)
+    synth.write_corpus(out / "train.txt", tr)
+    synth.write_corpus(out / "dev.txt", dev)
+    text = ["".join(s) for s in tr + dev]
+    bigrams = sorted({line[i : i + 2] for line in text for i in range(len(line) - 1)})
+    (out / "lexicon.txt").write_text("".join(w + "\n" for w in vocab if len(w) >= 2), encoding="utf-8")
+    (out / "bigrams.txt").write_text("".join(b + "\n" for b in bigrams), encoding="utf-8")
+    return out
+
+
+# at most one odd input: a whitespace-only or tabbed corpus line, an odd
+# --unigram-emb row, a lexicon of every corpus bigram, or an out-of-range config value
+_odd_train_input = st.one_of(
+    st.none(),
+    st.tuples(st.just("corpus"), st.sampled_from(["train.txt", "dev.txt"]), st.integers(0, 9),
+              st.sampled_from([" ", "\t", "\u3000", "\u00a0", " \t\r", "天\t地", "天 \t地", "\t天"])),
+    st.tuples(st.just("emb"), st.sampled_from(["天 nan 0.5", "天 inf 0.5", "天 0.5", "天 0.5 0.5 0.5", "2 2",
+                                               "\ufeff天 0.5 0.5", "天 -inf 1e400", "龘 nan nan"])),
+    st.tuples(st.just("lexicon")),
+    st.tuples(st.just("config"), st.sampled_from([
+        "hidden=0", "epochs=-1", "lr0=-1", "lr0=1e300", "lr_decay=nan", "char_dropout=1",
+        "lattice_dropout=-0.1", "max_word_len=0", "max_word_len=1", "stop_f1=2", "dtype=float16",
+        "unigram_dim=0", "seed=-1", "mode=lattice", "hidden=x", "epochs=1.5"])),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(["baseline", "lattice-word"]), st.sampled_from(["float32", "float64"]), _odd_train_input)
+def test_fuzzed_train_saves_a_scorable_checkpoint_or_exits_with_one_line(fuzz_corpus, tmp_path_factory, mode, dtype, odd):
+    work = tmp_path_factory.mktemp("fuzz-train")
+    paths = {name: fuzz_corpus / name for name in ("train.txt", "dev.txt", "lexicon.txt")}
+    config = [f"mode={mode}", f"dtype={dtype}", "hidden=2", "unigram_dim=2", "bigram_dim=2",
+              "lexicon_dim=2", "epochs=1"]
+    flags = []
+    kind = odd[0] if odd else None
+    if kind == "corpus":
+        _, name, at, line = odd
+        lines = (fuzz_corpus / name).read_text(encoding="utf-8").splitlines()
+        paths[name] = work / name
+        paths[name].write_bytes("".join(l + "\n" for l in lines[:at] + [line] + lines[at:]).encode("utf-8"))
+    elif kind == "emb":
+        emb = work / "emb.txt"
+        emb.write_bytes(f"地 0.25 -0.25\n{odd[1]}\n".encode("utf-8"))
+        flags = ["--unigram-emb", emb]
+    elif kind == "lexicon":
+        paths["lexicon.txt"] = fuzz_corpus / "bigrams.txt"
+        config[0] = "mode=lattice-word"
+    elif kind == "config":
+        config.append(odd[1])
+    (work / "fuzz.cfg").write_text("".join(l + "\n" for l in config), encoding="utf-8")
+    if "mode=lattice-word" in config:
+        flags += ["--lexicon", paths["lexicon.txt"]]
+    out = work / "model"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = run(["train", "--train", paths["train.txt"], "--dev", paths["dev.txt"], "--config", work / "fuzz.cfg",
+                  "--out", out, "--seed", "5", *flags])
+    assert rc in (0, 1, 2, 3)
+    if rc:
+        assert err.getvalue().startswith("latseg: ") and err.getvalue().count("\n") == 1
+        return
+    load_checkpoint(out)
+    with contextlib.redirect_stdout(io.StringIO()) as report:
+        assert run(["eval", "--model", out, "--gold", fuzz_corpus / "dev.txt"]) == 0
+    assert "f1=" in report.getvalue()

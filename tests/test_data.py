@@ -170,6 +170,15 @@ class TestEmbeddings:
         t = load_embeddings(path, v, 3, rng)
         np.testing.assert_array_equal(t.rows.data[v.index("a")], [1.0, 2.0, 3.0])
 
+    def test_a_byte_order_mark_before_the_header_is_dropped(self, tmp_path, rng):
+        # the BOM used to join the header's first field, which then read as a 1-value row
+        rows = {}
+        for name, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            path = tmp_path / f"{name}.txt"
+            path.write_bytes(bom + "2 3\na 1 2 3\nzz 4 5 6\n".encode("utf-8"))
+            rows[name] = load_embeddings(path, Vocab(["a"]), 3, np.random.default_rng(0)).rows.data
+        np.testing.assert_array_equal(rows["bom"], rows["plain"])
+
     def test_dimension_mismatch_names_row(self, tmp_path, rng):
         path = tmp_path / "emb.txt"
         path.write_text("a 1 2 3\nb 1 2\n", encoding="utf-8")
@@ -219,6 +228,26 @@ class TestCorpusIO:
         with pytest.raises(DataError, match="line 2: U[+]000D"):
             read_corpus(path)
 
+    def test_a_byte_order_mark_is_not_read_as_a_character(self, tmp_path):
+        plain, bom = tmp_path / "plain.txt", tmp_path / "bom.txt"
+        plain.write_bytes("中国 人\n人\n".encode("utf-8"))
+        bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert read_corpus(bom) == read_corpus(plain)
+        assert read_corpus(bom)[0].chars == ("中", "国", "人")
+
+    @pytest.mark.parametrize(
+        "line", ["\t", "\u3000", "\u00a0", "   ", "\r ", " \t\u3000"],
+        ids=["tab", "u3000", "u00a0", "spaces", "lone-cr", "mixed"],
+    )
+    def test_a_line_of_only_whitespace_is_skipped_as_blank(self, tmp_path, line):
+        # a line with words is refused for the same whitespace, with its line number
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(f"中国 人\n{line}\n人\n".encode("utf-8"))
+        assert read_corpus(path) == [to_bmes(["中国", "人"]), to_bmes(["人"])]
+        path.write_bytes(f"中国 人\n{line}人\n".encode("utf-8"))
+        with pytest.raises(DataError, match="line 2: "):
+            read_corpus(path)
+
     def test_sentence_invariants(self):
         with pytest.raises(DataError):
             LabeledSentence(("a",), ("B", "E"))
@@ -240,6 +269,11 @@ class TestReadLines:
         crlf.write_bytes("中国\r\n\r\nab\rc\r\n人\r".encode("utf-8"))
         lf.write_bytes("中国\n\nab\rc\n人".encode("utf-8"))
         assert list(read_lines(crlf)) == list(read_lines(lf)) == ["中国", "", "ab\rc", "人"]
+
+    def test_a_byte_order_mark_is_dropped_only_where_the_file_starts(self, tmp_path):
+        path = tmp_path / "text.txt"
+        path.write_bytes("\ufeffab\n\ufeffcd\n".encode("utf-8"))
+        assert list(read_lines(path)) == ["ab", "\ufeffcd"]
 
     def test_a_line_of_several_megabytes_reads_whole(self, tmp_path):
         path = tmp_path / "long.txt"

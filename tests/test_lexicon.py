@@ -122,6 +122,12 @@ class TestLexiconFile:
         path.write_text("中国\t42\n人民\n\n学院\t7\n", encoding="utf-8")
         assert read_lexicon(path) == ["中国", "人民", "学院"]
 
+    def test_a_byte_order_mark_is_not_part_of_the_first_symbol(self, tmp_path):
+        # it was: the first symbol read as "\ufeff中国" and matched no sentence
+        path = tmp_path / "lex.txt"
+        path.write_bytes("\ufeff中国\t3\n人民\n".encode("utf-8"))
+        assert read_lexicon(path) == ["中国", "人民"]
+
     @pytest.mark.parametrize("line, code", [("ab\r\t3", "U+000D"), ("a b", "U+0020")])
     def test_whitespace_in_a_symbol_is_refused(self, tmp_path, line, code):
         # no raw sentence holds whitespace, so such a symbol could never match
