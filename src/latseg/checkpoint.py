@@ -20,15 +20,16 @@ import os
 import shutil
 import tempfile
 from itertools import islice
+from operator import add
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .crf import CrfParams, N_LABELS, N_STATES
-from .data import RESERVED, EmbeddingTable, Vocab, bigrams_of, read_lines, write_lines
+from .data import RESERVED, SENTINEL, BigramIndex, EmbeddingTable, Vocab, read_lines, write_lines
 from .encoder import DirectionParams
-from .errors import CheckpointError, UsageError
+from .errors import CheckpointError, DataError, NumericError, UsageError
 from .lexicon import build_trie
 from .model import MODES, SegmenterModel
 from .tensor import Tensor, const
@@ -66,11 +67,29 @@ def _read_tensor(path: Path, shape: tuple[int, ...], dtype) -> np.ndarray:
         return np.memmap(fh, "<f4", "r", offset=8, shape=shape).astype(dtype, copy=False)
 
 
-def _read_vocab(path: Path, expected_size: int) -> Vocab:
+def _read_vocab(path: Path, expected_size: int, unigrams: Vocab | None = None) -> Vocab | BigramIndex:
+    """The vocabulary in ``path``; given ``unigrams``, the bigram index of their characters.
+
+    A bigram index refuses a line that is not two characters of ``unigrams``,
+    or one and the sentinel, and a line it has read before.
+    """
     lines = read_lines(path)
     if tuple(islice(lines, len(RESERVED))) != RESERVED:
         raise CheckpointError(f"{path}: missing reserved vocabulary entries")
-    vocab = Vocab(lines)
+    if unigrams is None:
+        vocab = Vocab(lines)
+    else:
+        keys = BigramIndex.keys_of(unigrams, lines)
+        bad = np.flatnonzero(keys < 0)
+        if bad.size:
+            lineno = len(RESERVED) + bad[0] + 1
+            raise CheckpointError(
+                f"{path}: line {lineno}: not two characters of unigram.vocab or one and {SENTINEL}"
+            )
+        try:
+            vocab = BigramIndex(unigrams, keys)
+        except DataError as exc:
+            raise CheckpointError(f"{path}: {exc}") from None
     if len(vocab) != expected_size:
         raise CheckpointError(
             f"{path}: manifest declares {expected_size} symbols, file has {len(vocab)}"
@@ -140,14 +159,18 @@ def _probe_model(model: SegmenterModel, lines: list[str], chars: str, out: Path)
     """
     values, _ = _parse_manifest(lines)
     dtype_name, chars = values["dtype"], tuple(chars)
-    read = {"unigram": chars, "bigram": bigrams_of(chars)}
+    read = {"unigram": chars, "bigram": list(map(add, chars, chars[1:] + (SENTINEL,)))}
     if model.lexicon_table is not None:
         read["lexicon"] = [model.trie.symbols[k] for k in np.unique(model.match(chars).entry).tolist()]
     arrays, vocabs = {}, {}
     for name, symbols in read.items():
         table = getattr(model, f"{name}_table")
-        vocabs[name] = Vocab(sym for sym in symbols if sym in table.vocab)
-        kept = table.rows.data[[table.vocab.index(sym) for sym in vocabs[name].symbols()]]
+        held = list(dict.fromkeys(sym for sym in symbols if sym in table.vocab))
+        if name == "bigram":
+            vocabs[name] = BigramIndex(vocabs["unigram"], BigramIndex.keys_of(vocabs["unigram"], held))
+        else:
+            vocabs[name] = Vocab(held)
+        kept = table.rows.data[[table.vocab.index(sym) for sym in vocabs[name]]]
         arrays[table.rows.name] = const(kept.astype("<f4"), table.rows.name)
     for p in model.parameters():
         if p.name not in arrays:
@@ -170,9 +193,14 @@ def save_checkpoint(
     ``out_dir``: an existing checkpoint there is renamed aside, the new one is
     renamed into place, and only then is the old one removed. If neither
     can be put back in place, the old one is kept where it was renamed to.
+    A tensor holding a NaN or an infinity raises NumericError before anything
+    is written.
     """
     if not probe_chars or "\n" in probe_chars or "\r" in probe_chars:
         raise UsageError(f"checkpoint probe sentence must be one non-empty line, got {probe_chars!r}")
+    for p in model.parameters():  # a NaN or infinity is its tensor's min or max
+        if not np.isfinite([p.data.min(), p.data.max()]).all():
+            raise NumericError(f"tensor {p.name} holds a value that is not finite; nothing was saved")
     check_out_dir(out_dir)
     out = Path(out_dir).resolve()
     lines = _manifest_lines(model)
@@ -185,10 +213,10 @@ def save_checkpoint(
     new, old = work / "new", work / "old"
     try:
         new.mkdir()
-        write_lines(new / "unigram.vocab", model.unigram_table.vocab.symbols())
-        write_lines(new / "bigram.vocab", model.bigram_table.vocab.symbols())
+        write_lines(new / "unigram.vocab", model.unigram_table.vocab)
+        write_lines(new / "bigram.vocab", model.bigram_table.vocab)
         if model.lexicon_table is not None:
-            write_lines(new / "lexicon.vocab", model.lexicon_table.vocab.symbols())
+            write_lines(new / "lexicon.vocab", model.lexicon_table.vocab)
         for p in model.parameters():
             _write_tensor(new / f"{p.name}{TENSOR_SUFFIX}", p.data)
         write_lines(new / MANIFEST, lines)
@@ -232,7 +260,7 @@ def _assemble(
     values: dict[str, str],
     arrays: dict[str, Tensor],
     uvocab: Vocab,
-    bvocab: Vocab,
+    bvocab: BigramIndex,
     lvocab: Vocab | None,
     ckpt: Path,
 ) -> SegmenterModel:
@@ -240,7 +268,7 @@ def _assemble(
     mode = values["mode"]
     hidden = int(values["hidden"])
 
-    def table(name: str, vocab: Vocab) -> EmbeddingTable:
+    def table(name: str, vocab: Vocab | BigramIndex) -> EmbeddingTable:
         rows, dim = arrays[f"{name}_embeddings"], int(values[f"{name}_dim"])
         if rows.shape != (len(vocab), dim):
             raise CheckpointError(
@@ -328,7 +356,7 @@ def _load(ckpt: Path) -> SegmenterModel:
         arrays[name] = const(_read_tensor(ckpt / f"{name}{TENSOR_SUFFIX}", shape, stored), name)
 
     uvocab = _read_vocab(ckpt / "unigram.vocab", int(values["unigram_vocab_size"]))
-    bvocab = _read_vocab(ckpt / "bigram.vocab", int(values["bigram_vocab_size"]))
+    bvocab = _read_vocab(ckpt / "bigram.vocab", int(values["bigram_vocab_size"]), uvocab)
     lvocab = None
     if values["mode"] != "baseline":
         lvocab = _read_vocab(ckpt / "lexicon.vocab", int(values["lexicon_vocab_size"]))

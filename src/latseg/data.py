@@ -15,7 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, islice, repeat
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
@@ -111,8 +111,9 @@ def from_bmes(chars: Sequence[str], labels: Sequence[str]) -> list[str]:
 class Vocab:
     """Dense symbol -> index map; index 0 is the unknown symbol.
 
-    Symbols are numbered in order of first appearance, after :data:`RESERVED`.
-    ``symbols`` is read once, so a file can be streamed into it.
+    Symbols are numbered in order of first appearance, after :data:`RESERVED`,
+    and iterate in that order. ``symbols`` is read once, so a file can be
+    streamed into it.
     """
 
     def __init__(self, symbols: Iterable[str] = ()):
@@ -123,36 +124,153 @@ class Vocab:
     def index(self, sym: str) -> int:
         return self._index.get(sym, 0)
 
+    def ids(self, symbols: Iterable[str]) -> np.ndarray:
+        """The index of each of ``symbols``, as one array."""
+        return np.fromiter(map(self._index.get, symbols, repeat(0)), np.intp)
+
     def __contains__(self, sym: str) -> bool:
         return sym in self._index
 
     def __len__(self) -> int:
         return len(self._index)
 
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._index)
+
     def symbols(self) -> list[str]:
-        return list(self._index)
+        return list(self)
 
 
-def bigrams_of(chars: Sequence[str]) -> list[str]:
-    """Bigram keys c_i c_{i+1} for every position; the last pairs with the sentinel."""
-    return list(map(add, chars, chain(chars[1:], (SENTINEL,))))
+_SENTINEL_ROW = RESERVED.index(SENTINEL)  # a sentence's last bigram pairs its character with this row
+_STOP = np.iinfo(np.int64).max  # the last key of every BigramIndex, above every pair's
+_HEAD = len(SENTINEL) + 1  # code points that BigramIndex.keys_of reads from each symbol
+_SENTINEL_CODES = np.array([ord(c) for c in SENTINEL])
+BLOCK = 1 << 14  # bigrams converted to or from strings at a time
 
 
-def build_vocabs(corpus: Iterable[Sequence[str]]) -> tuple[Vocab, Vocab]:
-    """Unigram and bigram vocabularies over an iterable of char sequences."""
+class BigramIndex:
+    """Character bigram -> row, keyed by the unigram rows of its two characters.
+
+    The bigram c_i c_{i+1} is the pair (left, right) of the characters'
+    unigram rows, where right is the sentinel's row, 1, after a sentence's
+    last character; its key is ``left * len(unigrams) + right``. ``keys``
+    holds every bigram's key in ascending order and ``rows`` its row, and both
+    end in a stop entry (a key above every pair's, row 0), so that
+    :meth:`lookup` finds a batch's rows with one ``searchsorted`` and gives a
+    pair never seen the unknown row. Rows are numbered as in a :class:`Vocab`:
+    :data:`RESERVED`, then bigrams in order of first appearance. As a string a
+    bigram is its two characters, or one and :data:`SENTINEL`; :meth:`index`,
+    ``in`` and iteration read and give that form, and :meth:`keys_of` parses it
+    in bulk.
+    """
+
+    def __init__(self, unigrams: Vocab, keys: np.ndarray):
+        """The index of ``keys``, one per bigram in row order; a repeated key raises DataError."""
+        order = np.argsort(keys)
+        self.unigrams = unigrams
+        self.keys = np.append(keys[order], _STOP)
+        self.rows = np.append(order + len(RESERVED), 0)
+        if np.any(self.keys[1:] == self.keys[:-1]):
+            raise DataError("a bigram is listed twice")
+
+    def lookup(self, keys: np.ndarray) -> np.ndarray:
+        """The row of each of ``keys``: 0 for one the index does not hold."""
+        at = self.keys.searchsorted(keys)
+        found = self.rows[at]
+        found[self.keys[at] != keys] = 0
+        return found
+
+    def rows_of(self, sentences: Sequence[Sequence[str]], ids: np.ndarray) -> np.ndarray:
+        """The bigram row at each position of ``sentences``, whose characters' unigram rows are ``ids``."""
+        return self.lookup(_pair_keys(sentences, ids, len(self.unigrams)))
+
+    def _key(self, sym: str) -> int:
+        """``sym``'s key, or -1 if it is not two unigram characters or one and :data:`SENTINEL`."""
+        if len(sym) == 2 or (len(sym) == _HEAD and sym.endswith(SENTINEL)):
+            left, right = self.unigrams.index(sym[0]), self.unigrams.index(sym[1:])
+            if left and right:
+                return left * len(self.unigrams) + right
+        return -1
+
+    def index(self, sym: str) -> int:
+        if sym in RESERVED:
+            return RESERVED.index(sym)
+        key = self._key(sym)
+        at = self.keys.searchsorted(key)
+        return int(self.rows[at]) if self.keys[at] == key else 0
+
+    def __contains__(self, sym: str) -> bool:
+        return sym in RESERVED or self.index(sym) != 0
+
+    def __len__(self) -> int:
+        return len(RESERVED) + len(self.keys) - 1
+
+    def __iter__(self) -> Iterator[str]:
+        """Each row's bigram as a string, :data:`BLOCK` rows converted at a time."""
+        yield from RESERVED
+        in_rows = np.empty_like(self.keys[:-1])
+        in_rows[self.rows[:-1] - len(RESERVED)] = self.keys[:-1]
+        syms = self.unigrams.symbols()  # row 1 is SENTINEL, a sentence-final bigram's right side
+        for start in range(0, len(in_rows), BLOCK):
+            left, right = np.divmod(in_rows[start : start + BLOCK], len(self.unigrams))
+            yield from map(add, map(syms.__getitem__, left.tolist()), map(syms.__getitem__, right.tolist()))
+
+    def symbols(self) -> list[str]:
+        return list(self)
+
+    @staticmethod
+    def keys_of(unigrams: Vocab, symbols: Iterable[str]) -> np.ndarray:
+        """The key of each of ``symbols`` over ``unigrams``, as :meth:`_key` gives it, in bulk.
+
+        It reads :data:`BLOCK` symbols at a time, the first code points of each
+        from one UTF-32 copy of their concatenation, and each character's row
+        from a table indexed by code point, whose last entry (row 0) stands for
+        every code point above.
+        """
+        code = {ord(sym): row for row, sym in enumerate(unigrams) if len(sym) == 1}
+        row_of = np.zeros(max(code, default=0) + 2, np.intp)
+        row_of[list(code)] = list(code.values())
+        symbols, keys = iter(symbols), [np.empty(0, np.int64)]
+        for block in iter(lambda: list(islice(symbols, BLOCK)), []):
+            size = np.fromiter(map(len, block), np.intp, len(block))
+            text = np.frombuffer(("".join(block) + "\0" * _HEAD).encode("utf-32-le"), "<u4")
+            head = text[(np.cumsum(size) - size)[:, None] + np.arange(_HEAD)]
+            left, right = row_of.take(head[:, :2], mode="clip").T
+            end = (size == _HEAD) & (head[:, 1:] == _SENTINEL_CODES).all(axis=1)
+            right[end] = _SENTINEL_ROW
+            ok = ((size == 2) | end) & (left != 0) & (right != 0)
+            keys.append(np.where(ok, left * len(unigrams) + right, -1))
+        return np.concatenate(keys)
+
+
+
+def _pair_keys(sentences: Sequence[Sequence[str]], ids: np.ndarray, n: int) -> np.ndarray:
+    """The bigram key at each position of ``sentences``, whose characters' unigram rows are ``ids``."""
+    keys = ids * n
+    keys[:-1] += ids[1:]  # the right side is the next character's row,
+    keys[-1:] += _SENTINEL_ROW  # or the sentinel's after the last character
+    if len(sentences) > 1:  # and after every other sentence's last
+        starts = np.cumsum([len(s) for s in sentences if s][:-1], dtype=np.intp)
+        keys[starts - 1] += _SENTINEL_ROW - ids[starts]
+    return keys
+
+
+def build_vocabs(corpus: Iterable[Sequence[str]]) -> tuple[Vocab, BigramIndex]:
+    """The unigram vocabulary and the bigram index of an iterable of char sequences."""
     corpus = list(corpus)
     if not corpus:
         raise DataError("cannot build vocabularies from an empty corpus")
     unigrams = Vocab(chain.from_iterable(corpus))
-    bigrams = Vocab(chain.from_iterable(map(bigrams_of, corpus)))
-    return unigrams, bigrams
+    keys = _pair_keys(corpus, unigrams.ids(chain.from_iterable(corpus)), len(unigrams))
+    _, first = np.unique(keys, return_index=True)
+    return unigrams, BigramIndex(unigrams, keys[np.sort(first)])
 
 
 @dataclass
 class EmbeddingTable:
     """A vocabulary plus one trainable vector per symbol."""
 
-    vocab: Vocab
+    vocab: Vocab | BigramIndex
     rows: Tensor  # (len(vocab), dim)
 
     @property
@@ -162,7 +280,7 @@ class EmbeddingTable:
     @classmethod
     def random(
         cls,
-        vocab: Vocab,
+        vocab: Vocab | BigramIndex,
         dim: int,
         rng: np.random.Generator,
         dtype=np.float64,
@@ -173,7 +291,7 @@ class EmbeddingTable:
 
 def load_embeddings(
     path,
-    vocab: Vocab,
+    vocab: Vocab | BigramIndex,
     dim: int,
     rng: np.random.Generator,
     dtype=np.float64,
@@ -221,7 +339,9 @@ def read_lines(path) -> Iterator[str]:
     the bad byte is; text mode decodes in chunks, so the line is not known.
     """
     try:
-        with open(path, encoding="utf-8-sig", newline="\n") as fh:
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            if fh.read(1) != "\ufeff":  # utf-8-sig would read a file of a cut BOM as empty
+                fh.seek(0)
             for line in fh:
                 yield line.removesuffix("\n").removesuffix("\r")
     except UnicodeDecodeError as exc:

@@ -38,13 +38,13 @@ dropped out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .data import RESERVED, EmbeddingTable, bigrams_of
+from .data import RESERVED, EmbeddingTable
 from .errors import UsageError
 from .lexicon import LatticeMatchSet
 from .tensor import Tensor, _acc, _out, concat, param, recording, rows, uniform
@@ -111,13 +111,9 @@ def char_repr(
     sentinel; unseen symbols map to the unknown row. Given an ``rng``, the
     matrix is dropout-masked elementwise.
     """
-    uvocab, bvocab = unigram_table.vocab, bigram_table.vocab
-    x = concat(
-        [
-            rows(unigram_table.rows, [uvocab.index(c) for s in sentences for c in s]),
-            rows(bigram_table.rows, [bvocab.index(bg) for s in sentences for bg in bigrams_of(s)]),
-        ]
-    )
+    ids = unigram_table.vocab.ids(chain.from_iterable(sentences))
+    bigram_ids = bigram_table.vocab.rows_of(sentences, ids)
+    x = concat([rows(unigram_table.rows, ids), rows(bigram_table.rows, bigram_ids)])
     return _dropout(x, dropout, rng)
 
 

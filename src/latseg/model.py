@@ -55,6 +55,8 @@ class SegmenterModel:
     def __post_init__(self):
         if self.mode not in MODES:
             raise UsageError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if getattr(self.bigram_table.vocab, "unigrams", None) is not self.unigram_table.vocab:
+            raise UsageError("the bigram table must index pairs of the unigram table's characters")
         if self.mode != "baseline" and (self.lexicon_table is None or self.trie is None):
             raise UsageError(f"{self.mode} mode requires a lexicon table and trie")
         if self.mode != "baseline" and self.lexicon_table.vocab.symbols()[len(RESERVED) :] != self.trie.symbols:

@@ -257,20 +257,26 @@ def sgd_step(params: Iterable[Tensor], lr: float) -> None:
 
     A tensor with a row record (see :func:`rows`) is checked, updated and
     cleared on its recorded rows only, and left untouched when the record is
-    empty; every other tensor densely.
+    empty; every other tensor densely. Each update is computed in the
+    tensor's dtype, and every new value is checked before any tensor
+    changes: a value that is not finite, from its gradient or from an update
+    that overflows, raises NumericError naming the tensor.
     """
     if not (math.isfinite(lr) and lr > 0.0):
         raise ConfigError(f"learning rate must be positive and finite, got {lr}")
     updates = []
-    for p in params:  # check every gradient before any parameter changes
-        if p.grad is None or p.grad_rows == []:
-            continue
-        at = ... if p.grad_rows is None else np.unique(p.grad_rows)  # Ellipsis: every entry
-        g = p.grad[at]
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in tensor {p.name or '<unnamed>'}")
-        updates.append((p, at, g))
-    for p, at, g in updates:
-        p.data[at] -= lr * g
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is raised below
+        for p in params:
+            if p.grad is None or p.grad_rows == []:
+                continue
+            at = ... if p.grad_rows is None else np.unique(p.grad_rows)  # Ellipsis: every entry
+            g = p.grad[at]
+            new = p.data[at] - lr * g
+            if not np.isfinite(new).all():
+                source = "update" if np.isfinite(g).all() else "gradient"
+                raise NumericError(f"non-finite {source} in tensor {p.name or '<unnamed>'}")
+            updates.append((p, at, new))
+    for p, at, new in updates:
+        p.data[at] = new
         p.grad[at] = 0.0
         p.grad_rows = []

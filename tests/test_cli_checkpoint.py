@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from latseg import bpe, checkpoint, synth
 from latseg.checkpoint import load_checkpoint, load_train_words, save_checkpoint
 from latseg.cli import _build_model, load_config_file, main
-from latseg.data import EmbeddingTable, build_vocabs, from_bmes, read_corpus, to_bmes, word_set
-from latseg.errors import CheckpointError, ConfigError, UsageError
+from latseg.data import SENTINEL, UNK, EmbeddingTable, build_vocabs, from_bmes, read_corpus, to_bmes, word_set
+from latseg.errors import CheckpointError, ConfigError, NumericError, UsageError
 from latseg.lexicon import read_lexicon
 from latseg.model import SegmenterModel, prepare_lexicon
 from latseg.train import TrainConfig
@@ -50,6 +50,9 @@ def corpus_dir(tmp_path_factory):
     return out
 
 
+GOLDEN = Path(__file__).parent / "fixtures" / "golden"
+
+
 def run(args):
     return main([str(a) for a in args])
 
@@ -66,6 +69,17 @@ class TestTrainCommand:
         for name in ("manifest.txt", "report.tsv", "report.txt", "train_words.txt"):
             assert (out / name).is_file()
         assert "best dev F1" in capsys.readouterr().out
+
+    def test_an_update_that_overflows_exits_three_and_saves_nothing(self, tmp_path, capsys):
+        # float32 updates of lr0=1e39 overflowed; train printed "saved" over nine non-finite tensors
+        corpus, cfg, out = tmp_path / "one.txt", tmp_path / "big.cfg", tmp_path / "model"
+        corpus.write_text("中国 人\n", encoding="utf-8")
+        cfg.write_text("dtype=float32\nlr0=1e39\nepochs=1\n", encoding="utf-8")
+        rc = run(["train", "--train", corpus, "--dev", corpus, "--config", cfg, "--out", out])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert re.fullmatch(r"latseg: non-finite (update|gradient) in tensor \w+\n", err)
+        assert not out.exists()
 
     def test_a_config_with_a_byte_order_mark_reads_as_without(self, corpus_dir, tmp_path):
         # the BOM joined the first line, which was then refused as an unknown entry
@@ -568,6 +582,41 @@ class TestSegmentCommand:
         assert err.startswith(f"latseg: {ckpt}: ") and err.count("\n") == 1
         assert "manifest" in err
 
+    @pytest.mark.parametrize("head", [b"\xef", b"\xef\xbb"], ids=["ef", "ef-bb"])
+    def test_a_cut_byte_order_mark_is_data_error(self, trained, tmp_path, capsys, head):
+        # it read as an empty file, and segment wrote an empty output
+        inp, out = tmp_path / "raw.txt", tmp_path / "seg.txt"
+        inp.write_bytes(head)
+        assert run(["segment", "--model", trained, "--input", inp, "--output", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"latseg: {inp}: 'utf-8' codec can't decode") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "line",
+        ["{c}{c}{c}", "{c}", "", "Ω{c}", "{c}Ω", "Ω" + SENTINEL, "{c}" + UNK, "{c}</S>", "{c}{c}" + SENTINEL,
+         SENTINEL, "repeat"],
+        ids=["three-chars", "one-char", "empty", "unknown-left", "unknown-right", "unknown-then-sentinel",
+             "reserved-suffix", "not-the-sentinel", "two-then-sentinel", "sentinel-alone", "repeated"],
+    )
+    def test_a_bigram_line_that_is_no_pair_of_unigrams_is_checkpoint_error(
+        self, corpus_dir, trained, tmp_path, capsys, line
+    ):
+        ckpt = tmp_path / "model"
+        shutil.copytree(trained, ckpt)
+        char = (ckpt / "unigram.vocab").read_text(encoding="utf-8").split("\n")[2]
+        vocab = ckpt / "bigram.vocab"
+        lines = vocab.read_text(encoding="utf-8").split("\n")
+        lines[3] = lines[2] if line == "repeat" else line.format(c=char)
+        vocab.write_text("\n".join(lines), encoding="utf-8")
+        out = tmp_path / "o.txt"
+        rc = run(["segment", "--model", ckpt, "--input", corpus_dir / "dev.txt", "--output", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"latseg: {vocab}: ") and err.count("\n") == 1
+        assert ("listed twice" if line == "repeat" else "line 4: not two characters of unigram.vocab") in err
+        assert not out.exists()
+
     def test_lexicon_vocab_off_the_trie_is_checkpoint_error(self, corpus_dir, trained, tmp_path, capsys):
         # a 1-char symbol never enters the trie, so the lexicon rows cannot follow it
         ckpt = tmp_path / "model"
@@ -907,6 +956,52 @@ def test_probe_holding_a_line_break_is_refused_before_writing(tmp_path, rng, pro
     assert {f.name: f.read_bytes() for f in ck.iterdir()} == before
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_tensor_is_refused_before_writing(tmp_path, rng, value):
+    model = _tiny_float64_model(rng)
+    ck = tmp_path / "ck"
+    save_checkpoint(model, ck, "中国人")
+    before = {f.name: f.read_bytes() for f in ck.iterdir()}
+    model.crf.transitions.data[1, 2] = value
+    with pytest.raises(NumericError, match="tensor crf_transitions holds a value that is not finite"):
+        save_checkpoint(model, ck, "中国人")
+    assert list(tmp_path.iterdir()) == [ck]
+    assert {f.name: f.read_bytes() for f in ck.iterdir()} == before
+
+
+@pytest.mark.parametrize("dtype", ["float64", "float32"])
+def test_resaving_a_golden_checkpoint_writes_its_vocab_bytes(dtype, tmp_path):
+    # the bigram index writes its rows back as the strings the fixture holds
+    ckpt = GOLDEN / f"lattice-word-{dtype}"
+    save_checkpoint(load_checkpoint(ckpt), tmp_path / "again", "中国")
+    for name in ("unigram.vocab", "bigram.vocab", "lexicon.vocab"):
+        assert (tmp_path / "again" / name).read_bytes() == (ckpt / name).read_bytes(), name
+
+
+def test_bigram_index_memory_per_bigram(tmp_path):
+    # the string-keyed bigram Vocab held about 145 bytes per bigram when built,
+    # and a load built another one
+    rng = np.random.default_rng(5)
+    alphabet = np.array([chr(0x4E00 + k) for k in range(3000)])
+    corpus = ["".join(rng.choice(alphabet, 30)) for _ in range(2000)]
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        uni, bi = build_vocabs(corpus)
+        built = tracemalloc.get_traced_memory()[0] - base
+        tables = [EmbeddingTable.random(v, 1, rng, dtype=np.float32, name=f"{name}_embeddings")
+                  for v, name in ((uni, "unigram"), (bi, "bigram"))]
+        save_checkpoint(SegmenterModel.create("baseline", *tables, 1, rng, dtype=np.float32), tmp_path / "ck",
+                        corpus[0])
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = load_checkpoint(tmp_path / "ck")
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(loaded.bigram_table.vocab) == len(bi) > 55_000
+    assert built / len(bi) < 40 and held / len(bi) < 40, (built / len(bi), held / len(bi))
+
+
 def test_save_leaves_model_unchanged(tmp_path, rng):
     model = _tiny_float64_model(rng)
     for p in model.parameters():
@@ -1163,6 +1258,8 @@ def test_fuzzed_train_saves_a_scorable_checkpoint_or_exits_with_one_line(fuzz_co
         assert err.getvalue().startswith("latseg: ") and err.getvalue().count("\n") == 1
         return
     load_checkpoint(out)
+    for tensor in out.glob("*.f32"):
+        assert np.isfinite(np.fromfile(tensor, "<f4", offset=8)).all(), tensor.name
     with contextlib.redirect_stdout(io.StringIO()) as report:
         assert run(["eval", "--model", out, "--gold", fuzz_corpus / "dev.txt"]) == 0
     assert "f1=" in report.getvalue()

@@ -8,12 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latseg.data import (
+    RESERVED,
     SENTINEL,
     UNK,
+    BigramIndex,
     EmbeddingTable,
     LabeledSentence,
     Vocab,
-    bigrams_of,
     build_vocabs,
     from_bmes,
     label_spans,
@@ -140,6 +141,41 @@ class TestBuildVocabs:
             assert n_symbols == 2
 
 
+class TestBigramIndex:
+    @given(
+        st.lists(st.text(alphabet="pqr", min_size=1, max_size=6), min_size=1, max_size=8),
+        st.lists(st.sampled_from(["", "p", "q", "z", "<", "pq", "qp", "pz", "zp", "rr", "pqr", "p" + SENTINEL,
+                                  "z" + SENTINEL, "pq" + SENTINEL, SENTINEL, UNK, "p" + UNK, "p</S>", "p<s/>"]),
+                 max_size=40),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bulk_keys_are_each_symbols_key(self, corpus, symbols):
+        # keys_of parses a checkpoint's bigram.vocab; index parses one token at a time
+        uni, bi = build_vocabs(corpus)
+        keys = BigramIndex.keys_of(uni, iter(symbols))
+        assert keys.tolist() == [bi._key(sym) for sym in symbols]
+        rows = bi.lookup(keys).tolist()
+        assert rows == [0 if sym in RESERVED else bi.index(sym) for sym in symbols]
+
+    def test_its_symbols_read_back_into_the_same_rows(self):
+        uni, bi = build_vocabs(["中国人民", "人", ("国", "民", "中")])
+        again = BigramIndex(uni, BigramIndex.keys_of(uni, bi.symbols()[len(RESERVED) :]))
+        assert again.symbols() == bi.symbols() == list(bi)
+        np.testing.assert_array_equal(again.keys, bi.keys)
+        np.testing.assert_array_equal(again.rows, bi.rows)
+        assert [bi.index(sym) for sym in bi.symbols()] == list(range(len(bi)))
+
+    def test_a_repeated_bigram_is_refused(self):
+        uni, _ = build_vocabs(["ab"])
+        with pytest.raises(DataError, match="listed twice"):
+            BigramIndex(uni, BigramIndex.keys_of(uni, ["ab", "b" + SENTINEL, "ab"]))
+
+    def test_an_empty_sentence_has_no_bigram(self):
+        uni, bi = build_vocabs(["", "ab", ""])
+        assert bi.symbols() == [UNK, SENTINEL, "ab", "b" + SENTINEL]
+        assert bi.rows_of(["", "ab", "", "b", ""], uni.ids("abb")).tolist() == [2, 3, 3]  # ab, b</s>, b</s>
+
+
 class TestEmbeddings:
     def test_random_rows_within_bound(self, rng):
         v = Vocab(["a", "b"])
@@ -255,7 +291,8 @@ class TestCorpusIO:
             LabeledSentence((), ())
 
     def test_bigrams_use_sentinel(self):
-        assert bigrams_of("ab") == ["ab", "b" + SENTINEL]
+        uni, bi = build_vocabs(["ab"])
+        assert bi.rows_of(["ab"], uni.ids("ab")).tolist() == [bi.index("ab"), bi.index("b" + SENTINEL)] == [2, 3]
 
 
 class TestReadLines:
@@ -274,6 +311,14 @@ class TestReadLines:
         path = tmp_path / "text.txt"
         path.write_bytes("\ufeffab\n\ufeffcd\n".encode("utf-8"))
         assert list(read_lines(path)) == ["ab", "\ufeffcd"]
+
+    @pytest.mark.parametrize("head", [b"\xef", b"\xef\xbb", b"\xef\xbb\n"], ids=["ef", "ef-bb", "ef-bb-lf"])
+    def test_a_cut_byte_order_mark_is_not_utf8(self, tmp_path, head):
+        # the utf-8-sig decoder held these bytes back as a possible BOM and dropped them at the end
+        path = tmp_path / "text.txt"
+        path.write_bytes(head)
+        with pytest.raises(DataError, match=f"^{path}: 'utf-8' codec can't decode"):
+            list(read_lines(path))
 
     def test_a_line_of_several_megabytes_reads_whole(self, tmp_path):
         path = tmp_path / "long.txt"

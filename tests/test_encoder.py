@@ -5,10 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcheck import ALPHA_SUM_TOL, assert_grads_match, weighted_sum
 from latseg import encoder
-from latseg.data import RESERVED, EmbeddingTable, Vocab, build_vocabs
+from latseg.data import RESERVED, SENTINEL, EmbeddingTable, Vocab, build_vocabs
 from latseg.encoder import DirectionParams, char_repr, gate_normalize, lattice_forward, shortcut_cell
 from latseg.errors import UsageError
 from latseg.lexicon import LatticeMatchSet
@@ -369,6 +371,23 @@ class TestCharRepr:
         alone = [char_repr([s], ut, bt).data for s in ("中国", "人")]
         np.testing.assert_array_equal(char_repr(["中国", "人"], ut, bt).data, np.concatenate(alone))
         assert not np.array_equal(alone[0], char_repr(["中国人"], ut, bt).data[:2])
+
+    @given(
+        st.lists(st.text(alphabet="天地人", min_size=1, max_size=8), min_size=1, max_size=6),
+        st.lists(st.text(alphabet="天地人山水", min_size=1, max_size=8), min_size=1, max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bigram_rows_are_the_rows_of_the_bigram_strings(self, corpus, batch):
+        # 山 and 水 never occur in the corpus; a one-character sentence is only its sentinel bigram
+        uni, bi = build_vocabs(corpus)
+        ut = EmbeddingTable.random(uni, 2, np.random.default_rng(0), name="unigram_embeddings")
+        bt = EmbeddingTable.random(bi, 3, np.random.default_rng(1), name="bigram_embeddings")
+        strings = [s[i] + (s[i + 1] if i + 1 < len(s) else SENTINEL) for s in batch for i in range(len(s))]
+        # the string-keyed vocabulary the index replaced numbers the same rows
+        keyed = Vocab(s[i] + (s[i + 1] if i + 1 < len(s) else SENTINEL) for s in corpus for i in range(len(s)))
+        expect = [bi.index(bg) for bg in strings]
+        assert expect == [keyed.index(bg) for bg in strings]
+        np.testing.assert_array_equal(char_repr(batch, ut, bt).data[:, 2:], bt.rows.data[expect])
 
     def test_train_dropout_scales(self, rng):
         ut, bt = self._tables(rng)

@@ -313,6 +313,28 @@ class TestSgd:
         np.testing.assert_array_equal(good.data, [1.0, 2.0])
         np.testing.assert_array_equal(good.grad, [0.5, 0.5])
 
+    def test_an_update_that_overflows_names_the_tensor_and_changes_nothing(self):
+        # a float32 step of 1e39 * grad used to write infinities into the tensor
+        good = param(np.array([1.0, 2.0]), "good")  # float64, which holds the step
+        big = param(np.array([3.0], np.float32), "big_step")
+        write_grad(good, 0.5)
+        write_grad(big, 1.0)
+        with pytest.raises(NumericError, match="non-finite update in tensor big_step"):
+            sgd_step([good, big], 1e39)
+        np.testing.assert_array_equal(good.data, [1.0, 2.0])
+        np.testing.assert_array_equal(big.data, [3.0])
+        np.testing.assert_array_equal(big.grad, [1.0])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_an_update_has_the_bits_of_the_in_place_subtraction(self, rng, dtype):
+        p = param(rng.normal(size=(4, 3)).astype(dtype), "p")
+        write_grad(p, 0.0)
+        p.grad[...] = rng.normal(size=(4, 3))
+        expect = p.data.copy()
+        expect -= 0.37 * p.grad
+        sgd_step([p], 0.37)
+        assert p.data.tobytes() == expect.tobytes()
+
     def test_bad_learning_rate(self):
         with pytest.raises(ConfigError):
             sgd_step([param(np.zeros(1), "p")], 0.0)
