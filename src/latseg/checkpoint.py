@@ -19,7 +19,7 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
-from itertools import islice
+from itertools import count, islice, zip_longest
 from operator import add
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -30,8 +30,8 @@ from .crf import CrfParams, N_LABELS, N_STATES
 from .data import RESERVED, SENTINEL, BigramIndex, EmbeddingTable, Vocab, read_lines, write_lines
 from .encoder import DirectionParams
 from .errors import CheckpointError, DataError, NumericError, UsageError
-from .lexicon import build_trie
-from .model import MODES, SegmenterModel
+from .lexicon import Trie, build_trie
+from .model import SegmenterModel
 from .tensor import Tensor, const
 
 FORMAT = "latseg-ckpt-v1"
@@ -67,16 +67,24 @@ def _read_tensor(path: Path, shape: tuple[int, ...], dtype) -> np.ndarray:
         return np.memmap(fh, "<f4", "r", offset=8, shape=shape).astype(dtype, copy=False)
 
 
-def _read_vocab(path: Path, expected_size: int, unigrams: Vocab | None = None) -> Vocab | BigramIndex:
-    """The vocabulary in ``path``; given ``unigrams``, the bigram index of their characters.
+def _read_vocab(path: Path, expected_size: int, unigrams: Vocab | None = None) -> Vocab | BigramIndex | Trie:
+    """The vocabulary in ``path``: a trie for ``lexicon.vocab``, and given ``unigrams``, their bigram index.
 
-    A bigram index refuses a line that is not two characters of ``unigrams``,
-    or one and the sentinel, and a line it has read before.
+    A trie refuses a line that :func:`build_trie` would drop; a bigram index, a line that is
+    not two characters of ``unigrams`` (or one and the sentinel) and a line it has read before.
     """
     lines = read_lines(path)
     if tuple(islice(lines, len(RESERVED))) != RESERVED:
         raise CheckpointError(f"{path}: missing reserved vocabulary entries")
-    if unigrams is None:
+    if path.name == "lexicon.vocab":
+        read = count()  # zip takes each line before a count, so next(read) is the number of lines
+        vocab = build_trie(line for line, _ in zip(lines, read))
+        if len(vocab) != len(RESERVED) + next(read):
+            rest = enumerate(islice(read_lines(path), len(RESERVED), None), len(RESERVED) + 1)
+            lineno, line = next((k, line) for (k, line), sym in zip_longest(rest, vocab.symbols) if line != sym)
+            why = "reserved" if line in RESERVED else "listed before" if line in vocab else "under two characters"
+            raise CheckpointError(f"{path}: line {lineno}: {line!r} is no lexicon entry: {why}")
+    elif unigrams is None:
         vocab = Vocab(lines)
     else:
         keys = BigramIndex.keys_of(unigrams, lines)
@@ -169,7 +177,7 @@ def _probe_model(model: SegmenterModel, lines: list[str], chars: str, out: Path)
         if name == "bigram":
             vocabs[name] = BigramIndex(vocabs["unigram"], BigramIndex.keys_of(vocabs["unigram"], held))
         else:
-            vocabs[name] = Vocab(held)
+            vocabs[name] = (build_trie if name == "lexicon" else Vocab)(held)
         kept = table.rows.data[[table.vocab.index(sym) for sym in vocabs[name]]]
         arrays[table.rows.name] = const(kept.astype("<f4"), table.rows.name)
     for p in model.parameters():
@@ -261,14 +269,14 @@ def _assemble(
     arrays: dict[str, Tensor],
     uvocab: Vocab,
     bvocab: BigramIndex,
-    lvocab: Vocab | None,
+    trie: Trie | None,
     ckpt: Path,
 ) -> SegmenterModel:
     """The model that manifest values, vocabularies and named tensors describe."""
     mode = values["mode"]
     hidden = int(values["hidden"])
 
-    def table(name: str, vocab: Vocab | BigramIndex) -> EmbeddingTable:
+    def table(name: str, vocab: Vocab | BigramIndex | Trie) -> EmbeddingTable:
         rows, dim = arrays[f"{name}_embeddings"], int(values[f"{name}_dim"])
         if rows.shape != (len(vocab), dim):
             raise CheckpointError(
@@ -278,10 +286,7 @@ def _assemble(
         return EmbeddingTable(vocab, rows)
 
     unigram_table, bigram_table = table("unigram", uvocab), table("bigram", bvocab)
-    lexicon_table = trie = None
-    if mode != "baseline":
-        trie = build_trie(lvocab.symbols()[len(RESERVED) :])
-        lexicon_table = table("lexicon", lvocab)
+    lexicon_table = None if trie is None else table("lexicon", trie)
 
     fields = ["gates_w", "gates_b"]
     if mode != "baseline":
@@ -296,24 +301,19 @@ def _assemble(
     ):
         raise CheckpointError(f"{ckpt}: CRF tensor shapes do not match hidden={hidden}")
 
-    try:
-        return SegmenterModel(
-            mode,
-            unigram_table,
-            bigram_table,
-            direction("fwd"),
-            direction("bwd"),
-            crf_params,
-            lexicon_table=lexicon_table,
-            trie=trie,
-            char_dropout=float(values["char_dropout"]),
-            lattice_dropout=float(values["lattice_dropout"]),
-            max_word_len=int(values["max_word_len"]) or None,
-        )
-    except UsageError as exc:
-        if mode in MODES:  # then the only thing the constructor can refuse is the lexicon table
-            raise CheckpointError(f"{ckpt}: lexicon.vocab: {exc}") from None
-        raise
+    return SegmenterModel(
+        mode,
+        unigram_table,
+        bigram_table,
+        direction("fwd"),
+        direction("bwd"),
+        crf_params,
+        lexicon_table=lexicon_table,
+        trie=trie,
+        char_dropout=float(values["char_dropout"]),
+        lattice_dropout=float(values["lattice_dropout"]),
+        max_word_len=int(values["max_word_len"]) or None,
+    )
 
 
 def load_checkpoint(ckpt_dir) -> SegmenterModel:
@@ -357,10 +357,10 @@ def _load(ckpt: Path) -> SegmenterModel:
 
     uvocab = _read_vocab(ckpt / "unigram.vocab", int(values["unigram_vocab_size"]))
     bvocab = _read_vocab(ckpt / "bigram.vocab", int(values["bigram_vocab_size"]), uvocab)
-    lvocab = None
+    trie = None
     if values["mode"] != "baseline":
-        lvocab = _read_vocab(ckpt / "lexicon.vocab", int(values["lexicon_vocab_size"]))
-    model = _assemble(values, arrays, uvocab, bvocab, lvocab, ckpt)
+        trie = _read_vocab(ckpt / "lexicon.vocab", int(values["lexicon_vocab_size"]))
+    model = _assemble(values, arrays, uvocab, bvocab, trie, ckpt)
 
     probe, emissions = values["probe_chars"], values["probe_emissions"]  # every save writes both
     if not probe:

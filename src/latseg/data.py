@@ -137,9 +137,6 @@ class Vocab:
     def __iter__(self) -> Iterator[str]:
         return iter(self._index)
 
-    def symbols(self) -> list[str]:
-        return list(self)
-
 
 _SENTINEL_ROW = RESERVED.index(SENTINEL)  # a sentence's last bigram pairs its character with this row
 _STOP = np.iinfo(np.int64).max  # the last key of every BigramIndex, above every pair's
@@ -210,13 +207,10 @@ class BigramIndex:
         yield from RESERVED
         in_rows = np.empty_like(self.keys[:-1])
         in_rows[self.rows[:-1] - len(RESERVED)] = self.keys[:-1]
-        syms = self.unigrams.symbols()  # row 1 is SENTINEL, a sentence-final bigram's right side
+        syms = list(self.unigrams)  # row 1 is SENTINEL, a sentence-final bigram's right side
         for start in range(0, len(in_rows), BLOCK):
             left, right = np.divmod(in_rows[start : start + BLOCK], len(self.unigrams))
             yield from map(add, map(syms.__getitem__, left.tolist()), map(syms.__getitem__, right.tolist()))
-
-    def symbols(self) -> list[str]:
-        return list(self)
 
     @staticmethod
     def keys_of(unigrams: Vocab, symbols: Iterable[str]) -> np.ndarray:

@@ -6,17 +6,18 @@ characters already flow through the character path of the encoder. The
 trie is one flat dict holding each entry and every shorter prefix of one;
 matching extends one key per start position and stops at the first key the
 dict lacks. A sentence's matches are three parallel index arrays in (b, e)
-order.
+order. The trie is also the lexicon table's vocabulary: entry k is row k + 2.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .data import check_raw_lines, read_lines
+from .data import RESERVED, check_raw_lines, read_lines
 
 
 class Trie:
@@ -26,15 +27,26 @@ class Trie:
         self.symbols: list[str] = []  # entry id -> symbol
         self.prefixes: dict[str, int] = {}
 
+    def index(self, sym: str) -> int:
+        """``sym``'s lexicon row: its entry id + len(RESERVED), a reserved row, or 0 for anything else."""
+        entry = self.prefixes.get(sym, -1)
+        return entry + len(RESERVED) if entry >= 0 else RESERVED.index(sym) if sym in RESERVED else 0
+
+    def __contains__(self, sym: str) -> bool:
+        return sym in RESERVED or self.prefixes.get(sym, -1) >= 0
+
     def __len__(self) -> int:
-        return len(self.symbols)
+        return len(RESERVED) + len(self.symbols)
+
+    def __iter__(self) -> Iterator[str]:
+        return chain(RESERVED, self.symbols)
 
 
 def build_trie(symbols: Iterable[str]) -> Trie:
-    """Trie containing exactly the multi-character input symbols, deduplicated."""
+    """Trie containing exactly the multi-character input symbols, deduplicated, except :data:`RESERVED`."""
     trie = Trie()
     for sym in symbols:
-        if len(sym) < 2 or trie.prefixes.get(sym, -1) >= 0:
+        if len(sym) < 2 or trie.prefixes.get(sym, -1) >= 0 or sym in RESERVED:
             continue
         for k in range(1, len(sym)):
             trie.prefixes.setdefault(sym[:k], -1)

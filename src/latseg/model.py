@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from . import crf as crf_ops
-from .data import RESERVED, EmbeddingTable, LabeledSentence, Vocab
+from .data import EmbeddingTable, LabeledSentence
 from .encoder import DirectionParams, char_repr, encode_bidirectional
 from .errors import UsageError
 from .lexicon import LatticeMatchSet, Trie, build_trie, match_sentence
@@ -27,15 +27,10 @@ MODES = ("baseline", "lattice-word", "lattice-subword")
 DECODE_CELLS = 2048  # sentences x longest sentence per encoder call of SegmenterModel.decode_many
 
 
-def prepare_lexicon(symbols: Sequence[str]) -> tuple[Trie, Vocab]:
-    """Deduplicate lexicon symbols into a trie and a matching vocabulary.
-
-    Length-1 symbols are dropped, and so are the reserved vocabulary symbols,
-    which a vocabulary cannot hold twice: the lexicon row of trie entry k is
-    always k + len(RESERVED).
-    """
-    trie = build_trie(s for s in symbols if s not in RESERVED)
-    return trie, Vocab(trie.symbols)
+def prepare_lexicon(symbols: Sequence[str]) -> tuple[Trie, Trie]:
+    """The trie of ``symbols`` twice: as the model's trie and as its lexicon table's vocabulary."""
+    trie = build_trie(symbols)
+    return trie, trie
 
 
 @dataclass(eq=False)
@@ -57,10 +52,8 @@ class SegmenterModel:
             raise UsageError(f"mode must be one of {MODES}, got {self.mode!r}")
         if getattr(self.bigram_table.vocab, "unigrams", None) is not self.unigram_table.vocab:
             raise UsageError("the bigram table must index pairs of the unigram table's characters")
-        if self.mode != "baseline" and (self.lexicon_table is None or self.trie is None):
-            raise UsageError(f"{self.mode} mode requires a lexicon table and trie")
-        if self.mode != "baseline" and self.lexicon_table.vocab.symbols()[len(RESERVED) :] != self.trie.symbols:
-            raise UsageError("lexicon table rows must follow the trie's entries (see prepare_lexicon)")
+        if self.mode != "baseline" and (self.lexicon_table is None or self.lexicon_table.vocab is not self.trie):
+            raise UsageError(f"{self.mode} mode requires a lexicon table over its trie (see prepare_lexicon)")
 
         self._params: list[Tensor] = [self.unigram_table.rows, self.bigram_table.rows]
         if self.lexicon_table is not None:

@@ -4,6 +4,7 @@ import contextlib
 import filecmp
 import io
 import math
+import random
 import re
 import shutil
 import tracemalloc
@@ -629,8 +630,32 @@ class TestSegmentCommand:
         rc = run(["segment", "--model", ckpt, "--input", corpus_dir / "dev.txt", "--output", out])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"latseg: {ckpt}: ") and err.count("\n") == 1
-        assert "lexicon.vocab" in err and "manifest" not in err
+        assert err.startswith(f"latseg: {vocab}: line {len(lines) - 1}: ") and err.count("\n") == 1
+        assert "manifest" not in err
+
+    @pytest.mark.parametrize(
+        "line, why",
+        [("", "under two characters"), ("Ω", "under two characters"), ("repeat", "listed before"),
+         (UNK, "reserved")],
+        ids=["empty", "one-char", "repeated", "reserved"],
+    )
+    def test_a_lexicon_line_the_trie_would_drop_is_refused_with_its_number(
+        self, corpus_dir, trained, tmp_path, capsys, line, why
+    ):
+        # a repeat read as a manifest size mismatch, a short line as rows off the trie
+        ckpt = tmp_path / "model"
+        shutil.copytree(trained, ckpt)
+        vocab = ckpt / "lexicon.vocab"
+        lines = vocab.read_text(encoding="utf-8").split("\n")
+        lines[3] = lines[2] if line == "repeat" else line
+        vocab.write_text("\n".join(lines), encoding="utf-8")
+        out = tmp_path / "o.txt"
+        rc = run(["segment", "--model", ckpt, "--input", corpus_dir / "dev.txt", "--output", out])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"latseg: {vocab}: line 4: ") and err.count("\n") == 1
+        assert err.endswith(f"is no lexicon entry: {why}\n")
+        assert not out.exists()
 
     def test_vocab_longer_than_table_is_checkpoint_error(self, corpus_dir, trained, tmp_path, capsys):
         # one more unigram symbol than embedding rows: refused at load, not at
@@ -1002,6 +1027,32 @@ def test_bigram_index_memory_per_bigram(tmp_path):
     assert built / len(bi) < 40 and held / len(bi) < 40, (built / len(bi), held / len(bi))
 
 
+def test_loaded_lexicon_memory_per_entry(tmp_path):
+    # a load that built a Vocab of the lexicon beside its trie held 312 bytes
+    # an entry here; with the trie as the table's vocabulary it holds 264
+    draw = random.Random(11)
+    alphabet = [chr(0x4E00 + k) for k in range(3500)]
+    words = ["".join(draw.choices(alphabet, k=draw.randint(2, 4))) for _ in range(20_000)]
+    corpus = ["".join(draw.choices(words, k=6)) for _ in range(50)]
+    rng = np.random.default_rng(11)
+    trie, lvocab = prepare_lexicon(words)
+    uni, bi = build_vocabs(corpus)
+    tables = [EmbeddingTable.random(v, 1, rng, dtype=np.float32, name=f"{name}_embeddings")
+              for v, name in ((uni, "unigram"), (bi, "bigram"), (lvocab, "lexicon"))]
+    model = SegmenterModel.create("lattice-word", tables[0], tables[1], 1, rng, lexicon_table=tables[2], trie=trie,
+                                  dtype=np.float32)
+    save_checkpoint(model, tmp_path / "ck", corpus[0])
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = load_checkpoint(tmp_path / "ck")
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert loaded.lexicon_table.vocab is loaded.trie and loaded.trie.symbols == trie.symbols
+    assert len(trie.symbols) > 19_000 and held / len(trie.symbols) < 290, held / len(trie.symbols)
+
+
 def test_save_leaves_model_unchanged(tmp_path, rng):
     model = _tiny_float64_model(rng)
     for p in model.parameters():
@@ -1021,7 +1072,7 @@ def test_reserved_symbols_in_lexicon_round_trip(tmp_path, rng):
     ut = EmbeddingTable.random(uni, 4, rng, dtype=np.float32, name="unigram_embeddings")
     bt = EmbeddingTable.random(bi, 4, rng, dtype=np.float32, name="bigram_embeddings")
     trie, lvocab = prepare_lexicon(["</s>", "ab", "<unk>", "cd"])
-    assert trie.symbols == ["ab", "cd"] and lvocab.symbols()[2:] == trie.symbols
+    assert trie.symbols == ["ab", "cd"] and lvocab is trie and list(lvocab)[2:] == trie.symbols
     lt = EmbeddingTable.random(lvocab, 4, rng, dtype=np.float32, name="lexicon_embeddings")
     model = SegmenterModel.create(
         "lattice-word", ut, bt, 5, rng, lexicon_table=lt, trie=trie, dtype=np.float32

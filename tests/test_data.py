@@ -103,24 +103,24 @@ class TestVocab:
         v = Vocab(["x", "y", "x"])
         assert [v.index(s) for s in ("x", "y")] == [2, 3]
         assert len(v) == 4
-        assert v.symbols() == [UNK, SENTINEL, "x", "y"]
+        assert list(v) == [UNK, SENTINEL, "x", "y"]
 
 
 class TestBuildVocabs:
     def test_two_char_sentence(self):
         uni, bi = build_vocabs(["ab"])
-        assert set(uni.symbols()) == {UNK, SENTINEL, "a", "b"}
-        assert set(bi.symbols()) == {UNK, SENTINEL, "ab", "b" + SENTINEL}
+        assert set(uni) == {UNK, SENTINEL, "a", "b"}
+        assert set(bi) == {UNK, SENTINEL, "ab", "b" + SENTINEL}
 
     def test_single_char_sentence(self):
         _, bi = build_vocabs(["a"])
-        assert set(bi.symbols()) == {UNK, SENTINEL, "a" + SENTINEL}
+        assert set(bi) == {UNK, SENTINEL, "a" + SENTINEL}
 
     def test_duplicates_add_nothing(self):
         uni1, bi1 = build_vocabs(["ab", "ab"])
         uni2, bi2 = build_vocabs(["ab"])
-        assert uni1.symbols() == uni2.symbols()
-        assert bi1.symbols() == bi2.symbols()
+        assert list(uni1) == list(uni2)
+        assert list(bi1) == list(bi2)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(DataError):
@@ -128,14 +128,14 @@ class TestBuildVocabs:
 
     def test_symbols_in_order_of_first_appearance(self):
         uni, bi = build_vocabs(iter(["ba", ("a", "c", "b")]))
-        assert uni.symbols() == [UNK, SENTINEL, "b", "a", "c"]
-        assert bi.symbols() == [UNK, SENTINEL, "ba", "a" + SENTINEL, "ac", "cb", "b" + SENTINEL]
+        assert list(uni) == [UNK, SENTINEL, "b", "a", "c"]
+        assert list(bi) == [UNK, SENTINEL, "ba", "a" + SENTINEL, "ac", "cb", "b" + SENTINEL]
 
     @given(st.lists(st.text(alphabet="pqr", min_size=1, max_size=9), min_size=1, max_size=6))
     @settings(max_examples=100, deadline=None)
     def test_bigram_entries_are_two_symbols(self, corpus):
         _, bi = build_vocabs(corpus)
-        for sym in bi.symbols()[2:]:
+        for sym in list(bi)[2:]:
             tail = sym.removesuffix(SENTINEL)
             n_symbols = len(tail) + (1 if sym.endswith(SENTINEL) else 0)
             assert n_symbols == 2
@@ -159,11 +159,11 @@ class TestBigramIndex:
 
     def test_its_symbols_read_back_into_the_same_rows(self):
         uni, bi = build_vocabs(["中国人民", "人", ("国", "民", "中")])
-        again = BigramIndex(uni, BigramIndex.keys_of(uni, bi.symbols()[len(RESERVED) :]))
-        assert again.symbols() == bi.symbols() == list(bi)
+        again = BigramIndex(uni, BigramIndex.keys_of(uni, list(bi)[len(RESERVED) :]))
+        assert list(again) == list(bi)
         np.testing.assert_array_equal(again.keys, bi.keys)
         np.testing.assert_array_equal(again.rows, bi.rows)
-        assert [bi.index(sym) for sym in bi.symbols()] == list(range(len(bi)))
+        assert [bi.index(sym) for sym in bi] == list(range(len(bi)))
 
     def test_a_repeated_bigram_is_refused(self):
         uni, _ = build_vocabs(["ab"])
@@ -172,7 +172,7 @@ class TestBigramIndex:
 
     def test_an_empty_sentence_has_no_bigram(self):
         uni, bi = build_vocabs(["", "ab", ""])
-        assert bi.symbols() == [UNK, SENTINEL, "ab", "b" + SENTINEL]
+        assert list(bi) == [UNK, SENTINEL, "ab", "b" + SENTINEL]
         assert bi.rows_of(["", "ab", "", "b", ""], uni.ids("abb")).tolist() == [2, 3, 3]  # ab, b</s>, b</s>
 
 

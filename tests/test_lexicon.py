@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latseg.data import SENTINEL, UNK, Vocab, load_embeddings
 from latseg.errors import DataError
 from latseg.lexicon import build_trie, match_sentence, read_lexicon
 
@@ -31,22 +32,28 @@ def spans(ms):
 class TestBuildTrie:
     def test_shared_prefixes(self):
         trie = build_trie(["科学", "科学院", "学院"])
-        assert len(trie) == 3
+        assert len(trie.symbols) == 3
         assert trie.symbols == ["科学", "科学院", "学院"]
         assert trie.prefixes["科"] == -1  # a shared prefix is no entry
 
     def test_empty_lexicon(self):
         trie = build_trie([])
-        assert len(trie) == 0
+        assert trie.symbols == []
         assert len(match_sentence(trie, "中国")) == 0
 
     def test_duplicates_collapse(self):
         trie = build_trie(["中国", "中国"])
-        assert len(trie) == 1
+        assert trie.symbols == ["中国"]
 
     def test_short_symbols_rejected_with_count(self):
         trie = build_trie(["中", "中国", "人"])
-        assert len(trie) == 1
+        assert trie.symbols == ["中国"]
+
+    def test_reserved_symbols_are_no_entries(self):
+        # a vocabulary holds each reserved symbol once, in its reserved row
+        trie = build_trie([SENTINEL, "ab", UNK, "cd"])
+        assert trie.symbols == ["ab", "cd"]
+        assert len(match_sentence(trie, tuple("x</s>ab<unk>"))) == 1
 
     def test_trie_memory_per_entry(self):
         # a node object and a child dict per prefix take about 750 bytes an entry
@@ -60,6 +67,39 @@ class TestBuildTrie:
         finally:
             tracemalloc.stop()
         assert used / len(trie) < 400
+
+
+class TestTrieAsVocabulary:
+    def test_entry_k_is_row_k_plus_two(self):
+        trie = build_trie(["科学", "科学院", "学院"])
+        assert len(trie) == 5
+        assert list(trie) == [UNK, SENTINEL, "科学", "科学院", "学院"]
+        assert [trie.index(sym) for sym in trie] == list(range(5))
+
+    @pytest.mark.parametrize(
+        "sym", ["科", "科学研", "学", "", "学院院"], ids=["prefix", "longer-prefix", "one-char", "empty", "unknown"]
+    )
+    def test_anything_else_is_row_zero_and_not_in(self, sym):
+        trie = build_trie(["科学", "科学研究", "学院"])
+        assert trie.index(sym) == 0 and sym not in trie
+
+    def test_reserved_rows_are_in(self):
+        trie = build_trie(["<unk>x"])  # "<unk>" is also a prefix of an entry
+        assert [trie.index(UNK), trie.index(SENTINEL)] == [0, 1]
+        assert UNK in trie and SENTINEL in trie and "<unk>x" in trie
+
+    def test_load_embeddings_reads_rows_through_the_trie(self, tmp_path):
+        # the bits a Vocab of the trie's entries gives: entry rows at entry + 2,
+        # the reserved rows from the file, and every other token ignored
+        trie = build_trie(["中国", "人民", "中国人民"])
+        path = tmp_path / "emb.txt"
+        path.write_text(
+            "<unk> 7 8\n人民 1 2\n中国人 3 4\n中 5 6\n中国人民 9 10\n</s> 11 12\n中国 13 14\n", encoding="utf-8"
+        )
+        got = load_embeddings(path, trie, 2, np.random.default_rng(3), name="lexicon_embeddings").rows.data
+        want = load_embeddings(path, Vocab(trie.symbols), 2, np.random.default_rng(3)).rows.data
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(got, [[7, 8], [11, 12], [13, 14], [1, 2], [9, 10]])
 
 
 class TestMatchSentence:
