@@ -19,10 +19,11 @@ from __future__ import annotations
 import os
 import shutil
 import tempfile
+from functools import partial
 from itertools import count, islice, zip_longest
-from operator import add
+from operator import add, itemgetter
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
@@ -67,42 +68,41 @@ def _read_tensor(path: Path, shape: tuple[int, ...], dtype) -> np.ndarray:
         return np.memmap(fh, "<f4", "r", offset=8, shape=shape).astype(dtype, copy=False)
 
 
-def _read_vocab(path: Path, expected_size: int, unigrams: Vocab | None = None) -> Vocab | BigramIndex | Trie:
-    """The vocabulary in ``path``: a trie for ``lexicon.vocab``, and given ``unigrams``, their bigram index.
+_Vocabulary = TypeVar("_Vocabulary", Vocab, BigramIndex, Trie)
 
-    A trie refuses a line that :func:`build_trie` would drop; a bigram index, a line that is
-    not two characters of ``unigrams`` (or one and the sentinel) and a line it has read before.
+
+def _read_vocab(path: Path, expected_size: int, build: Callable[[Iterator[str]], _Vocabulary]) -> _Vocabulary:
+    """What ``build`` makes of the lines of ``path`` after the reserved ones.
+
+    A DataError from ``build`` is refused under the file's name, and so is a line that gets no
+    row of its own: a repeat, a reserved symbol, or in a trie, a line under two characters.
     """
     lines = read_lines(path)
     if tuple(islice(lines, len(RESERVED))) != RESERVED:
         raise CheckpointError(f"{path}: missing reserved vocabulary entries")
-    if path.name == "lexicon.vocab":
-        read = count()  # zip takes each line before a count, so next(read) is the number of lines
-        vocab = build_trie(line for line, _ in zip(lines, read))
-        if len(vocab) != len(RESERVED) + next(read):
-            rest = enumerate(islice(read_lines(path), len(RESERVED), None), len(RESERVED) + 1)
-            lineno, line = next((k, line) for (k, line), sym in zip_longest(rest, vocab.symbols) if line != sym)
-            why = "reserved" if line in RESERVED else "listed before" if line in vocab else "under two characters"
-            raise CheckpointError(f"{path}: line {lineno}: {line!r} is no lexicon entry: {why}")
-    elif unigrams is None:
-        vocab = Vocab(lines)
-    else:
-        keys = BigramIndex.keys_of(unigrams, lines)
-        bad = np.flatnonzero(keys < 0)
-        if bad.size:
-            lineno = len(RESERVED) + bad[0] + 1
-            raise CheckpointError(
-                f"{path}: line {lineno}: not two characters of unigram.vocab or one and {SENTINEL}"
-            )
-        try:
-            vocab = BigramIndex(unigrams, keys)
-        except DataError as exc:
-            raise CheckpointError(f"{path}: {exc}") from None
+    read = count()  # zip takes each line before a count, so next(read) is the number of lines
+    try:
+        vocab = build(map(itemgetter(0), zip(lines, read)))
+    except DataError as exc:
+        raise CheckpointError(f"{path}: {exc}") from None
+    if len(vocab) != len(RESERVED) + next(read):
+        rows = zip_longest(enumerate(read_lines(path), 1), vocab)  # the reserved lines match
+        lineno, line = next((k, line) for (k, line), sym in rows if line != sym)
+        why = "reserved" if line in RESERVED else "listed before" if line in vocab else "under two characters"
+        raise CheckpointError(f"{path}: line {lineno}: {line!r} gets no row: {why}")
     if len(vocab) != expected_size:
-        raise CheckpointError(
-            f"{path}: manifest declares {expected_size} symbols, file has {len(vocab)}"
-        )
+        raise CheckpointError(f"{path}: manifest declares {expected_size} symbols, file has {len(vocab)}")
     return vocab
+
+
+def _bigram_index(unigrams: Vocab, lines: Iterator[str]) -> BigramIndex:
+    """The bigram index of ``lines``; a line that is no pair of ``unigrams`` raises DataError."""
+    keys = BigramIndex.keys_of(unigrams, lines)
+    bad = np.flatnonzero(keys < 0)
+    if bad.size:
+        lineno = len(RESERVED) + bad[0] + 1
+        raise DataError(f"line {lineno}: not two characters of unigram.vocab or one and {SENTINEL}")
+    return BigramIndex(unigrams, keys)
 
 
 def _manifest_lines(model: SegmenterModel) -> list[str]:
@@ -355,11 +355,11 @@ def _load(ckpt: Path) -> SegmenterModel:
         stored = np.float32 if name.endswith("_embeddings") else dtype  # tables stay float32 (module docstring)
         arrays[name] = const(_read_tensor(ckpt / f"{name}{TENSOR_SUFFIX}", shape, stored), name)
 
-    uvocab = _read_vocab(ckpt / "unigram.vocab", int(values["unigram_vocab_size"]))
-    bvocab = _read_vocab(ckpt / "bigram.vocab", int(values["bigram_vocab_size"]), uvocab)
+    uvocab = _read_vocab(ckpt / "unigram.vocab", int(values["unigram_vocab_size"]), Vocab)
+    bvocab = _read_vocab(ckpt / "bigram.vocab", int(values["bigram_vocab_size"]), partial(_bigram_index, uvocab))
     trie = None
     if values["mode"] != "baseline":
-        trie = _read_vocab(ckpt / "lexicon.vocab", int(values["lexicon_vocab_size"]))
+        trie = _read_vocab(ckpt / "lexicon.vocab", int(values["lexicon_vocab_size"]), build_trie)
     model = _assemble(values, arrays, uvocab, bvocab, trie, ckpt)
 
     probe, emissions = values["probe_chars"], values["probe_emissions"]  # every save writes both

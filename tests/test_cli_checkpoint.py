@@ -457,7 +457,7 @@ class TestLatticeSubwordFlow:
         assert rc == 0
         model = load_checkpoint(out)
         assert model.mode == "lattice-subword"
-        assert len(model.trie) > 0
+        assert model.trie.symbols
 
 
 class TestSegmentCommand:
@@ -618,44 +618,40 @@ class TestSegmentCommand:
         assert ("listed twice" if line == "repeat" else "line 4: not two characters of unigram.vocab") in err
         assert not out.exists()
 
-    def test_lexicon_vocab_off_the_trie_is_checkpoint_error(self, corpus_dir, trained, tmp_path, capsys):
-        # a 1-char symbol never enters the trie, so the lexicon rows cannot follow it
-        ckpt = tmp_path / "model"
-        shutil.copytree(trained, ckpt)
-        vocab = ckpt / "lexicon.vocab"
-        lines = vocab.read_text(encoding="utf-8").split("\n")
-        lines[-2] = "Ω"  # the last symbol; the file ends with a newline
-        vocab.write_text("\n".join(lines), encoding="utf-8")
-        out = tmp_path / "o.txt"
-        rc = run(["segment", "--model", ckpt, "--input", corpus_dir / "dev.txt", "--output", out])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"latseg: {vocab}: line {len(lines) - 1}: ") and err.count("\n") == 1
-        assert "manifest" not in err
-
     @pytest.mark.parametrize(
         "line, why",
         [("", "under two characters"), ("Ω", "under two characters"), ("repeat", "listed before"),
          (UNK, "reserved")],
         ids=["empty", "one-char", "repeated", "reserved"],
     )
-    def test_a_lexicon_line_the_trie_would_drop_is_refused_with_its_number(
-        self, corpus_dir, trained, tmp_path, capsys, line, why
+    @pytest.mark.parametrize("at", [3, -2], ids=["line-4", "last-line"])  # the file ends with a newline
+    def test_lexicon_vocab_off_the_trie_is_checkpoint_error(
+        self, corpus_dir, trained, tmp_path, capsys, line, why, at
     ):
-        # a repeat read as a manifest size mismatch, a short line as rows off the trie
         ckpt = tmp_path / "model"
         shutil.copytree(trained, ckpt)
         vocab = ckpt / "lexicon.vocab"
         lines = vocab.read_text(encoding="utf-8").split("\n")
-        lines[3] = lines[2] if line == "repeat" else line
+        lines[at] = lines[2] if line == "repeat" else line
         vocab.write_text("\n".join(lines), encoding="utf-8")
         out = tmp_path / "o.txt"
         rc = run(["segment", "--model", ckpt, "--input", corpus_dir / "dev.txt", "--output", out])
         assert rc == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"latseg: {vocab}: line 4: ") and err.count("\n") == 1
-        assert err.endswith(f"is no lexicon entry: {why}\n")
+        assert err.startswith(f"latseg: {vocab}: line {at % len(lines) + 1}: ") and err.count("\n") == 1
+        assert err.endswith(f"gets no row: {why}\n")
         assert not out.exists()
+
+    def test_a_repeated_unigram_line_is_refused_with_its_number(self, corpus_dir, trained, tmp_path, capsys):
+        ckpt = tmp_path / "model"
+        shutil.copytree(trained, ckpt)
+        vocab = ckpt / "unigram.vocab"
+        lines = vocab.read_text(encoding="utf-8").split("\n")
+        lines[3] = lines[2]
+        vocab.write_text("\n".join(lines), encoding="utf-8")
+        rc = run(["segment", "--model", ckpt, "--input", corpus_dir / "dev.txt", "--output", tmp_path / "o.txt"])
+        assert rc == 2
+        assert capsys.readouterr().err == f"latseg: {vocab}: line 4: {lines[2]!r} gets no row: listed before\n"
 
     def test_vocab_longer_than_table_is_checkpoint_error(self, corpus_dir, trained, tmp_path, capsys):
         # one more unigram symbol than embedding rows: refused at load, not at

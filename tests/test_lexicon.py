@@ -66,7 +66,7 @@ class TestBuildTrie:
             used = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert used / len(trie) < 400
+        assert used / len(trie.symbols) < 400
 
 
 class TestTrieAsVocabulary:
