@@ -129,7 +129,7 @@ def _manifest_lines(model: SegmenterModel) -> list[str]:
 
 def _probe_hex(model: SegmenterModel, chars: str) -> str:
     """The probe's float32 emission bytes, as stored in the manifest."""
-    return model.emission_matrix(tuple(chars)).astype("<f4").tobytes().hex()
+    return model.emission_matrix(chars).astype("<f4").tobytes().hex()
 
 
 def check_out_dir(out_dir) -> None:
@@ -166,8 +166,8 @@ def _probe_model(model: SegmenterModel, lines: list[str], chars: str, out: Path)
     emissions are the full model's, bit for bit, without a copy of every table.
     """
     values, _ = _parse_manifest(lines)
-    dtype_name, chars = values["dtype"], tuple(chars)
-    read = {"unigram": chars, "bigram": list(map(add, chars, chars[1:] + (SENTINEL,)))}
+    dtype_name = values["dtype"]
+    read = {"unigram": chars, "bigram": list(map(add, chars, [*chars[1:], SENTINEL]))}
     if model.lexicon_table is not None:
         read["lexicon"] = [model.trie.symbols[k] for k in np.unique(model.match(chars).entry).tolist()]
     arrays, vocabs = {}, {}

@@ -138,8 +138,8 @@ def cmd_segment(args) -> int:
     model = load_checkpoint(args.model)
     sentences = list(read_lines(args.input))  # empty lines stay, to come out empty
     check_raw_lines(args.input, sentences)  # every line, before the output opens
-    labels = iter(model.decode_many([tuple(text) for text in sentences if text]))
-    words = (from_bmes(tuple(text), next(labels)) if text else [] for text in sentences)
+    labels = iter(model.decode_many([text for text in sentences if text]))
+    words = (from_bmes(text, next(labels)) if text else [] for text in sentences)
     write_lines(args.output, map(" ".join, words))
     return 0
 

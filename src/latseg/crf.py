@@ -67,6 +67,8 @@ class CrfParams:
 
 @dataclass
 class LabelPath:
+    """One sentence's decoded labels, as a tuple of one-letter strings."""
+
     labels: tuple[str, ...]
 
 
@@ -145,8 +147,8 @@ def nll_loss(hs: Tensor, labels: Sequence[str], p: CrfParams) -> Tensor:
     return _out(np.asarray(log_z - score, dtype=e.dtype), bwd)
 
 
-def viterbi(hs: Tensor, p: CrfParams, lengths: Sequence[int]) -> list[tuple[str, ...]]:
-    """Each sentence's highest-scoring labels; ties resolve to the smallest label index.
+def viterbi(hs: Tensor, p: CrfParams, lengths: Sequence[int]) -> list[str]:
+    """Each sentence's highest-scoring labels, one letter each; ties resolve to the smallest label index.
 
     ``hs`` stacks the hidden states of sentences of ``lengths``. Their
     recursions run as lanes sorted by length, so the lanes still running at
@@ -190,5 +192,5 @@ def viterbi(hs: Tensor, p: CrfParams, lengths: Sequence[int]) -> list[tuple[str,
         for i in range(m - 1, 0, -1):
             label = back[i][lane][label]
             path.append(label)
-        labels[s] = tuple(LABELS[k] for k in reversed(path))
+        labels[s] = "".join(map(LABELS.__getitem__, reversed(path)))
     return labels

@@ -2,20 +2,28 @@
 
 Every text file latseg reads or writes goes through :func:`read_lines` and
 :func:`write_lines`: UTF-8, one line per record, each ended by a newline. A
-byte-order mark that starts a file is not part of its first line.
+byte-order mark that starts a file is not part of its first line. Files are
+read in blocks of whole lines, :data:`INGEST_BLOCK` bytes and the rest of the
+line they end in, and written :data:`BLOCK` lines at a time.
 
 Corpus format: UTF-8 text, one sentence per line, words separated by single
 spaces. A line with words and any other whitespace is refused; a line of only
 whitespace (spaces, tabs, U+3000, a lone CR and the like) is skipped as blank.
-Characters are Unicode scalar values (no grapheme clustering).
+Characters are Unicode scalar values (no grapheme clustering). A read sentence
+is two strings, its characters and their BMES labels. :func:`read_corpus` and
+:func:`build_vocabs` work on a block's UTF-32 code points with no Python call
+per character, and every temporary they make is block-sized. Functions that
+take a sentence's characters accept a ``str`` or any sequence of
+one-character strings.
 """
 
 from __future__ import annotations
 
+import codecs
 import re
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import chain, islice, repeat
+from functools import lru_cache, partial
+from itertools import chain, compress, islice, repeat
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
@@ -33,14 +41,21 @@ _OTHER_SPACE = re.compile(r"[^\S ]")  # whitespace other than the word separator
 _SPACE = re.compile(r"\s")
 
 
-@dataclass
-class LabeledSentence:
-    """A character sequence with one BMES tag per character."""
+def _text(chars: Sequence[str]) -> str:
+    """``chars`` as one string: a ``str`` as it is, a sequence of one-character strings joined."""
+    return chars if isinstance(chars, str) else "".join(chars)
 
-    chars: tuple[str, ...]
-    labels: tuple[str, ...]
+
+@dataclass(slots=True)
+class LabeledSentence:
+    """A sentence's characters and its BMES tags, one per character, each held as one string."""
+
+    chars: str
+    labels: str
 
     def __post_init__(self):
+        if type(self.chars) is not str or type(self.labels) is not str:
+            self.chars, self.labels = _text(self.chars), _text(self.labels)
         if len(self.chars) != len(self.labels) or not self.chars:
             raise DataError(
                 f"sentence needs equal, non-zero char/label counts: "
@@ -58,17 +73,13 @@ def to_bmes(words: Sequence[str]) -> LabeledSentence:
     """Label a word sequence: 1-char word -> S, k-char word -> B M*(k-2) E."""
     if "" in words:
         raise DataError("empty word")
-    return LabeledSentence(tuple("".join(words)), _labels(words))
+    return LabeledSentence("".join(words), "".join(map(_word_labels, map(len, words))))
 
 
 @lru_cache(maxsize=64)
 def _word_labels(n: int) -> str:
     """The BMES labels of an n-character word, one letter each."""
     return "S" if n == 1 else "B" + "M" * (n - 2) + "E"
-
-
-def _labels(words: Sequence[str]) -> tuple[str, ...]:
-    return tuple("".join(map(_word_labels, map(len, words))))
 
 
 def label_spans(labels: Sequence[str]) -> list[tuple[int, int]]:
@@ -105,7 +116,8 @@ def from_bmes(chars: Sequence[str], labels: Sequence[str]) -> list[str]:
     """Inverse of :func:`to_bmes`; invalid label sequences are repaired."""
     if len(chars) != len(labels):
         raise DataError(f"{len(chars)} chars but {len(labels)} labels")
-    return ["".join(chars[b - 1 : e]) for b, e in label_spans(labels)]
+    text = _text(chars)
+    return [text[b - 1 : e] for b, e in label_spans(labels)]
 
 
 class Vocab:
@@ -142,7 +154,29 @@ _SENTINEL_ROW = RESERVED.index(SENTINEL)  # a sentence's last bigram pairs its c
 _STOP = np.iinfo(np.int64).max  # the last key of every BigramIndex, above every pair's
 _HEAD = len(SENTINEL) + 1  # code points that BigramIndex.keys_of reads from each symbol
 _SENTINEL_CODES = np.array([ord(c) for c in SENTINEL])
-BLOCK = 1 << 14  # bigrams converted to or from strings at a time
+BLOCK = 1 << 14  # bigrams converted to or from strings, or lines written, at a time
+INGEST_BLOCK = 1 << 16  # bytes read from a text file, or characters indexed by build_vocabs, at a time
+_POS = 21  # bits of a position in a packed (key, position) integer: a span of keys is 2**21 long
+_CODE = 1 << 21  # above every code point and every unigram row
+_NONE = np.array([_STOP])  # an empty sorted key set: only its stop entry
+
+
+def _codes(text: str) -> np.ndarray:
+    """The code points of ``text``, lone surrogates included, as one array."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
+
+
+def _with_rows(table: np.ndarray, codes: np.ndarray, rows) -> np.ndarray:
+    """``table`` of a row per code point, grown to hold ``codes`` if needed, with ``codes`` given ``rows``.
+
+    Its last entry, row 0, stands for every code point above, so a lookup
+    takes it with ``mode="clip"``.
+    """
+    size = int(codes.max(initial=0)) + 2
+    if size > len(table):
+        table = np.concatenate([table, np.zeros(size - len(table), table.dtype)])
+    table[codes] = rows
+    return table
 
 
 class BigramIndex:
@@ -222,12 +256,11 @@ class BigramIndex:
         every code point above.
         """
         code = {ord(sym): row for row, sym in enumerate(unigrams) if len(sym) == 1}
-        row_of = np.zeros(max(code, default=0) + 2, np.intp)
-        row_of[list(code)] = list(code.values())
+        row_of = _with_rows(np.zeros(1, np.intp), np.fromiter(code, np.int64, len(code)), list(code.values()))
         symbols, keys = iter(symbols), [np.empty(0, np.int64)]
         for block in iter(lambda: list(islice(symbols, BLOCK)), []):
             size = np.fromiter(map(len, block), np.intp, len(block))
-            text = np.frombuffer(("".join(block) + "\0" * _HEAD).encode("utf-32-le"), "<u4")
+            text = _codes("".join(block) + "\0" * _HEAD)
             head = text[(np.cumsum(size) - size)[:, None] + np.arange(_HEAD)]
             left, right = row_of.take(head[:, :2], mode="clip").T
             end = (size == _HEAD) & (head[:, 1:] == _SENTINEL_CODES).all(axis=1)
@@ -249,15 +282,68 @@ def _pair_keys(sentences: Sequence[Sequence[str]], ids: np.ndarray, n: int) -> n
     return keys
 
 
+def _unseen(keys: np.ndarray, seen: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values of ``keys`` that ``seen`` lacks, in order of first appearance, and ``seen`` with them.
+
+    ``keys`` are below 2**42 and ``seen`` is sorted, ending in a stop entry.
+    A span of keys finds each value's first position with one sort of
+    (key, position) packed into one ``int64``.
+    """
+    fresh = [keys[:0]]
+    for start in range(0, len(keys), 1 << _POS):
+        span = keys[start : start + (1 << _POS)]
+        packed = np.left_shift(span, _POS, dtype=np.int64)
+        packed |= np.arange(len(span))
+        packed.sort()
+        key = packed >> _POS
+        head = np.ones(len(key), bool)  # the first (lowest position) entry of each key
+        np.not_equal(key[1:], key[:-1], out=head[1:])
+        key, at = key[head], packed[head] & ((1 << _POS) - 1)
+        where = seen.searchsorted(key)
+        new = seen[where] != key
+        seen = np.insert(seen, where[new], key[new])
+        first = np.zeros(len(span), bool)
+        first[at[new]] = True
+        fresh.append(span[first])
+    return np.concatenate(fresh), seen
+
+
+def _sentence_blocks(corpus: Iterable[Sequence[str]]) -> Iterator[list[str]]:
+    """The sentences of ``corpus`` as strings, in lists of :data:`INGEST_BLOCK` characters or more (the last, fewer)."""
+    block, size = [], 0
+    for text in map(_text, corpus):
+        block.append(text)
+        size += len(text)
+        if size >= INGEST_BLOCK:
+            yield block
+            block, size = [], 0
+    if block:
+        yield block
+
+
 def build_vocabs(corpus: Iterable[Sequence[str]]) -> tuple[Vocab, BigramIndex]:
-    """The unigram vocabulary and the bigram index of an iterable of char sequences."""
-    corpus = list(corpus)
-    if not corpus:
+    """The unigram vocabulary and the bigram index of an iterable of char sequences.
+
+    It goes through ``corpus`` once, a block of sentences at a time, on the
+    block's code points. A code point -> row table numbers the characters
+    the block meets first, and the bigram keys it has not met before, kept
+    as ``left * 2**21 + right`` in one sorted array, are numbered in order.
+    """
+    table = np.zeros(1, np.intp)  # each character's unigram row, by code point
+    chars = [np.empty(0, np.int64)]  # code points in row order, a block at a time
+    seen, bigrams = _NONE, [np.empty(0, np.int64)]  # bigram keys met, and in row order
+    for block in _sentence_blocks(corpus):
+        codes = _codes("".join(block))
+        fresh, _ = _unseen(codes[table.take(codes, mode="clip") == 0], _NONE)
+        table = _with_rows(table, fresh, np.arange(len(fresh)) + sum(map(len, chars)) + len(RESERVED))
+        chars.append(fresh)
+        fresh, seen = _unseen(_pair_keys(block, table[codes], _CODE), seen)
+        bigrams.append(fresh)
+    if len(bigrams) == 1:  # no block: not one sentence
         raise DataError("cannot build vocabularies from an empty corpus")
-    unigrams = Vocab(chain.from_iterable(corpus))
-    keys = _pair_keys(corpus, unigrams.ids(chain.from_iterable(corpus)), len(unigrams))
-    _, first = np.unique(keys, return_index=True)
-    return unigrams, BigramIndex(unigrams, keys[np.sort(first)])
+    unigrams = Vocab(np.concatenate(chars).astype("<u4").tobytes().decode("utf-32-le", "surrogatepass"))
+    left, right = np.divmod(np.concatenate(bigrams), _CODE)
+    return unigrams, BigramIndex(unigrams, left * len(unigrams) + right)
 
 
 @dataclass
@@ -321,6 +407,26 @@ def load_embeddings(
     return table
 
 
+def _line_blocks(path) -> Iterator[str]:
+    """The text of ``path`` in blocks of whole lines, each line ended by a line feed.
+
+    A block is :data:`INGEST_BLOCK` bytes and the rest of the line they end
+    in, so a long line comes whole, in one block. The rules of
+    :func:`read_lines` hold: a byte-order mark that starts the file is
+    dropped, so is one CR before each line feed and at the end of the file,
+    and bytes that are not UTF-8 raise a DataError naming the file.
+    """
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:  # utf-8-sig would read a cut BOM as empty
+                fh.seek(0)
+            for chunk in iter(partial(fh.read, INGEST_BLOCK), b""):
+                text = (chunk + fh.readline()).decode("utf-8").replace("\r\n", "\n")
+                yield text if text.endswith("\n") else text.removesuffix("\r") + "\n"  # the file's last line
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {exc}") from None
+
+
 def read_lines(path) -> Iterator[str]:
     """Each line of the UTF-8 text file ``path``, without its line feed.
 
@@ -329,52 +435,66 @@ def read_lines(path) -> Iterator[str]:
     feed only, and one CR at its end is dropped, so CR LF files read the
     same. A CR anywhere else stays in its line, as do the other boundaries of
     ``str.splitlines()``, such as U+2028. Bytes that are not UTF-8 raise a
-    DataError naming the file. The codec's message says where in its chunk
-    the bad byte is; text mode decodes in chunks, so the line is not known.
+    DataError naming the file. The codec's message says where in its block
+    the bad byte is, not on which line.
     """
-    try:
-        with open(path, encoding="utf-8", newline="\n") as fh:
-            if fh.read(1) != "\ufeff":  # utf-8-sig would read a file of a cut BOM as empty
-                fh.seek(0)
-            for line in fh:
-                yield line.removesuffix("\n").removesuffix("\r")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: {exc}") from None
+    for block in _line_blocks(path):
+        yield from block.split("\n")[:-1]
 
 
 def write_lines(path, lines: Iterable[str]) -> None:
-    """Write each of ``lines`` and a newline to ``path`` as UTF-8."""
+    """Write each of ``lines`` and a newline to ``path`` as UTF-8, :data:`BLOCK` lines per write."""
+    lines = iter(lines)
     with open(path, "w", encoding="utf-8") as fh:
-        for line in lines:
-            fh.write(line + "\n")
+        for block in iter(lambda: list(islice(lines, BLOCK)), []):
+            block.append("")
+            fh.write("\n".join(block))
 
 
-class _Interned(dict):
-    """Maps each key to the first equal ``str`` it was given."""
+_LABEL_BYTES = np.frombuffer(b"MEBS", np.uint8)  # by 2 * (break before) + (break after)
+# Whitespace other than the word separator and the line feed, by code point
+# (every whitespace code point is below U+3001); the last entry stands for every code point above.
+_OTHER_SPACES = np.array([c not in (10, 32) and chr(c).isspace() for c in range(0x3002)])
 
-    def __missing__(self, key: str) -> str:
-        self[key] = key
-        return key
+
+def _refusal(line: str) -> str:
+    """Why a corpus line with words is refused: the first other whitespace, or an empty word."""
+    other = _OTHER_SPACE.search(line)
+    return f"U+{ord(other[0]):04X} is not a single space between words" if other else "empty word"
 
 
 def read_corpus(path) -> list[LabeledSentence]:
     """Parse a segmented corpus file into labeled sentences.
 
-    All sentences share one ``str`` object per distinct character.
+    Each block of whole lines (see :func:`read_lines`) is one array of code
+    points. A line with a character that is not whitespace holds words: if it
+    holds whitespace other than single spaces between them, the first such
+    line is refused with its number. Every other line is blank and skipped.
+    A character's label is B, M, E or S by whether a space or line feed comes
+    before it and after it.
     """
     sentences: list[LabeledSentence] = []
-    interned = _Interned().__getitem__
-    for lineno, raw in enumerate(read_lines(path), start=1):
-        if not raw.strip():
-            continue
-        words = raw.split(" ")
-        other = _OTHER_SPACE.search(raw)
-        if other:
-            reason = f"U+{ord(other[0]):04X} is not a single space between words"
-            raise DataError(f"{path}: line {lineno}: {reason}")
-        if "" in words:
-            raise DataError(f"{path}: line {lineno}: empty word")
-        sentences.append(LabeledSentence(tuple(map(interned, "".join(words))), _labels(words)))
+    lines = 0  # in the blocks before
+    for block in _line_blocks(path):
+        codes = _codes(block)
+        space, feed = codes == ord(" "), codes == ord("\n")
+        other = _OTHER_SPACES.take(codes, mode="clip")
+        breaks = np.concatenate([[True], space | feed, [True]])  # a line starts the block
+        ends = np.flatnonzero(feed)
+        starts = np.concatenate([[0], ends[:-1] + 1])
+        worded = np.logical_or.reduceat(~(breaks[1:-1] | other), starts)
+        stray = np.flatnonzero(other | space & (breaks[:-2] | breaks[2:]))  # not one space between words
+        refused = stray[worded[ends.searchsorted(stray)]]
+        if refused.size:
+            line = ends.searchsorted(refused[0])
+            why = _refusal(block[starts[line] : ends[line]])
+            raise DataError(f"{path}: line {lines + line + 1}: {why}")
+        lines += len(ends)
+        labels = _LABEL_BYTES[2 * breaks[:-2] + breaks[2:]]
+        labels[ends] = ord("\n")
+        chars = compress(block.replace(" ", "").split("\n"), worded)
+        tags = compress(labels[~space].tobytes().decode("ascii").split("\n"), worded)
+        sentences += map(LabeledSentence, chars, tags)
     return sentences
 
 

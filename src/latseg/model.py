@@ -128,8 +128,8 @@ class SegmenterModel:
         hs, _ = self.hidden_states([sentence.chars], rng)
         return crf_ops.nll_loss(hs, sentence.labels, self.crf)
 
-    def decode_many(self, sentences: Sequence[Sequence[str]]) -> list[tuple[str, ...]]:
-        """The Viterbi labels of each sentence, decoded in batches of sentences of similar length.
+    def decode_many(self, sentences: Sequence[Sequence[str]]) -> list[str]:
+        """The Viterbi labels of each sentence as one string, decoded in batches of sentences of similar length.
 
         Each batch is the lanes of one encoder call, whose walk buffers hold
         its longest sentence's steps for every sentence. So a batch takes
@@ -151,7 +151,7 @@ class SegmenterModel:
         return labels
 
     def decode(self, chars: Sequence[str]) -> crf_ops.LabelPath:
-        return crf_ops.LabelPath(self.decode_many([chars])[0])
+        return crf_ops.LabelPath(tuple(self.decode_many([chars])[0]))
 
     def emission_matrix(self, chars: Sequence[str]) -> np.ndarray:
         """Per-position label scores without dropout; the checkpoint probe output."""

@@ -138,7 +138,7 @@ def evaluate_f1(
         for span in gold_spans:
             hit = span in pred_spans
             tp += hit
-            word = "".join(sent.chars[span[0] - 1 : span[1]])
+            word = sent.chars[span[0] - 1 : span[1]]
             if word in training_words:
                 iv_n += 1
                 iv_tp += hit

@@ -196,7 +196,7 @@ class TestViterbi:
     def test_zero_params_all_b(self):
         hs = const(np.zeros((5, 6)))
         [labels] = viterbi(hs, zero_params(), [5])
-        assert labels == ("B",) * 5
+        assert labels == "B" * 5
 
     def test_matches_brute_force_score(self, rng):
         for _ in range(15):

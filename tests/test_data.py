@@ -1,13 +1,19 @@
 """Data pipeline: BMES conversion, repair, vocabularies, embedding loading."""
 
 import math
+import re
+import sys
+import tracemalloc
+from itertools import chain
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from latseg import data as data_module
 from latseg.data import (
+    INGEST_BLOCK,
     RESERVED,
     SENTINEL,
     UNK,
@@ -26,6 +32,20 @@ from latseg.data import (
 )
 from latseg.errors import DataError, FormatError
 
+
+def write_zipf_corpus(path, sentences: int, seed: int):
+    """A seeded corpus of Zipf-distributed words over 300 CJK characters, and its character count."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.choice([1, 2, 3, 4], size=1000, p=[0.3, 0.45, 0.15, 0.1])
+    vocab = ["".join(map(chr, 0x4E00 + rng.integers(0, 300, size=k))) for k in lengths]
+    weights = 1.0 / (np.arange(len(vocab)) + 4.0)
+    counts = rng.integers(5, 15, size=sentences)
+    picks = rng.choice(len(vocab), size=int(counts.sum()), p=weights / weights.sum())
+    lines = [" ".join(vocab[i] for i in chunk) for chunk in np.split(picks, np.cumsum(counts)[:-1])]
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    return path, sum(len(vocab[i]) for i in picks)
+
+
 words_strategy = st.lists(
     st.text(alphabet="abcdefgh", min_size=1, max_size=5), min_size=1, max_size=12
 )
@@ -33,13 +53,13 @@ words_strategy = st.lists(
 
 class TestToBmes:
     def test_single_char(self):
-        assert to_bmes(["人"]).labels == ("S",)
+        assert to_bmes(["人"]).labels == "S"
 
     def test_two_words(self):
-        assert to_bmes(["中国", "人"]).labels == ("B", "E", "S")
+        assert to_bmes(["中国", "人"]).labels == "BES"
 
     def test_three_char_word(self):
-        assert to_bmes(["科学院"]).labels == ("B", "M", "E")
+        assert to_bmes(["科学院"]).labels == "BME"
 
     def test_empty_word_rejected(self):
         with pytest.raises(DataError):
@@ -228,17 +248,37 @@ class TestCorpusIO:
         path.write_text("中国 人\n\n人\n", encoding="utf-8")
         sents = read_corpus(path)
         assert len(sents) == 2
-        assert sents[0].labels == ("B", "E", "S")
+        assert sents[0].labels == "BES"
         assert word_set(sents) == {"中国", "人"}
 
-    def test_one_object_per_distinct_character(self, tmp_path):
-        path = tmp_path / "corpus.txt"
-        lines = ["中国 人民", "人民 是 中国 的", "abc a"]
-        path.write_text("".join(l + "\n" for l in lines), encoding="utf-8")
-        corpus = read_corpus(path)
-        assert corpus == [to_bmes(l.split(" ")) for l in lines]
-        distinct = {c for s in corpus for c in s.chars}
-        assert len({id(c) for s in corpus for c in s.chars}) == len(distinct) == 9
+    def test_a_read_corpus_holds_under_16_bytes_per_character(self, tmp_path):
+        # each sentence is two strings, its characters and its labels; a
+        # tuple of shared one-character strings per sentence held 25 B/char
+        path, n_chars = write_zipf_corpus(tmp_path / "corpus.txt", 5000, seed=3)
+        tracemalloc.start()
+        try:
+            corpus = read_corpus(path)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert sum(map(len, corpus)) == n_chars
+        assert held / n_chars < 16, held / n_chars
+
+    def test_build_vocabs_peak_above_its_index_does_not_grow_with_the_corpus(self, tmp_path):
+        # the temporaries are a block's; whole-corpus key arrays grew 4x with a 4x corpus
+        above = {}
+        for sentences in (5000, 20000):
+            path, _ = write_zipf_corpus(tmp_path / f"{sentences}.txt", sentences, seed=3)
+            chars = [s.chars for s in read_corpus(path)]
+            tracemalloc.start()
+            try:
+                vocabs = build_vocabs(chars)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            above[sentences] = peak - held
+            assert len(vocabs[1]) > 10000
+        assert above[20000] < 1.5 * above[5000], above
 
     def test_double_space_reports_line(self, tmp_path):
         path = tmp_path / "corpus.txt"
@@ -269,7 +309,7 @@ class TestCorpusIO:
         plain.write_bytes("中国 人\n人\n".encode("utf-8"))
         bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
         assert read_corpus(bom) == read_corpus(plain)
-        assert read_corpus(bom)[0].chars == ("中", "国", "人")
+        assert read_corpus(bom)[0].chars == "中国人"
 
     @pytest.mark.parametrize(
         "line", ["\t", "\u3000", "\u00a0", "   ", "\r ", " \t\u3000"],
@@ -325,3 +365,158 @@ class TestReadLines:
         line = "天地人" * 1_000_000 + "\r" + "ab" * 500_000
         path.write_bytes(f"{line}\r\nef".encode("utf-8"))
         assert list(read_lines(path)) == [line, "ef"]
+
+
+# The per-line reader and parser that block ingestion replaced, kept as the reference.
+def reference_lines(path):
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        if fh.read(1) != "\ufeff":
+            fh.seek(0)
+        for line in fh:
+            yield line.removesuffix("\n").removesuffix("\r")
+
+
+def reference_corpus(path):
+    sentences = []
+    for lineno, raw in enumerate(reference_lines(path), start=1):
+        if not raw.strip():
+            continue
+        words = raw.split(" ")
+        other = re.search(r"[^\S ]", raw)
+        if other:
+            raise DataError(f"{path}: line {lineno}: U+{ord(other[0]):04X} is not a single space between words")
+        if "" in words:
+            raise DataError(f"{path}: line {lineno}: empty word")
+        labels = "".join("S" if len(w) == 1 else "B" + "M" * (len(w) - 2) + "E" for w in words)
+        sentences.append(LabeledSentence("".join(words), labels))
+    return sentences
+
+
+def reference_vocabs(sentences):
+    """Unigrams in order of first appearance, and bigram keys in order of first appearance."""
+    chars = list(dict.fromkeys(chain.from_iterable(sentences)))
+    row = {c: r for r, c in enumerate(chars, start=len(RESERVED))}
+    n = len(RESERVED) + len(chars)
+    keys = dict.fromkeys(
+        row[s[i]] * n + (row[s[i + 1]] if i + 1 < len(s) else RESERVED.index(SENTINEL))
+        for s in sentences for i in range(len(s))
+    )
+    return chars, list(keys)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DataError as exc:
+        return f"DataError: {exc}"
+
+
+# CJK, ASCII, Latin-1, the supplementary planes and a BOM inside a line
+WORD_CHARS = "中国人民的是大学abZ9\u00e9\U00020000\U0001F600\ufeff"
+FAULTS = [" ", "  ", "\t", "\u3000", "\r", "\x0b", "\x85", "\u2028", "\u00a0"]
+word = st.text(alphabet=WORD_CHARS, min_size=1, max_size=4)
+line = st.one_of(
+    st.lists(word, min_size=1, max_size=6).map(" ".join),  # a sentence
+    st.lists(word, min_size=1, max_size=6).map(" ".join),
+    st.lists(word, min_size=1, max_size=6).map(" ".join),
+    st.sampled_from(["", " ", "  ", "\t", "\u3000 ", "\r", " \r\r"]),  # blank
+    word.filter(lambda w: len(w) == 1),  # a 1-character sentence
+)
+
+
+@st.composite
+def corpus_files(draw):
+    lines = draw(st.lists(line, min_size=1, max_size=40))
+    faults = st.tuples(st.integers(0, 99), st.integers(0, 99), st.sampled_from(FAULTS))
+    for at, pos, fault in draw(st.lists(faults, max_size=2)):
+        k = at % len(lines)
+        cut = pos % (len(lines[k]) + 1)
+        lines[k] = lines[k][:cut] + fault + lines[k][cut:]
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]), min_size=len(lines), max_size=len(lines)))
+    ends[-1] = draw(st.sampled_from(["\n", "\r\n", "", "\r"]))  # the last line may end with no line feed
+    data = ("\ufeff" if draw(st.booleans()) else "") + "".join(map(str.__add__, lines, ends))
+    return data.encode("utf-8")
+
+
+class TestBlockIngestion:
+    @given(
+        corpus_files(),
+        st.sampled_from([1, 5, 16, 64]),
+        st.sampled_from([None, b"\xff", b"\xe4\xb8"]),
+        st.integers(0, 999),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_blocks_read_as_the_per_line_parser(self, tmp_path_factory, raw, block, bad_bytes, at):
+        # small blocks (bytes read, characters indexed) and short key spans: every file spans several
+        path = tmp_path_factory.mktemp("fuzz") / "corpus.txt"
+        if bad_bytes:
+            at %= len(raw) + 1
+            raw = raw[:at] + bad_bytes + raw[at:]
+        path.write_bytes(raw)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(data_module, "INGEST_BLOCK", block)
+            mp.setattr(data_module, "_POS", 3)
+            try:
+                expected = list(reference_lines(path))
+            except UnicodeDecodeError:
+                with pytest.raises(DataError, match=f"^{re.escape(str(path))}: 'utf-8' codec can't decode"):
+                    list(read_lines(path))
+                # or a refused line before the bad bytes, as a file longer than a decoder chunk gave
+                with pytest.raises(DataError, match=f"^{re.escape(str(path))}: "):
+                    read_corpus(path)
+                return
+            assert list(read_lines(path)) == expected
+            got = outcome(read_corpus, path)
+            assert got == outcome(reference_corpus, path)
+            if isinstance(got, str) or not got:
+                return
+            chars = [s.chars for s in got]
+            uni, bi = build_vocabs(chars)
+            unigrams, keys = reference_vocabs(chars)
+            assert list(uni) == [*RESERVED, *unigrams]
+            reference = BigramIndex(uni, np.array(keys, np.int64))
+            np.testing.assert_array_equal(bi.keys, reference.keys)
+            np.testing.assert_array_equal(bi.rows, reference.rows)
+            again_uni, again_bi = build_vocabs(map(tuple, chars))  # sequences of characters index alike
+            assert list(again_uni) == list(uni) and list(again_bi) == list(bi)
+
+    @pytest.mark.parametrize("fault_line", [None, 9000, 17999])
+    def test_a_file_of_many_full_blocks_reads_as_the_per_line_parser(self, tmp_path, fault_line):
+        rng = np.random.default_rng(5)
+        alphabet = np.array(list("中国人民的是大学ab") + ["\U00020000", "\u00e9"])
+        lines = []
+        for k in range(18000):
+            n_words = int(rng.integers(0, 8))  # a blank line now and then
+            words = ["".join(rng.choice(alphabet, int(rng.integers(1, 5)))) for _ in range(n_words)]
+            lines.append(" ".join(words) + ("\r\n" if k % 7 == 0 else "\n"))
+        if fault_line:
+            lines[fault_line - 1] = "中国\t人\n"
+        path = tmp_path / "corpus.txt"
+        path.write_bytes("".join(lines).encode("utf-8"))
+        assert path.stat().st_size > 4 * INGEST_BLOCK
+        got = outcome(read_corpus, path)
+        assert got == outcome(reference_corpus, path)
+        if fault_line:
+            assert f"line {fault_line}: U+0009" in got
+            return
+        chars = [s.chars for s in got]
+        uni, bi = build_vocabs(chars)
+        unigrams, keys = reference_vocabs(chars)
+        assert list(uni) == [*RESERVED, *unigrams]
+        np.testing.assert_array_equal(bi.keys[:-1], np.sort(keys))
+
+    def test_build_vocabs_keeps_lone_surrogates(self):
+        corpus = ["a\ud800b", "\udfffa"]
+        uni, bi = build_vocabs(corpus)
+        unigrams, keys = reference_vocabs(corpus)
+        assert list(uni) == [*RESERVED, *unigrams]
+        expected = BigramIndex(uni, np.array(keys, np.int64))
+        np.testing.assert_array_equal(bi.keys, expected.keys)
+        np.testing.assert_array_equal(bi.rows, expected.rows)
+
+    def test_no_whitespace_lies_above_the_table_of_other_spaces(self):
+        # read_corpus reads every code point past the table as its last entry: not whitespace
+        table = data_module._OTHER_SPACES
+        assert not table[-1] and not any(chr(c).isspace() for c in range(len(table) - 1, sys.maxunicode + 1))
+        other = [c for c in range(len(table)) if chr(c).isspace() and c not in (10, 32)]
+        assert np.flatnonzero(table).tolist() == other

@@ -425,7 +425,7 @@ def test_decode_many_labels_each_sentence_as_decode_does(mode, dtype):
     assert {len(s) for s in batch} >= {1, 200}
     if mode != "baseline":
         assert not all(len(model.match(s)) for s in batch) and any(len(model.match(s)) for s in batch)
-    assert model.decode_many(batch) == [model.decode(s).labels for s in batch]
+    assert model.decode_many(batch) == ["".join(model.decode(s).labels) for s in batch]
     assert model.decode_many([]) == []
 
 
@@ -476,4 +476,4 @@ def test_decode_many_bounds_its_walk_buffers():
         finally:
             tracemalloc.stop()
         assert peak < 4 * walk_bytes, (peak, walk_bytes)
-        assert labels == [model.decode(s).labels for s in batch]
+        assert labels == ["".join(model.decode(s).labels) for s in batch]
