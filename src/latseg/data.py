@@ -199,8 +199,12 @@ class BigramIndex:
         """The index of ``keys``, one per bigram in row order; a repeated key raises DataError."""
         order = np.argsort(keys)
         self.unigrams = unigrams
-        self.keys = np.append(keys[order], _STOP)
-        self.rows = np.append(order + len(RESERVED), 0)
+        self.keys = np.empty(len(keys) + 1, keys.dtype)
+        self.keys[-1] = _STOP
+        keys.take(order, out=self.keys[:-1], mode="clip")  # order is a permutation: no index to check
+        self.rows = np.empty(len(keys) + 1, order.dtype)
+        self.rows[-1] = 0
+        np.add(order, len(RESERVED), out=self.rows[:-1])
         if np.any(self.keys[1:] == self.keys[:-1]):
             raise DataError("a bigram is listed twice")
 
@@ -337,13 +341,18 @@ def build_vocabs(corpus: Iterable[Sequence[str]]) -> tuple[Vocab, BigramIndex]:
         fresh, _ = _unseen(codes[table.take(codes, mode="clip") == 0], _NONE)
         table = _with_rows(table, fresh, np.arange(len(fresh)) + sum(map(len, chars)) + len(RESERVED))
         chars.append(fresh)
-        fresh, seen = _unseen(_pair_keys(block, table[codes], _CODE), seen)
+        keys = _pair_keys(block, table[codes], _CODE)
+        del codes  # block-sized: gone before the sort of the block's keys
+        fresh, seen = _unseen(keys, seen)
         bigrams.append(fresh)
     if len(bigrams) == 1:  # no block: not one sentence
         raise DataError("cannot build vocabularies from an empty corpus")
     unigrams = Vocab(np.concatenate(chars).astype("<u4").tobytes().decode("utf-32-le", "surrogatepass"))
-    left, right = np.divmod(np.concatenate(bigrams), _CODE)
-    return unigrams, BigramIndex(unigrams, left * len(unigrams) + right)
+    del seen, table  # from here at most two index-sized arrays are alive beside the index returned
+    keys = np.concatenate(bigrams)
+    del bigrams
+    keys -= keys // _CODE * (_CODE - len(unigrams))  # left * 2**21 + right -> left * len(unigrams) + right
+    return unigrams, BigramIndex(unigrams, keys)
 
 
 @dataclass

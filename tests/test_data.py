@@ -33,11 +33,11 @@ from latseg.data import (
 from latseg.errors import DataError, FormatError
 
 
-def write_zipf_corpus(path, sentences: int, seed: int):
-    """A seeded corpus of Zipf-distributed words over 300 CJK characters, and its character count."""
+def write_zipf_corpus(path, sentences: int, seed: int, letters: int = 300):
+    """A seeded corpus of Zipf-distributed words over ``letters`` CJK characters, and its character count."""
     rng = np.random.default_rng(seed)
     lengths = rng.choice([1, 2, 3, 4], size=1000, p=[0.3, 0.45, 0.15, 0.1])
-    vocab = ["".join(map(chr, 0x4E00 + rng.integers(0, 300, size=k))) for k in lengths]
+    vocab = ["".join(map(chr, 0x4E00 + rng.integers(0, letters, size=k))) for k in lengths]
     weights = 1.0 / (np.arange(len(vocab)) + 4.0)
     counts = rng.integers(5, 15, size=sentences)
     picks = rng.choice(len(vocab), size=int(counts.sum()), p=weights / weights.sum())
@@ -265,10 +265,13 @@ class TestCorpusIO:
         assert held / n_chars < 16, held / n_chars
 
     def test_build_vocabs_peak_above_its_index_does_not_grow_with_the_corpus(self, tmp_path):
-        # the temporaries are a block's; whole-corpus key arrays grew 4x with a 4x corpus
+        # the temporaries are a block's; whole-corpus key arrays grew 4x with a
+        # 4x corpus. Over 3,500 letters, as many as the bigvocab workload draws
+        # from, the final key arithmetic and index copies held 3.2x the index;
+        # a block's temporaries are most of the 2.1x left
         above = {}
-        for sentences in (5000, 20000):
-            path, _ = write_zipf_corpus(tmp_path / f"{sentences}.txt", sentences, seed=3)
+        for sentences, letters in ((5000, 300), (20000, 300), (10000, 3500)):
+            path, _ = write_zipf_corpus(tmp_path / f"{sentences}.txt", sentences, seed=3, letters=letters)
             chars = [s.chars for s in read_corpus(path)]
             tracemalloc.start()
             try:
@@ -276,9 +279,10 @@ class TestCorpusIO:
                 held, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            above[sentences] = peak - held
+            above[letters, sentences] = peak - held
             assert len(vocabs[1]) > 10000
-        assert above[20000] < 1.5 * above[5000], above
+        assert above[300, 20000] < 1.5 * above[300, 5000], above
+        assert above[3500, 10000] < 2.5 * held, above[3500, 10000] / held
 
     def test_double_space_reports_line(self, tmp_path):
         path = tmp_path / "corpus.txt"
