@@ -15,6 +15,11 @@ is two strings, its characters and their BMES labels. :func:`read_corpus` and
 per character, and every temporary they make is block-sized. Functions that
 take a sentence's characters accept a ``str`` or any sequence of
 one-character strings.
+
+Labels become words by one rule, :func:`word_ends`: a word ends at position
+i when label i is neither B nor M, or label i+1 is neither M nor E, or i is
+the last position of its sentence. :func:`from_bmes`, :func:`word_set` and
+the evaluation in :mod:`latseg.train` apply it to a whole corpus at once.
 """
 
 from __future__ import annotations
@@ -34,6 +39,9 @@ from .tensor import Tensor, uniform
 
 LABELS = ("B", "M", "E", "S")
 LABEL_INDEX = {lab: i for i, lab in enumerate(LABELS)}
+_LABEL_BYTES = np.frombuffer(b"MEBS", np.uint8)  # a label by 2 * (word break before) + (word break after)
+_LABEL_BREAKS = np.full(ord("S") + 2, 3, np.uint8)  # its inverse, by code point: any other label is an S
+_LABEL_BREAKS[_LABEL_BYTES] = range(len(_LABEL_BYTES))
 UNK = "<unk>"
 SENTINEL = "</s>"  # closes the final character bigram
 RESERVED = (UNK, SENTINEL)  # the first rows of every vocabulary, in this order
@@ -44,6 +52,11 @@ _SPACE = re.compile(r"\s")
 def _text(chars: Sequence[str]) -> str:
     """``chars`` as one string: a ``str`` as it is, a sequence of one-character strings joined."""
     return chars if isinstance(chars, str) else "".join(chars)
+
+
+def _codes(text: str) -> np.ndarray:
+    """The code points of ``text``, lone surrogates included, as one array."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
 
 
 @dataclass(slots=True)
@@ -82,42 +95,38 @@ def _word_labels(n: int) -> str:
     return "S" if n == 1 else "B" + "M" * (n - 2) + "E"
 
 
-def label_spans(labels: Sequence[str]) -> list[tuple[int, int]]:
-    """Word spans (1-based, inclusive) decoded from a BMES sequence.
+def word_ends(labels: str, lengths: Sequence[int]) -> np.ndarray:
+    """Whether a word ends at each position of ``labels``, the joined labels of sentences ``lengths`` long.
 
-    Invalid transitions are repaired: a label that cannot legally continue
-    the current word closes it and opens a new one, so a leading M acts as B
-    and a dangling E acts as S. The result always partitions 1..m.
+    A word ends at position i when label i is neither B nor M, or label i+1
+    is neither M nor E, or i is the last position of its sentence. This
+    repairs an invalid sequence: a leading M acts as B, a dangling E as S,
+    and any other label as S, so the words always partition each sentence.
     """
-    spans: list[tuple[int, int]] = []
-    start = 0  # 1-based start of the open word, 0 when none is open
-    for i, lab in enumerate(labels, start=1):
-        if lab == "B":
-            if start:
-                spans.append((start, i - 1))
-            start = i
-        elif lab == "M":
-            if not start:
-                start = i
-        elif lab == "E":
-            spans.append((start or i, i))
-            start = 0
-        else:  # S
-            if start:
-                spans.append((start, i - 1))
-            spans.append((i, i))
-            start = 0
-    if start:
-        spans.append((start, len(labels)))
-    return spans
+    breaks = _LABEL_BREAKS.take(_codes(labels + "S"), mode="clip")  # each label's, and one past the end
+    breaks[np.cumsum(lengths, dtype=np.intp)] |= 2  # a break before each sentence's first position
+    return (breaks[:-1] & 1 | breaks[1:] >> 1).astype(bool)
+
+
+def _split(text: str, ends: np.ndarray) -> list[str]:
+    """``text`` cut after each position where ``ends`` holds."""
+    stops = (np.flatnonzero(ends) + 1).tolist()
+    return [text[start:stop] for start, stop in zip([0, *stops], stops)]
 
 
 def from_bmes(chars: Sequence[str], labels: Sequence[str]) -> list[str]:
-    """Inverse of :func:`to_bmes`; invalid label sequences are repaired."""
-    if len(chars) != len(labels):
-        raise DataError(f"{len(chars)} chars but {len(labels)} labels")
-    text = _text(chars)
-    return [text[b - 1 : e] for b, e in label_spans(labels)]
+    """Inverse of :func:`to_bmes`, repairing invalid labels as :func:`word_ends` does; a label must be one letter."""
+    text, labels = _text(chars), _text(labels)
+    if len(text) != len(labels):
+        raise DataError(f"{len(text)} chars but {len(labels)} labels")
+    return _split(text, word_ends(labels, [len(labels)]))
+
+
+def gold_words(sentences: Iterable[LabeledSentence]) -> tuple[list[str], np.ndarray]:
+    """The words of ``sentences`` in order, and :func:`word_ends` of their joined labels."""
+    sentences = list(sentences)
+    ends = word_ends("".join(s.labels for s in sentences), [len(s.chars) for s in sentences])
+    return _split("".join(s.chars for s in sentences), ends), ends
 
 
 class Vocab:
@@ -159,11 +168,6 @@ INGEST_BLOCK = 1 << 16  # bytes read from a text file, or characters indexed by 
 _POS = 21  # bits of a position in a packed (key, position) integer: a span of keys is 2**21 long
 _CODE = 1 << 21  # above every code point and every unigram row
 _NONE = np.array([_STOP])  # an empty sorted key set: only its stop entry
-
-
-def _codes(text: str) -> np.ndarray:
-    """The code points of ``text``, lone surrogates included, as one array."""
-    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), "<u4")
 
 
 def _with_rows(table: np.ndarray, codes: np.ndarray, rows) -> np.ndarray:
@@ -460,7 +464,6 @@ def write_lines(path, lines: Iterable[str]) -> None:
             fh.write("\n".join(block))
 
 
-_LABEL_BYTES = np.frombuffer(b"MEBS", np.uint8)  # by 2 * (break before) + (break after)
 # Whitespace other than the word separator and the line feed, by code point
 # (every whitespace code point is below U+3001); the last entry stands for every code point above.
 _OTHER_SPACES = np.array([c not in (10, 32) and chr(c).isspace() for c in range(0x3002)])
@@ -517,7 +520,4 @@ def check_raw_lines(path, lines: Iterable[str]) -> None:
 
 def word_set(sentences: Iterable[LabeledSentence]) -> set[str]:
     """All distinct gold words in a dataset (the training vocabulary for OOV)."""
-    seen: set[str] = set()
-    for s in sentences:
-        seen.update(s.words())
-    return seen
+    return set(gold_words(sentences)[0])

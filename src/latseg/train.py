@@ -6,6 +6,9 @@ ties going to the earlier epoch. Everything is driven by one seeded RNG, so
 a fixed seed reproduces the run exactly. Each epoch's dev evaluation decodes
 through :meth:`~latseg.model.SegmenterModel.decode_many`, and the report
 lines go into the checkpoint with :func:`~latseg.checkpoint.save_checkpoint`.
+Evaluation finds gold and predicted word ends with
+:func:`~latseg.data.word_ends` over the whole corpus at once, and builds no
+spans.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .data import LabeledSentence, label_spans, word_set
+from .data import LabeledSentence, _text, gold_words, word_ends, word_set
 from .errors import ConfigError, DataError, NumericError
 from .model import MODES, SegmenterModel
 from .tensor import Tape, backward, sgd_step
@@ -117,34 +120,28 @@ def evaluate_f1(
 ) -> EvalReport:
     """Word-level precision/recall/F1 plus in-/out-of-vocabulary recall.
 
-    Words are (start, end) spans decoded from the label sequences; a
-    predicted word is correct iff the same span exists in gold. IV/OOV
+    Words end where :func:`~latseg.data.word_ends` says, over the whole
+    corpus at once. A gold word is predicted iff the prediction ends a word
+    just before it and at its last character, and none inside it. IV/OOV
     splits gold words by membership in the training word set.
     """
     if len(gold) != len(predicted):
         raise DataError(f"{len(gold)} gold sentences but {len(predicted)} predictions")
-    training_words = training_words or set()
-    tp = n_gold = n_pred = 0
-    iv_tp = iv_n = oov_tp = oov_n = 0
-    for sent, pred_labels in zip(gold, predicted):
-        if len(pred_labels) != len(sent):
-            raise DataError(
-                f"prediction length {len(pred_labels)} != sentence length {len(sent)}"
-            )
-        gold_spans = label_spans(sent.labels)
-        pred_spans = set(label_spans(pred_labels))
-        n_gold += len(gold_spans)
-        n_pred += len(pred_spans)
-        for span in gold_spans:
-            hit = span in pred_spans
-            tp += hit
-            word = sent.chars[span[0] - 1 : span[1]]
-            if word in training_words:
-                iv_n += 1
-                iv_tp += hit
-            else:
-                oov_n += 1
-                oov_tp += hit
+    lengths, labels = [len(s.chars) for s in gold], list(map(_text, predicted))
+    for n, seq in zip(lengths, labels):
+        if len(seq) != n:  # counted joined: a label of more than one letter is refused
+            raise DataError(f"prediction length {len(seq)} != sentence length {n}")
+    words, ends = gold_words(gold)
+    stops = np.flatnonzero(ends) + 1  # the end of each gold word, 1-based
+    # predicted ends, 1-based, with one before the first character; and how many up to each
+    pred = np.concatenate([[True], word_ends("".join(labels), lengths)])
+    ended = np.cumsum(pred)
+    starts = np.concatenate([[0], stops[:-1]])
+    hit = pred[starts] & pred[stops] & (ended[stops] - ended[starts] == 1)
+    iv = np.fromiter(map((training_words or set()).__contains__, words), bool, len(words))
+    tp, n_pred, n_gold = int(hit.sum()), int(ended[-1]) - 1, len(words)
+    iv_tp, iv_n = int(hit[iv].sum()), int(iv.sum())
+    oov_tp, oov_n = tp - iv_tp, n_gold - iv_n
     p = tp / n_pred if n_pred else 0.0
     r = tp / n_gold if n_gold else 0.0
     f = 2 * p * r / (p + r) if p + r > 0 else 0.0
@@ -182,12 +179,8 @@ def length_bucket_f1(
 
 def coverage_report(sentences: Iterable[LabeledSentence], lexicon) -> CoverageReport:
     """Token-level lexicon coverage: matched gold words / all gold words."""
-    total = matched = 0
-    for sent in sentences:
-        for w in sent.words():
-            total += 1
-            matched += w in lexicon
-    return CoverageReport(word_count=total, matched_count=matched)
+    words = gold_words(sentences)[0]
+    return CoverageReport(word_count=len(words), matched_count=sum(map(lexicon.__contains__, words)))
 
 
 @dataclass
@@ -230,16 +223,17 @@ def train(
         order = rng.permutation(len(train_set))
         total_loss = 0.0
         for si in order:
-            sentence = train_set[si]
-            tape = Tape()
-            with tape:
-                loss = model.loss(sentence, rng=rng)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise NumericError(f"non-finite loss at epoch {epoch}, sentence {si}")
-            backward(loss)
-            sgd_step(params, lr)
-            total_loss += value
+            with np.errstate(over="ignore", invalid="ignore"):  # the loss check and sgd_step name a non-finite value
+                sentence = train_set[si]
+                tape = Tape()
+                with tape:
+                    loss = model.loss(sentence, rng=rng)
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise NumericError(f"non-finite loss at epoch {epoch}, sentence {si}")
+                backward(loss)
+                sgd_step(params, lr)
+                total_loss += value
 
         pred = model.decode_many([s.chars for s in dev_set])
         report = evaluate_f1(dev_set, pred, training_words)

@@ -4,7 +4,7 @@ import math
 import re
 import sys
 import tracemalloc
-from itertools import chain
+from itertools import chain, product
 
 import numpy as np
 import pytest
@@ -23,11 +23,11 @@ from latseg.data import (
     Vocab,
     build_vocabs,
     from_bmes,
-    label_spans,
     load_embeddings,
     read_corpus,
     read_lines,
     to_bmes,
+    word_ends,
     word_set,
 )
 from latseg.errors import DataError, FormatError
@@ -49,6 +49,37 @@ def write_zipf_corpus(path, sentences: int, seed: int, letters: int = 300):
 words_strategy = st.lists(
     st.text(alphabet="abcdefgh", min_size=1, max_size=5), min_size=1, max_size=12
 )
+
+
+def label_spans(labels):
+    """Word spans (1-based, inclusive) decoded from a BMES sequence: the
+    state machine ``data.from_bmes`` replaced, kept as its reference.
+
+    Invalid transitions are repaired: a label that cannot legally continue
+    the current word closes it and opens a new one, so a leading M acts as B
+    and a dangling E acts as S. The result always partitions 1..m.
+    """
+    spans: list[tuple[int, int]] = []
+    start = 0  # 1-based start of the open word, 0 when none is open
+    for i, lab in enumerate(labels, start=1):
+        if lab == "B":
+            if start:
+                spans.append((start, i - 1))
+            start = i
+        elif lab == "M":
+            if not start:
+                start = i
+        elif lab == "E":
+            spans.append((start or i, i))
+            start = 0
+        else:  # S
+            if start:
+                spans.append((start, i - 1))
+            spans.append((i, i))
+            start = 0
+    if start:
+        spans.append((start, len(labels)))
+    return spans
 
 
 class TestToBmes:
@@ -85,6 +116,8 @@ class TestFromBmes:
     def test_length_mismatch(self):
         with pytest.raises(DataError):
             from_bmes("ab", ("S",))
+        with pytest.raises(DataError, match="^2 chars but 3 labels$"):  # labels are counted joined
+            from_bmes("ab", ("BM", "E"))
 
     @given(words_strategy)
     @settings(max_examples=200, deadline=None)
@@ -105,11 +138,27 @@ class TestFromBmes:
         )
         out = from_bmes(chars, labels)
         assert "".join(out) == chars
-        spans = label_spans(labels)
-        # spans partition 1..m in order
-        assert spans[0][0] == 1 and spans[-1][1] == len(chars)
-        for (a, b), (c, d) in zip(spans, spans[1:]):
-            assert c == b + 1 and a <= b and c <= d
+        # the words are the runs up to each end, and the last character ends one
+        ends = np.flatnonzero(word_ends("".join(labels), [len(labels)]))
+        assert ends[-1] == len(chars) - 1
+        assert [len(w) for w in out] == np.diff(ends, prepend=-1).tolist()
+
+    def test_repair_matches_the_span_decoder(self):
+        # every sequence over BMES and one other label, of length 1 to 6
+        count = 0
+        for n in range(1, 7):
+            chars = "abcdef"[:n]
+            for labels in product("BMESX", repeat=n):
+                want = [chars[b - 1 : e] for b, e in label_spans(labels)]
+                assert from_bmes(chars, labels) == from_bmes(chars, "".join(labels)) == want, labels
+                count += 1
+        assert count == 19_530
+
+    def test_word_ends_across_sentences(self):
+        # a sentence's last position always ends a word, even inside a word's labels
+        ends = word_ends("BMMEBM" + "中", [2, 0, 3, 2])
+        assert ends.tolist() == [False, True, False, True, True, True, True]
+        assert word_ends("", []).tolist() == word_ends("", [0]).tolist() == []
 
 
 class TestVocab:

@@ -7,6 +7,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latseg import bpe, encoder, synth
 from latseg import train as train_module
@@ -16,6 +18,7 @@ from latseg.model import DECODE_CELLS, SegmenterModel, prepare_lexicon
 from latseg.tensor import Tape, backward, sgd_step
 from latseg.train import (
     CoverageReport,
+    EvalReport,
     TrainConfig,
     coverage_report,
     error_reduction,
@@ -23,6 +26,7 @@ from latseg.train import (
     length_bucket_f1,
     train,
 )
+from test_data import label_spans
 
 
 def tiny_model(sentences, rng, mode="baseline", lexicon=(), hidden=6, dim=4, dtype=np.float64, **kw):
@@ -80,11 +84,86 @@ class TestEvaluateF1:
     def test_length_mismatch_rejected(self):
         with pytest.raises(DataError):
             evaluate_f1([to_bmes(["中国"])], [("S",)])
+        with pytest.raises(DataError, match="prediction length 1 != sentence length 2"):  # counted joined
+            evaluate_f1([to_bmes(["中国"])], [("", "S")])
 
     def test_all_wrong_zero(self):
         gold = [to_bmes(["中国"])]
         r = evaluate_f1(gold, [("S", "S")])
         assert r.f1 == 0.0
+
+    def test_empty_corpus_scores_zero(self):
+        assert evaluate_f1([], []) == EvalReport(0.0, 0.0, 0.0, 0.0, 0.0, 0, 0)
+
+    def test_count_mismatch_rejected(self):
+        with pytest.raises(DataError, match="^2 gold sentences but 1 predictions$"):
+            evaluate_f1([to_bmes(["中国"]), to_bmes(["人"])], ["BE"])
+        with pytest.raises(DataError, match="^prediction length 1 != sentence length 2$"):
+            evaluate_f1([to_bmes(["人"]), to_bmes(["中国"]), to_bmes(["人"])], ["S", "S", "SS"])
+
+    @given(
+        st.lists(st.lists(st.text(alphabet="abc", min_size=1, max_size=4), min_size=1, max_size=6), max_size=8),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_span_set_reference(self, corpus, data):
+        gold = [to_bmes(words) for words in corpus]
+        predicted = [
+            data.draw(st.one_of(
+                st.just(s.labels),
+                st.text(alphabet="BMESX", min_size=len(s), max_size=len(s)),  # invalid sequences too
+                st.lists(st.sampled_from("BMESX"), min_size=len(s), max_size=len(s)).map(tuple),
+            ))
+            for s in gold
+        ]
+        vocab = sorted({w for words in corpus for w in words})
+        training_words = data.draw(st.none() | st.sets(st.sampled_from(vocab)) if vocab else st.none())
+        assert evaluate_f1(gold, predicted, training_words) == span_set_f1(gold, predicted, training_words)
+        spans = [(s.chars, b, e) for s in gold for b, e in label_spans(s.labels)]
+        assert word_set(gold) == {chars[b - 1 : e] for chars, b, e in spans}
+        lexicon = training_words or {"ab"}
+        matched = sum(chars[b - 1 : e] in lexicon for chars, b, e in spans)
+        assert coverage_report(gold, lexicon) == CoverageReport(len(spans), matched)
+
+
+def span_set_f1(gold, predicted, training_words=None):
+    """The per-sentence span-set evaluator ``evaluate_f1`` replaced, kept as its reference."""
+    if len(gold) != len(predicted):
+        raise DataError(f"{len(gold)} gold sentences but {len(predicted)} predictions")
+    training_words = training_words or set()
+    tp = n_gold = n_pred = 0
+    iv_tp = iv_n = oov_tp = oov_n = 0
+    for sent, pred_labels in zip(gold, predicted):
+        if len(pred_labels) != len(sent):
+            raise DataError(
+                f"prediction length {len(pred_labels)} != sentence length {len(sent)}"
+            )
+        gold_spans = label_spans(sent.labels)
+        pred_spans = set(label_spans(pred_labels))
+        n_gold += len(gold_spans)
+        n_pred += len(pred_spans)
+        for span in gold_spans:
+            hit = span in pred_spans
+            tp += hit
+            word = sent.chars[span[0] - 1 : span[1]]
+            if word in training_words:
+                iv_n += 1
+                iv_tp += hit
+            else:
+                oov_n += 1
+                oov_tp += hit
+    p = tp / n_pred if n_pred else 0.0
+    r = tp / n_gold if n_gold else 0.0
+    f = 2 * p * r / (p + r) if p + r > 0 else 0.0
+    return EvalReport(
+        precision=p,
+        recall=r,
+        f1=f,
+        r_iv=iv_tp / iv_n if iv_n else 0.0,
+        r_oov=oov_tp / oov_n if oov_n else 0.0,
+        n_iv=iv_n,
+        n_oov=oov_n,
+    )
 
 
 class TestErrorReduction:

@@ -9,7 +9,9 @@ workload does (``workloads.bigvocab_words``: Zipf-weighted words over 3,500
 CJK characters), with as many sentences as give about the requested number
 of millions of characters, and writes it to a temporary file. For each size
 it prints the character count, the best of three timings of each stage, the
-characters per second of the two together, and then, from one more run of
+characters per second of the two together, the best of three timings of
+``word_set`` and of ``evaluate_f1`` with gold as the prediction over the read
+corpus, and then, from one more run of
 each traced by ``tracemalloc``, the memory the read corpus holds, the peak of
 the read above that, the memory the vocabularies hold and the peak of
 ``build_vocabs`` above that. Memory is traced, in MiB, so it leaves out the
@@ -34,7 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 import workloads  # noqa: E402
-from latseg import data, synth  # noqa: E402
+from latseg import data, synth, train  # noqa: E402
 
 MIB = 2**20
 
@@ -76,7 +78,7 @@ def main(argv=None) -> int:
     sample = workloads.bigvocab_words(args.seed, shape.sentences, shape.words, shape.alphabet)
     chars_per_sentence = sum(len(w) for s in sample for w in s) / len(sample)
     del sample
-    print(f"{'chars':>10} {'read_s':>8} {'vocabs_s':>8} {'chars/s':>10} "
+    print(f"{'chars':>10} {'read_s':>8} {'vocabs_s':>8} {'chars/s':>10} {'word_set_s':>10} {'eval_s':>8} "
           f"{'corpus':>8} {'read_pk':>8} {'vocabs':>8} {'voc_pk':>8}  (MiB; a peak is above what is held)")
     with tempfile.TemporaryDirectory(prefix="ingest_scale.") as tmp:
         path = Path(tmp) / "corpus.txt"
@@ -89,11 +91,14 @@ def main(argv=None) -> int:
             del sentences
             read_s, corpus = best_of_three(data.read_corpus, path)
             vocabs_s = best_of_three(data.build_vocabs, [s.chars for s in corpus])[0]
+            word_set_s = best_of_three(data.word_set, corpus)[0]
+            eval_s = best_of_three(train.evaluate_f1, corpus, [s.labels for s in corpus])[0]
             del corpus
             corpus, corpus_held, read_peak = traced(data.read_corpus, path)
             vocabs_held, vocabs_peak = traced(data.build_vocabs, [s.chars for s in corpus])[1:]
             del corpus
             print(f"{n_chars:>10,} {read_s:>8.3f} {vocabs_s:>8.3f} {n_chars / (read_s + vocabs_s):>10,.0f} "
+                  f"{word_set_s:>10.3f} {eval_s:>8.3f} "
                   f"{corpus_held / MIB:>8.1f} {read_peak / MIB:>8.1f} {vocabs_held / MIB:>8.1f} "
                   f"{vocabs_peak / MIB:>8.1f}", flush=True)
     return 0
