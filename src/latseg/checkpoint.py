@@ -169,7 +169,7 @@ def _probe_model(model: SegmenterModel, lines: list[str], chars: str, out: Path)
     dtype_name = values["dtype"]
     read = {"unigram": chars, "bigram": list(map(add, chars, [*chars[1:], SENTINEL]))}
     if model.lexicon_table is not None:
-        read["lexicon"] = [model.trie.symbols[k] for k in np.unique(model.match(chars).entry).tolist()]
+        read["lexicon"] = [model.trie.symbols[k] for k in sorted(set(model.match(chars).entry.tolist()))]
     arrays, vocabs = {}, {}
     for name, symbols in read.items():
         table = getattr(model, f"{name}_table")

@@ -3,7 +3,7 @@
 Every primitive below computes its result eagerly with numpy and, while a
 :class:`Tape` is active in the current context, appends a backward closure to
 it. Calling :func:`backward` on a scalar loss replays the closures in reverse,
-accumulating ``dloss/dtensor`` into each tensor's ``grad`` buffer, and lets
+accumulating ``dloss/dtensor`` into each tensor's gradient, and lets
 go of each closure once it has run.
 
 A sentence is one matrix per layer, so the tape holds a fixed handful of
@@ -17,18 +17,20 @@ op and the loss have hand-written backwards built on :func:`_out` and
 :func:`_acc` (in ``encoder`` and ``crf``). Every random starting weight is
 one :func:`uniform` draw.
 
-Gradient buffers are lazy. A parameter owns a dense, same-shape buffer from
-the start, allocated zeroed by the allocator so that only the pages a
-gradient touches become resident; a recorded intermediate gets one the first
-time backward writes into it, so a node that no gradient reaches keeps
+Gradient buffers are lazy. A parameter gets its dense, same-shape buffer on
+its first dense write and keeps it; a recorded intermediate gets one the
+first time backward writes into it, so a node that no gradient reaches keeps
 ``grad = None``; a constant never gets one. Gradients are additive; they are
 cleared only by :func:`sgd_step` (or :func:`zero_grads`).
 
-Updates are row-sparse where that is exact. :func:`rows` notes which rows of
-a parameter (an embedding table) it added into; while nothing else has
-written that parameter's gradient since its last update, :func:`sgd_step`
-checks, updates and clears those rows alone. Every other row holds a zero
-gradient, so the result is the dense update's, bit for bit.
+An embedding table's gradient is the rows it looked up. While only
+:func:`rows` has written a parameter since its last update, the parameter
+holds each lookup's ids and row gradients instead of a table-sized buffer,
+and :func:`sgd_step` sums them per distinct row in the order the dense
+accumulation would have added them, then checks, updates and clears those
+rows alone. Every other row holds a zero gradient, so the result is the
+dense update's, bit for bit. Any other write folds the held rows into the
+dense buffer, and that update is dense.
 """
 
 from __future__ import annotations
@@ -45,20 +47,21 @@ from .errors import ConfigError, NumericError, UsageError
 class Tensor:
     """A dense array with an optional same-shape gradient accumulator.
 
-    ``grad`` is allocated up front on a parameter, on first write on a
-    recorded intermediate (``tape`` set), and never on a constant. ``grad_rows``
-    is, on a parameter, the row ids :func:`rows` added into its gradient since
-    the last update, or ``None`` once any other write has touched it; it is
-    ``None`` on every other tensor.
+    ``grad`` is allocated on a tensor's first dense write: on a parameter by
+    :func:`_acc`, on a recorded intermediate (``tape`` set) by any backward, and
+    never on a constant. ``grad_rows`` is, on a parameter, the row record: the
+    ``(ids, row gradients)`` of each :func:`rows` lookup backward has replayed
+    since the last update, in replay order, while ``grad`` is ``None`` or all
+    zero; it is ``None`` once any other write has made the gradient dense, and
+    on every other tensor.
     """
 
     __slots__ = ("data", "grad", "name", "tape", "grad_rows")
 
     def __init__(self, data, *, trainable: bool = False, name: str | None = None):
         self.data = np.asarray(data)
-        # np.zeros, unlike np.zeros_like, leaves untouched pages unmapped.
-        self.grad = np.zeros(self.data.shape, self.data.dtype) if trainable else None
-        self.grad_rows: list[int] | None = [] if trainable else None
+        self.grad: np.ndarray | None = None
+        self.grad_rows: list[tuple[np.ndarray, np.ndarray]] | None = [] if trainable else None
         self.name = name
         self.tape: Tape | None = None
 
@@ -78,7 +81,7 @@ class Tensor:
 
 
 def param(data, name: str) -> Tensor:
-    """A trainable leaf: gradient buffer allocated up front."""
+    """A trainable leaf: it starts with an empty row record and no gradient buffer."""
     return Tensor(np.asarray(data), trainable=True, name=name)
 
 
@@ -168,14 +171,20 @@ def _acc(t: Tensor, g) -> None:
     """Add g into t.grad: every backward write but :func:`rows`.
 
     A recorded intermediate's buffer is allocated here on its first write; a
-    constant takes nothing. The write ends any row record on ``t``, so its
-    next update is dense.
+    constant takes nothing. On a parameter the write ends the row record: its
+    rows are added into the dense buffer first, as they would have been on
+    replay, so its next update is dense.
     """
-    if t.grad is None:
+    if t.grad_rows is not None:
+        if t.grad is None:
+            t.grad = np.zeros(t.data.shape, t.data.dtype)
+        for ids, rg in t.grad_rows:
+            np.add.at(t.grad, ids[::-1], rg[::-1])
+        t.grad_rows = None
+    elif t.grad is None:
         if t.tape is not None:
             t.grad = np.array(g, dtype=t.data.dtype)
         return
-    t.grad_rows = None
     t.grad += g
 
 
@@ -203,19 +212,22 @@ def rows(m: Tensor, ids: Sequence[int]) -> Tensor:
     Backward adds each row's gradient into ``m.grad[ids[j]]`` in reverse
     lookup order, the order in which one lookup per row would replay, so a
     repeated id sums its gradients with the same bits. On a parameter still
-    holding a row record it also notes ``ids`` in ``m.grad_rows``, so that
-    :func:`sgd_step` updates only the rows looked up.
+    holding a row record it appends ``(ids, g)`` to ``m.grad_rows`` instead
+    (a lookup of no ids adds nothing), so that :func:`sgd_step` sums and
+    updates only the rows looked up, in that same order.
     """
     ids = np.asarray(ids, dtype=np.intp)
 
     def bwd(g):
+        if m.grad_rows is not None:
+            if len(ids):
+                m.grad_rows.append((ids, g))
+            return
         if m.grad is None:
             if m.tape is None:
                 return
             m.grad = np.zeros(m.data.shape, m.data.dtype)
         np.add.at(m.grad, ids[::-1], g[::-1])
-        if m.grad_rows is not None:
-            m.grad_rows.extend(ids.tolist())
 
     return _out(m.data[ids], bwd)
 
@@ -244,33 +256,65 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
     return _out(x.data * mask, bwd)
 
 
+def _row_sums(record: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """A row record's distinct rows, ascending, and each one's summed gradient.
+
+    Each row's gradients are added into a zero in the order :func:`rows`
+    would have added them into a dense buffer: lookups in replay order, each
+    lookup's rows last first, which is the lookups joined in reverse replay
+    order and read backwards. A stable sort groups the rows and keeps that
+    order within each group, and ``np.add.at`` adds in it.
+    """
+    if len(record) == 1:  # the model looks each table up once a step: no join
+        ids, grads = record[0]
+    else:
+        ids = np.concatenate([ids for ids, _ in reversed(record)])
+        grads = np.concatenate([g for _, g in reversed(record)])
+    ids, grads = ids[::-1], grads[::-1]
+    order = np.argsort(ids, kind="stable")
+    ranked = ids[order]
+    first = np.empty(len(ranked), bool)
+    first[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    slot = np.cumsum(first)
+    slot -= 1
+    sums = np.zeros((slot[-1] + 1, *grads.shape[1:]), grads.dtype)
+    np.add.at(sums, slot, grads[order])
+    return ranked[first], sums
+
+
 def zero_grads(params: Iterable[Tensor]) -> None:
-    """Clear each gradient: its recorded rows alone where it has a row record, none where that is empty."""
+    """Clear each gradient: drop a row record, or zero a dense buffer."""
     for p in params:
-        if p.grad is not None and p.grad_rows != []:
-            p.grad[... if p.grad_rows is None else p.grad_rows] = 0.0  # Ellipsis: every entry
-            p.grad_rows = []
+        if p.grad_rows is None:
+            if p.grad is None:
+                continue
+            p.grad[...] = 0.0
+        p.grad_rows = []
 
 
 def sgd_step(params: Iterable[Tensor], lr: float) -> None:
     """p <- p - lr * grad for every trainable tensor; grads reset to zero.
 
     A tensor with a row record (see :func:`rows`) is checked, updated and
-    cleared on its recorded rows only, and left untouched when the record is
-    empty; every other tensor densely. Each update is computed in the
-    tensor's dtype, and every new value is checked before any tensor
-    changes: a value that is not finite, from its gradient or from an update
-    that overflows, raises NumericError naming the tensor.
+    cleared on its recorded rows only, each row's gradient summed by
+    :func:`_row_sums`, and left untouched when the record is empty; every
+    other tensor densely. Each update is computed in the tensor's dtype, and
+    every new value is checked before any tensor changes: a value that is
+    not finite, from its gradient or from an update that overflows, raises
+    NumericError naming the tensor.
     """
     if not (math.isfinite(lr) and lr > 0.0):
         raise ConfigError(f"learning rate must be positive and finite, got {lr}")
     updates = []
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is raised below
         for p in params:
-            if p.grad is None or p.grad_rows == []:
+            if p.grad_rows:
+                at, g = _row_sums(p.grad_rows)
+            elif p.grad_rows is None and p.grad is not None:
+                at, g = ..., p.grad  # Ellipsis: every entry
+            else:
                 continue
-            at = ... if p.grad_rows is None else np.unique(p.grad_rows)  # Ellipsis: every entry
-            g = p.grad[at]
             new = p.data[at] - lr * g
             if not np.isfinite(new).all():
                 source = "update" if np.isfinite(g).all() else "gradient"
@@ -278,5 +322,6 @@ def sgd_step(params: Iterable[Tensor], lr: float) -> None:
             updates.append((p, at, new))
     for p, at, new in updates:
         p.data[at] = new
-        p.grad[at] = 0.0
+        if p.grad_rows is None:
+            p.grad[...] = 0.0
         p.grad_rows = []

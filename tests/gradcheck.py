@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from latseg.tensor import Tape, Tensor, _acc, _out, backward, zero_grads
+from latseg.tensor import Tape, Tensor, _acc, _out, _row_sums, backward, zero_grads
 
 # Single home for the numeric tolerances used across the test suites.
 GRAD_REL_TOL = 1e-4  # analytic vs central finite differences, float64
@@ -22,6 +22,16 @@ def weighted_sum(t: Tensor, weights) -> Tensor:
         _acc(t, g * w)
 
     return _out(np.asarray((w * t.data).sum()), bwd)
+
+
+def dense_grad(t: Tensor) -> np.ndarray:
+    """A copy of t's gradient as one same-shape array; a row record is summed
+    as ``sgd_step`` sums it, and a tensor that no gradient reached reads zero."""
+    grad = np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+    if t.grad_rows:
+        at, sums = _row_sums(t.grad_rows)
+        grad[at] = sums
+    return grad
 
 
 def numeric_grad(value_fn, tensor: Tensor, step: float = FD_STEP) -> np.ndarray:
@@ -61,7 +71,7 @@ def assert_grads_match(loss_fn, tensors, rel_tol: float = GRAD_REL_TOL):
     with tape:
         loss = loss_fn()
     backward(loss)
-    analytic = {id(t): t.grad.copy() for t in tensors}
+    analytic = {id(t): dense_grad(t) for t in tensors}
     zero_grads(tensors)
 
     def value():

@@ -3,8 +3,9 @@
 ``bench/tracing.py`` rebinds ``(owner, attribute)`` pairs of latseg at run
 time; a rename in the package would make ``bench/run.py --trace 1`` die with
 an AttributeError. The file is loaded here read-only, without importing the
-rest of the benchmark; so is ``tools/ab_bench.py``, whose argument checks are
-tested without running anything.
+rest of the benchmark; so are ``tools/ab_bench.py``, whose argument checks are
+tested without running anything, and ``tools/recipe_ab.py``, whose comparison
+is tested on two made-up output trees.
 """
 
 import importlib.util
@@ -20,6 +21,7 @@ from latseg.tensor import Tape
 
 ROOT = Path(__file__).resolve().parent.parent
 TRACING, AB_BENCH = ROOT / "bench" / "tracing.py", ROOT / "tools" / "ab_bench.py"
+RECIPE_AB = ROOT / "tools" / "recipe_ab.py"
 
 
 def load(path: Path):
@@ -108,6 +110,23 @@ def test_ab_bench_refuses_a_single_seed_before_running(monkeypatch, capsys, tmp_
         assert exit_.value.code == 2
         assert f"--seeds {seeds}: {reason}" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_recipe_ab_masks_only_wall_seconds_and_the_output_path(tmp_path):
+    recipe_ab = load(RECIPE_AB)
+    trees = {name: tmp_path / name for name in ("parent", "change")}
+    for name, root in trees.items():
+        (root / "runs").mkdir(parents=True)
+        seconds = "1.25" if name == "parent" else "31.5"
+        (root / "runs" / "report.txt").write_text(f"epochs=3\nwall_seconds={seconds}\n")
+        (root / "log.txt").write_text(f"saved to {root.resolve()}/runs\n")
+        (root / "weights.f32").write_bytes(b"\x00\x00\x80\x3f")
+    assert recipe_ab.differing(trees["parent"], trees["change"]) == []
+    (trees["change"] / "weights.f32").write_bytes(b"\x01\x00\x80\x3f")  # one bit flipped
+    (trees["change"] / "runs" / "report.txt").write_text("epochs=4\nwall_seconds=1.25\n")
+    (trees["parent"] / "extra.txt").write_text("")
+    assert recipe_ab.differing(trees["parent"], trees["change"]) == [
+        "extra.txt (only in parent)", "runs/report.txt", "weights.f32"]
 
 
 def _runs(metric: str, parent: list[float], change: list[float]) -> list[dict]:

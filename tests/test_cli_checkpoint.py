@@ -4,9 +4,12 @@ import contextlib
 import filecmp
 import io
 import math
+import os
 import random
 import re
 import shutil
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -23,6 +26,7 @@ from latseg.data import SENTINEL, UNK, EmbeddingTable, build_vocabs, from_bmes, 
 from latseg.errors import CheckpointError, ConfigError, NumericError, UsageError
 from latseg.lexicon import read_lexicon
 from latseg.model import SegmenterModel, prepare_lexicon
+from latseg.tensor import _acc
 from latseg.train import TrainConfig
 
 TINY_CONFIG = """\
@@ -459,6 +463,29 @@ class TestLatticeSubwordFlow:
         model = load_checkpoint(out)
         assert model.mode == "lattice-subword"
         assert model.trie.symbols
+
+    def test_training_saving_and_loading_never_import_numpy_ma(self, corpus_dir, tmp_path):
+        # np.unique imports numpy.ma on first use (10-17 ms a process); the SGD
+        # step and the save's probe called it
+        script = (
+            "import sys\n"
+            "from latseg.checkpoint import load_checkpoint\n"
+            "from latseg.cli import main\n"
+            "d, out = sys.argv[1:]\n"
+            "assert main(['bpe-learn', '--corpus', d + '/train.txt', '--merges', '40',\n"
+            "             '--out', out + '.bpe', '--lexicon-out', out + '.tsv']) == 0\n"
+            "assert main(['train', '--train', d + '/train.txt', '--dev', d + '/dev.txt',\n"
+            "             '--mode', 'lattice-subword', '--lexicon', out + '.tsv', '--config',\n"
+            "             d + '/config.txt', '--out', out, '--epochs', '1']) == 0\n"
+            "assert load_checkpoint(out).trie.symbols\n"
+            "print('numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", script, str(corpus_dir), str(tmp_path / "model")],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
 
 
 class TestSegmentCommand:
@@ -1053,7 +1080,7 @@ def test_loaded_lexicon_memory_per_entry(tmp_path):
 def test_save_leaves_model_unchanged(tmp_path, rng):
     model = _tiny_float64_model(rng)
     for p in model.parameters():
-        p.grad[...] = 0.25
+        _acc(p, np.full(p.shape, 0.25))
     before = [(p.data.copy(), p.grad.copy()) for p in model.parameters()]
     save_checkpoint(model, tmp_path / "ck", "中国人")
     for p, (data, grad) in zip(model.parameters(), before):

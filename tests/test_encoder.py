@@ -450,7 +450,8 @@ class TestDirectionOp:
         assert hs.data.dtype == np.float32
         assert fusion.alpha.dtype == fusion.alpha_char.dtype == np.float32
         assert written and set(written) == {np.dtype(np.float32)}
-        assert all(t.grad.dtype == np.float32 for t in [x, table.rows] + p.tensors())
+        assert all(t.grad.dtype == np.float32 for t in [x] + p.tensors())
+        assert table.rows.grad_rows and all(g.dtype == np.float32 for _, g in table.rows.grad_rows)
 
     def test_bidirectional_rows_pass_gradients(self, rng):
         p_f, table, x, ms = direction_case(rng)

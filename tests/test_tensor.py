@@ -2,6 +2,7 @@
 
 import gc
 import threading
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradcheck import assert_grads_match, weighted_sum
+from gradcheck import assert_grads_match, dense_grad, weighted_sum
 from latseg.crf import CrfParams, emissions, nll_loss
 from latseg.encoder import _sigmoid, gate_normalize
 from latseg.errors import ConfigError, NumericError, UsageError
@@ -106,12 +107,14 @@ class TestBackward:
         np.testing.assert_allclose(p.emit_w.grad, expect, atol=1e-12)
 
     def test_unreachable_param_gets_zero(self):
+        # no buffer and an empty row record: the update skips it
         w = param(np.ones(3), "w")
         tape = Tape()
         with tape:
             loss = weighted_sum(const([2.0]), [1.0])
         backward(loss)
-        np.testing.assert_array_equal(w.grad, np.zeros(3))
+        assert w.grad is None and w.grad_rows == []
+        np.testing.assert_array_equal(dense_grad(w), np.zeros(3))
 
     def test_no_tape_is_usage_error(self):
         loss = weighted_sum(const([1.0]), [1.0])
@@ -236,22 +239,34 @@ class TestFiniteDifferences:
         assert_grads_match(loss, [m, c])
 
 
-class TestLazyGradientPages:
-    def test_large_parameter_leaves_gradient_pages_unmapped(self):
+class TestGradientMemory:
+    def test_a_lookup_step_holds_only_the_rows_it_looked_up(self, rng):
+        # 40 MB of parameter; its gradient and update stay within the 20 rows looked up
         status = Path("/proc/self/status")
-        if not status.is_file():
-            pytest.skip("no /proc/self/status on this platform")
 
         def rss_kb():
             line = next(l for l in status.read_text().splitlines() if l.startswith("VmRSS:"))
             return int(line.split()[1])
 
-        data = np.ones((100_000, 50))  # 40 MB, resident once written
-        before = rss_kb()
-        table = param(data, "table")
-        grown_mb = (rss_kb() - before) / 1024
-        assert table.grad.shape == data.shape and not table.grad[::997].any()
+        data = np.ones((100_000, 50))
+        ids = rng.integers(0, len(data), size=20)
+        tracemalloc.start()
+        try:
+            before = rss_kb() if status.is_file() else 0
+            table = param(data, "table")
+            grown_mb = (rss_kb() - before) / 1024 if status.is_file() else 0.0
+            tape = Tape()
+            with tape:
+                loss = weighted_sum(rows(table, ids), np.ones((len(ids), 50)))
+            backward(loss)
+            sgd_step([table], 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert grown_mb < 5.0, f"creating the parameter added {grown_mb:.1f} MB resident"
+        assert peak < 2_000_000, f"a 20-row step traced a {peak / 1e6:.1f} MB peak"
+        assert np.count_nonzero((data != 1.0).any(axis=1)) == len(set(ids.tolist()))
+        assert table.grad is None and table.grad_rows == []
 
 
 class TestDeterminism:
@@ -342,7 +357,7 @@ class TestSgd:
     @pytest.mark.parametrize("lr", [float("nan"), float("inf")])
     def test_non_finite_learning_rate_changes_nothing(self, lr):
         p = param(np.array([1.0, 2.0]), "p")
-        p.grad[:] = 0.5
+        write_grad(p, 0.5)
         with pytest.raises(ConfigError, match="learning rate"):
             sgd_step([p], lr)
         np.testing.assert_array_equal(p.data, [1.0, 2.0])
@@ -358,7 +373,48 @@ def _table_step(ids, rng, lr=0.3):
         looked = rows(table, ids)
         loss = weighted_sum(mul(looked, looked), rng.normal(size=(len(ids), 3)))
     backward(loss)
-    return table, table.data - lr * table.grad
+    return table, table.data - lr * dense_grad(table)
+
+
+def write_op(t: Tensor, g) -> Tensor:
+    """A recorded scalar whose backward adds g into t densely, whatever gradient it gets."""
+
+    def bwd(_):
+        _acc(t, g)
+
+    return _out(np.asarray(0.0, t.data.dtype), bwd)
+
+
+def feed(pairs) -> Tensor:
+    """A recorded scalar loss whose backward writes each (tensor, gradient) pair, in turn."""
+
+    def bwd(_):
+        for t, g in pairs:
+            _acc(t, g)
+
+    return _out(np.asarray(0.0), bwd)
+
+
+def dense_reference(writes, like):
+    """The dense accumulation every row record replaces: np.add.at into zeros.
+
+    ``writes`` are in replay order: ``(ids, g)`` for a lookup, ``(None, g)``
+    for any other write."""
+    grad = np.zeros_like(like)
+    for ids, g in writes:
+        if ids is None:
+            grad += g
+        else:
+            np.add.at(grad, np.asarray(ids)[::-1], g[::-1])
+    return grad
+
+
+# one step: its lookups' ids, and whether a dense write replays before or after them
+_step_spec = st.tuples(
+    st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=8), min_size=1, max_size=4),
+    st.booleans(),
+    st.booleans(),
+)
 
 
 class TestRowSparseSgd:
@@ -366,29 +422,59 @@ class TestRowSparseSgd:
         ids = [3, 1, 3, 7, 3]
         table, dense = _table_step(ids, rng)
         before = table.data.copy()
-        assert sorted(set(table.grad_rows)) == [1, 3, 7]
+        assert table.grad is None and [r.tolist() for r, _ in table.grad_rows] == [ids]
         sgd_step([table], 0.3)
         assert table.data.tobytes() == dense.tobytes()
         untouched = [i for i in range(12) if i not in ids]
         assert table.data[untouched].tobytes() == before[untouched].tobytes()
-        assert not table.grad.any()
-        assert table.grad_rows == []
+        assert table.grad is None and table.grad_rows == []
 
     def test_repeated_rows_add_in_reverse_lookup_order(self, rng):
-        # one lookup per row would replay last lookup first; the gather adds in that order
-        ids = [3, 1, 3, 7, 3, 3]
+        # one lookup per row would replay last lookup first; the sums add in that order
         table = param(rng.normal(size=(8, 3)), "table")
-        table.grad[:] = rng.normal(size=(8, 3))  # a gradient left by an earlier lookup
-        g = rng.normal(size=(len(ids), 3)) * 10.0 ** rng.integers(-8, 8, size=(len(ids), 1))
-        expect = table.grad.copy()
-        for i, gi in reversed(list(zip(ids, g))):
-            expect[i] += gi
-        tape = Tape()
-        with tape:
-            loss = weighted_sum(rows(table, ids), g)
-        backward(loss)
-        assert table.grad.tobytes() == expect.tobytes()
-        assert sorted(table.grad_rows) == sorted(ids)
+        writes = []
+        for ids in ([3, 5, 3], [3, 1, 3, 7, 3, 3]):  # an earlier step's lookup, then this one's
+            g = rng.normal(size=(len(ids), 3)) * 10.0 ** rng.integers(-8, 8, size=(len(ids), 1))
+            tape = Tape()
+            with tape:
+                loss = weighted_sum(rows(table, ids), g)
+            backward(loss)
+            writes.append((ids, g))
+        assert dense_grad(table).tobytes() == dense_reference(writes, table.data).tobytes()
+        assert [r.tolist() for r, _ in table.grad_rows] == [ids for ids, _ in writes]
+
+    @given(st.sampled_from([np.float32, np.float64]), st.lists(_step_spec, min_size=1, max_size=3),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_update_has_the_bits_of_the_dense_accumulation(self, dtype, steps, seed):
+        # gradients from 1e-8 to 1e8, so any other order of addition shows in the bits
+        rng = np.random.default_rng(seed)
+
+        def scaled(n):
+            return (rng.normal(size=(n, 3)) * 10.0 ** rng.uniform(-8, 8, size=(n, 1))).astype(dtype)
+
+        table = param(rng.normal(size=(6, 3)).astype(dtype), "table")
+        dense_seen = False  # a dense write allocates the buffer, which is then kept
+        for lookups, dense_before, dense_after in steps:
+            dense_seen |= dense_before or dense_after
+            grads = [scaled(len(ids)) for ids in lookups]
+            before, after = scaled(6), scaled(6)
+            tape = Tape()
+            with tape:
+                late = write_op(table, after)  # recorded first, so replayed after the lookups
+                looked = [rows(table, ids) for ids in lookups]
+                early = write_op(table, before)
+                pairs = [(early, 1.0)] * dense_before + list(zip(looked, grads)) + [(late, 1.0)] * dense_after
+                loss = feed(pairs)
+            backward(loss)
+            writes = [(None, before)] * dense_before + list(zip(lookups, grads))[::-1] + [(None, after)] * dense_after
+            grad = dense_reference(writes, table.data)
+            assert dense_grad(table).tobytes() == grad.tobytes()
+            expect = table.data - 0.37 * grad
+            sgd_step([table], 0.37)
+            assert table.data.dtype == dtype and table.data.tobytes() == expect.tobytes()
+            assert table.grad_rows == [] and (table.grad is None) == (not dense_seen)
+            assert table.grad is None or not table.grad.any()
 
     def test_nan_in_looked_up_row_changes_nothing(self, rng):
         w = param(rng.normal(size=(1, 3)), "w")
@@ -399,21 +485,32 @@ class TestRowSparseSgd:
             looked = rows(table, [4])
             loss = weighted_sum(concat([mul(w, w), mul(looked, looked)]), np.ones((1, 6)))
         backward(loss)
-        assert table.grad_rows == [4] and np.isfinite(w.grad).all()
-        saved = [(p.data.copy(), p.grad.copy()) for p in (w, table)]
+        assert [r.tolist() for r, _ in table.grad_rows] == [[4]] and np.isfinite(w.grad).all()
+        saved = [(p.data.copy(), dense_grad(p)) for p in (w, table)]
         with pytest.raises(NumericError, match="table"):
             sgd_step([w, table], 0.1)
         for p, (data, grad) in zip((w, table), saved):
             assert p.data.tobytes() == data.tobytes()
-            assert p.grad.tobytes() == grad.tobytes()
+            assert dense_grad(p).tobytes() == grad.tobytes()
+        assert table.grad is None and len(table.grad_rows) == 1
 
     def test_empty_row_record_touches_nothing(self, rng):
         # [] records that no row was looked up: the update and the reset skip the table
         table = param(rng.normal(size=(5, 3)), "table")
-        table.data.flags.writeable = table.grad.flags.writeable = False
+        table.data.flags.writeable = False
+        tape = Tape()
+        with tape:
+            loss = weighted_sum(rows(table, []), np.ones((0, 3)))  # a lookup of no ids records nothing
+        backward(loss)
         sgd_step([table], 0.5)
         zero_grads([table])
-        assert table.grad_rows == []
+        assert table.grad is None and table.grad_rows == []
+
+    def test_zero_grads_drops_the_row_record(self, rng):
+        table, _ = _table_step([2, 2, 5], rng)
+        zero_grads([table])
+        assert table.grad is None and table.grad_rows == []
+        np.testing.assert_array_equal(dense_grad(table), np.zeros((12, 3)))
 
     def test_other_write_makes_update_dense(self, rng):
         table = param(rng.normal(size=(5, 3)), "table")
